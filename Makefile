@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test chaos slow bench bench-smoke all
+.PHONY: test chaos slow bench bench-smoke perf-smoke all
 
 # Tier-1: the fast suite (the chaos storm matrix is deselected by the
 # `-m 'not chaos'` default in pyproject.toml).
@@ -46,5 +46,13 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_serve.py --ips 256 --days 4 \
 		--rate 50 --duration 1.5 --multiples 0.5 4.0 \
 		--out /tmp/BENCH_serve_smoke.json
+
+# The platform benchmark's own checks (benchmarks/perf, BENCHMARK.json):
+# its unit tests, then every workload at smoke scale, plain and traced,
+# each verifying its outputs. Correctness of the harness only — nothing
+# here gates on a timing.
+perf-smoke:
+	$(PYTHON) -m pytest benchmarks/perf -q
+	$(PYTHON) benchmarks/perf/run.py --smoke --traced
 
 all: test chaos

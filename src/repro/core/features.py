@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import threading
 from collections import OrderedDict
 from typing import Iterator, Mapping
 
@@ -129,12 +130,17 @@ def extract_internal_links(html: str) -> list[str]:
 class FeatureExtractor:
     """Computes :class:`PageFeatures` for fetched pages.
 
-    Simhash computation dominates extraction cost, so fingerprints are
-    memoised by body identity — rounds overwhelmingly refetch unchanged
-    pages (the paper's churn is ~3% per round).  The memo is a bounded
-    LRU keyed by a real content digest: a 51-round campaign must not
-    leak memory, and Python's ``hash()`` collides too easily to key a
-    correctness-critical cache.
+    The simhash is about three quarters of a page's extraction cost
+    (~210 of ~270 µs on a 180-token page; see DESIGN.md, "Ingest hot
+    path"), so fingerprints are memoised by body identity — rounds
+    overwhelmingly refetch unchanged pages (the paper's churn is ~3%
+    per round, and a warm benchmark round hits the memo for ~96% of its
+    pages).  The memo is a bounded LRU keyed by a real content digest:
+    a 51-round campaign must not leak memory, and Python's ``hash()``
+    collides too easily to key a correctness-critical cache.  It is
+    shared between threads (the guard extracts on the loop thread and
+    in executor threads), so lookups and inserts hold a lock; the
+    fingerprint itself is computed outside it.
     """
 
     def __init__(self, *, memoize: bool = True, max_cache_entries: int = 4096):
@@ -143,6 +149,7 @@ class FeatureExtractor:
         self._memoize = memoize
         self._max_cache_entries = max_cache_entries
         self._simhash_cache: OrderedDict[bytes, int] = OrderedDict()
+        self._cache_lock = threading.Lock()
 
     def extract(self, fetch: FetchResult) -> PageFeatures:
         """Features for one fetch; empty/non-text bodies yield defaults."""
@@ -193,14 +200,19 @@ class FeatureExtractor:
         key = hashlib.blake2b(
             body.encode("utf-8", "surrogatepass"), digest_size=16
         ).digest()
-        cached = self._simhash_cache.get(key)
-        if cached is not None:
-            self._simhash_cache.move_to_end(key)
-            return cached
+        cache = self._simhash_cache
+        with self._cache_lock:
+            cached = cache.get(key)
+            if cached is not None:
+                cache.move_to_end(key)
+                return cached
+        # Fingerprint outside the lock: two threads may both compute a
+        # body they both missed, and both store the same value.
         value = compute_simhash(body)
-        self._simhash_cache[key] = value
-        if len(self._simhash_cache) > self._max_cache_entries:
-            self._simhash_cache.popitem(last=False)
+        with self._cache_lock:
+            cache[key] = value
+            if len(cache) > self._max_cache_entries:
+                cache.popitem(last=False)
         return value
 
     @staticmethod

@@ -86,25 +86,40 @@ class RateLimiter:
         self._tokens = self._capacity
         self._updated: float | None = None
         self._lock = asyncio.Lock()
+        #: Acquirers inside the locked path, holding the lock or queued.
+        self._queued = 0
+
+    def _take(self, now: float) -> bool:
+        """Refill to *now* and take one token if the bucket holds one."""
+        if self._updated is None:
+            self._updated = now
+        self._tokens = min(
+            self._capacity, self._tokens + (now - self._updated) * self._rate
+        )
+        self._updated = now
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
+            return True
+        return False
 
     async def acquire(self) -> None:
         """Block until one probe token is available."""
-        async with self._lock:
-            loop = asyncio.get_running_loop()
-            now = loop.time()
-            if self._updated is None:
-                self._updated = now
-            self._tokens = min(
-                self._capacity, self._tokens + (now - self._updated) * self._rate
-            )
-            self._updated = now
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return
-            deficit = 1.0 - self._tokens
-            self._tokens = 0.0
-            await asyncio.sleep(deficit / self._rate)
-            self._updated = loop.time()
+        loop = asyncio.get_running_loop()
+        # Nobody ahead and a token in the bucket: no lock to enter.  Any
+        # acquirer that has to wait goes through the lock, which is FIFO.
+        if not self._queued and self._take(loop.time()):
+            return
+        self._queued += 1
+        try:
+            async with self._lock:
+                if self._take(loop.time()):
+                    return
+                deficit = 1.0 - self._tokens
+                self._tokens = 0.0
+                await asyncio.sleep(deficit / self._rate)
+                self._updated = loop.time()
+        finally:
+            self._queued -= 1
 
 
 class Scanner:

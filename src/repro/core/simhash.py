@@ -12,6 +12,10 @@ This module implements the Charikar simhash construction used there:
 Two near-identical documents share most features, so most bit positions
 receive nearly identical votes and the fingerprints differ in only a few
 bits.  The paper uses 96-bit hashes and a merge threshold of 3 bits.
+
+Steps 3 and 4 run in numpy over a page's distinct features at once; the
+bit-at-a-time loop they replace is ``reference_simhash`` in
+``tests/test_simhash.py``, which the kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,15 +23,15 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import Counter
+from itertools import islice
 from typing import Iterable, Sequence
 
-try:  # pragma: no cover - exercised via the fallback-path tests
-    import numpy as _np
+import numpy
 
-    if not hasattr(_np, "bitwise_count"):  # numpy < 2.0
-        _np = None  # type: ignore[assignment]
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
+# ``_np`` gates only the ``bitwise_count`` Hamming kernels below, which
+# need numpy >= 2.0; the fallback tests patch it to ``None``.  simhash()
+# needs nothing newer than ``unpackbits`` and uses ``numpy`` directly.
+_np = numpy if hasattr(numpy, "bitwise_count") else None
 
 __all__ = [
     "HASH_BITS",
@@ -56,6 +60,13 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
 _TAG_RE = re.compile(r"<[^>]*>")
 
+_DIGEST_BYTES = HASH_BITS // 8
+
+#: Distinct shingles voted per numpy call.  Bounds the kernel's
+#: temporaries (the int64 matmul operand is ``_VOTE_BLOCK * HASH_BITS * 8``
+#: bytes, 1.5 MB) however many distinct shingles a hostile page carries.
+_VOTE_BLOCK = 2048
+
 
 def tokenize(text: str, *, strip_markup: bool = True) -> list[str]:
     """Split *text* into lowercase alphanumeric tokens.
@@ -66,11 +77,13 @@ def tokenize(text: str, *, strip_markup: bool = True) -> list[str]:
     """
     if strip_markup:
         text = _TAG_RE.sub(" ", text)
-    return [match.group(0).lower() for match in _TOKEN_RE.finditer(text)]
+    # Lowercase per token, not the whole text first: ``"\u0130".lower()``
+    # is ``"i\u0307"``, which would turn a non-token into one.
+    return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
 def shingles(tokens: list[str], width: int = 3) -> Iterable[str]:
-    """Yield overlapping token *width*-grams (shingles).
+    """Iterate over the overlapping token *width*-grams (shingles).
 
     Shingling makes the fingerprint sensitive to local word order, which
     distinguishes pages that merely share a vocabulary.  Documents shorter
@@ -79,17 +92,8 @@ def shingles(tokens: list[str], width: int = 3) -> Iterable[str]:
     if width <= 0:
         raise ValueError(f"shingle width must be positive, got {width}")
     if len(tokens) < width:
-        if tokens:
-            yield " ".join(tokens)
-        return
-    for start in range(len(tokens) - width + 1):
-        yield " ".join(tokens[start : start + width])
-
-
-def _feature_hash(feature: str) -> int:
-    """Hash a feature string to ``HASH_BITS`` bits (stable across runs)."""
-    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=12).digest()
-    return int.from_bytes(digest, "big") & _HASH_MASK
+        return iter((" ".join(tokens),) if tokens else ())
+    return map(" ".join, zip(*(tokens[offset:] for offset in range(width))))
 
 
 def simhash(text: str, *, shingle_width: int = 3) -> int:
@@ -102,19 +106,26 @@ def simhash(text: str, *, shingle_width: int = 3) -> int:
     if not tokens:
         return 0
     weights = Counter(shingles(tokens, shingle_width))
-    votes = [0] * HASH_BITS
-    for feature, weight in weights.items():
-        value = _feature_hash(feature)
-        for bit in range(HASH_BITS):
-            if value & (1 << bit):
-                votes[bit] += weight
-            else:
-                votes[bit] -= weight
-    fingerprint = 0
-    for bit in range(HASH_BITS):
-        if votes[bit] > 0:
-            fingerprint |= 1 << bit
-    return fingerprint
+    counts = numpy.fromiter(weights.values(), numpy.int64, len(weights))
+    features = iter(weights)
+    blake2b = hashlib.blake2b
+    # ones[j]: total weight of the features whose digest has bit j set,
+    # j counted from the digest's most significant bit.
+    ones = numpy.zeros(HASH_BITS, numpy.int64)
+    for start in range(0, len(weights), _VOTE_BLOCK):
+        digests = b"".join([
+            blake2b(feature.encode("utf-8"), digest_size=_DIGEST_BYTES).digest()
+            for feature in islice(features, _VOTE_BLOCK)
+        ])
+        bits = numpy.unpackbits(
+            numpy.frombuffer(digests, numpy.uint8).reshape(-1, _DIGEST_BYTES),
+            axis=1,
+        )
+        ones += counts[start:start + _VOTE_BLOCK] @ bits
+    # A bit's vote is +weight where set, -weight where clear:
+    # ones - (total - ones) > 0.
+    positive = 2 * ones > counts.sum()
+    return int.from_bytes(numpy.packbits(positive).tobytes(), "big")
 
 
 def hamming_distance(a: int, b: int) -> int:
@@ -129,10 +140,10 @@ def hamming_distance(a: int, b: int) -> int:
 # Hamming distance over millions of fingerprint pairs.  The kernels below
 # pack fingerprints into a (n, HASH_WORDS) uint64 matrix and compute
 # distances with ``numpy.bitwise_count`` — bit-for-bit identical to the
-# scalar :func:`hamming_distance`.  Every caller must keep a pure-python
-# path for environments without numpy (or with numpy < 2.0): gate on
-# :func:`numpy_available` rather than importing numpy directly, so the
-# fallback is testable by patching ``repro.core.simhash._np``.
+# scalar :func:`hamming_distance`.  ``bitwise_count`` needs numpy >= 2.0
+# and ``pyproject.toml`` allows older, so callers of these kernels gate
+# on :func:`numpy_available` and keep a scalar path; the fallback is
+# testable by patching ``repro.core.simhash._np``.
 
 
 def numpy_available() -> bool:

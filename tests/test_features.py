@@ -117,6 +117,47 @@ class TestFeatureExtraction:
         ).digest()
         assert key6 in keys
 
+    def test_memo_survives_concurrent_threads(self):
+        """The guard extracts on the loop thread and in executor threads
+        at once: lookups, inserts and evictions on a tiny shared memo
+        must neither raise nor hand back another body's fingerprint."""
+        import sys
+        import threading
+        import time
+
+        bodies = [f"<html>page number {n} of the hammer</html>"
+                  for n in range(6)]
+        expected = [simhash(body) for body in bodies]
+        extractor = FeatureExtractor(max_cache_entries=2)
+        failures: list[BaseException] = []
+        deadline = time.monotonic() + 1.5
+
+        def hammer(offset: int) -> None:
+            try:
+                step = offset
+                while time.monotonic() < deadline and not failures:
+                    index = step % len(bodies)
+                    assert extractor._simhash(bodies[index]) == \
+                        expected[index]
+                    step += 1 + offset
+            except BaseException as error:
+                failures.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(offset,))
+                   for offset in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(extractor._simhash_cache) <= 2
+
     def test_cache_size_must_be_positive(self):
         import pytest
         with pytest.raises(ValueError):

@@ -259,3 +259,101 @@ class TestRateLimiter:
         for i, start in enumerate(ordered):
             in_window = sum(1 for t in ordered[i:] if t - start <= window)
             assert in_window <= rate * window + burst + 1
+
+
+class AlwaysLockedLimiter(RateLimiter):
+    """The limiter as it was before the uncontended fast path: every
+    acquire enters the lock.  The oracle for the script below."""
+
+    async def acquire(self) -> None:
+        async with self._lock:
+            loop = asyncio.get_running_loop()
+            now = loop.time()
+            if self._updated is None:
+                self._updated = now
+            self._tokens = min(
+                self._capacity,
+                self._tokens + (now - self._updated) * self._rate,
+            )
+            self._updated = now
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
+                return
+            deficit = 1.0 - self._tokens
+            self._tokens = 0.0
+            await asyncio.sleep(deficit / self._rate)
+            self._updated = loop.time()
+
+
+def run_limiter_script(limiter_class, monkeypatch):
+    """Drive one limiter on a clock that moves only when the limiter
+    sleeps or the script idles: a contended burst (8 workers x 2
+    acquires on a 3-token bucket), an idle refill, a sequential tail.
+    Returns every grant in order, every sleep asked for, and the
+    bucket's final state."""
+    now = 0.0
+    sleeps: list[float] = []
+    grants: list[tuple[str, float]] = []
+    real_sleep = asyncio.sleep
+
+    async def fake_sleep(delay):
+        nonlocal now
+        sleeps.append(delay)
+        now += delay
+        await real_sleep(0)
+
+    async def worker(limiter, name):
+        for _ in range(2):
+            await limiter.acquire()
+            grants.append((name, now))
+
+    async def script():
+        nonlocal now
+        # This run's loop is thrown away with it; no need to restore.
+        asyncio.get_running_loop().time = lambda: now
+        limiter = limiter_class(10.0, burst=3)
+        await asyncio.gather(*(worker(limiter, f"w{n}") for n in range(8)))
+        now += 0.25                       # idle: earns 2.5 tokens
+        for _ in range(5):
+            await limiter.acquire()
+            grants.append(("tail", now))
+        return limiter._tokens, limiter._updated
+
+    with monkeypatch.context() as patch:
+        patch.setattr(asyncio, "sleep", fake_sleep)
+        state = asyncio.run(script())
+    return grants, sleeps, state
+
+
+class TestRateLimiterFastPath:
+    def test_same_grants_sleeps_and_tokens_as_always_locking(
+            self, monkeypatch):
+        fast = run_limiter_script(RateLimiter, monkeypatch)
+        locked = run_limiter_script(AlwaysLockedLimiter, monkeypatch)
+        assert fast == locked
+        grants, sleeps, _ = fast
+        assert len(grants) == 21
+        # 3 burst tokens free, 13 waited for, 2 back from the idle
+        # period, 3 more waited for.
+        assert len(sleeps) == 16
+        # Waiters were served in arrival order.
+        assert [name for name, _ in grants[:16]] == [
+            "w0", "w0", "w1", "w1", "w2", "w3", "w4", "w5", "w6", "w7",
+            "w2", "w3", "w4", "w5", "w6", "w7",
+        ]
+
+    def test_uncontended_acquire_does_not_enter_the_lock(self):
+        class NoEntry:
+            async def __aenter__(self):
+                raise AssertionError("lock entered with a token in hand")
+
+            async def __aexit__(self, *exc):
+                return False
+
+        async def run():
+            limiter = RateLimiter(1e9)
+            limiter._lock = NoEntry()
+            for _ in range(1000):
+                await limiter.acquire()
+
+        asyncio.run(run())

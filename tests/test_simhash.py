@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import re
+import time
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,34 @@ from repro.core.simhash import (
     simhash,
     tokenize,
 )
+
+
+def reference_simhash(text: str, *, shingle_width: int = 3) -> int:
+    """The scalar Charikar construction, one vote per bit per distinct
+    shingle — the oracle :func:`simhash` must match bit for bit.  It
+    shares no code with the kernel, prelude included."""
+    text = re.sub(r"<[^>]*>", " ", text)
+    tokens = [match.group(0).lower()
+              for match in re.finditer(r"[A-Za-z0-9]+", text)]
+    if not tokens:
+        return 0
+    if len(tokens) < shingle_width:
+        features = [" ".join(tokens)]
+    else:
+        features = [" ".join(tokens[start:start + shingle_width])
+                    for start in range(len(tokens) - shingle_width + 1)]
+    votes = [0] * HASH_BITS
+    for feature, weight in Counter(features).items():
+        digest = hashlib.blake2b(feature.encode("utf-8"),
+                                 digest_size=12).digest()
+        value = int.from_bytes(digest, "big")
+        for bit in range(HASH_BITS):
+            if value & (1 << bit):
+                votes[bit] += weight
+            else:
+                votes[bit] -= weight
+    return sum(1 << bit for bit in range(HASH_BITS) if votes[bit] > 0)
+
 
 WORDS = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
 
@@ -128,6 +161,110 @@ class TestSimhash:
         assert simhash(text) == value
 
 
+#: Page, shingle width, fingerprint computed by the scalar loop at the
+#: commit before the numpy kernel — so kernel and oracle cannot drift
+#: together.
+PINNED = [
+    ('<html><head><title>Welcome to nginx!</title></head><body>'
+     '<h1>Welcome to nginx!</h1><p>If you see this page, the nginx web '
+     'server is successfully installed and working.</p></body></html>',
+     3, 0x68476DB84AED48A900399AAA),
+    ("It works!", 3, 0x04DAD35ED6FE5BF13DA52A61),
+    ("spam and eggs and spam and eggs and spam and eggs and ham " * 6,
+     2, 0x38C18E55744671FD7FCA5ABD),
+]
+
+#: 512 KiB of all-distinct tokens: more than 50 000 distinct shingles,
+#: so the vote accumulation crosses two dozen blocks.
+HOSTILE_PAGE = " ".join(
+    f"t{index * 2654435761 % (1 << 32):08x}" for index in range(60_000)
+)[:512 * 1024]
+
+_HTMLISH = st.lists(
+    st.one_of(
+        st.sampled_from(["<p>", "</p>", "<a href='/x'>", "<br/>", "<", ">",
+                         "<!-- c -->", "&amp;", " ", "\n"]),
+        st.sampled_from(WORDS),
+        st.text(max_size=8),
+    ),
+    max_size=60,
+).map("".join)
+
+
+def assert_matches_reference(text: str, width: int) -> None:
+    assert simhash(text, shingle_width=width) == \
+        reference_simhash(text, shingle_width=width)
+
+
+class TestKernelMatchesReference:
+    """The numpy vote kernel against the scalar oracle."""
+
+    @pytest.mark.parametrize("text,width,fingerprint", PINNED)
+    def test_pinned_fingerprints(self, text, width, fingerprint):
+        assert simhash(text, shingle_width=width) == fingerprint
+        assert reference_simhash(text, shingle_width=width) == fingerprint
+
+    @given(st.text(alphabet=st.characters(codec=None), max_size=200),
+           st.integers(1, 5))
+    def test_arbitrary_text(self, text, width):
+        # codec=None admits lone surrogates, which utf-8 cannot encode.
+        assert_matches_reference(text, width)
+
+    @given(_HTMLISH, st.integers(1, 5))
+    def test_htmlish(self, text, width):
+        assert_matches_reference(text, width)
+
+    @pytest.mark.parametrize("text", [
+        "\u0130stanbul \u0130 I\u0307 K\u212a",  # lower() changes length
+        "\ud800 lone \udfff surrogates",
+        "caf\u00e9 na\u00efve \uff21\uff22",    # non-ascii letters split
+        "<\u0130>x</\u0130>",
+    ])
+    def test_unicode_edges(self, text):
+        for width in range(1, 6):
+            assert_matches_reference(text, width)
+
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_shorter_than_width(self, width):
+        for length in range(width + 1):
+            text = " ".join(WORDS[:length])
+            assert_matches_reference(text, width)
+
+    @given(st.lists(st.sampled_from(WORDS[:3]), min_size=1, max_size=400),
+           st.integers(1, 5))
+    @settings(max_examples=40)
+    def test_repeated_shingles_carry_weight(self, words, width):
+        # A three-word vocabulary: few distinct shingles, weights >> 1.
+        text = " ".join(words)
+        assert_matches_reference(text, width)
+
+    def test_tied_votes_leave_the_bit_clear(self):
+        # Two distinct unigrams of weight 1: every bit they disagree on
+        # sums to zero, and zero is not positive.
+        a, b = simhash("alpha", shingle_width=1), simhash("beta", shingle_width=1)
+        assert simhash("alpha beta", shingle_width=1) == a & b
+
+    def test_hostile_page_blocks_time_and_memory(self):
+        """512 KiB of distinct tokens: equal to the oracle across many
+        accumulation blocks, far inside the 10 s extract deadline, and
+        under 16 MB of extra memory (tracemalloc sees numpy's buffers)."""
+        assert len(HOSTILE_PAGE) == 512 * 1024
+        assert len(set(shingles(tokenize(HOSTILE_PAGE)))) >= 50_000
+        started = time.perf_counter()
+        value = simhash(HOSTILE_PAGE)
+        elapsed = time.perf_counter() - started
+        assert value == reference_simhash(HOSTILE_PAGE)
+        assert elapsed < 2.0
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            simhash(HOSTILE_PAGE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 16 * 1024 * 1024
+
+
 # Edge fingerprints for the packed-kernel equivalence checks: zeros,
 # all-ones, single bits at word boundaries, and half-word patterns.
 EDGE_PATTERNS = [
@@ -224,6 +361,16 @@ class TestNoNumpyKernels:
             simhash_mod.hamming_rows(None, None)
         with pytest.raises(RuntimeError):
             simhash_mod.hamming_cross(None, None)
+
+    def test_simhash_unaffected(self, monkeypatch):
+        """The gate is for ``bitwise_count`` only; fingerprinting needs
+        nothing numpy >= 2.0 added and does not go through it."""
+        import importlib
+
+        simhash_mod = importlib.import_module("repro.core.simhash")
+        monkeypatch.setattr(simhash_mod, "_np", None)
+        text, width, fingerprint = PINNED[0]
+        assert simhash_mod.simhash(text, shingle_width=width) == fingerprint
 
     def test_scalar_distance_unaffected(self, monkeypatch):
         import importlib
