@@ -2,21 +2,47 @@
 
 Analyses repeatedly traverse every ``<IP, round>`` record, so this
 module loads a :class:`~repro.core.store.StoreBackend` (any engine —
-sqlite or columnar) once into compact :class:`Observation` rows
-(dropping page bodies after link extraction) and indexes them by round
-and by IP.
+sqlite or columnar) once into compact :class:`Observation` rows and
+indexes them by round and by IP.  The load is one projection scan
+(:meth:`~repro.core.store.StoreBackend.columns`) of the columns an
+observation is made of; no row is decoded into a ``RoundRecord`` and no
+page body is parsed.  The text mined from bodies — outgoing links and
+leaked domain names, which only the Safe Browsing and DNS-correlation
+analyses read — is :attr:`Dataset.page_text`, computed by a second scan
+the first time one of them asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from ..core.features import extract_domains, extract_links
-from ..core.records import PageFeatures, RoundRecord
-from ..core.store import RoundInfo, StoreBackend, open_store
+from ..core.records import (
+    PageFeatures,
+    is_available,
+    parse_open_ports,
+    port_profile_of,
+    status_class_of,
+)
+from ..core.store import RoundInfo, StoreBackend
 
-__all__ = ["Observation", "Dataset"]
+__all__ = ["Observation", "Dataset", "PageText"]
+
+#: What one page body mentions: ``(links, domains)`` — the absolute
+#: http(s) URLs it links to and the domain names appearing in it
+#: (vhost leakage, §4).
+PageText = tuple[tuple[str, ...], tuple[str, ...]]
+
+#: The columns an :class:`Observation` is made of.  ``body`` is read
+#: only for its presence: the page marker ``RoundRecord.from_row``
+#: treats as authoritative for whether a row carries features.
+_OBSERVATION_COLUMNS = (
+    "ip", "round_id", "timestamp", "open_ports", "fetch_status",
+    "status_code", "content_type", "ssh_banner", "body",
+    "powered_by", "description", "header_string", "html_length", "title",
+    "template", "server", "keywords", "analytics_id", "simhash",
+)
 
 
 @dataclass(frozen=True)
@@ -33,10 +59,7 @@ class Observation:
     content_type: str
     fetch_status: str
     features: PageFeatures | None
-    links: tuple[str, ...] = ()
     ssh_banner: str | None = None
-    #: Domain names appearing in the page body (vhost leakage, §4).
-    domains: tuple[str, ...] = ()
 
     @property
     def has_page(self) -> bool:
@@ -47,34 +70,16 @@ class Observation:
         return (self.ip, self.round_id)
 
 
-def _observe(record: RoundRecord) -> Observation:
-    links: tuple[str, ...] = ()
-    domains: tuple[str, ...] = ()
-    if record.fetch.body:
-        links = tuple(extract_links(record.fetch.body))
-        domains = tuple(extract_domains(record.fetch.body))
-    return Observation(
-        ip=record.ip,
-        round_id=record.round_id,
-        timestamp=record.timestamp,
-        port_profile=record.probe.port_profile(),
-        available=record.available,
-        status_code=record.fetch.status_code,
-        status_class=record.fetch.status_class(),
-        content_type=record.fetch.content_type,
-        fetch_status=record.fetch.status.value,
-        features=record.features,
-        links=links,
-        ssh_banner=record.ssh_banner,
-        domains=domains,
-    )
-
-
 class Dataset:
     """All rounds of one campaign, indexed for analysis."""
 
     def __init__(self, rounds: list[RoundInfo],
-                 observations: list[Observation]):
+                 observations: list[Observation],
+                 page_text: Mapping[tuple[int, int], PageText] | None = None):
+        #: Hand-built datasets pass their page text; :meth:`from_store`
+        #: leaves it to be read from ``_store`` on first use.
+        self._page_text = page_text
+        self._store: StoreBackend | None = None
         self.rounds = sorted(rounds, key=lambda r: r.timestamp)
         self.round_ids = [r.round_id for r in self.rounds]
         self._timestamps = {r.round_id: r.timestamp for r in self.rounds}
@@ -91,19 +96,61 @@ class Dataset:
     @classmethod
     def from_store(cls, store: StoreBackend) -> "Dataset":
         rounds = store.rounds()
-        observations = [
-            _observe(record)
-            for info in rounds
-            for record in store.records(info.round_id)
-        ]
-        return cls(rounds, observations)
+        profiles: dict[str, str] = {}          # open_ports column -> label
+        classes: dict[int | None, str] = {}    # status code -> label
+        observations = []
+        for info in rounds:
+            for (ip, round_id, timestamp, open_ports, fetch_status,
+                 status_code, content_type, ssh_banner, body,
+                 powered_by, description, header_string, html_length,
+                 title, template, server, keywords, analytics_id,
+                 simhash) in store.columns(info.round_id,
+                                           _OBSERVATION_COLUMNS):
+                port_profile = profiles.get(open_ports)
+                if port_profile is None:
+                    port_profile = profiles[open_ports] = port_profile_of(
+                        parse_open_ports(open_ports)
+                    )
+                status_class = classes.get(status_code)
+                if status_class is None:
+                    status_class = classes[status_code] = status_class_of(
+                        status_code
+                    )
+                features = None
+                if body is not None:
+                    features = PageFeatures(
+                        powered_by, description, header_string, html_length,
+                        title, template, server, keywords, analytics_id,
+                        int(simhash, 16),
+                    )
+                observations.append(Observation(
+                    ip, round_id, timestamp, port_profile,
+                    is_available(fetch_status, status_code), status_code,
+                    status_class, content_type, fetch_status, features,
+                    ssh_banner,
+                ))
+        dataset = cls(rounds, observations)
+        dataset._store = store
+        return dataset
 
-    @classmethod
-    def from_path(cls, path: str, *, backend: str | None = None) -> "Dataset":
-        """Load a campaign straight from disk, auto-detecting the
-        storage engine (or forcing one via *backend*)."""
-        with open_store(path, backend=backend, readonly=True) as store:
-            return cls.from_store(store)
+    @property
+    def page_text(self) -> Mapping[tuple[int, int], PageText]:
+        """``(ip, round_id) -> (links, domains)`` for every observation
+        that carries a page.  A dataset loaded from a store parses the
+        stored bodies the first time this is read, so the store must
+        still be readable then: a closed sqlite handle raises, it does
+        not pass for "no links"."""
+        if self._page_text is None:
+            store = self._store
+            self._page_text = {} if store is None else {
+                (ip, info.round_id): (
+                    tuple(extract_links(body)), tuple(extract_domains(body))
+                )
+                for info in self.rounds
+                for ip, body in store.columns(info.round_id, ("ip", "body"))
+                if body is not None
+            }
+        return self._page_text
 
     # ------------------------------------------------------------------
 

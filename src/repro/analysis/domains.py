@@ -81,9 +81,9 @@ class DomainCorrelator:
     def candidate_domains(self) -> dict[str, set[int]]:
         """Domains seen in page bodies -> the IPs that mentioned them."""
         candidates: dict[str, set[int]] = {}
-        for obs in self.dataset.observations():
-            for domain in obs.domains:
-                candidates.setdefault(domain, set()).add(obs.ip)
+        for (ip, _), (_, domains) in self.dataset.page_text.items():
+            for domain in domains:
+                candidates.setdefault(domain, set()).add(ip)
         return candidates
 
     def correlate(self, domains: Iterable[str] | None = None) -> CorrelationReport:

@@ -87,13 +87,15 @@ class SafeBrowsingAnalyzer:
         malicious: dict[int, MaliciousIp] = {}
         all_urls: set[str] = set()
         categories_per_ip: Counter[str] = Counter()
+        page_text = self.dataset.page_text
         for obs in self.dataset.observations():
-            if not obs.links:
+            links, _ = page_text.get(obs.key(), ((), ()))
+            if not links:
                 continue
             day = obs.timestamp
             hits = [
                 (url, self.safe_browsing.lookup(url, day))
-                for url in obs.links
+                for url in links
             ]
             listed = [(url, status) for url, status in hits if status != "ok"]
             if not listed:

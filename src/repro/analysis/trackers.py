@@ -4,9 +4,9 @@ Trackers are found by searching page HTML for each tracker's
 characteristic URL — the same fingerprint idea as the paper's MySQL
 regular expressions (e.g. ``http://b.scorecardresearch.com`` inside a
 script tag).  Searching the stored bodies directly in the measurement
-database keeps the method faithful: this module queries the
-:class:`~repro.core.store.MeasurementStore`, not the in-memory dataset
-(whose observations drop bodies).
+database keeps the method faithful: this module scans the
+:class:`~repro.core.store.StoreBackend`'s ``body`` column, not the
+in-memory dataset (whose observations carry no bodies).
 
 Google Analytics gets the extra account treatment of §8.3: IDs have the
 form ``UA-<account>-<profile>``, so distinct profiles of one account
@@ -81,15 +81,14 @@ class TrackerAnalyzer:
         clusters: dict[str, set[int]] = {
             name: set() for name in TRACKER_FINGERPRINTS
         }
-        for record in self.store.records(round_id):
-            body = record.fetch.body
+        for ip, body in self.store.columns(round_id, ("ip", "body")):
             if not body:
                 continue
             for name, fingerprint in TRACKER_FINGERPRINTS.items():
                 if fingerprint in body:
-                    ips[name].add(record.ip)
+                    ips[name].add(ip)
                     if self.clustering is not None:
-                        cid = self.clustering.cluster_of(record.ip, round_id)
+                        cid = self.clustering.cluster_of(ip, round_id)
                         if cid is not None:
                             clusters[name].add(cid)
         ips = {name: found for name, found in ips.items() if found}
@@ -100,11 +99,13 @@ class TrackerAnalyzer:
         """All Google Analytics IDs across the campaign -> IPs using them."""
         ids: dict[str, set[int]] = {}
         for info in self.store.rounds():
-            for record in self.store.records(info.round_id):
-                features = record.features
-                if features is None or features.analytics_id in ("", "unknown"):
+            for ip, body, analytics_id in self.store.columns(
+                info.round_id, ("ip", "body", "analytics_id")
+            ):
+                # Rows without a stored page carry no features.
+                if body is None or analytics_id in ("", "unknown"):
                     continue
-                ids.setdefault(features.analytics_id, set()).add(record.ip)
+                ids.setdefault(analytics_id, set()).add(ip)
         return ids
 
 

@@ -108,23 +108,21 @@ def extract_domains(html: str) -> list[str]:
     without duplicates.  Virtual-host 404 pages often leak the intended
     site's domain (§4's second limitation notes WhoWas can sometimes
     recover ownership this way); active DNS then confirms it."""
-    seen: list[str] = []
-    for match in _DOMAIN_RE.finditer(html):
-        domain = match.group(1).lower()
-        if domain not in seen:
-            seen.append(domain)
-    return seen
+    # dict.fromkeys dedupes in first-seen order in linear time; a list
+    # membership test made a page of distinct names quadratic.
+    return list(dict.fromkeys(
+        match.group(1).lower() for match in _DOMAIN_RE.finditer(html)
+    ))
 
 
 def extract_internal_links(html: str) -> list[str]:
     """Same-host paths linked from the page ("/about"), in document
     order without duplicates — what the deep crawler follows."""
-    seen: list[str] = []
-    for match in _LINK_RE.finditer(html):
-        url = match.group(1).strip()
-        if url.startswith("/") and not url.startswith("//") and url not in seen:
-            seen.append(url)
-    return seen
+    urls = (match.group(1).strip() for match in _LINK_RE.finditer(html))
+    return list(dict.fromkeys(
+        url for url in urls
+        if url.startswith("/") and not url.startswith("//")
+    ))
 
 
 class FeatureExtractor:

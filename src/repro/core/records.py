@@ -23,6 +23,10 @@ __all__ = [
     "StageStats",
     "PipelineStats",
     "UNKNOWN",
+    "parse_open_ports",
+    "port_profile_of",
+    "status_class_of",
+    "is_available",
 ]
 
 #: Placeholder for features missing from the HTML or headers (§4:
@@ -36,6 +40,26 @@ class Port(enum.IntEnum):
     HTTP = 80
     HTTPS = 443
     SSH = 22
+
+
+def parse_open_ports(text: str) -> frozenset[int]:
+    """Inverse of the ``open_ports`` column (sorted, comma-joined)."""
+    return frozenset(int(p) for p in text.split(",") if p)
+
+
+def port_profile_of(open_ports: frozenset[int]) -> str:
+    """Port combination label used in Table 3."""
+    has_http = Port.HTTP in open_ports
+    has_https = Port.HTTPS in open_ports
+    if has_http and has_https:
+        return "80&443"
+    if has_http:
+        return "80-only"
+    if has_https:
+        return "443-only"
+    if Port.SSH in open_ports:
+        return "22-only"
+    return "none"
 
 
 class ProbeStatus(enum.Enum):
@@ -85,17 +109,7 @@ class ProbeOutcome:
 
     def port_profile(self) -> str:
         """Port combination label used in Table 3."""
-        has_http = Port.HTTP in self.open_ports
-        has_https = Port.HTTPS in self.open_ports
-        if has_http and has_https:
-            return "80&443"
-        if has_http:
-            return "80-only"
-        if has_https:
-            return "443-only"
-        if Port.SSH in self.open_ports:
-            return "22-only"
-        return "none"
+        return port_profile_of(self.open_ports)
 
 
 class FetchStatus(enum.Enum):
@@ -105,6 +119,32 @@ class FetchStatus(enum.Enum):
     ERROR = "error"                 # connection/protocol error
     ROBOTS_DISALLOWED = "robots"    # robots.txt forbids fetching /
     NOT_ATTEMPTED = "not-attempted"  # no web port open
+
+
+_FETCH_OK = FetchStatus.OK.value
+
+
+def status_class_of(status_code: int | None) -> str:
+    """Status-code class label used in Table 4."""
+    if status_code is None:
+        return "other"
+    if status_code == 200:
+        return "200"
+    if 400 <= status_code < 500:
+        return "4xx"
+    if 500 <= status_code < 600:
+        return "5xx"
+    return "other"
+
+
+def is_available(fetch_status: str, status_code: int | None) -> bool:
+    """§4: an IP is *available* in a round if the HTTP(S) request for
+    the URL (without robots.txt) succeeded — i.e. any HTTP response
+    came back, whatever its status code.  This matches Table 7's
+    available/responsive ratio (~68% on EC2); Table 4 separately
+    breaks the responses down by status class.  *fetch_status* is a
+    :class:`FetchStatus` value, as the ``fetch_status`` column holds."""
+    return fetch_status == _FETCH_OK and status_code is not None
 
 
 @dataclass(frozen=True)
@@ -129,12 +169,8 @@ class FetchResult:
 
     @property
     def available(self) -> bool:
-        """§4: an IP is *available* in a round if the HTTP(S) request for
-        the URL (without robots.txt) succeeded — i.e. any HTTP response
-        came back, whatever its status code.  This matches Table 7's
-        available/responsive ratio (~68% on EC2); Table 4 separately
-        breaks the responses down by status class."""
-        return self.status is FetchStatus.OK and self.status_code is not None
+        """Whether any HTTP response came back (:func:`is_available`)."""
+        return is_available(self.status.value, self.status_code)
 
     @property
     def content_type(self) -> str:
@@ -147,15 +183,7 @@ class FetchResult:
 
     def status_class(self) -> str:
         """Status-code class label used in Table 4."""
-        if self.status_code is None:
-            return "other"
-        if self.status_code == 200:
-            return "200"
-        if 400 <= self.status_code < 500:
-            return "4xx"
-        if 500 <= self.status_code < 600:
-            return "5xx"
-        return "other"
+        return status_class_of(self.status_code)
 
 
 @dataclass(frozen=True)
@@ -446,9 +474,7 @@ class RoundRecord:
     @classmethod
     def from_row(cls, row: Mapping) -> "RoundRecord":
         """Inverse of :meth:`to_row`."""
-        open_ports = frozenset(
-            int(p) for p in row["open_ports"].split(",") if p
-        )
+        open_ports = parse_open_ports(row["open_ports"])
         headers = {}
         if row["headers"]:
             for line in row["headers"].split("\n"):

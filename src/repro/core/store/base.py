@@ -114,6 +114,17 @@ COLUMNS: tuple[tuple[str, str], ...] = (
 
 COLUMN_NAMES = tuple(name for name, _ in COLUMNS)
 
+
+def check_column_names(names: Iterable[str]) -> tuple[str, ...]:
+    """*names* as a tuple, after checking each against
+    :data:`COLUMN_NAMES` — :meth:`StoreBackend.columns` engines
+    interpolate them into queries, so anything else is refused here."""
+    names = tuple(names)
+    if not names or any(name not in COLUMN_NAMES for name in names):
+        raise ValueError(f"expected record column names, got {names!r}")
+    return names
+
+
 #: The light columns the per-IP-history read model carries — everything
 #: the WhoWas lookup endpoint serves, nothing it doesn't (no bodies).
 IP_HISTORY_COLUMNS = (
@@ -605,6 +616,22 @@ class StoreBackend(ABC):
     @abstractmethod
     def records(self, round_id: int) -> Iterator[RoundRecord]:
         """All records of one round."""
+
+    def columns(
+        self, round_id: int, names: Sequence[str]
+    ) -> Iterator[tuple]:
+        """The projection read: one tuple of the *names* columns
+        (:data:`COLUMN_NAMES` only, else :class:`ValueError`) per row of
+        the round, in exactly :meth:`records`' order — what an analysis
+        that needs a few light columns scans instead of decoding every
+        row into a :class:`RoundRecord`.  This definition over
+        :meth:`records` is the reference; engines override it with a
+        read that touches only the named columns."""
+        names = check_column_names(names)
+        return (
+            tuple(row[name] for name in names)
+            for row in map(RoundRecord.to_row, self.records(round_id))
+        )
 
     @abstractmethod
     def record(self, round_id: int, ip: int) -> RoundRecord | None:

@@ -42,6 +42,7 @@ any violation of the determinism assumption is detectable offline.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -49,7 +50,7 @@ import shutil
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 try:
     import numpy as _np
@@ -68,6 +69,7 @@ from .base import (
     RoundVerification,
     ShardJournalEntry,
     StoreBackend,
+    check_column_names,
     light_row,
     shard_checksum,
     summarize_rows,
@@ -926,6 +928,20 @@ class ColumnarStore(StoreBackend):
         for entry in self.shard_journal(round_id):
             for row in self._shard_rows(round_id, entry.shard_index):
                 yield RoundRecord.from_row(row)
+
+    def columns(
+        self, round_id: int, names: Sequence[str]
+    ) -> Iterator[tuple]:
+        names = check_column_names(names)
+        self.round_info(round_id)
+        shards = (
+            self._shard_file(round_id, entry.shard_index)
+            for entry in self.shard_journal(round_id)
+        )
+        return itertools.chain.from_iterable(
+            zip(*(shard["columns"][name] for name in names))
+            for shard in shards if shard is not None
+        )
 
     def record(self, round_id: int, ip: int) -> RoundRecord | None:
         self.round_info(round_id)

@@ -90,6 +90,10 @@ _REPLAYED_AGG_COLUMNS = ("powered_by", "title", "template", "server")
 
 _VIEW_TABLES = ("view_ip_history", "view_round_summary", "view_cluster_agg")
 
+#: Columns added to the round tables after the first databases were
+#: written (the ones ``RoundRecord.from_row`` tolerates the absence of).
+_LATE_COLUMNS = ("error_class", "probe_error_class", "ssh_banner")
+
 #: SQL projection of a base-table row onto the per-IP-history read
 #: model — mirrors :func:`~repro.core.store.base.light_row` (feature
 #: columns are nulled for rows without stored page content).
@@ -1234,6 +1238,26 @@ class MeasurementStore(StoreBackend):
         cursor = self._conn.execute(f"SELECT * FROM {info.table_name}")
         for row in cursor:
             yield RoundRecord.from_row(row)
+
+    def columns(
+        self, round_id: int, names: Sequence[str]
+    ) -> Iterator[tuple]:
+        names = _base.check_column_names(names)
+        table = self.round_info(round_id).table_name
+        # Tables written before these columns existed lack them;
+        # from_row reads them as None, so the projection does too.
+        absent = {
+            name for name in _LATE_COLUMNS
+            if name in names and not self._table_has_column(table, name)
+        }
+        select = ", ".join(
+            "NULL" if name in absent else name for name in names
+        )
+        cursor = self._conn.cursor()
+        cursor.row_factory = None      # plain tuples, not sqlite3.Row
+        # Without the explicit order a narrow projection is planned as
+        # a scan of the covering (ip) index: ip order, not commit order.
+        return cursor.execute(f"SELECT {select} FROM {table} ORDER BY rowid")
 
     def record(self, round_id: int, ip: int) -> RoundRecord | None:
         info = self.round_info(round_id)

@@ -23,10 +23,8 @@ def obs(
     status_code: int | None = 200,
     port_profile: str = "80-only",
     content_type: str = "text/html",
-    links: tuple[str, ...] = (),
     has_page: bool = True,
     ssh_banner: str | None = None,
-    domains: tuple[str, ...] = (),
 ) -> Observation:
     features = None
     if has_page:
@@ -57,14 +55,13 @@ def obs(
         content_type=content_type,
         fetch_status="ok" if status_code is not None else "error",
         features=features,
-        links=links,
         ssh_banner=ssh_banner,
-        domains=domains,
     )
 
 
 def make_dataset(observations: list[Observation],
-                 targets_probed: int = 100) -> Dataset:
+                 targets_probed: int = 100, page_text=None) -> Dataset:
+    """*page_text* maps ``(ip, round_id)`` to ``(links, domains)``."""
     seen: dict[int, int] = {}
     for observation in observations:
         seen.setdefault(observation.round_id, observation.timestamp)
@@ -72,4 +69,4 @@ def make_dataset(observations: list[Observation],
         RoundInfo(rid, ts, targets_probed, 0)
         for rid, ts in sorted(seen.items())
     ]
-    return Dataset(rounds, observations)
+    return Dataset(rounds, observations, page_text)

@@ -1,0 +1,224 @@
+"""``Dataset.from_store`` against the loader it replaced.
+
+Until the projection read (``StoreBackend.columns``) the dataset was
+loaded by decoding every row into a ``RoundRecord`` and deriving each
+observation field through the record's own methods, parsing every
+stored body for links and domains on the way.  That loader survives
+here as :func:`reference_observe`, the oracle: whatever campaign, engine
+or round-execution mode wrote the store, the one-scan loader must yield
+the same observations in the same order, and the lazily computed
+``page_text`` the same links and domains.
+"""
+
+from __future__ import annotations
+
+import sqlite3
+
+import pytest
+
+from repro.analysis import Dataset, WebpageClusterer
+from repro.analysis.dataset import Observation, PageText
+from repro.cli import main
+from repro.core.features import extract_domains, extract_links
+from repro.core.records import RoundRecord
+from repro.core.store import open_store
+
+from test_hostile import hostile_campaign
+from test_store_backends import ALL_BACKENDS, run_campaign, store_path
+from test_workers import mp_config
+
+
+def reference_observe(record: RoundRecord) -> tuple[Observation, PageText]:
+    """One observation and its page text the way the record-at-a-time
+    loader made them: through ``RoundRecord.from_row`` and the record
+    types' own ``port_profile()`` / ``status_class()`` / ``available``."""
+    links: tuple[str, ...] = ()
+    domains: tuple[str, ...] = ()
+    if record.fetch.body:
+        links = tuple(extract_links(record.fetch.body))
+        domains = tuple(extract_domains(record.fetch.body))
+    observation = Observation(
+        ip=record.ip,
+        round_id=record.round_id,
+        timestamp=record.timestamp,
+        port_profile=record.probe.port_profile(),
+        available=record.available,
+        status_code=record.fetch.status_code,
+        status_class=record.fetch.status_class(),
+        content_type=record.fetch.content_type,
+        fetch_status=record.fetch.status.value,
+        features=record.features,
+        ssh_banner=record.ssh_banner,
+    )
+    return observation, (links, domains)
+
+
+CAMPAIGNS = (
+    [(backend, 1) for backend in ALL_BACKENDS]
+    + [(backend, 2) for backend in ALL_BACKENDS]
+    + [("hostile", 1)]
+)
+
+
+@pytest.fixture(
+    scope="module", params=CAMPAIGNS,
+    ids=lambda p: p[0] if p[1] == 1 else f"{p[0]}-{p[1]}workers",
+)
+def campaign_store(request, tmp_path_factory):
+    """An open store holding a finished campaign: the seed campaign
+    through each engine, serially and on 2 supervised workers, and the
+    hostile-content campaign (poisoned pages, quarantined rows)."""
+    source, workers = request.param
+    if source == "hostile":
+        result, _ = hostile_campaign(0.1)
+        yield result.store
+        return
+    path = store_path(source, tmp_path_factory.mktemp("dataset"))
+    run_campaign(
+        path, source, config=mp_config(2) if workers == 2 else None
+    )
+    with open_store(path, readonly=True) as store:
+        yield store
+
+
+class TestFromStoreMatchesReference:
+    def reference(self, store):
+        return [
+            reference_observe(record)
+            for info in store.rounds()
+            for record in store.records(info.round_id)
+        ]
+
+    def test_observations_equal_in_order(self, campaign_store):
+        expected = [obs for obs, _ in self.reference(campaign_store)]
+        assert any(obs.has_page for obs in expected)
+        assert any(not obs.has_page for obs in expected)
+        dataset = Dataset.from_store(campaign_store)
+        assert list(dataset.observations()) == expected
+
+    def test_page_text_equals_reference(self, campaign_store):
+        expected = {
+            obs.key(): text
+            for obs, text in self.reference(campaign_store) if obs.has_page
+        }
+        assert any(links for links, _ in expected.values())
+        assert any(domains for _, domains in expected.values())
+        dataset = Dataset.from_store(campaign_store)
+        assert dataset.page_text == expected
+        # Observations without a page have no entry and no text.
+        bare = {
+            obs.key() for obs, text in self.reference(campaign_store)
+            if not obs.has_page
+        }
+        assert bare.isdisjoint(dataset.page_text)
+
+    def test_histories_are_chronological(self, campaign_store):
+        dataset = Dataset.from_store(campaign_store)
+        assert len(dataset.round_ids) > 1
+        for ip, history in dataset.by_ip.items():
+            days = [obs.timestamp for obs in history]
+            assert days == sorted(set(days)), ip
+            assert history == [
+                obs for obs in dataset.observations() if obs.ip == ip
+            ]
+
+
+class Parsed(Exception):
+    """Raised by the patched-in extractors: a body was parsed."""
+
+
+def _parsed(body):
+    raise Parsed
+
+
+@pytest.fixture(scope="module")
+def cli_campaigns(tmp_path_factory):
+    """``repro simulate --ips 2048 --seed 7 --days 24`` through each
+    engine: backend name -> path."""
+    root = tmp_path_factory.mktemp("cli")
+    paths = {name: store_path(name, root) for name in ALL_BACKENDS}
+    for name, path in paths.items():
+        assert main([
+            "simulate", "--ips", "2048", "--seed", "7", "--days", "24",
+            "--store-backend", name, "--out", path,
+        ]) == 0
+    return paths
+
+
+#: ``repro report`` over that campaign, captured at the commit before
+#: the projection read (6f333ea).  It prints the usage funnel, churn,
+#: the port / status tables and the censuses, so a drift in load order
+#: or in any derived field shows up here.
+PARENT_REPORT = """\
+rounds: 8, targets probed: 2064
+  responsive avg     521.2  growth +6.3%
+  available  avg     351.5  growth +10.5%
+  clusters   avg      86.5  growth -4.5%
+churn: overall 3.38%  responsiveness 3.18%  availability 2.83%
+port profiles: {'22-only': 32.0, '80-only': 35.3, '443-only': 3.4, '80&443': 29.2}
+status classes: {'200': 62.0, '4xx': 35.1, '5xx': 2.8, 'other': 0.0}
+server families: {'Apache': 47.0, 'nginx': 22.5, 'Microsoft-IIS': 13.0, 'MochiWeb': 5.6, 'gunicorn': 5.0}
+ssh products: {'OpenSSH': 94.5, 'dropbear': 5.5}
+clusters: 101 final (threshold 19)
+"""
+
+
+class TestReportPath:
+    def test_report_is_byte_identical_across_engines_and_to_parent(
+        self, cli_campaigns, capsys
+    ):
+        capsys.readouterr()
+        for backend, path in cli_campaigns.items():
+            assert main(["report", path]) == 0
+            assert capsys.readouterr().out == PARENT_REPORT, backend
+
+    def test_aggregate_is_byte_identical_across_engines(
+        self, cli_campaigns, capsys
+    ):
+        capsys.readouterr()
+        outputs = set()
+        for path in cli_campaigns.values():
+            assert main(["aggregate", path, "--cloud", "EC2"]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_report_never_parses_a_body(
+        self, backend, cli_campaigns, monkeypatch, tmp_path, capsys
+    ):
+        """The guard on the gain: loading, clustering and everything
+        ``repro report`` / ``repro aggregate`` run never reach the
+        extractors — only asking for page text does."""
+        for module in ("repro.analysis.dataset", "repro.core.features"):
+            monkeypatch.setattr(f"{module}.extract_links", _parsed)
+            monkeypatch.setattr(f"{module}.extract_domains", _parsed)
+        path = cli_campaigns[backend]
+        with open_store(path, readonly=True) as store:
+            dataset = Dataset.from_store(store)
+            assert WebpageClusterer().cluster(dataset).clusters
+            with pytest.raises(Parsed):
+                dataset.page_text
+        assert main(["report", path, "--export", str(tmp_path)]) == 0
+        assert main(["aggregate", path, "--cloud", "EC2"]) == 0
+        assert "clusters:" in capsys.readouterr().out
+
+
+class TestPageTextSource:
+    def test_closed_store_raises_rather_than_no_links(self, cli_campaigns):
+        store = open_store(cli_campaigns["sqlite"], readonly=True)
+        dataset = Dataset.from_store(store)
+        store.close()
+        assert sum(1 for _ in dataset.observations()) > 0
+        with pytest.raises(sqlite3.ProgrammingError):
+            dataset.page_text
+
+    def test_page_text_is_read_once(self, cli_campaigns):
+        with open_store(cli_campaigns["columnar"], readonly=True) as store:
+            dataset = Dataset.from_store(store)
+            first = dataset.page_text
+        assert first and dataset.page_text is first
+
+    def test_hand_built_dataset_has_the_text_it_was_given(self):
+        assert Dataset([], []).page_text == {}
+        text = {(1, 0): (("http://a.example/",), ("a.example.com",))}
+        assert Dataset([], [], text).page_text == text

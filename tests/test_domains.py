@@ -22,10 +22,12 @@ class TestExtractDomains:
         assert extract_domains("no domains 1.2 here") == []
 
 
-def observation_with_domain(ip, rid, domain, status_code=404):
+def page(ip, rid, status_code=404):
+    """A page observation; the domains its body mentions go in the
+    dataset's page_text."""
     title = "404 Not Found" if status_code == 404 else "site"
     return obs(ip, rid, title=title, status_code=status_code,
-               simhash=ip * 977, domains=(domain,))
+               simhash=ip * 977)
 
 
 class TestDomainCorrelator:
@@ -36,11 +38,15 @@ class TestDomainCorrelator:
 
     def build(self):
         rows = [
-            observation_with_domain(1, 0, "www.hidden.com", 404),
-            observation_with_domain(2, 0, "www.liar.com", 404),
+            page(1, 0, 404),
+            page(2, 0, 404),
             obs(3, 0, title="open site", simhash=123456),
         ]
-        dataset = make_dataset(rows)
+        dataset = make_dataset(rows, page_text={
+            (1, 0): ((), ("www.hidden.com",)),
+            (2, 0): ((), ("www.liar.com",)),
+            (3, 0): ((), ()),
+        })
         resolver = self.resolver({
             "www.hidden.com": [1, 9],   # confirms ip 1
             "www.liar.com": [7],        # mentions ip 2, resolves elsewhere
@@ -74,10 +80,9 @@ class TestDomainCorrelator:
         assert report.candidates == 1
 
     def test_clusters_attached(self):
-        rows = [
-            observation_with_domain(1, 0, "www.ok.com", 200),
-        ]
-        dataset = make_dataset(rows)
+        dataset = make_dataset(
+            [page(1, 0, 200)], page_text={(1, 0): ((), ("www.ok.com",))}
+        )
         clustering = WebpageClusterer(level2_threshold=3).cluster(dataset)
         correlator = DomainCorrelator(
             dataset, self.resolver({"www.ok.com": [1]}), clustering

@@ -26,7 +26,8 @@ from repro.core.store import (
     detect_backend,
     open_store,
 )
-from repro.core.store.base import rows_checksum
+from repro.analysis.dataset import _OBSERVATION_COLUMNS
+from repro.core.store.base import COLUMN_NAMES, StoreBackend, rows_checksum
 from repro.workloads import Campaign, SimTransportFactory, ec2_scenario
 from test_recovery import SCENARIO_PARAMS, small_config
 from test_store import record
@@ -338,10 +339,160 @@ def run_campaign(path: str, backend: str, *, config=None, chaos=None):
 
 
 @pytest.fixture(scope="module")
-def sqlite_reference(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("ref") / "reference.sqlite")
-    run_campaign(path, "sqlite")
-    return campaign_snapshot(path)
+def seed_campaigns(tmp_path_factory):
+    """The seed campaign written serially through each engine:
+    backend name -> store path."""
+    root = tmp_path_factory.mktemp("seed")
+    paths = {name: store_path(name, root) for name in ALL_BACKENDS}
+    for name, path in paths.items():
+        run_campaign(path, name)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def sqlite_reference(seed_campaigns):
+    return campaign_snapshot(seed_campaigns["sqlite"])
+
+
+def projection_oracle(store, round_id: int, names) -> list[tuple]:
+    """What ``columns()`` must yield: the named cells of every record
+    of ``records()``, in its order."""
+    return [
+        tuple(rec.to_row()[name] for name in names)
+        for rec in store.records(round_id)
+    ]
+
+
+def merge_two_partition_journals(store, tmp_path) -> None:
+    """Round 1 of *store*, merged the way the worker supervisor merges
+    partition journals (``shard_records`` → ``write_shard``) with the
+    second partition landing first — commit order is not ip order."""
+    store.begin_round(1, 0, 8, shard_size=2)
+    journals = []
+    for partition, shards in enumerate([(0, 1), (2, 3)]):
+        journal = MeasurementStore(str(tmp_path / f"p{partition}.sqlite"))
+        journal.begin_round(1, 0, 8, shard_size=2)
+        for shard in shards:
+            journal.write_shard(1, shard, [
+                record(ip, 1, 0, f"t{ip}")
+                for ip in (2 * shard + 1, 2 * shard + 2)
+            ])
+        journals.append(journal)
+    for journal in reversed(journals):
+        for entry in journal.shard_journal(1):
+            store.write_shard(
+                1, entry.shard_index,
+                journal.shard_records(1, entry.shard_index),
+            )
+        journal.close()
+    store.finalize_round(1)
+
+
+class TestColumnsProjection:
+    """``columns()`` is ``records()`` narrowed, on every engine."""
+
+    @pytest.mark.parametrize(
+        "names",
+        [(name,) for name in COLUMN_NAMES]
+        + [_OBSERVATION_COLUMNS, COLUMN_NAMES],
+        ids=lambda names: names[0] if len(names) == 1 else str(len(names)),
+    )
+    def test_equals_records_narrowed(self, backend, seed_campaigns, names):
+        with open_store(seed_campaigns[backend], readonly=True) as store:
+            rounds = store.rounds()
+            assert rounds
+            for info in rounds:
+                oracle = projection_oracle(store, info.round_id, names)
+                assert list(store.columns(info.round_id, names)) == oracle
+                # The base-class definition is that same oracle.
+                assert list(
+                    StoreBackend.columns(store, info.round_id, names)
+                ) == oracle
+
+    def test_order_is_records_order_after_partition_merge(
+        self, backend, tmp_path
+    ):
+        store = make_store(backend, tmp_path)
+        merge_two_partition_journals(store, tmp_path)
+        ips = [rec.ip for rec in store.records(1)]
+        assert sorted(ips) == list(range(1, 9))
+        if backend == "sqlite":
+            assert ips != sorted(ips)      # the case ORDER BY rowid is for
+        assert [ip for (ip,) in store.columns(1, ("ip",))] == ips
+        assert list(store.columns(1, ("ip", "title"))) == [
+            (ip, f"t{ip}") for ip in ips
+        ]
+        assert list(store.columns(1, COLUMN_NAMES)) == projection_oracle(
+            store, 1, COLUMN_NAMES
+        )
+        store.close()
+
+    @pytest.mark.parametrize("names", [
+        ("ip; DROP TABLE rounds",),
+        ("body IS NOT NULL",),
+        ("ip", "shard_index"),
+        ("IP",),
+        ("*",),
+        (),
+    ])
+    def test_unknown_names_are_refused_before_any_read(
+        self, backend, tmp_path, names
+    ):
+        store = make_store(backend, tmp_path)
+        store.write_round(1, 0, 10, [record(1, 1, 0)])
+        # Refused at the call, not at the first next(): nothing ran.
+        with pytest.raises(ValueError, match="column"):
+            store.columns(1, names)
+        with pytest.raises(ValueError, match="column"):
+            StoreBackend.columns(store, 1, names)
+        assert [info.round_id for info in store.rounds()] == [1]
+        assert list(store.columns(1, ("ip",))) == [(1,)]
+        store.close()
+
+    def test_readonly_handle_empty_round_and_unknown_round(
+        self, backend, tmp_path
+    ):
+        path = store_path(backend, tmp_path)
+        store = open_store(path, backend=backend)
+        store.write_round(1, 0, 10, [record(3, 1, 0, "a")])
+        store.write_round(2, 3, 10, [])
+        store.begin_round(3, 6, 10)             # still in progress
+        store.close()
+        with open_store(path, readonly=True) as reader:
+            assert list(reader.columns(1, ("title", "ip"))) == [("a", 3)]
+            assert list(reader.columns(2, COLUMN_NAMES)) == []
+            for missing in (3, 99):
+                with pytest.raises(KeyError):
+                    list(reader.records(missing))
+                with pytest.raises(KeyError):
+                    list(reader.columns(missing, ("ip",)))
+
+    def test_sqlite_table_older_than_late_columns_reads_none(self, tmp_path):
+        """A round table written before error_class / probe_error_class
+        / ssh_banner existed: ``from_row`` reads them as None, and so
+        does the projection."""
+        late = ("error_class", "probe_error_class", "ssh_banner")
+        path = store_path("sqlite", tmp_path)
+        store = MeasurementStore(path)
+        store.write_round(1, 0, 10, [record(1, 1, 0), record(2, 1, 0)])
+        store.close()
+        conn = sqlite3.connect(path)
+        kept = ", ".join(
+            [n for n in COLUMN_NAMES if n not in late] + ["shard_index"]
+        )
+        conn.execute(f"CREATE TABLE old AS SELECT {kept} FROM round_00000")
+        conn.execute("DROP TABLE round_00000")
+        conn.execute("ALTER TABLE old RENAME TO round_00000")
+        conn.commit()
+        conn.close()
+        with open_store(path, readonly=True) as reader:
+            assert [r.ssh_banner for r in reader.records(1)] == [None, None]
+            assert list(reader.columns(1, ("ip",) + late)) == [
+                (1, None, None, None), (2, None, None, None),
+            ]
+            assert list(reader.columns(1, COLUMN_NAMES)) == projection_oracle(
+                reader, 1, COLUMN_NAMES
+            )
 
 
 class TestCrossBackendEquivalence:
