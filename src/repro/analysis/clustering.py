@@ -30,12 +30,8 @@ from dataclasses import dataclass, field
 from ..core import telemetry as _telemetry
 from ..core.config import ClusteringConfig
 from ..core.records import UNKNOWN, PageFeatures
-from ..core.simhash import (
-    hamming_distance,
-    hamming_rows,
-    numpy_available,
-    pack_hashes,
-)
+from ..core.simhash import hamming_distance, hamming_rows, pack_hashes
+from .components import DisjointSets
 from .dataset import Dataset, Observation
 from .gap_statistic import cluster_by_threshold, select_threshold
 from .lsh import DEFAULT_EXACT_CUTOFF
@@ -282,19 +278,7 @@ class WebpageClusterer:
         second_level_count = next_id
 
         # Merge heuristic over per-IP temporal neighbours.
-        parent = list(range(next_id))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            root_a, root_b = find(a), find(b)
-            if root_a != root_b:
-                parent[root_a] = root_b
-
+        merged = DisjointSets(next_id)
         if self.use_merge:
             with tel.span("cluster:merge"), _timed(phase_seconds, "merge"):
                 candidates: list[tuple[Observation, Observation]] = []
@@ -311,12 +295,12 @@ class WebpageClusterer:
                 ):
                     if self._should_merge(earlier, later, assignment,
                                           distance=distance):
-                        union(assignment[earlier.key()],
-                              assignment[later.key()])
+                        merged.union(assignment[earlier.key()],
+                                     assignment[later.key()])
 
         # Relabel to merged roots.
         merged_assignment = {
-            key: find(cid) for key, cid in assignment.items()
+            key: merged.find(cid) for key, cid in assignment.items()
         }
         merged_ids = set(merged_assignment.values())
 
@@ -348,9 +332,9 @@ class WebpageClusterer:
         self, candidates: list[tuple[Observation, Observation]]
     ) -> list[int]:
         """Simhash Hamming distance per successive-observation pair,
-        batch-computed with the packed popcount kernel when numpy is
-        available (bit-for-bit equal to the scalar fallback)."""
-        if numpy_available() and len(candidates) >= 64:
+        batch-computed with the packed popcount kernel once there are
+        enough to repay packing (bit-for-bit equal to the scalar loop)."""
+        if len(candidates) >= 64:
             earlier = pack_hashes(
                 [a.features.simhash for a, _ in candidates]  # type: ignore[union-attr]
             )

@@ -13,15 +13,18 @@ the smallest threshold whose gap is within one standard error of the
 next threshold's gap (the "1-SE" rule of the original paper).
 
 Scale notes: :func:`cluster_by_threshold` dispatches between a
-brute-force all-pairs path (vectorized with the packed popcount kernels
-of :mod:`repro.core.simhash` when numpy is available) and the banded
-LSH index of :mod:`repro.analysis.lsh`, which generates candidate pairs
-in ~O(n) with exact recall at the requested threshold.  The two paths
-produce identical partitions; ``exact=True`` forces brute force,
+brute-force all-pairs path (blocked over the packed popcount kernels of
+:mod:`repro.core.simhash`) and the banded LSH index of
+:mod:`repro.analysis.lsh`, which generates candidate pairs in ~O(n)
+with exact recall at the requested threshold.  The two paths produce
+identical partitions; ``exact=True`` forces brute force,
 ``exact=False`` forces the index, and the default picks by population
-size.  :func:`cluster_profile` / :func:`gap_profile` evaluate *many*
-candidate thresholds against one shared index instead of re-scanning
-the population per threshold.
+size.  Both collapse identical fingerprints first and end in the same
+connected-components kernel (:mod:`repro.analysis.components`); only a
+brute-force population under ``_VECTORIZE_MIN`` stays scalar.
+:func:`cluster_profile` / :func:`gap_profile` evaluate *many* candidate
+thresholds against one shared index instead of re-scanning the
+population per threshold.
 """
 
 from __future__ import annotations
@@ -30,13 +33,15 @@ import math
 import random
 from typing import Sequence
 
+import numpy as np
+
 from ..core.simhash import (
     HASH_BITS,
     hamming_cross,
     hamming_distance,
-    numpy_available,
     pack_hashes,
 )
+from .components import DisjointSets, groups_by_label, union_edges
 from .lsh import DEFAULT_EXACT_CUTOFF, SimhashIndex
 
 __all__ = ["cluster_by_threshold", "cluster_profile", "dispersion",
@@ -48,60 +53,49 @@ __all__ = ["cluster_by_threshold", "cluster_profile", "dispersion",
 _VECTORIZE_MIN = 48
 
 
-def _union_groups(hashes: Sequence[int],
-                  pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Partition *hashes* by the connectivity in *pairs* (index pairs)."""
-    n = len(hashes)
-    parent = list(range(n))
+def _check_threshold(threshold: int) -> None:
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for i, j in pairs:
-        root_i, root_j = find(i), find(j)
-        if root_i != root_j:
-            parent[root_i] = root_j
-    groups: dict[int, list[int]] = {}
-    for index in range(n):
-        groups.setdefault(find(index), []).append(hashes[index])
-    return list(groups.values())
+def _collapse(hashes: Sequence[int]) -> tuple[list[int], np.ndarray]:
+    """The distinct fingerprints in order of first appearance, and for
+    each input fingerprint its index among them.  Clustering the
+    distinct ones and reading labels back through the index costs
+    duplicates nothing and, because first-appearance order keeps the
+    smallest index smallest, leaves cluster and member order alone."""
+    unique = list(dict.fromkeys(hashes))
+    position = dict(zip(unique, range(len(unique))))
+    inverse = np.fromiter(map(position.__getitem__, hashes), np.intp,
+                          len(hashes))
+    return unique, inverse
 
 
 def _cluster_exact_scalar(hashes: Sequence[int],
                           threshold: int) -> list[list[int]]:
-    pairs = []
     n = len(hashes)
+    sets = DisjointSets(n)
     for i in range(n):
         for j in range(i + 1, n):
             if hamming_distance(hashes[i], hashes[j]) <= threshold:
-                pairs.append((i, j))
-    return _union_groups(hashes, pairs)
+                sets.union(i, j)
+    return sets.groups(hashes)
 
 
-def _cluster_exact_vectorized(hashes: Sequence[int],
-                              threshold: int) -> list[list[int]]:
-    """Blocked all-pairs comparison on the packed uint64 matrix."""
-    import numpy as np
-
+def _exact_labels(hashes: Sequence[int], threshold: int) -> np.ndarray:
+    """Component labels from a blocked all-pairs comparison on the
+    packed uint64 matrix."""
     packed = pack_hashes(hashes)
     n = len(hashes)
+    labels = np.arange(n)
     row_block, col_block = 512, 8192
-    pairs: list[tuple[int, int]] = []
     for i0 in range(0, n, row_block):
-        i1 = min(i0 + row_block, n)
-        rows = packed[i0:i1]
+        rows = packed[i0:i0 + row_block]
         for j0 in range(i0, n, col_block):
-            j1 = min(j0 + col_block, n)
-            distance = hamming_cross(rows, packed[j0:j1])
+            distance = hamming_cross(rows, packed[j0:j0 + col_block])
             hit_i, hit_j = np.nonzero(distance <= threshold)
-            for di, dj in zip(hit_i.tolist(), hit_j.tolist()):
-                gi, gj = i0 + di, j0 + dj
-                if gi < gj:
-                    pairs.append((gi, gj))
-    return _union_groups(hashes, pairs)
+            union_edges(labels, hit_i + i0, hit_j + j0)
+    return labels
 
 
 def cluster_by_threshold(
@@ -117,10 +111,13 @@ def cluster_by_threshold(
     *exact* selects the candidate-generation strategy: ``True`` forces
     the all-pairs scan, ``False`` forces the banded LSH index, and
     ``None`` (default) uses the index only above *exact_cutoff*
-    fingerprints.  All strategies return the same partition — the index
-    has exact recall at ≤ *threshold* and confirms candidates with the
-    same Hamming kernel.
+    fingerprints.  All strategies return the same clusters in the same
+    order — by first member, members in input order, duplicates kept —
+    the index has exact recall at ≤ *threshold* and confirms candidates
+    with the same Hamming kernel.  A negative *threshold* is a
+    ``ValueError`` on every strategy.
     """
+    _check_threshold(threshold)
     n = len(hashes)
     if n == 0:
         return []
@@ -128,11 +125,14 @@ def cluster_by_threshold(
         # Every pair is within HASH_BITS bits: one cluster, any path.
         return [list(hashes)]
     use_index = exact is False or (exact is None and n > exact_cutoff)
+    if not use_index and n < _VECTORIZE_MIN:
+        return _cluster_exact_scalar(hashes, threshold)
+    unique, inverse = _collapse(hashes)
     if use_index:
-        return SimhashIndex(hashes, threshold).clusters()
-    if numpy_available() and n >= _VECTORIZE_MIN:
-        return _cluster_exact_vectorized(hashes, threshold)
-    return _cluster_exact_scalar(hashes, threshold)
+        labels = SimhashIndex(unique, threshold).labels()
+    else:
+        labels = _exact_labels(unique, threshold)
+    return groups_by_label(hashes, labels[inverse])
 
 
 def cluster_profile(
@@ -147,12 +147,13 @@ def cluster_profile(
     A banded index built for ``max(thresholds)`` retains exact recall at
     every smaller threshold, so the matching pairs (with their exact
     distances) are computed once and each threshold only re-runs the
-    cheap union-find over the filtered pairs — instead of re-scanning
+    cheap union over the pairs a mask keeps — instead of re-scanning
     the population per candidate threshold.
     """
     distinct = sorted(set(thresholds))
     if not distinct:
         return {}
+    _check_threshold(distinct[0])
     n = len(hashes)
     top = distinct[-1]
     use_index = exact is False or (exact is None and n > exact_cutoff)
@@ -162,15 +163,15 @@ def cluster_profile(
                                     exact_cutoff=exact_cutoff)
             for t in distinct
         }
-    index = SimhashIndex(hashes, top)
-    lefts, rights, distances = index.matching_pairs()
-    return {
-        t: _union_groups(
-            hashes,
-            [(i, j) for i, j, d in zip(lefts, rights, distances) if d <= t],
-        )
-        for t in distinct
-    }
+    unique, inverse = _collapse(hashes)
+    left, right, distance = SimhashIndex(unique, top).pair_arrays()
+    profile = {}
+    for t in distinct:
+        keep = distance <= t
+        labels = np.arange(len(unique))
+        union_edges(labels, left[keep], right[keep])
+        profile[t] = groups_by_label(hashes, labels[inverse])
+    return profile
 
 
 def dispersion(clusters: list[list[int]]) -> float:
@@ -195,9 +196,7 @@ def _pair_distance_sum(members: Sequence[int]) -> int:
     size = len(members)
     if size < 2:
         return 0
-    if numpy_available() and size >= _VECTORIZE_MIN:
-        import numpy as np
-
+    if size >= _VECTORIZE_MIN:
         packed = pack_hashes(members)
         as_bytes = packed.view(np.uint8)
         bits = np.unpackbits(as_bytes, axis=1)
@@ -285,9 +284,7 @@ def pairwise_distances(hashes: Sequence[int]) -> list[int]:
     """All pairwise Hamming distances among the given fingerprints,
     in ``(i, j), i < j`` row-major order."""
     n = len(hashes)
-    if numpy_available() and n >= _VECTORIZE_MIN:
-        import numpy as np
-
+    if n >= _VECTORIZE_MIN:
         packed = pack_hashes(hashes)
         distances: list[int] = []
         for i in range(n - 1):

@@ -23,23 +23,20 @@ merges at 3 bits and the tuned second-level thresholds stay in the
 single digits, giving band widths of 12+ bits.
 
 The index runs on the packed-uint64 numpy kernels from
-:mod:`repro.core.simhash` when numpy >= 2.0 is importable, and falls
-back to pure-python buckets and scalar popcounts otherwise (same
-results, scalar speed).
+:mod:`repro.core.simhash`; band keys, buckets, candidates, the Hamming
+check and the union (:func:`repro.analysis.components.union_edges`) are
+all array operations, and no pair is ever a Python object unless a
+caller asks :meth:`SimhashIndex.matching_pairs` for one.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from ..core.simhash import (
-    HASH_BITS,
-    hamming_distance,
-    hamming_rows,
-    numpy_available,
-    pack_hashes,
-)
+import numpy as np
+
+from ..core.simhash import HASH_BITS, hamming_rows, pack_hashes
+from .components import groups_by_label, union_edges
 
 __all__ = [
     "DEFAULT_EXACT_CUTOFF",
@@ -102,6 +99,11 @@ class SimhashIndex:
       or any smaller threshold, reusing the same band tables (a pair at
       distance ≤ t ≤ threshold also agrees on one of the wider layout's
       bands, so recall carries down).
+
+    A bucket of *s* fingerprints is s²/2 candidates, identical ones
+    included: :func:`~repro.analysis.gap_statistic.cluster_by_threshold`
+    collapses duplicates before it builds an index, and so should any
+    other caller whose population repeats itself.
     """
 
     def __init__(self, hashes: Sequence[int], threshold: int, *,
@@ -110,10 +112,8 @@ class SimhashIndex:
         self.threshold = threshold
         self.bits = bits
         self.spans = band_layout(threshold, bits=bits, bands=bands)
-        self._packed = (
-            pack_hashes(self.hashes) if numpy_available() else None
-        )
-        self._pairs: tuple[list[int], list[int], list[int]] | None = None
+        self._packed = pack_hashes(self.hashes)
+        self._pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def bands(self) -> int:
@@ -122,12 +122,9 @@ class SimhashIndex:
     # ------------------------------------------------------------------
     # candidate generation
 
-    def _band_keys_numpy(self, start: int, width: int):
+    def _band_keys(self, start: int, width: int) -> np.ndarray:
         """Vectorized ``(hash >> start) & mask`` over the packed matrix."""
-        import numpy as np
-
         packed = self._packed
-        assert packed is not None
         mask = np.uint64((1 << width) - 1)
         if start >= 64:
             keys = packed[:, 1] >> np.uint64(start - 64)
@@ -139,22 +136,21 @@ class SimhashIndex:
             )
         return keys & mask
 
-    def _candidate_pairs_numpy(self, keys) -> tuple["object", "object"]:
+    @staticmethod
+    def _candidate_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(i_array, j_array) of bucket-mate index pairs for one band.
 
         Buckets are runs of equal keys in argsort order; same-size runs
         are gathered into one (runs, size) matrix so ``triu_indices``
         runs once per distinct bucket size, not once per bucket.
         """
-        import numpy as np
-
         order = np.argsort(keys, kind="stable")
         ordered = keys[order]
         boundaries = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
         starts = np.concatenate(([0], boundaries))
         sizes = np.diff(np.concatenate((starts, [order.shape[0]])))
-        lefts: list["object"] = []
-        rights: list["object"] = []
+        lefts = [np.empty(0, dtype=order.dtype)]
+        rights = [np.empty(0, dtype=order.dtype)]
         for size in np.unique(sizes):
             if size < 2:
                 continue
@@ -162,73 +158,52 @@ class SimhashIndex:
             local_i, local_j = np.triu_indices(int(size), k=1)
             lefts.append(block[:, local_i].ravel())
             rights.append(block[:, local_j].ravel())
-        if not lefts:
-            empty = np.empty(0, dtype=order.dtype)
-            return empty, empty
         return np.concatenate(lefts), np.concatenate(rights)
 
-    def _matching_pairs_numpy(self) -> tuple[list[int], list[int], list[int]]:
-        import numpy as np
-
-        packed = self._packed
-        assert packed is not None
-        out_l: list["object"] = []
-        out_r: list["object"] = []
-        out_d: list["object"] = []
-        prior_keys: list["object"] = []
+    def _band_candidates(self) -> Iterator[tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]]:
+        """``(keys, left, right)`` per band: the band's key of every
+        fingerprint and the index pairs that share one."""
         for start, width in self.spans:
-            keys = self._band_keys_numpy(start, width)
-            left, right = self._candidate_pairs_numpy(keys)
-            low = np.minimum(left, right)
-            high = np.maximum(left, right)
-            # First-band ownership replaces a global dedup sort: a pair
-            # is emitted only by the first band whose keys agree, so
-            # concatenating the per-band outputs is already duplicate-
-            # free (within a band the bucket triu is unique by
-            # construction).
-            for keys_before in prior_keys:
-                fresh = keys_before[low] != keys_before[high]
-                low, high = low[fresh], high[fresh]
-            distance = hamming_rows(packed[low], packed[high])
-            keep = distance <= self.threshold
-            out_l.append(low[keep])
-            out_r.append(high[keep])
-            out_d.append(distance[keep])
-            prior_keys.append(keys)
-        left = np.concatenate(out_l) if out_l else np.empty(0, np.int64)
-        right = np.concatenate(out_r) if out_r else np.empty(0, np.int64)
-        distance = np.concatenate(out_d) if out_d else np.empty(0, np.int64)
-        return left.tolist(), right.tolist(), distance.tolist()
+            keys = self._band_keys(start, width)
+            yield keys, *self._candidate_pairs(keys)
 
-    def _matching_pairs_python(self) -> tuple[list[int], list[int], list[int]]:
-        seen: set[tuple[int, int]] = set()
-        lefts: list[int] = []
-        rights: list[int] = []
-        distances: list[int] = []
-        for start, width in self.spans:
-            mask = (1 << width) - 1
-            buckets: dict[int, list[int]] = {}
-            for index, value in enumerate(self.hashes):
-                buckets.setdefault((value >> start) & mask, []).append(index)
-            for members in buckets.values():
-                if len(members) < 2:
-                    continue
-                for i, j in combinations(members, 2):
-                    pair = (i, j) if i < j else (j, i)
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
-                    distance = hamming_distance(
-                        self.hashes[pair[0]], self.hashes[pair[1]]
-                    )
-                    if distance <= self.threshold:
-                        lefts.append(pair[0])
-                        rights.append(pair[1])
-                        distances.append(distance)
-        return lefts, rights, distances
+    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`matching_pairs` at the index's own bound, as three
+        parallel arrays (computed once; do not write to them)."""
+        if self._pairs is None:
+            packed = self._packed
+            out: list[tuple[np.ndarray, ...]] = []
+            prior_keys: list[np.ndarray] = []
+            for keys, left, right in self._band_candidates():
+                low = np.minimum(left, right)
+                high = np.maximum(left, right)
+                # First-band ownership replaces a global dedup sort: a
+                # pair is emitted only by the first band whose keys
+                # agree, so concatenating the per-band outputs is
+                # already duplicate-free (within a band the bucket triu
+                # is unique by construction).
+                for keys_before in prior_keys:
+                    fresh = keys_before[low] != keys_before[high]
+                    low, high = low[fresh], high[fresh]
+                distance = hamming_rows(packed[low], packed[high])
+                keep = distance <= self.threshold
+                out.append((low[keep], high[keep], distance[keep]))
+                prior_keys.append(keys)
+            self._pairs = tuple(map(np.concatenate, zip(*out)))
+        return self._pairs
 
     # ------------------------------------------------------------------
     # public API
+
+    def _limit(self, threshold: int | None) -> int:
+        limit = self.threshold if threshold is None else threshold
+        if limit > self.threshold:
+            raise ValueError(
+                f"index built for distance <= {self.threshold}, "
+                f"cannot answer {limit}"
+            )
+        return limit
 
     def matching_pairs(
         self, threshold: int | None = None
@@ -239,29 +214,30 @@ class SimhashIndex:
         value ≤ it (the band layout's recall guarantee covers every
         smaller distance).  Returns parallel lists (i, j, distance).
         """
-        limit = self.threshold if threshold is None else threshold
-        if limit > self.threshold:
-            raise ValueError(
-                f"index built for distance <= {self.threshold}, "
-                f"cannot answer {limit}"
-            )
-        if self._pairs is None:
-            if self._packed is not None:
-                self._pairs = self._matching_pairs_numpy()
-            else:
-                self._pairs = self._matching_pairs_python()
-        if limit == self.threshold:
-            return self._pairs
-        lefts, rights, distances = self._pairs
-        kept = [
-            (i, j, d)
-            for i, j, d in zip(lefts, rights, distances)
-            if d <= limit
-        ]
-        if not kept:
-            return [], [], []
-        out_l, out_r, out_d = zip(*kept)
-        return list(out_l), list(out_r), list(out_d)
+        limit = self._limit(threshold)
+        left, right, distance = self.pair_arrays()
+        keep = distance <= limit
+        return (left[keep].tolist(), right[keep].tolist(),
+                distance[keep].tolist())
+
+    def labels(self, threshold: int | None = None) -> np.ndarray:
+        """Component label of every fingerprint at *threshold*: the
+        smallest index of its single-linkage cluster.
+
+        Works band by band on running labels: a candidate pair whose
+        ends already share a label is dropped before the Hamming check
+        (most of the later bands' candidates), the rest are confirmed
+        and unioned in.
+        """
+        limit = self._limit(threshold)
+        packed = self._packed
+        labels = np.arange(len(self.hashes))
+        for _, left, right in self._band_candidates():
+            apart = labels[left] != labels[right]
+            left, right = left[apart], right[apart]
+            near = hamming_rows(packed[left], packed[right]) <= limit
+            union_edges(labels, left[near], right[near])
+        return labels
 
     def clusters(self, threshold: int | None = None) -> list[list[int]]:
         """Single-linkage partition of the population at *threshold*.
@@ -271,21 +247,4 @@ class SimhashIndex:
         a list of clusters, each a list of fingerprint values (duplicates
         preserved), together covering the input exactly.
         """
-        count = len(self.hashes)
-        parent = list(range(count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        lefts, rights, _ = self.matching_pairs(threshold)
-        for i, j in zip(lefts, rights):
-            root_i, root_j = find(i), find(j)
-            if root_i != root_j:
-                parent[root_i] = root_j
-        groups: dict[int, list[int]] = {}
-        for index in range(count):
-            groups.setdefault(find(index), []).append(self.hashes[index])
-        return list(groups.values())
+        return groups_by_label(self.hashes, self.labels(threshold))

@@ -28,17 +28,11 @@ from typing import Iterable, Sequence
 
 import numpy
 
-# ``_np`` gates only the ``bitwise_count`` Hamming kernels below, which
-# need numpy >= 2.0; the fallback tests patch it to ``None``.  simhash()
-# needs nothing newer than ``unpackbits`` and uses ``numpy`` directly.
-_np = numpy if hasattr(numpy, "bitwise_count") else None
-
 __all__ = [
     "HASH_BITS",
     "HASH_WORDS",
     "simhash",
     "hamming_distance",
-    "numpy_available",
     "pack_hashes",
     "hamming_rows",
     "hamming_cross",
@@ -140,63 +134,51 @@ def hamming_distance(a: int, b: int) -> int:
 # Hamming distance over millions of fingerprint pairs.  The kernels below
 # pack fingerprints into a (n, HASH_WORDS) uint64 matrix and compute
 # distances with ``numpy.bitwise_count`` — bit-for-bit identical to the
-# scalar :func:`hamming_distance`.  ``bitwise_count`` needs numpy >= 2.0
-# and ``pyproject.toml`` allows older, so callers of these kernels gate
-# on :func:`numpy_available` and keep a scalar path; the fallback is
-# testable by patching ``repro.core.simhash._np``.
+# scalar :func:`hamming_distance`.  ``bitwise_count`` is why
+# ``pyproject.toml`` requires numpy >= 2.0.
 
 
-def numpy_available() -> bool:
-    """Whether the vectorized kernels can run (numpy >= 2.0 importable)."""
-    return _np is not None
-
-
-def pack_hashes(hashes: Sequence[int]) -> "_np.ndarray":
+def pack_hashes(hashes: Sequence[int]) -> numpy.ndarray:
     """Pack fingerprints into an ``(n, HASH_WORDS)`` uint64 matrix.
 
     Row *i* holds ``hashes[i]`` split into little-endian 64-bit words:
     column 0 is bits 0..63, column 1 is bits 64..95.
     """
-    if _np is None:
-        raise RuntimeError("numpy >= 2.0 is required for packed kernels")
     count = len(hashes)
-    packed = _np.empty((count, HASH_WORDS), dtype=_np.uint64)
+    packed = numpy.empty((count, HASH_WORDS), dtype=numpy.uint64)
     for word in range(HASH_WORDS):
         shift = 64 * word
-        packed[:, word] = _np.fromiter(
+        packed[:, word] = numpy.fromiter(
             ((value >> shift) & _WORD_MASK for value in hashes),
-            dtype=_np.uint64,
+            dtype=numpy.uint64,
             count=count,
         )
     return packed
 
 
-def hamming_rows(packed_a: "_np.ndarray",
-                 packed_b: "_np.ndarray") -> "_np.ndarray":
+def hamming_rows(packed_a: numpy.ndarray,
+                 packed_b: numpy.ndarray) -> numpy.ndarray:
     """Row-wise Hamming distances between two equal-shape packed matrices.
 
     Returns a ``(n,)`` integer array where entry *i* equals
     ``hamming_distance(a[i], b[i])``.
     """
-    if _np is None:
-        raise RuntimeError("numpy >= 2.0 is required for packed kernels")
-    return _np.bitwise_count(packed_a ^ packed_b).sum(
-        axis=1, dtype=_np.uint32
+    return numpy.bitwise_count(packed_a ^ packed_b).sum(
+        axis=1, dtype=numpy.uint32
     )
 
 
-def hamming_cross(packed_a: "_np.ndarray",
-                  packed_b: "_np.ndarray") -> "_np.ndarray":
+def hamming_cross(packed_a: numpy.ndarray,
+                  packed_b: numpy.ndarray) -> numpy.ndarray:
     """All-pairs Hamming distances: a ``(len(a), len(b))`` matrix.
 
     Materialises one uint64 temporary of that shape per word — callers
     comparing large populations must block both dimensions.
     """
-    if _np is None:
-        raise RuntimeError("numpy >= 2.0 is required for packed kernels")
-    out = _np.zeros((packed_a.shape[0], packed_b.shape[0]), dtype=_np.uint16)
+    out = numpy.zeros((packed_a.shape[0], packed_b.shape[0]),
+                      dtype=numpy.uint16)
     for word in range(HASH_WORDS):
-        out += _np.bitwise_count(
+        out += numpy.bitwise_count(
             packed_a[:, word, None] ^ packed_b[None, :, word]
         )
     return out

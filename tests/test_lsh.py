@@ -12,12 +12,18 @@ with the exact Hamming kernel.  These properties pin that story:
   partition as ``cluster(exact=True)`` on WhoWas-shaped datasets;
 - the multi-threshold profile (one shared index) matches per-threshold
   brute force;
-- everything also holds on the no-numpy scalar fallback.
+- every strategy equals :func:`oracle_clusters` — the pure-python bucket
+  loop and scalar union-find the index once fell back to — in partition,
+  cluster order and member order, duplicates included.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import time
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,13 +35,7 @@ from repro.analysis.gap_statistic import (
     cluster_profile,
 )
 from repro.analysis.lsh import SimhashIndex, band_layout
-import importlib
-
 from repro.core.simhash import HASH_BITS, hamming_distance
-
-#: The kernel module itself — ``repro.core``'s ``simhash`` attribute is
-#: the *function* re-exported by the package, so go via importlib.
-simhash_mod = importlib.import_module("repro.core.simhash")
 
 from _obs import make_dataset, obs
 
@@ -76,6 +76,61 @@ def brute_pairs(hashes, threshold):
 def partition(clusters):
     """Order-insensitive canonical form of a list-of-clusters."""
     return sorted(tuple(sorted(c)) for c in clusters)
+
+
+def oracle_clusters(hashes, threshold, *, bits=96):
+    """Single-linkage clusters by dict buckets, one popcount per bucket
+    pair and a scalar union-find: clusters ordered by first member,
+    members in input order.  Every strategy in ``src/`` must return
+    exactly this list; it shares no code with them, band split included
+    (``threshold + 1`` bands, two at least, widths differing by at most
+    one bit).  Pairs are not deduplicated across bands — a repeated
+    union is a no-op — so it needs no memory beyond its buckets."""
+    parent = list(range(len(hashes)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    bands = max(threshold + 1, 2)
+    base, extra = divmod(bits, bands)
+    start = 0
+    for band in range(bands):
+        width = base + (1 if band < extra else 0)
+        buckets = {}
+        for index, value in enumerate(hashes):
+            key = (value >> start) & ((1 << width) - 1)
+            buckets.setdefault(key, []).append(index)
+        start += width
+        for members in buckets.values():
+            for i, j in combinations(members, 2):
+                if bin(hashes[i] ^ hashes[j]).count("1") <= threshold:
+                    root_i, root_j = find(i), find(j)
+                    if root_i != root_j:
+                        parent[root_i] = root_j
+    groups = {}
+    for index, value in enumerate(hashes):
+        groups.setdefault(find(index), []).append(value)
+    return list(groups.values())
+
+
+def synthetic_corpus(size, seed, *, revisions=64, max_flips=3):
+    """The ``analyze`` workload's corpus (benchmarks/perf/analyze.py),
+    repeated here so the suite does not import the harness: base pages,
+    each seen as a run of revisions within *max_flips* bits of it."""
+    rng = random.Random(seed)
+    hashes = []
+    while len(hashes) < size:
+        base = rng.getrandbits(HASH_BITS)
+        for _ in range(min(rng.randint(1, revisions), size - len(hashes))):
+            value = base
+            for position in rng.sample(range(HASH_BITS),
+                                       rng.randint(0, max_flips)):
+                value ^= 1 << position
+            hashes.append(value)
+    return hashes
 
 
 def result_partition(result):
@@ -239,25 +294,58 @@ class TestClusteringResultEquivalence:
         assert result_partition(exact) == result_partition(indexed)
 
 
-class TestNoNumpyFallback:
-    def test_fallback_matches_vectorized(self, monkeypatch):
+def all_strategies(hashes, threshold, **kwargs):
+    """The clustering by brute force, by index, by the auto rule, and
+    as one rung of a profile."""
+    yield cluster_by_threshold(hashes, threshold, exact=True, **kwargs)
+    yield cluster_by_threshold(hashes, threshold, exact=False, **kwargs)
+    yield cluster_by_threshold(hashes, threshold, **kwargs)
+    for exact in (True, False, None):
+        yield cluster_profile(hashes, [threshold, threshold + 3],
+                              exact=exact, **kwargs)[threshold]
+
+
+class TestOracleEquivalence:
+    """Equal to the oracle as lists: the same partition, clusters in the
+    same order, members in the same order."""
+
+    @given(corpora(), st.integers(0, 12))
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_strategy_equals_oracle(self, hashes, threshold):
+        expected = oracle_clusters(hashes, threshold)
+        for clusters in all_strategies(hashes, threshold):
+            assert clusters == expected
+
+    @pytest.mark.parametrize("threshold", [0, 3, 8])
+    def test_shuffled_corpus_with_duplicates(self, threshold):
+        """600 fingerprints, a third of them repeats, in no order: big
+        enough that brute force runs blocked on arrays and the auto rule
+        picks the index (and, with the cutoff raised, brute force)."""
+        hashes = synthetic_corpus(400, seed=5, revisions=12)
+        hashes += random.Random(6).choices(hashes, k=200)
+        random.Random(7).shuffle(hashes)
+        assert len(set(hashes)) < len(hashes)
+        expected = oracle_clusters(hashes, threshold)
+        for cutoff in (256, 10_000):
+            for clusters in all_strategies(hashes, threshold,
+                                           exact_cutoff=cutoff):
+                assert clusters == expected
+
+    def test_strategies_equal_oracle_on_planted_pairs(self):
         rng = random.Random(11)
         hashes = []
         for _ in range(120):
             base = rng.getrandbits(HASH_BITS)
             hashes.append(base)
             hashes.append(base ^ (1 << rng.randrange(HASH_BITS)))
-        with_numpy = partition(cluster_by_threshold(hashes, 4, exact=False))
-        with_numpy_exact = partition(cluster_by_threshold(hashes, 4,
-                                                          exact=True))
-        monkeypatch.setattr(simhash_mod, "_np", None)
-        assert not simhash_mod.numpy_available()
-        scalar = partition(cluster_by_threshold(hashes, 4, exact=False))
-        scalar_exact = partition(cluster_by_threshold(hashes, 4, exact=True))
-        assert scalar == with_numpy
-        assert scalar_exact == with_numpy_exact
+        expected = oracle_clusters(hashes, 4)
+        assert len(expected) == 120
+        for clusters in all_strategies(hashes, 4):
+            assert clusters == expected
 
-    def test_fallback_full_clusterer(self, monkeypatch):
+    def test_full_clusterer_equals_oracle(self):
+        """One level-1 group, no IP seen twice with a near page: the
+        final clusters are the oracle's, as ``<IP, round>`` sets."""
         rng = random.Random(12)
         observations = []
         for index in range(40):
@@ -266,24 +354,99 @@ class TestNoNumpyFallback:
                 obs(index, 0, title="site", server="nginx", simhash=base)
             )
             observations.append(
-                obs(index, 1, title="site", server="nginx",
+                obs(index + 40, 1, title="site", server="nginx",
                     simhash=base ^ (1 << rng.randrange(HASH_BITS)))
             )
         dataset = make_dataset(observations)
-        vectorized = result_partition(
-            WebpageClusterer(level2_threshold=3, exact=False,
-                             exact_cutoff=0).cluster(dataset)
+        by_hash = {o.features.simhash: o.key() for o in observations}
+        expected = frozenset(
+            frozenset(by_hash[value] for value in members)
+            for members in oracle_clusters(sorted(by_hash), 3)
         )
-        monkeypatch.setattr(simhash_mod, "_np", None)
-        fallback = result_partition(
-            WebpageClusterer(level2_threshold=3, exact=False,
-                             exact_cutoff=0).cluster(dataset)
-        )
-        fallback_exact = result_partition(
-            WebpageClusterer(level2_threshold=3, exact=True).cluster(dataset)
-        )
-        assert fallback == vectorized
-        assert fallback_exact == vectorized
+        assert len(expected) == 40
+        for kwargs in ({"exact": True}, {"exact": False, "exact_cutoff": 0},
+                       {}):
+            result = WebpageClusterer(level2_threshold=3, **kwargs).cluster(
+                dataset)
+            assert not result.removed
+            assert frozenset(
+                frozenset(c.members) for c in result.clusters.values()
+            ) == expected
+
+
+class TestIdenticalFingerprints:
+    """Default server pages: thousands of copies of one fingerprint.
+    One bucket of 8 000 was 32 M candidate pairs in every band."""
+
+    def corpus(self):
+        rng = random.Random(3)
+        repeated = rng.getrandbits(HASH_BITS)
+        return repeated, [repeated] * 8000 + [
+            rng.getrandbits(HASH_BITS) for _ in range(1000)
+        ]
+
+    def test_copies_cost_nothing(self):
+        repeated, hashes = self.corpus()
+        started = time.perf_counter()
+        clusters = cluster_by_threshold(hashes, 4, exact=False)
+        elapsed = time.perf_counter() - started
+        assert len(clusters) == 1001
+        assert clusters[0] == [repeated] * 8000
+        assert [c[0] for c in clusters[1:]] == hashes[8000:]
+        assert elapsed < 1.0
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            cluster_by_threshold(hashes, 4, exact=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 32 * 1024 * 1024
+
+    def test_profile_collapses_too(self):
+        repeated, hashes = self.corpus()
+        started = time.perf_counter()
+        profile = cluster_profile(hashes, [2, 4], exact=False)
+        assert time.perf_counter() - started < 1.0
+        for clusters in profile.values():
+            assert len(clusters) == 1001
+            assert clusters[0] == [repeated] * 8000
+
+
+class TestNegativeThreshold:
+    """One meaning on every strategy: not a threshold."""
+
+    @pytest.mark.parametrize("exact", [True, False, None])
+    @pytest.mark.parametrize("hashes", [[5, 5, 7], [], list(range(300))])
+    def test_rejected_everywhere(self, exact, hashes):
+        with pytest.raises(ValueError, match="threshold must be non-negative"):
+            cluster_by_threshold(hashes, -1, exact=exact)
+        with pytest.raises(ValueError, match="threshold must be non-negative"):
+            cluster_profile(hashes, [-1, 2], exact=exact)
+
+
+class TestPythonCallsPerFingerprint:
+    """A work proxy this host's timing noise cannot blur: the union used
+    to be two Python ``find`` calls per matching pair (39 calls per
+    fingerprint on this corpus).  What is left is ``pack_hashes``' two
+    generator passes over the distinct fingerprints and a constant."""
+
+    def test_no_python_loop_per_pair(self):
+        hashes = synthetic_corpus(20_000, seed=7)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            clusters = cluster_by_threshold(hashes, 4, exact=False)
+        finally:
+            sys.setprofile(None)
+        assert sum(map(len, clusters)) == len(hashes)
+        assert calls < 5 * len(hashes)
 
 
 @pytest.mark.slow
@@ -305,6 +468,13 @@ class TestAtScale:
             exact = cluster_by_threshold(hashes, threshold, exact=True)
             indexed = cluster_by_threshold(hashes, threshold, exact=False)
             assert partition(exact) == partition(indexed)
+
+    def test_paper_scale_corpus_equals_oracle(self):
+        """400 000 fingerprints through the index: the oracle's list,
+        cluster for cluster and member for member."""
+        hashes = synthetic_corpus(400_000, seed=7)
+        assert cluster_by_threshold(hashes, 4, exact=False) \
+            == oracle_clusters(hashes, 4)
 
     @given(corpora(max_bases=30, max_members=8), st.integers(0, 16))
     @settings(max_examples=200, deadline=None,

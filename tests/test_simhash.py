@@ -283,13 +283,17 @@ EDGE_PATTERNS = [
 
 class TestPackedKernels:
     """The numpy popcount kernels must match the scalar
-    :func:`hamming_distance` bit for bit."""
+    :func:`hamming_distance` bit for bit — and that against a loop over
+    the bits, so the two cannot be wrong together."""
 
-    def setup_method(self):
-        from repro.core.simhash import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy >= 2.0 not available")
+    def test_scalar_distance_matches_bit_loop(self):
+        assert hamming_distance(0, (1 << HASH_BITS) - 1) == HASH_BITS
+        for a in EDGE_PATTERNS:
+            for b in EDGE_PATTERNS:
+                assert hamming_distance(a, b) == sum(
+                    (a >> bit & 1) != (b >> bit & 1)
+                    for bit in range(HASH_BITS)
+                )
 
     def test_pack_roundtrip_words(self):
         from repro.core.simhash import HASH_WORDS, pack_hashes
@@ -343,39 +347,3 @@ class TestPackedKernels:
         for i, a in enumerate(left):
             for j, b in enumerate(right):
                 assert int(matrix[i, j]) == hamming_distance(a, b)
-
-
-class TestNoNumpyKernels:
-    """Without numpy the kernels refuse loudly and the gate reports it;
-    algorithm callers must then take their scalar fallbacks."""
-
-    def test_kernels_raise_without_numpy(self, monkeypatch):
-        import importlib
-
-        simhash_mod = importlib.import_module("repro.core.simhash")
-        monkeypatch.setattr(simhash_mod, "_np", None)
-        assert not simhash_mod.numpy_available()
-        with pytest.raises(RuntimeError):
-            simhash_mod.pack_hashes([1, 2, 3])
-        with pytest.raises(RuntimeError):
-            simhash_mod.hamming_rows(None, None)
-        with pytest.raises(RuntimeError):
-            simhash_mod.hamming_cross(None, None)
-
-    def test_simhash_unaffected(self, monkeypatch):
-        """The gate is for ``bitwise_count`` only; fingerprinting needs
-        nothing numpy >= 2.0 added and does not go through it."""
-        import importlib
-
-        simhash_mod = importlib.import_module("repro.core.simhash")
-        monkeypatch.setattr(simhash_mod, "_np", None)
-        text, width, fingerprint = PINNED[0]
-        assert simhash_mod.simhash(text, shingle_width=width) == fingerprint
-
-    def test_scalar_distance_unaffected(self, monkeypatch):
-        import importlib
-
-        simhash_mod = importlib.import_module("repro.core.simhash")
-        monkeypatch.setattr(simhash_mod, "_np", None)
-        assert simhash_mod.hamming_distance(0, (1 << HASH_BITS) - 1) == \
-            HASH_BITS
