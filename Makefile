@@ -24,16 +24,12 @@ slow:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Quick serial-vs-overlapped round-pipeline throughput comparison, a
-# 1-vs-2-worker pool scaling spot check, and a telemetry-overhead spot
-# check; regenerates BENCH_pipeline.json at the repo root (the committed
-# BENCH_workers.json comes from the full 100k-IP 1/2/4/8-worker run,
-# BENCH_telemetry.json from the full 50k-IP x5 run, and
-# BENCH_serve.json from the full 0.5x/2x/10x offered-rate run
-# documented in each benchmark module).
+# The legacy spot checks: 1-vs-2-worker pool scaling, telemetry
+# overhead and serve under overload (the committed BENCH_workers.json
+# comes from the full 100k-IP 1/2/4/8-worker run, BENCH_telemetry.json
+# from the full 50k-IP x5 run, and BENCH_serve.json from the full
+# 0.5x/2x/10x offered-rate run documented in each benchmark module).
 bench-smoke:
-	$(PYTHON) benchmarks/bench_pipeline_throughput.py --ips 512 \
-		--latency 0.02 --out BENCH_pipeline.json
 	$(PYTHON) benchmarks/bench_workers_scale.py --ips 4096 \
 		--latency 0.02 --concurrency 24 --shard-size 256 \
 		--workers 1 2 --out /tmp/BENCH_workers_smoke.json

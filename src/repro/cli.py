@@ -717,8 +717,7 @@ def _cmd_stats(args) -> int:
             avg = stats.writer_flush_seconds / stats.writer_flushes
             print(f"  writer   flushes={stats.writer_flushes} "
                   f"avg={avg * 1000:.1f}ms "
-                  f"max={stats.writer_max_flush_seconds * 1000:.1f}ms "
-                  f"max_batch={stats.writer_max_batch} shards")
+                  f"max={stats.writer_max_flush_seconds * 1000:.1f}ms")
         if stats.worker_count:
             print(f"  workers  pool={stats.worker_count} "
                   f"restarts={stats.worker_restarts} "

@@ -201,17 +201,13 @@ class GuardConfig:
 class PipelineConfig:
     """Streaming round-pipeline parameters (:mod:`repro.core.pipeline`).
 
-    With ``overlap`` on, the round engine runs scan → fetch → extract as
-    concurrent stages connected by bounded shard queues (shard *N+1*
-    scans while *N* fetches and *N−1* extracts), plus a dedicated
-    store-writer stage that commits completed shards in small batched
-    transactions off the hot path.  ``overlap=False`` reproduces the
-    strictly serial per-shard engine — the escape hatch differential
-    tests compare against; both modes produce identical store contents.
+    The round engine runs scan → fetch → extract as concurrent stages
+    connected by bounded shard queues (shard *N+1* scans while *N*
+    fetches and *N−1* extracts), plus a dedicated store-writer stage
+    that commits each completed shard, one transaction per shard, in a
+    worker thread off the hot path.  These depths are its only knobs.
     """
 
-    #: Stage-parallel streaming on/off.
-    overlap: bool = True
     #: Max shards buffered between scan and fetch.  This is also the
     #: AIMD coupling point: the supervisor's controller scales the
     #: *effective* depth by ``limit / max_limit``, so a fetch-side error
@@ -221,18 +217,10 @@ class PipelineConfig:
     extract_queue_depth: int = 2
     #: Max completed shards buffered ahead of the store writer.
     write_queue_depth: int = 4
-    #: Ceiling on shards committed per writer transaction.  The writer
-    #: is adaptive: it commits whatever is queued (1..batch shards) the
-    #: moment it falls idle, so a healthy pipeline still checkpoints
-    #: nearly every shard while a write-bound one amortises commits.
-    writer_batch_shards: int = 4
-    #: Run batch commits in a worker thread so sqlite's fsync never
-    #: blocks the event loop (the store serialises access internally).
-    writer_offload: bool = True
 
     def __post_init__(self) -> None:
         for name in ("scan_queue_depth", "extract_queue_depth",
-                     "write_queue_depth", "writer_batch_shards"):
+                     "write_queue_depth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -292,19 +280,15 @@ class WorkerConfig:
     that miss their deadline or exit nonzero, and reassigns incomplete
     partitions with capped retry + jittered backoff; completed journals
     are checksum-verified and merged into the canonical shard sequence,
-    so the result is byte-identical to the serial path on the same seed.
+    so the result is byte-identical to an in-process round on the same
+    seed.
     """
 
-    #: Worker processes per round.  0 or 1 keeps the in-process engines
-    #: (serial / overlapped); >1 enables the multi-process coordinator,
-    #: which requires the platform to be built with a picklable
+    #: Worker processes per round.  0 or 1 runs the pipeline in this
+    #: process; >1 enables the multi-process coordinator, which
+    #: requires the platform to be built with a picklable
     #: ``transport_factory``.
     count: int = 0
-    #: Multiprocessing start method.  Pinned to ``spawn`` so workers
-    #: rebuild their transport/config from pickled arguments instead of
-    #: inheriting interpreter state — the only way per-partition
-    #: determinism holds identically on Linux and macOS.
-    start_method: str = "spawn"
     #: Seconds between worker heartbeats.
     heartbeat_interval: float = 0.2
     #: A worker whose last heartbeat is older than this is presumed
@@ -325,11 +309,6 @@ class WorkerConfig:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        if self.start_method != "spawn":
-            raise ValueError(
-                "start_method must be 'spawn' (fork would inherit live "
-                "event-loop and sqlite state and breaks determinism)"
-            )
         if self.heartbeat_interval <= 0 or self.poll_interval <= 0:
             raise ValueError("intervals must be positive")
         if self.heartbeat_timeout <= self.heartbeat_interval:

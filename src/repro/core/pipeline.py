@@ -1,23 +1,24 @@
 """Streaming stage-parallel round pipeline.
 
-One round of scanning used to process shards strictly serially: scan
-shard *N*, fetch it, extract it, commit it, then start shard *N+1*.
-Every stage idled while the others worked.  This module runs the stages
-as concurrent coroutines connected by bounded FIFO queues, so shard
-*N+1* scans while *N* fetches and *N−1* extracts, and a dedicated
-store-writer stage commits completed shards off the hot path in small
-batched transactions.
+Processing shards strictly one after another — scan shard *N*, fetch
+it, extract it, commit it, then start shard *N+1* — idles every stage
+while the others work.  This module runs the stages as concurrent
+coroutines connected by bounded FIFO queues, so shard *N+1* scans while
+*N* fetches and *N−1* extracts, and a dedicated store-writer stage
+commits each completed shard, one transaction per shard, off the hot
+path.
 
-Invariants the pipeline preserves relative to the serial engine:
+Invariants the pipeline preserves relative to that one-shard-at-a-time
+loop (kept as a test oracle in ``tests/_fakes.py``):
 
 * **Commit order.** Queues are FIFO and every stage consumes one shard
   at a time, so shards reach the writer — and therefore the store — in
-  shard-index order, exactly like the serial checkpoint loop.
+  shard-index order, one commit each.
 * **Crash equivalence.** When any stage fails on shard *k*, the
   pipeline stops feeding, lets shards *< k* already downstream drain
   through the writer, discards shards *> k*, and re-raises the first
-  error.  The set of committed shards is exactly what the serial
-  engine would have committed before crashing on *k*.
+  error.  The set of committed shards is exactly what the sequential
+  loop would have committed before crashing on *k*.
 * **Abort semantics.** A set ``abort_event`` stops the feeder; every
   shard already in flight drains and commits, then the platform raises
   :class:`~repro.core.platform.RoundInterrupted` with a resumable
@@ -45,8 +46,6 @@ __all__ = ["ShardWork", "BoundedShardQueue", "RoundPipeline"]
 
 #: End-of-stream marker passed through every queue exactly once.
 _DONE = object()
-#: ``try_get`` result when the queue is momentarily empty.
-_EMPTY = object()
 
 
 @dataclass
@@ -133,26 +132,13 @@ class BoundedShardQueue:
             self._cond.notify_all()
             return item
 
-    async def try_get(self):
-        """Pop the head item if one is ready, else ``_EMPTY`` — the
-        writer uses this to batch whatever is already queued without
-        waiting for more."""
-        async with self._cond:
-            if not self._items:
-                return _EMPTY
-            item = self._items.popleft()
-            if self._depth_gauge is not None:
-                self._depth_gauge.set(len(self._items))
-            self._cond.notify_all()
-            return item
-
 
 #: A stage body: processes one :class:`ShardWork` in place and returns
 #: the number of items (targets / fetches / records) it handled.
 StageFn = Callable[[ShardWork], Awaitable[int]]
-#: The writer body: commits a batch and returns
-#: ``(shards_committed, records_written)``.
-WriteFn = Callable[[list], Awaitable[tuple[int, int]]]
+#: The writer body: commits one shard and returns how many the store
+#: took (0 when it already held that shard index).
+WriteFn = Callable[[ShardWork], Awaitable[int]]
 
 
 class RoundPipeline:
@@ -172,17 +158,16 @@ class RoundPipeline:
         scan: StageFn,
         fetch: StageFn,
         extract: StageFn,
-        write_batch: WriteFn,
+        write: WriteFn,
         controller=None,
         abort_event: asyncio.Event | None = None,
         round_id: int | None = None,
         worker: int | None = None,
     ):
-        self.config = config
         self._scan_fn = scan
         self._fetch_fn = fetch
         self._extract_fn = extract
-        self._write_batch = write_batch
+        self._write_fn = write
         self._abort_event = abort_event
         self.stats = PipelineStats(mode="overlapped")
         #: True when the feeder stopped early because of ``abort_event``.
@@ -315,8 +300,8 @@ class RoundPipeline:
                 return
             # Note there is deliberately no early-exit on self._error
             # here: when stage S fails on shard k, shards < k already
-            # past S must still drain and commit (serial crash
-            # equivalence), while shards > k die in S's input queue
+            # past S must still drain and commit (crash equivalence),
+            # while shards > k die in S's input queue
             # because S stopped consuming.
             begun = time.perf_counter()
             try:
@@ -349,45 +334,26 @@ class RoundPipeline:
             "repro_records_written_total",
             "Measurement records committed to the store",
         )
-        done = False
-        while not done:
+        while True:
             item = await inq.get()
-            batch: list[ShardWork] = []
             if item is _DONE:
-                done = True
-            else:
-                batch.append(item)
-                # Adaptive batching: absorb whatever is already queued
-                # (up to the ceiling) without waiting — a healthy
-                # pipeline still checkpoints nearly every shard, a
-                # write-bound one amortises commits.
-                while len(batch) < self.config.writer_batch_shards:
-                    extra = await inq.try_get()
-                    if extra is _EMPTY:
-                        break
-                    if extra is _DONE:
-                        done = True
-                        break
-                    batch.append(extra)
-            if not batch:
-                continue
+                return
             begun = time.perf_counter()
             with tel.span("write", round_id=self.round_id,
-                          shard=batch[0].index, worker=self.worker):
-                shards, records = await self._write_batch(batch)
+                          shard=item.index, worker=self.worker):
+                committed = await self._write_fn(item)
             elapsed = time.perf_counter() - begun
+            records = len(item.records)
             stats.busy_seconds += elapsed
-            stats.shards += shards
+            stats.shards += committed
             stats.items += records
-            m_shards.inc(shards)
+            m_shards.inc(committed)
             m_records.inc(records)
             self.stats.writer_flushes += 1
             self.stats.writer_flush_seconds += elapsed
             self.stats.writer_max_flush_seconds = max(
                 self.stats.writer_max_flush_seconds, elapsed
             )
-            self.stats.writer_max_batch = max(
-                self.stats.writer_max_batch, len(batch)
-            )
-            self.stats.shards_written += shards
+            self.stats.writer_max_batch = 1
+            self.stats.shards_written += committed
             self.stats.records_written += records

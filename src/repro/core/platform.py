@@ -15,11 +15,12 @@ with ``resume_round_id`` finishes exactly the shards that are missing.
 Round IDs are durable: they continue from ``max(round_id) + 1`` in the
 store rather than resetting to 1 on process start.
 
-With ``PipelineConfig.overlap`` (the default) the shard stages run as
-a streaming pipeline (:mod:`repro.core.pipeline`): shard *N+1* scans
-while *N* fetches and *N−1* extracts, and a writer stage batches
-commits off the hot path.  ``pipeline.overlap=False`` reproduces the
-strictly serial engine; both modes produce identical store contents.
+The shard stages run as a streaming pipeline
+(:mod:`repro.core.pipeline`): shard *N+1* scans while *N* fetches and
+*N−1* extracts, and a writer stage commits each completed shard off the
+hot path — in this process, or in each worker of a
+:class:`~repro.core.workers.WorkerSupervisor` pool when
+``workers.count > 1``; the round lifecycle around them is the same.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .config import PlatformConfig
 from .features import FeatureExtractor
@@ -108,6 +109,20 @@ class RoundSummary:
         return self.info.duration_seconds
 
 
+@dataclass(frozen=True)
+class _OpenRound:
+    """A round between :meth:`WhoWas._begin_round` and
+    :meth:`WhoWas._finish_round`."""
+
+    round_id: int
+    timestamp: int
+    started: float          # perf_counter() before begin_round
+    shards_total: int
+    #: ``(shard_index, targets)`` of every shard not yet committed.
+    remaining: list[tuple[int, Sequence[int]]]
+    circuit_before: int     # scanner.circuit_open_skips at begin
+
+
 class WhoWas:
     """The measurement platform: repeatedly scans a target list.
 
@@ -127,7 +142,7 @@ class WhoWas:
         ``config.workers.count > 1`` (each spawned partition worker
         builds its own transport from it).
     proc_chaos:
-        Process-level fault plan for the multi-process engine (chaos
+        Process-level fault plan for ``workers.count > 1`` rounds (chaos
         tier only).
     """
 
@@ -161,7 +176,7 @@ class WhoWas:
         self.features = FeatureExtractor()
         self._next_round_id = self.store.max_round_id() + 1
         #: Partition index when running as a spawned worker (span
-        #: attribution only); None in single-process engines.
+        #: attribution only); None in the coordinating process.
         self._worker_index: int | None = None
         # run_round's reusable event loop (created on first use); a
         # fresh loop per round would tear down and rebuild every
@@ -195,67 +210,95 @@ class WhoWas:
                 "multi-process rounds (workers.count > 1) must go through "
                 "the synchronous run_round(), which owns the worker pool"
             )
+        opened = self._begin_round(targets, timestamp, resume_round_id)
+        self._start_round(opened.round_id, timestamp)
+        work_items = (
+            ShardWork(index=index, targets=shard)
+            for index, shard in opened.remaining
+        )
+        stats, aborted = await self._run_shards(
+            work_items, opened.round_id, abort_event
+        )
+        return self._finish_round(opened, stats, aborted=aborted)
+
+    # ------------------------------------------------------------------
+    # the round lifecycle (shared by in-process and --workers N rounds)
+
+    def _begin_round(
+        self,
+        targets: Sequence[int],
+        timestamp: int,
+        resume_round_id: int | None,
+    ) -> _OpenRound:
+        """Open (or re-enter) the round in the store and split *targets*
+        into shards; committed shards of a resumed round are skipped."""
         started = time.perf_counter()
-        if resume_round_id is not None:
-            round_id = resume_round_id
-            info = self.store.begin_round(
-                round_id, timestamp, len(targets),
-                shard_size=self.config.shard_size,
-            )
-            done = self.store.completed_shards(round_id)
-            # Shard indices must line up with the committed ones, so a
-            # resumed round keeps the shard size it started with.
-            shard_size = info.shard_size or self.config.shard_size
-        else:
-            round_id = self._next_round_id
-            self.store.begin_round(
-                round_id, timestamp, len(targets),
-                shard_size=self.config.shard_size,
-            )
-            done = set()
-            shard_size = self.config.shard_size
+        round_id = (
+            self._next_round_id if resume_round_id is None
+            else resume_round_id
+        )
+        info = self.store.begin_round(
+            round_id, timestamp, len(targets),
+            shard_size=self.config.shard_size,
+        )
         self._next_round_id = max(self._next_round_id, round_id + 1)
+        # Shard indices must line up with the committed ones, so a
+        # resumed round keeps the shard size it started with.
+        shard_size = info.shard_size or self.config.shard_size
+        shards = [
+            targets[start:start + shard_size]
+            for start in range(0, len(targets), shard_size)
+        ] or [targets]
+        done = self.store.completed_shards(round_id)
+        return _OpenRound(
+            round_id=round_id,
+            timestamp=timestamp,
+            started=started,
+            shards_total=len(shards),
+            remaining=[
+                (index, shard) for index, shard in enumerate(shards)
+                if index not in done
+            ],
+            circuit_before=self.scanner.circuit_open_skips,
+        )
+
+    def _start_round(self, round_id: int, timestamp: int) -> None:
+        """Point this process's transport, breaker and guard at the
+        round (runs wherever shards execute: here, or in each worker)."""
         round_hook = getattr(self.transport, "on_round_start", None)
         if callable(round_hook):
             round_hook(round_id)
         self.scanner.breaker.reset()
         self.guard.start_round(round_id, timestamp)
 
-        shards = [
-            targets[start:start + shard_size]
-            for start in range(0, len(targets), shard_size)
-        ] or [targets]
-        circuit_before = self.scanner.circuit_open_skips
-        work_items = (
-            ShardWork(index=index, targets=shard)
-            for index, shard in enumerate(shards)
-            if index not in done
-        )
-
-        if self.config.pipeline.overlap:
-            stats, aborted = await self._run_overlapped(
-                work_items, round_id, abort_event
-            )
-        else:
-            stats, aborted = await self._run_serial(
-                work_items, round_id, abort_event
-            )
+    def _finish_round(
+        self,
+        opened: _OpenRound,
+        stats: PipelineStats,
+        *,
+        aborted: bool,
+        forced_degraded: bool = False,
+    ) -> RoundSummary:
+        """Apply the error budget, finalize, persist the run's pipeline
+        telemetry and summarise; an aborted round stays ``in_progress``
+        behind :class:`RoundInterrupted`."""
+        round_id = opened.round_id
         if aborted:
             raise RoundInterrupted(
-                round_id, timestamp,
-                len(self.store.completed_shards(round_id)), len(shards),
+                round_id, opened.timestamp,
+                len(self.store.completed_shards(round_id)),
+                opened.shards_total,
             )
-
         errors, operations = self.store.shard_stats(round_id)
         budget = self.config.round_error_budget
-        degraded = (
+        degraded = forced_degraded or (
             budget < 1.0
             and operations > 0
             and errors / operations > budget
         )
         info = self.store.finalize_round(
             round_id, degraded=degraded, error_count=errors,
-            duration_seconds=time.perf_counter() - started,
+            duration_seconds=time.perf_counter() - opened.started,
         )
         self._note_round_finalized(info)
         # Persist the run's pipeline telemetry so `repro stats` can
@@ -271,232 +314,9 @@ class WhoWas:
             available=round_stats["available"],
             fetched=round_stats["fetched"],
             errors=errors,
-            circuit_open=self.scanner.circuit_open_skips - circuit_before,
-            quarantined=self.store.quarantine_count(round_id),
-            pipeline=stats,
-        )
-
-    # ------------------------------------------------------------------
-    # round engines: overlapped (streaming pipeline) and serial
-
-    async def _run_overlapped(
-        self,
-        work_items,
-        round_id: int,
-        abort_event: asyncio.Event | None,
-    ) -> tuple[PipelineStats, bool]:
-        """Stream the shards through :class:`RoundPipeline`."""
-        offload = self.config.pipeline.writer_offload
-
-        async def write_batch(works: list[ShardWork]) -> tuple[int, int]:
-            payloads = [
-                ShardPayload(
-                    work.index, tuple(work.records),
-                    errors=work.errors, operations=work.operations,
-                    quarantine=tuple(work.quarantine),
-                )
-                for work in works
-            ]
-            if offload:
-                committed = await asyncio.to_thread(
-                    self.store.write_shards, round_id, payloads
-                )
-            else:
-                committed = self.store.write_shards(round_id, payloads)
-            return committed, sum(len(p.records) for p in payloads)
-
-        pipeline = RoundPipeline(
-            config=self.config.pipeline,
-            scan=self._scan_shard,
-            fetch=self._fetch_shard,
-            extract=self._extract_shard,
-            write_batch=write_batch,
-            controller=self.guard.controller,
-            abort_event=abort_event,
-            round_id=round_id,
-            worker=self._worker_index,
-        )
-        stats = await pipeline.run(work_items)
-        return stats, pipeline.aborted
-
-    async def _run_serial(
-        self,
-        work_items,
-        round_id: int,
-        abort_event: asyncio.Event | None,
-    ) -> tuple[PipelineStats, bool]:
-        """The escape-hatch engine: one shard at a time, one commit per
-        shard — behaviourally identical to the pre-pipeline platform.
-        Runs the same stage bodies as the overlapped engine so the two
-        can only differ in scheduling, never in measurement semantics.
-        """
-        stats = PipelineStats(mode="serial")
-        tel = _telemetry.get()
-        begun_round = time.perf_counter()
-        aborted = False
-        for work in work_items:
-            if abort_event is not None and abort_event.is_set():
-                aborted = True
-                break
-            for name, fn in (
-                ("scan", self._scan_shard),
-                ("fetch", self._fetch_shard),
-                ("extract", self._extract_shard),
-            ):
-                stage = stats.stage(name)
-                begun = time.perf_counter()
-                with tel.span(name, round_id=round_id, shard=work.index,
-                              worker=self._worker_index):
-                    items = await fn(work)
-                stage.busy_seconds += time.perf_counter() - begun
-                stage.shards += 1
-                stage.items += items
-            stage = stats.stage("write")
-            begun = time.perf_counter()
-            committed = self.store.write_shard(
-                round_id, work.index, work.records,
-                errors=work.errors, operations=work.operations,
-                quarantine=work.quarantine,
-            )
-            elapsed = time.perf_counter() - begun
-            stage.busy_seconds += elapsed
-            if committed:
-                stage.shards += 1
-                stage.items += len(work.records)
-                stats.shards_written += 1
-                stats.records_written += len(work.records)
-                stats.writer_flushes += 1
-                stats.writer_flush_seconds += elapsed
-                stats.writer_max_flush_seconds = max(
-                    stats.writer_max_flush_seconds, elapsed
-                )
-                stats.writer_max_batch = max(stats.writer_max_batch, 1)
-        stats.wall_seconds = time.perf_counter() - begun_round
-        return stats, aborted
-
-    # ------------------------------------------------------------------
-    # multi-process engine
-
-    async def run_partition_async(
-        self,
-        work_items,
-        *,
-        round_id: int,
-        timestamp: int,
-        worker: int | None = None,
-    ) -> PipelineStats:
-        """Run a subset of a round's shards into this platform's store
-        — the partition-worker entry point (:mod:`repro.core.workers`).
-        The caller owns the round lifecycle: ``begin_round`` must
-        already have run against this platform's store, and nothing is
-        finalized here."""
-        self._worker_index = worker
-        round_hook = getattr(self.transport, "on_round_start", None)
-        if callable(round_hook):
-            round_hook(round_id)
-        self.scanner.breaker.reset()
-        self.guard.start_round(round_id, timestamp)
-        if self.config.pipeline.overlap:
-            stats, _ = await self._run_overlapped(work_items, round_id, None)
-        else:
-            stats, _ = await self._run_serial(work_items, round_id, None)
-        return stats
-
-    def _run_round_multiprocess(
-        self,
-        targets: Sequence[int],
-        timestamp: int,
-        *,
-        abort_event: asyncio.Event | None,
-        resume_round_id: int | None,
-    ) -> RoundSummary:
-        """Coordinator for ``workers.count > 1``: partition the round's
-        shards across spawned workers under a
-        :class:`~repro.core.workers.WorkerSupervisor`, then finalize
-        from the merged canonical journal exactly as the in-process
-        engines would."""
-        from .workers import WorkerSupervisor
-
-        if self.transport_factory is None:
-            raise ValueError(
-                "workers.count > 1 requires a picklable transport_factory"
-            )
-        started = time.perf_counter()
-        if resume_round_id is not None:
-            round_id = resume_round_id
-            info = self.store.begin_round(
-                round_id, timestamp, len(targets),
-                shard_size=self.config.shard_size,
-            )
-            shard_size = info.shard_size or self.config.shard_size
-        else:
-            round_id = self._next_round_id
-            self.store.begin_round(
-                round_id, timestamp, len(targets),
-                shard_size=self.config.shard_size,
-            )
-            shard_size = self.config.shard_size
-        self._next_round_id = max(self._next_round_id, round_id + 1)
-
-        shards = [
-            targets[start:start + shard_size]
-            for start in range(0, len(targets), shard_size)
-        ] or [targets]
-        done = self.store.completed_shards(round_id)
-        remaining = [
-            (index, tuple(shard))
-            for index, shard in enumerate(shards)
-            if index not in done
-        ]
-        writer_before = self.store.writer_stats_snapshot()
-        supervisor = WorkerSupervisor(
-            self.store, self.config, self.transport_factory,
-            chaos=self.proc_chaos,
-        )
-        report = supervisor.run(
-            remaining, round_id=round_id, timestamp=timestamp,
-            abort_event=abort_event,
-        )
-        if report.aborted:
-            raise RoundInterrupted(
-                round_id, timestamp,
-                len(self.store.completed_shards(round_id)), len(shards),
-            )
-        stats = report.stats
-        writer_after = self.store.writer_stats_snapshot()
-        stats.writer_flushes = (
-            writer_after["flush_count"] - writer_before["flush_count"]
-        )
-        stats.writer_flush_seconds = (
-            writer_after["flush_seconds"] - writer_before["flush_seconds"]
-        )
-        stats.writer_max_flush_seconds = writer_after["max_flush_seconds"]
-        stats.writer_max_batch = max(stats.writer_max_batch, 1)
-        stats.wall_seconds = time.perf_counter() - started
-
-        errors, operations = self.store.shard_stats(round_id)
-        budget = self.config.round_error_budget
-        degraded = (
-            budget < 1.0
-            and operations > 0
-            and errors / operations > budget
-        ) or report.forced_degraded
-        info = self.store.finalize_round(
-            round_id, degraded=degraded, error_count=errors,
-            duration_seconds=time.perf_counter() - started,
-        )
-        self._note_round_finalized(info)
-        self.store.set_meta(
-            f"{PIPELINE_STATS_META_PREFIX}{round_id}",
-            json.dumps(stats.to_dict(), sort_keys=True),
-        )
-        round_stats = self.store.round_stats(round_id)
-        return RoundSummary(
-            info=info,
-            responsive=round_stats["responsive"],
-            available=round_stats["available"],
-            fetched=round_stats["fetched"],
-            errors=errors,
+            circuit_open=(
+                self.scanner.circuit_open_skips - opened.circuit_before
+            ),
             quarantined=self.store.quarantine_count(round_id),
             pipeline=stats,
         )
@@ -513,7 +333,95 @@ class WhoWas:
         ).observe(info.duration_seconds)
 
     # ------------------------------------------------------------------
-    # shard stages (shared by both engines)
+    # executing shards: in this process, or on a worker pool
+
+    async def run_partition_async(
+        self,
+        work_items: Iterable[ShardWork],
+        *,
+        round_id: int,
+        timestamp: int,
+        worker: int | None = None,
+    ) -> PipelineStats:
+        """Run a subset of a round's shards into this platform's store
+        — the partition-worker entry point (:mod:`repro.core.workers`).
+        The caller owns the round lifecycle: ``begin_round`` must
+        already have run against this platform's store, and nothing is
+        finalized here."""
+        self._worker_index = worker
+        self._start_round(round_id, timestamp)
+        stats, _ = await self._run_shards(work_items, round_id, None)
+        return stats
+
+    async def _run_shards(
+        self,
+        work_items: Iterable[ShardWork],
+        round_id: int,
+        abort_event: asyncio.Event | None,
+    ) -> tuple[PipelineStats, bool]:
+        """Stream the shards through :class:`RoundPipeline`; returns
+        the run's stats and whether *abort_event* cut it short."""
+
+        async def write(work: ShardWork) -> int:
+            payload = ShardPayload(
+                work.index, tuple(work.records),
+                errors=work.errors, operations=work.operations,
+                quarantine=tuple(work.quarantine),
+            )
+            # Off the event loop, so sqlite's fsync never blocks the
+            # other stages (the store serialises access internally).
+            return await asyncio.to_thread(
+                self.store.write_shards, round_id, [payload]
+            )
+
+        pipeline = RoundPipeline(
+            config=self.config.pipeline,
+            scan=self._scan_shard,
+            fetch=self._fetch_shard,
+            extract=self._extract_shard,
+            write=write,
+            controller=self.guard.controller,
+            abort_event=abort_event,
+            round_id=round_id,
+            worker=self._worker_index,
+        )
+        stats = await pipeline.run(work_items)
+        return stats, pipeline.aborted
+
+    def _run_on_workers(
+        self, opened: _OpenRound, abort_event: asyncio.Event | None
+    ):
+        """``workers.count > 1``: the round's remaining shards execute
+        on spawned workers under a
+        :class:`~repro.core.workers.WorkerSupervisor` and merge back
+        into the canonical journal; returns its report."""
+        from .workers import WorkerSupervisor
+
+        writer_before = self.store.writer_stats_snapshot()
+        supervisor = WorkerSupervisor(
+            self.store, self.config, self.transport_factory,
+            chaos=self.proc_chaos,
+        )
+        report = supervisor.run(
+            opened.remaining, round_id=opened.round_id,
+            timestamp=opened.timestamp, abort_event=abort_event,
+        )
+        # The canonical store's merge commits are the round's writes.
+        stats = report.stats
+        writer_after = self.store.writer_stats_snapshot()
+        stats.writer_flushes = (
+            writer_after["flush_count"] - writer_before["flush_count"]
+        )
+        stats.writer_flush_seconds = (
+            writer_after["flush_seconds"] - writer_before["flush_seconds"]
+        )
+        stats.writer_max_flush_seconds = writer_after["max_flush_seconds"]
+        stats.writer_max_batch = 1
+        stats.wall_seconds = time.perf_counter() - opened.started
+        return report
+
+    # ------------------------------------------------------------------
+    # shard stages
 
     async def _scan_shard(self, work: ShardWork) -> int:
         """Probe the shard's targets; charges probe errors/operations
@@ -594,15 +502,22 @@ class WhoWas:
         :meth:`close` — or use the platform as a context manager — to
         release it.
 
-        With ``config.workers.count > 1`` the round instead runs on the
-        multi-process engine: shards are partitioned across spawned
-        workers and merged back through the checksum-verified journal
-        protocol — byte-identical results, supervised execution.
+        With ``config.workers.count > 1`` the round's shards instead
+        execute on spawned workers and merge back through the
+        checksum-verified journal protocol — same lifecycle,
+        byte-identical results, supervised execution.
         """
         if self.config.workers.count > 1:
-            return self._run_round_multiprocess(
-                targets, timestamp,
-                abort_event=abort_event, resume_round_id=resume_round_id,
+            if self.transport_factory is None:
+                raise ValueError(
+                    "workers.count > 1 requires a picklable "
+                    "transport_factory"
+                )
+            opened = self._begin_round(targets, timestamp, resume_round_id)
+            report = self._run_on_workers(opened, abort_event)
+            return self._finish_round(
+                opened, report.stats, aborted=report.aborted,
+                forced_degraded=report.forced_degraded,
             )
         try:
             asyncio.get_running_loop()

@@ -286,7 +286,7 @@ class StageStats:
     #: Wall-clock spent processing (excludes queue waits).
     busy_seconds: float = 0.0
     #: High-water mark of the stage's *output* queue (shards buffered
-    #: downstream); 0 in serial mode where nothing is ever queued.
+    #: downstream).
     queue_peak: int = 0
     #: Times the stage stalled because its output queue was full — the
     #: backpressure signal (includes AIMD-shrunk capacity).
@@ -320,7 +320,7 @@ class PipelineStats:
     ``repro stats`` can reconstruct the throughput picture later.
     """
 
-    #: ``"overlapped"`` (streaming stage-parallel), ``"serial"``, or
+    #: ``"overlapped"`` (streaming stage-parallel, in-process) or
     #: ``"multiprocess"`` (partitioned worker pool).
     mode: str
     #: Wall-clock of the whole round body (shard processing + drain).
@@ -332,7 +332,8 @@ class PipelineStats:
     #: Total / worst-case time inside those commits.
     writer_flush_seconds: float = 0.0
     writer_max_flush_seconds: float = 0.0
-    #: Largest number of shards committed in one batch transaction.
+    #: Shards per commit transaction: 1 once anything was committed
+    #: (older campaigns may have persisted larger values).
     writer_max_batch: int = 0
     # -- multi-process supervision telemetry (zero outside --workers) --
     #: Size of the worker pool the round started with.

@@ -174,9 +174,9 @@ class MeasurementStore(StoreBackend):
             "repro_store_busy_retries_total",
             "Commits re-issued after SQLITE_BUSY/locked",
         )
-        # The pipeline's writer stage may run batch commits in a worker
-        # thread (PipelineConfig.writer_offload) so fsync never blocks
-        # the event loop; the RLock serialises all connection access.
+        # The pipeline's writer stage runs its commits in a worker
+        # thread so fsync never blocks the event loop; the RLock
+        # serialises all connection access.
         self._conn = _connect(
             path, readonly=readonly, busy_timeout_ms=busy_timeout_ms
         )

@@ -36,7 +36,8 @@ The coordinator's :class:`WorkerSupervisor` owns the failure domain
 
 Because the simulated cloud is a pure function of ``(seed, day)`` and
 all per-request mutable state is scoped per-IP, a round run with
-``--workers N`` is byte-identical to the serial path on the same seed.
+``--workers N`` is byte-identical to an in-process round on the same
+seed.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ __all__ = [
     "run_partition",
 ]
 
+#: Multiprocessing start method.  Pinned to ``spawn`` so workers rebuild
+#: their transport/config from pickled arguments instead of inheriting
+#: interpreter state (fork would inherit live event-loop and sqlite
+#: state and break determinism) — the only way per-partition determinism
+#: holds identically on Linux and macOS.
+_START_METHOD = "spawn"
+
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -95,7 +103,7 @@ def partition_shards(
     """Split ``(shard_index, targets)`` pairs into at most *partitions*
     contiguous, near-equal blocks (the first ``len % partitions`` blocks
     take the extra shard).  Contiguity keeps each worker's shard walk in
-    the same order the serial engine would use."""
+    the same order an in-process round would use."""
     if partitions <= 0:
         raise ValueError("partitions must be positive")
     count = min(partitions, len(shards))
@@ -296,7 +304,7 @@ class WorkerSupervisor:
         self.workers = config.workers
         self.transport_factory = transport_factory
         self.chaos = chaos
-        self._ctx = multiprocessing.get_context(self.workers.start_method)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         tel = _telemetry.get()
         self._tel = tel
         self._m_events = tel.counter(

@@ -2,7 +2,38 @@
 
 from __future__ import annotations
 
+import functools
+
+from repro.core.records import PipelineStats
 from repro.core.transport import HttpResponse, TransportError
+
+
+async def run_shards_serially(platform, work_items, round_id, abort_event):
+    """Oracle for ``WhoWas._run_shards``: the strictly sequential loop
+    the streaming pipeline must stay byte-equivalent to — one shard at
+    a time through the platform's own stage bodies, then one
+    ``write_shard`` commit, before the next shard starts."""
+    stats = PipelineStats(mode="serial")
+    for work in work_items:
+        if abort_event is not None and abort_event.is_set():
+            return stats, True
+        await platform._scan_shard(work)
+        await platform._fetch_shard(work)
+        await platform._extract_shard(work)
+        if platform.store.write_shard(
+            round_id, work.index, work.records,
+            errors=work.errors, operations=work.operations,
+            quarantine=work.quarantine,
+        ):
+            stats.shards_written += 1
+            stats.records_written += len(work.records)
+    return stats, False
+
+
+def serial_oracle(platform):
+    """Swap *platform*'s shard executor for the oracle above."""
+    platform._run_shards = functools.partial(run_shards_serially, platform)
+    return platform
 
 
 class FakeTransport:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.core import config as config_module
 from repro.core.config import FetchConfig, PlatformConfig, ScanConfig
 
 
@@ -83,3 +88,28 @@ class TestPlatformConfig:
         assert config.scan.probe_timeout == 2.0
         assert config.fetch.workers == 250
         assert config.blacklist == frozenset()
+
+
+class TestDocumentedKnobsExist:
+    def test_every_config_keyword_in_the_docs_is_a_real_field(self):
+        """A ``SomethingConfig(name=`` written in the documents must
+        name a field of that dataclass, so a removed knob cannot keep
+        living in the prose."""
+        root = Path(__file__).resolve().parent.parent
+        mentions = [
+            (doc, cls, name)
+            for doc in ("README.md", "DESIGN.md", "benchmarks/perf/README.md")
+            for cls, name in re.findall(
+                r"\b(\w+Config)\((\w+)=", (root / doc).read_text()
+            )
+        ]
+        assert mentions, "the documents no longer show any config knob"
+        stale = [
+            f"{doc}: {cls}({name}=…)"
+            for doc, cls, name in mentions
+            if name not in {
+                field.name
+                for field in dataclasses.fields(getattr(config_module, cls))
+            }
+        ]
+        assert not stale, stale

@@ -1,12 +1,12 @@
-"""Streaming pipeline: ordering, backpressure, batching, equivalence.
+"""Streaming pipeline: ordering, backpressure, commits, equivalence.
 
-The contract under test: the overlapped engine
-(``PipelineConfig.overlap=True``, the default) must be byte-equivalent
-to the serial escape hatch for every store-visible artefact — record
-rows, round metadata, shard journal, quarantine entries (as a multiset;
-only their insertion order within a shard may differ) — including runs
-interrupted mid-round and resumed.  Plus unit coverage of the queue and
-pipeline primitives and the new telemetry surfaces.
+The contract under test: the streaming engine must be byte-equivalent
+to the one-shard-at-a-time oracle (``_fakes.serial_oracle``) for every
+store-visible artefact — record rows, round metadata, shard journal,
+quarantine entries (as a multiset; only their insertion order within a
+shard may differ) — including runs interrupted mid-round and resumed.
+Plus unit coverage of the queue and pipeline primitives and the
+telemetry surfaces.
 """
 
 from __future__ import annotations
@@ -19,13 +19,16 @@ import pytest
 
 from repro.cli import main
 from repro.core import (
+    FaultKind,
+    FaultPlan,
+    FaultRule,
     FaultyTransport,
     MeasurementStore,
-    RoundInterrupted,
     WhoWas,
+    chaos_plan,
     hostile_plan,
 )
-from repro.core.config import PipelineConfig
+from repro.core.config import PipelineConfig, WorkerConfig
 from repro.core.pipeline import (
     BoundedShardQueue,
     RoundPipeline,
@@ -34,7 +37,13 @@ from repro.core.pipeline import (
 )
 from repro.core.platform import PIPELINE_STATS_META_PREFIX
 from repro.core.records import PipelineStats, StageStats
-from repro.workloads import Campaign, CampaignInterrupted, ec2_scenario
+from repro.workloads import (
+    Campaign,
+    CampaignInterrupted,
+    SimTransportFactory,
+    ec2_scenario,
+)
+from _fakes import serial_oracle
 from test_recovery import (
     SCENARIO_PARAMS,
     AbortTrigger,
@@ -44,10 +53,13 @@ from test_recovery import (
 )
 
 
-def overlap_config(overlap: bool, **pipeline_overrides):
-    return small_config(
-        pipeline=PipelineConfig(overlap=overlap, **pipeline_overrides)
+def hostile_scenario():
+    """The standard small scenario with hostile chaos content."""
+    scenario = ec2_scenario(**SCENARIO_PARAMS)
+    scenario.transport = FaultyTransport(
+        scenario.transport, hostile_plan(13, rate=0.2)
     )
+    return scenario
 
 
 def quarantine_snapshot(path: str):
@@ -63,20 +75,17 @@ def quarantine_snapshot(path: str):
     return sorted(rows)
 
 
-def hostile_campaign(path: str, *, overlap: bool, interrupt=None):
-    """Run the standard small campaign with hostile chaos content in
-    the requested engine mode; returns the campaign result."""
-    scenario = ec2_scenario(**SCENARIO_PARAMS)
-    scenario.transport = FaultyTransport(
-        scenario.transport, hostile_plan(13, rate=0.2)
-    )
-    if interrupt is not None:
-        scenario.transport = interrupt(scenario.transport)
+def hostile_campaign(path: str, *, oracle: bool = False):
+    """Run the standard small campaign with hostile chaos content on
+    the engine, or on the serial *oracle*; returns the result."""
     store = MeasurementStore(path)
     try:
-        return Campaign(
-            scenario, store=store, config=overlap_config(overlap)
-        ).run()
+        campaign = Campaign(
+            hostile_scenario(), store=store, config=small_config()
+        )
+        if oracle:
+            serial_oracle(campaign.platform)
+        return campaign.run()
     finally:
         store.close()
 
@@ -142,16 +151,6 @@ class TestBoundedShardQueue:
         item, done = self.run(scenario())
         assert item == "work" and done is _DONE
 
-    def test_try_get_never_waits(self):
-        async def scenario():
-            queue = BoundedShardQueue(2)
-            empty = await queue.try_get()
-            await queue.put("x")
-            return empty, await queue.try_get()
-
-        empty, item = self.run(scenario())
-        assert empty is not item and item == "x"
-
 
 # ----------------------------------------------------------------------
 # RoundPipeline unit behaviour (stub stages)
@@ -164,12 +163,12 @@ def _noop_stage():
 
 
 def _collecting_writer(committed: list, *, delay: float = 0.0):
-    async def write_batch(batch):
-        committed.extend(work.index for work in batch)
+    async def write(work: ShardWork) -> int:
+        committed.append(work.index)
         if delay:
             await asyncio.sleep(delay)
-        return len(batch), sum(len(w.records) for w in batch)
-    return write_batch
+        return 1
+    return write
 
 
 class TestRoundPipeline:
@@ -179,7 +178,7 @@ class TestRoundPipeline:
             scan=kwargs.pop("scan", _noop_stage()),
             fetch=kwargs.pop("fetch", _noop_stage()),
             extract=kwargs.pop("extract", _noop_stage()),
-            write_batch=_collecting_writer(committed, delay=delay),
+            write=_collecting_writer(committed, delay=delay),
             **kwargs,
         )
 
@@ -192,14 +191,19 @@ class TestRoundPipeline:
         assert stats.shards_written == 10
         assert stats.stage("scan").shards == 10
 
-    def test_writer_batches_when_store_is_slow(self):
+    def test_slow_writer_still_commits_one_shard_per_transaction(self):
+        """Even as the slowest stage, with shards queued up behind it,
+        the writer commits one shard per transaction in shard order —
+        the benchmark's exact count ``store.sqlite.commits`` relies on
+        it."""
         committed: list[int] = []
         works = [ShardWork(index=i, targets=[i]) for i in range(12)]
         pipeline = self._pipeline(committed, delay=0.02)
         stats = asyncio.run(pipeline.run(iter(works)))
-        assert committed == list(range(12))    # batching never reorders
-        assert stats.writer_max_batch > 1      # commits amortised
-        assert stats.writer_flushes < 12
+        assert committed == list(range(12))
+        assert stats.writer_flushes == stats.shards_written == 12
+        assert stats.writer_max_batch == 1
+        assert stats.stage("extract").queue_peak > 1   # it did fall behind
 
     def test_stage_failure_drains_earlier_shards_then_raises(self):
         committed: list[int] = []
@@ -213,8 +217,8 @@ class TestRoundPipeline:
         works = [ShardWork(index=i, targets=[i]) for i in range(6)]
         with pytest.raises(RuntimeError, match="boom on shard 2"):
             asyncio.run(pipeline.run(iter(works)))
-        # Serial crash equivalence: everything before the failing
-        # shard committed, nothing at or after it did.
+        # Crash equivalence with the sequential loop: everything before
+        # the failing shard committed, nothing at or after it did.
         assert committed == [0, 1]
 
     def test_abort_stops_feeding_and_drains_in_flight(self):
@@ -262,17 +266,17 @@ class TestRoundPipeline:
 
 
 # ----------------------------------------------------------------------
-# engine equivalence: overlapped vs serial store contents
+# engine equivalence: streaming pipeline vs the serial oracle
 
 
 class TestEngineEquivalence:
     def test_hostile_chaos_campaign_is_byte_equivalent(self, tmp_path):
         """Full campaign with network faults + hostile content: rows,
-        rounds and quarantine (sorted) identical across engines."""
+        rounds and quarantine (sorted) identical to the oracle's."""
         overlapped = str(tmp_path / "overlap.sqlite")
         serial = str(tmp_path / "serial.sqlite")
-        hostile_campaign(overlapped, overlap=True)
-        hostile_campaign(serial, overlap=False)
+        hostile_campaign(overlapped)
+        hostile_campaign(serial, oracle=True)
 
         assert db_snapshot(overlapped) == db_snapshot(serial)
         q_overlapped = quarantine_snapshot(overlapped)
@@ -286,31 +290,24 @@ class TestEngineEquivalence:
         resume: the healed database equals an uninterrupted serial
         run — including the interrupted round's quarantine."""
         serial = str(tmp_path / "serial.sqlite")
-        hostile_campaign(serial, overlap=False)
+        hostile_campaign(serial, oracle=True)
 
         aborted = str(tmp_path / "aborted.sqlite")
         event = asyncio.Event()
         store = MeasurementStore(aborted)
-        scenario = ec2_scenario(**SCENARIO_PARAMS)
-        scenario.transport = FaultyTransport(
-            scenario.transport, hostile_plan(13, rate=0.2)
-        )
+        scenario = hostile_scenario()
         scenario.transport = AbortTrigger(
             scenario.transport, event, round_id=2, after_probes=100
         )
         with pytest.raises(CampaignInterrupted):
             Campaign(
-                scenario, store=store, config=overlap_config(True)
+                scenario, store=store, config=small_config()
             ).run(abort_event=event)
         store.close()
 
         reopened = MeasurementStore(aborted)
-        scenario = ec2_scenario(**SCENARIO_PARAMS)
-        scenario.transport = FaultyTransport(
-            scenario.transport, hostile_plan(13, rate=0.2)
-        )
         Campaign(
-            scenario, store=reopened, config=overlap_config(True)
+            hostile_scenario(), store=reopened, config=small_config()
         ).resume()
         reopened.close()
 
@@ -320,39 +317,32 @@ class TestEngineEquivalence:
     def test_crash_resume_serial_matches_overlapped_reference(
         self, tmp_path
     ):
-        """Cross-mode healing: crash an overlapped run mid-round, then
-        resume it with the *serial* engine — still byte-equivalent to
-        an uninterrupted overlapped run."""
+        """Cross-mode healing: crash a streaming run mid-round, then
+        resume it through the *serial oracle* — still byte-equivalent
+        to an uninterrupted streaming run."""
         reference = str(tmp_path / "reference.sqlite")
-        hostile_campaign(reference, overlap=True)
+        hostile_campaign(reference)
 
         crashed = str(tmp_path / "crashed.sqlite")
-        from repro.core import FaultKind, FaultPlan, FaultRule
-
         victim = ec2_scenario(**SCENARIO_PARAMS).targets[140]
         plan = FaultPlan(seed=1, rules=(
             FaultRule(FaultKind.CONNECT_TIMEOUT, ips={victim}, rounds={2}),
         ))
         store = MeasurementStore(crashed)
-        scenario = ec2_scenario(**SCENARIO_PARAMS)
-        scenario.transport = FaultyTransport(
-            scenario.transport, hostile_plan(13, rate=0.2)
-        )
+        scenario = hostile_scenario()
         scenario.transport = CrashOnFault(scenario.transport, plan)
         with pytest.raises(RuntimeError, match="simulated crash"):
             Campaign(
-                scenario, store=store, config=overlap_config(True)
+                scenario, store=store, config=small_config()
             ).run()
         del store
 
         reopened = MeasurementStore(crashed)
-        scenario = ec2_scenario(**SCENARIO_PARAMS)
-        scenario.transport = FaultyTransport(
-            scenario.transport, hostile_plan(13, rate=0.2)
+        campaign = Campaign(
+            hostile_scenario(), store=reopened, config=small_config()
         )
-        Campaign(
-            scenario, store=reopened, config=overlap_config(False)
-        ).resume()
+        serial_oracle(campaign.platform)
+        campaign.resume()
         reopened.close()
 
         assert db_snapshot(crashed) == db_snapshot(reference)
@@ -364,12 +354,12 @@ class TestEngineEquivalence:
 
 
 class TestTelemetry:
-    def _one_round(self, tmp_path, overlap: bool):
-        path = str(tmp_path / f"round-{overlap}.sqlite")
+    def _one_round(self, tmp_path):
+        path = str(tmp_path / "round.sqlite")
         scenario = ec2_scenario(total_ips=256, seed=5, duration_days=3)
         store = MeasurementStore(path)
         platform = WhoWas(
-            scenario.transport, store=store, config=overlap_config(overlap)
+            scenario.transport, store=store, config=small_config()
         )
         summary = platform.run_round(
             list(scenario.targets), timestamp=scenario.scan_days[0]
@@ -377,7 +367,7 @@ class TestTelemetry:
         return path, store, platform, summary
 
     def test_round_summary_carries_pipeline_stats(self, tmp_path):
-        _, store, platform, summary = self._one_round(tmp_path, True)
+        _, store, platform, summary = self._one_round(tmp_path)
         stats = summary.pipeline
         assert stats is not None and stats.mode == "overlapped"
         assert set(stats.stages) == {"scan", "fetch", "extract", "write"}
@@ -388,16 +378,8 @@ class TestTelemetry:
         platform.close()
         store.close()
 
-    def test_serial_mode_reports_serial_stats(self, tmp_path):
-        _, store, platform, summary = self._one_round(tmp_path, False)
-        assert summary.pipeline.mode == "serial"
-        assert summary.pipeline.writer_max_batch == 1
-        assert summary.pipeline.records_written == summary.responsive
-        platform.close()
-        store.close()
-
     def test_stats_persisted_to_campaign_meta(self, tmp_path):
-        _, store, platform, summary = self._one_round(tmp_path, True)
+        _, store, platform, summary = self._one_round(tmp_path)
         raw = store.get_meta(
             f"{PIPELINE_STATS_META_PREFIX}{summary.round_id}"
         )
@@ -410,7 +392,7 @@ class TestTelemetry:
         store.close()
 
     def test_duration_seconds_persisted_on_round_info(self, tmp_path):
-        path, store, platform, summary = self._one_round(tmp_path, True)
+        path, store, platform, summary = self._one_round(tmp_path)
         assert summary.duration_seconds > 0
         store.close()
         platform.close()
@@ -432,25 +414,17 @@ class TestTelemetry:
         assert restored.records_per_second == 30.0
         assert isinstance(restored.stage("scan"), StageStats)
         assert restored.stage("scan").items_per_second == pytest.approx(384)
-
-    def test_writer_offload_escape_hatch(self, tmp_path):
-        """writer_offload=False keeps commits on the event loop —
-        identical contents, no worker thread."""
-        inline = str(tmp_path / "inline.sqlite")
-        scenario = ec2_scenario(**SCENARIO_PARAMS)
-        store = MeasurementStore(inline)
-        Campaign(
-            scenario, store=store,
-            config=overlap_config(True, writer_offload=False),
-        ).run()
-        store.close()
-        threaded = str(tmp_path / "threaded.sqlite")
-        hostile = None  # plain scenario on both sides
-        scenario = ec2_scenario(**SCENARIO_PARAMS)
-        store = MeasurementStore(threaded)
-        Campaign(scenario, store=store, config=overlap_config(True)).run()
-        store.close()
-        assert db_snapshot(inline) == db_snapshot(threaded)
+        # What older campaigns persisted must still load (`repro stats`
+        # on an existing database).
+        legacy = PipelineStats.from_dict({
+            "mode": "serial", "wall_seconds": 1.5, "records_written": 30,
+            "shards_written": 4, "writer_flushes": 1,
+            "writer_max_batch": 4,
+            "stages": {"write": {"name": "write", "shards": 4, "items": 30}},
+        })
+        assert (legacy.mode, legacy.writer_max_batch) == ("serial", 4)
+        assert legacy.stage("write").shards == 4
+        assert legacy.partitions == {}
 
     def test_run_round_reuses_one_event_loop(self):
         scenario = ec2_scenario(total_ips=64, seed=5, duration_days=6)
@@ -464,7 +438,7 @@ class TestTelemetry:
         assert loop.is_closed()
 
     def test_shard_commit_order_is_shard_order(self, tmp_path):
-        path, store, platform, summary = self._one_round(tmp_path, True)
+        path, store, platform, summary = self._one_round(tmp_path)
         conn = sqlite3.connect(path)
         order = [
             row[0] for row in conn.execute(
@@ -476,6 +450,107 @@ class TestTelemetry:
         conn.close()
         assert order == sorted(order) == [0, 1, 2, 3]
         platform.close()
+        store.close()
+
+
+# ----------------------------------------------------------------------
+# one round lifecycle: begin → execute shards → finish, wherever they ran
+
+
+def lifecycle_reading(summary, store) -> dict:
+    """The run-independent part of what ``_finish_round`` hands back
+    and persists, after checking the two copies agree."""
+    persisted = json.loads(store.get_meta(
+        f"{PIPELINE_STATS_META_PREFIX}{summary.round_id}"
+    ))
+    assert persisted == summary.pipeline.to_dict()
+    info = store.round_info(summary.round_id)
+    assert summary.duration_seconds == info.duration_seconds > 0
+    return {
+        "summary": (
+            summary.responsive, summary.available, summary.fetched,
+            summary.errors, summary.quarantined, summary.degraded,
+            summary.circuit_open,
+        ),
+        "stats": tuple(persisted[key] for key in (
+            "mode", "records_written", "shards_written", "writer_flushes",
+            "writer_max_batch", "worker_count", "partitions_merged",
+        )),
+        "stage_items": {
+            name: stage["items"]
+            for name, stage in persisted["stages"].items()
+        },
+    }
+
+
+class TestRoundLifecycle:
+    """Both ways of executing a round's shards go through the same
+    ``_begin_round`` / ``_finish_round``; the literals are what commit
+    53095b2 (two copies of each) produced for the same seeds."""
+
+    BUDGET = dict(round_error_budget=0.01)     # the storms blow it
+
+    def stormy_scenario(self):
+        scenario = hostile_scenario()
+        scenario.transport = FaultyTransport(
+            scenario.transport, chaos_plan(7, rate=0.1)
+        )
+        return scenario
+
+    def test_resumed_round_finishes_like_the_parent(self, tmp_path):
+        path = str(tmp_path / "resumed.sqlite")
+        scenario = self.stormy_scenario()
+        crash = FaultPlan(seed=1, rules=(FaultRule(
+            FaultKind.CONNECT_TIMEOUT, ips={scenario.targets[140]},
+        ),))
+        store = MeasurementStore(path)
+        with WhoWas(
+            CrashOnFault(scenario.transport, crash), store,
+            small_config(**self.BUDGET),
+        ) as platform:
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                platform.run_round(list(scenario.targets), timestamp=0)
+        assert store.completed_shards(1) == {0, 1}
+        store.close()
+
+        scenario = self.stormy_scenario()
+        store = MeasurementStore(path)
+        with WhoWas(
+            scenario.transport, store, small_config(**self.BUDGET)
+        ) as platform:
+            summary = platform.run_round(
+                list(scenario.targets), timestamp=0, resume_round_id=1
+            )
+        assert lifecycle_reading(summary, store) == {
+            "summary": (54, 28, 41, 207, 12, True, 0),
+            # Only the two shards the resume executed.
+            "stats": ("overlapped", 43, 2, 2, 1, 0, 0),
+            "stage_items": {
+                "scan": 128, "fetch": 37, "extract": 43, "write": 43,
+            },
+        }
+        store.close()
+
+    def test_two_worker_round_finishes_like_the_parent(self, tmp_path):
+        from test_workers import FAST_WORKERS, SIM_PARAMS
+
+        scenario = ec2_scenario(**SCENARIO_PARAMS)
+        store = MeasurementStore(str(tmp_path / "workers.sqlite"))
+        with WhoWas(
+            scenario.transport, store,
+            small_config(
+                workers=WorkerConfig(count=2, **FAST_WORKERS), **self.BUDGET
+            ),
+            transport_factory=SimTransportFactory(
+                dict(SIM_PARAMS, chaos_rate=0.2, chaos_seed=7)
+            ),
+        ) as platform:
+            summary = platform.run_round(scenario.targets, timestamp=0)
+        assert lifecycle_reading(summary, store) == {
+            "summary": (42, 11, 30, 371, 0, True, 0),
+            "stats": ("multiprocess", 42, 4, 4, 1, 2, 2),
+            "stage_items": {"scan": 256, "fetch": 30, "extract": 42},
+        }
         store.close()
 
 

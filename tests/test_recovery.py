@@ -30,7 +30,6 @@ from repro.core import (
 )
 from repro.core.config import (
     FetchConfig,
-    PipelineConfig,
     PlatformConfig,
     ScanConfig,
 )
@@ -38,6 +37,7 @@ from repro.core.records import ProbeStatus
 from repro.core.store import ROUND_COMPLETE, ROUND_IN_PROGRESS, open_store
 from repro.core.transport import ConnectionRefused
 from repro.workloads import Campaign, CampaignInterrupted, ec2_scenario
+from _fakes import serial_oracle
 from test_store import record
 
 
@@ -457,15 +457,17 @@ def reference_db(tmp_path, name="reference.sqlite") -> str:
 
 class TestCampaignCrashRecovery:
     def test_serial_escape_hatch_matches_overlapped_engine(self, tmp_path):
-        """pipeline.overlap=False reproduces the streaming engine's
-        store byte-for-byte over a full campaign."""
-        reference = reference_db(tmp_path)       # overlap=True default
+        """The one-shard-at-a-time oracle reproduces the streaming
+        engine's store byte-for-byte over a full campaign."""
+        reference = reference_db(tmp_path)       # the streaming engine
         serial = str(tmp_path / "serial.sqlite")
-        Campaign(
+        campaign = Campaign(
             ec2_scenario(**SCENARIO_PARAMS),
             store=MeasurementStore(serial),
-            config=small_config(pipeline=PipelineConfig(overlap=False)),
-        ).run()
+            config=small_config(),
+        )
+        serial_oracle(campaign.platform)
+        campaign.run()
         assert db_snapshot(serial) == db_snapshot(reference)
 
     def test_crash_mid_shard_then_resume_is_byte_equivalent(self, tmp_path):

@@ -2,7 +2,7 @@
 
 The contract under test is the module docstring of
 ``repro.core.workers``: a round run with ``--workers N`` must produce a
-byte-identical database to the serial engine on the same seed — even
+byte-identical database to an in-process run on the same seed — even
 when workers are SIGKILLed mid-shard, freeze past their heartbeat
 deadline, or hand back torn/corrupted partition journals.  The
 checksummed shard journal (``repro verify``) is what makes those
@@ -318,9 +318,10 @@ class TestBusyRetry:
 
 class TestSpawnPinning:
     def test_config_rejects_non_spawn_start_methods(self):
-        with pytest.raises(ValueError):
+        """The start method is a constant of the workers module, not an
+        option: the config has no way to ask for fork."""
+        with pytest.raises(TypeError):
             WorkerConfig(start_method="fork")
-        assert WorkerConfig().start_method == "spawn"
 
     def test_supervisor_context_is_spawn(self, tmp_path):
         store = MeasurementStore(str(tmp_path / "s.sqlite"))
