@@ -167,7 +167,6 @@ class WebpageClusterer:
         clean_min_daily_ips: float = 20.0,
         use_features: bool = True,
         use_merge: bool = True,
-        threshold_seed: int = 0,
         feature_subset: tuple[str, ...] | None = None,
         exact: bool | None = None,
         exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
@@ -188,7 +187,6 @@ class WebpageClusterer:
         self.use_features = use_features
         #: Ablation switch: False skips the post-clustering merge.
         self.use_merge = use_merge
-        self.threshold_seed = threshold_seed
         #: §5 notes the interface makes it easy to cluster "with other
         #: goals in mind, such as simply finding related content
         #: (dropping the server feature) or only using Analytics IDs" —
@@ -206,15 +204,11 @@ class WebpageClusterer:
     def from_config(cls, config: ClusteringConfig,
                     **overrides) -> "WebpageClusterer":
         """Build a clusterer from a :class:`ClusteringConfig` (the knob
-        set threaded through :class:`~repro.core.config.PlatformConfig`
-        and the CLI)."""
+        set threaded through :class:`~repro.core.config.PlatformConfig`)."""
         kwargs = dict(
             level2_threshold=config.level2_threshold,
             merge_threshold=config.merge_threshold,
             clean_min_daily_ips=config.clean_min_daily_ips,
-            threshold_seed=config.threshold_seed,
-            exact=config.exact,
-            exact_cutoff=config.exact_cutoff,
         )
         kwargs.update(overrides)
         return cls(**kwargs)
@@ -253,9 +247,7 @@ class WebpageClusterer:
         if threshold is None:
             with tel.span("cluster:threshold"), \
                     _timed(phase_seconds, "threshold"):
-                threshold = select_threshold(
-                    all_hashes, seed=self.threshold_seed
-                )
+                threshold = select_threshold(all_hashes)
 
         # Second level: cluster distinct simhashes within each L1 group.
         assignment: dict[tuple[int, int], int] = {}

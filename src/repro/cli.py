@@ -95,40 +95,6 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_clustering_args(parser: argparse.ArgumentParser) -> None:
-    """Clustering-at-scale knobs shared by ``report`` and ``aggregate``."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--cluster-exact", action="store_true",
-        help="force brute-force all-pairs simhash clustering",
-    )
-    group.add_argument(
-        "--cluster-indexed", action="store_true",
-        help="force banded-LSH candidate generation (identical clusters, "
-             "sub-quadratic at scale)",
-    )
-    parser.add_argument(
-        "--cluster-cutoff", type=int, metavar="N",
-        default=ClusteringConfig().exact_cutoff,
-        help="auto mode switches to the LSH index above N distinct "
-             "fingerprints per group (default %(default)s)",
-    )
-
-
-def _clusterer_from_args(args) -> WebpageClusterer:
-    exact: bool | None = None
-    if getattr(args, "cluster_exact", False):
-        exact = True
-    elif getattr(args, "cluster_indexed", False):
-        exact = False
-    config = ClusteringConfig(
-        exact=exact,
-        exact_cutoff=getattr(args, "cluster_cutoff",
-                             ClusteringConfig().exact_cutoff),
-    )
-    return WebpageClusterer.from_config(config)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -191,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("db")
     report.add_argument("--no-cluster", action="store_true",
                         help="skip the clustering step")
-    _add_clustering_args(report)
     report.add_argument("--export", metavar="DIR", default=None,
                         help="also write per-figure CSV series to DIR")
 
@@ -206,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     aggregate.add_argument("db")
     aggregate.add_argument("--cloud", default="unknown")
-    _add_clustering_args(aggregate)
 
     rounds = commands.add_parser(
         "rounds", help="list a database's rounds with wall-clock durations"
@@ -417,7 +381,7 @@ def _sim_campaign(scenario, store, params: dict, telemetry=None) -> Campaign:
     return Campaign(scenario, store=store, config=config)
 
 
-def _finish_campaign(result, store, db_path: str) -> int:
+def _finish_campaign(result, db_path: str) -> int:
     degraded = [s.round_id for s in result.summaries if s.degraded]
     if degraded:
         print(f"degraded rounds (error budget exceeded): {degraded}")
@@ -455,7 +419,7 @@ def _cmd_simulate(args) -> int:
         print(f"campaign checkpointed — resumable at day {exc.day}")
         print(f"run `repro resume {args.out}` to continue")
         return 0
-    return _finish_campaign(result, store, args.out)
+    return _finish_campaign(result, args.out)
 
 
 def _cmd_resume(args) -> int:
@@ -484,7 +448,7 @@ def _cmd_resume(args) -> int:
         print(f"campaign checkpointed — resumable at day {exc.day}")
         print(f"run `repro resume {args.db}` to continue")
         return 0
-    return _finish_campaign(result, store, args.db)
+    return _finish_campaign(result, args.db)
 
 
 def _cmd_scan(args) -> int:
@@ -531,7 +495,8 @@ def _cmd_report(args) -> int:
         return 1
     clustering = None
     if not args.no_cluster:
-        clustering = _clusterer_from_args(args).cluster(dataset)
+        clustering = WebpageClusterer.from_config(
+            ClusteringConfig()).cluster(dataset)
     dynamics = DynamicsAnalyzer(dataset, clustering)
     print(f"rounds: {dataset.round_count}, "
           f"targets probed: {dynamics.space_size()}")
@@ -600,7 +565,8 @@ def _cmd_aggregate(args) -> int:
     if store is None:
         return 1
     dataset = Dataset.from_store(store)
-    clustering = _clusterer_from_args(args).cluster(dataset)
+    clustering = WebpageClusterer.from_config(
+        ClusteringConfig()).cluster(dataset)
     report = build_aggregate_report(args.cloud, dataset, clustering)
     report.assert_private()
     print(report.to_json())

@@ -61,6 +61,17 @@ class ScanConfig:
             raise ValueError("subnet_error_threshold must be non-negative")
 
 
+#: Content-type prefixes that are never downloaded (§4).
+_SKIP_CONTENT_PREFIXES = ("application/", "audio/", "image/", "video/")
+#: Text content types that *are* downloaded despite the prefix rule
+#: (Table 5 shows application/json and application/xml being stored).
+_TEXT_CONTENT_TYPES = (
+    "application/json",
+    "application/xml",
+    "application/xhtml+xml",
+)
+
+
 @dataclass(frozen=True)
 class FetchConfig:
     """Fetcher parameters (§4, §6)."""
@@ -71,20 +82,6 @@ class FetchConfig:
     timeout: float = 10.0
     #: Only the first this-many bytes of text content are stored (512 KB).
     max_body_bytes: int = 512 * 1024
-    #: Content-type prefixes that are never downloaded (§4).
-    skip_content_prefixes: tuple[str, ...] = (
-        "application/",
-        "audio/",
-        "image/",
-        "video/",
-    )
-    #: Text content types that *are* downloaded despite the prefix rule
-    #: (Table 5 shows application/json and application/xml being stored).
-    text_content_types: tuple[str, ...] = (
-        "application/json",
-        "application/xml",
-        "application/xhtml+xml",
-    )
     #: Research-note User-Agent per the ethics discussion (§7).
     user_agent: str = (
         "WhoWas-research-scanner/1.0 "
@@ -120,9 +117,9 @@ class FetchConfig:
         content_type = content_type.split(";")[0].strip().lower()
         if not content_type:
             return True
-        if content_type in self.text_content_types:
+        if content_type in _TEXT_CONTENT_TYPES:
             return True
-        return not content_type.startswith(self.skip_content_prefixes)
+        return not content_type.startswith(_SKIP_CONTENT_PREFIXES)
 
 
 @dataclass(frozen=True)
@@ -154,28 +151,14 @@ class GuardConfig:
     aimd_window: int = 64
     #: When the windowed timeout/error fraction exceeds this, the fetch
     #: concurrency limit is halved (multiplicative decrease); while it
-    #: stays at or below, the limit recovers by ``aimd_increase_step``
-    #: per window (additive increase).  1.0 disables the controller.
+    #: stays at or below, the limit recovers by one per window
+    #: (additive increase).  1.0 disables the controller.
     aimd_error_threshold: float = 0.5
     #: Concurrency never drops below this floor.
     aimd_min_concurrency: int = 8
-    #: Additive recovery step per clean window.
-    aimd_increase_step: int = 1
     #: Responses with more headers than this are quarantined as header
     #: bombs.
     max_response_headers: int = 256
-    #: ``<title>`` content longer than this (bytes of text, terminated
-    #: or not) is quarantined as a title bomb.
-    max_title_bytes: int = 100_000
-    #: Bodies with more NUL bytes than this are quarantined as binary
-    #: garbage.
-    max_null_bytes: int = 64
-    #: Bodies with more unclosed element tags than this are quarantined
-    #: as markup bombs (deeply-nested / unterminated HTML).
-    max_unclosed_tags: int = 5_000
-    #: How much of the offending body is preserved in the quarantine
-    #: record for post-mortem.
-    quarantine_payload_bytes: int = 256
 
     def __post_init__(self) -> None:
         if self.fetch_deadline < 0 or self.extract_deadline < 0:
@@ -188,13 +171,8 @@ class GuardConfig:
             raise ValueError("aimd_error_threshold must be in (0, 1]")
         if self.aimd_min_concurrency <= 0:
             raise ValueError("aimd_min_concurrency must be positive")
-        if self.aimd_increase_step <= 0:
-            raise ValueError("aimd_increase_step must be positive")
-        for name in ("max_response_headers", "max_title_bytes",
-                     "max_null_bytes", "max_unclosed_tags",
-                     "quarantine_payload_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.max_response_headers <= 0:
+            raise ValueError("max_response_headers must be positive")
 
 
 @dataclass(frozen=True)
@@ -205,7 +183,8 @@ class PipelineConfig:
     connected by bounded shard queues (shard *N+1* scans while *N*
     fetches and *N−1* extracts), plus a dedicated store-writer stage
     that commits each completed shard, one transaction per shard, in a
-    worker thread off the hot path.  These depths are its only knobs.
+    worker thread off the hot path.  These depths are its only knobs
+    (the writer's own queue depth is a constant of the pipeline).
     """
 
     #: Max shards buffered between scan and fetch.  This is also the
@@ -215,29 +194,21 @@ class PipelineConfig:
     scan_queue_depth: int = 2
     #: Max shards buffered between fetch and extract.
     extract_queue_depth: int = 2
-    #: Max completed shards buffered ahead of the store writer.
-    write_queue_depth: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("scan_queue_depth", "extract_queue_depth",
-                     "write_queue_depth"):
+        for name in ("scan_queue_depth", "extract_queue_depth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    """§5 clustering parameters plus the at-scale candidate-generation
-    knobs (:mod:`repro.analysis.clustering`, :mod:`repro.analysis.lsh`).
+    """§5 clustering parameters (:mod:`repro.analysis.clustering`).
 
     The second-level clustering connects simhashes within a Hamming
-    threshold.  ``exact`` picks how candidate pairs are generated:
-    ``True`` forces the brute-force all-pairs scan, ``False`` forces the
-    banded LSH index, and ``None`` (default) switches to the index once
-    a group holds more than ``exact_cutoff`` distinct fingerprints.
-    Both paths are provably equivalent (the index has 100% recall at
-    the threshold and confirms candidates exactly), so this knob trades
-    nothing but constant factors.
+    threshold; how candidate pairs are generated (scalar loop, blocked
+    brute force, banded LSH index — identical partitions) follows the
+    size of each group, not a setting.
     """
 
     #: Fixed second-level Hamming threshold; None tunes it per campaign
@@ -248,14 +219,6 @@ class ClusteringConfig:
     #: Cleaning rule: default-page clusters averaging more than this
     #: many IPs per day are dropped (§5).
     clean_min_daily_ips: float = 20.0
-    #: Candidate generation: None = auto, True = brute force,
-    #: False = banded LSH index.
-    exact: bool | None = None
-    #: Auto mode switches to the index above this many distinct
-    #: fingerprints per level-1 group.
-    exact_cutoff: int = 256
-    #: Seed for the threshold-tuning sampler.
-    threshold_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.level2_threshold is not None and self.level2_threshold < 0:
@@ -264,8 +227,6 @@ class ClusteringConfig:
             raise ValueError("merge_threshold must be non-negative")
         if self.clean_min_daily_ips <= 0:
             raise ValueError("clean_min_daily_ips must be positive")
-        if self.exact_cutoff < 0:
-            raise ValueError("exact_cutoff must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -392,8 +353,6 @@ class ServeConfig:
     header_timeout: float = 5.0
     #: Ceiling on request-head bytes (line + headers).
     max_request_bytes: int = 8192
-    #: Listen backlog for the accept socket.
-    backlog: int = 512
     #: ``Retry-After`` jittered-backoff shape for shed responses: base
     #: doubles per consecutive shed, capped (`repro.core.backoff`).
     retry_after_base: float = 0.5
@@ -422,8 +381,6 @@ class ServeConfig:
             raise ValueError("header_timeout must be positive")
         if self.max_request_bytes < 256:
             raise ValueError("max_request_bytes must be at least 256")
-        if self.backlog <= 0:
-            raise ValueError("backlog must be positive")
         if self.retry_after_base <= 0 or self.retry_after_max <= 0:
             raise ValueError("retry_after delays must be positive")
 

@@ -97,6 +97,19 @@ _TITLE_CLOSE_RE = re.compile(r"</title", re.IGNORECASE)
 _OPEN_TAG_RE = re.compile(r"<[A-Za-z]")
 _CLOSE_TAG_RE = re.compile(r"</")
 
+#: ``<title>`` content longer than this (bytes of text, terminated or
+#: not) is quarantined as a title bomb.
+_MAX_TITLE_BYTES = 100_000
+#: Bodies with more NUL bytes than this are quarantined as binary
+#: garbage.
+_MAX_NULL_BYTES = 64
+#: Bodies with more unclosed element tags than this are quarantined as
+#: markup bombs (deeply-nested / unterminated HTML).
+_MAX_UNCLOSED_TAGS = 5_000
+#: How much of the offending body is preserved in the quarantine record
+#: for post-mortem.
+QUARANTINE_PAYLOAD_BYTES = 256
+
 
 def _truncate(text: str, limit: int) -> str:
     return text if len(text) <= limit else text[:limit]
@@ -241,7 +254,6 @@ class Supervisor:
             min_limit=self.config.aimd_min_concurrency,
             window=self.config.aimd_window,
             error_threshold=self.config.aimd_error_threshold,
-            increase_step=self.config.aimd_increase_step,
         )
         self.round_id = 0
         self.timestamp = 0
@@ -382,19 +394,18 @@ class Supervisor:
         All checks are linear scans — the inspector must never itself
         be the thing a poison page hangs.
         """
-        cfg = self.config
-        if len(fetch.headers) > cfg.max_response_headers:
+        if len(fetch.headers) > self.config.max_response_headers:
             return GuardVerdict.HEADER_BOMB
         body = fetch.body or ""
         if not body:
             return GuardVerdict.OK
-        if body.count("\x00") > cfg.max_null_bytes:
+        if body.count("\x00") > _MAX_NULL_BYTES:
             return GuardVerdict.BINARY_GARBAGE
-        if self._title_length(body) > cfg.max_title_bytes:
+        if self._title_length(body) > _MAX_TITLE_BYTES:
             return GuardVerdict.TITLE_BOMB
         opens = sum(1 for _ in _OPEN_TAG_RE.finditer(body))
         closes = sum(1 for _ in _CLOSE_TAG_RE.finditer(body))
-        if opens - closes > cfg.max_unclosed_tags:
+        if opens - closes > _MAX_UNCLOSED_TAGS:
             return GuardVerdict.MARKUP_BOMB
         return GuardVerdict.OK
 
@@ -504,7 +515,7 @@ class Supervisor:
             verdict=verdict.value,
             error_class=type(exc).__name__ if exc is not None else None,
             error=_truncate(str(exc), 200) if exc is not None else None,
-            payload=_truncate(payload, self.config.quarantine_payload_bytes),
+            payload=_truncate(payload, QUARANTINE_PAYLOAD_BYTES),
         )
         (self._quarantine if sink is None else sink).append(record)
         self.quarantined_total += 1

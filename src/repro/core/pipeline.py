@@ -47,6 +47,9 @@ __all__ = ["ShardWork", "BoundedShardQueue", "RoundPipeline"]
 #: End-of-stream marker passed through every queue exactly once.
 _DONE = object()
 
+#: Max completed shards buffered ahead of the store writer.
+_WRITE_QUEUE_DEPTH = 4
+
 
 @dataclass
 class ShardWork:
@@ -189,7 +192,7 @@ class RoundPipeline:
             **self._queue_metrics("fetch_extract", "fetch"),
         )
         self._write_q = BoundedShardQueue(
-            config.write_queue_depth,
+            _WRITE_QUEUE_DEPTH,
             **self._queue_metrics("extract_write", "extract"),
         )
 

@@ -330,10 +330,6 @@ class StoreBackend(ABC):
     default implementations that hold for any compliant backend.
     """
 
-    #: Class-level alias kept for callers that historically reached the
-    #: allowlist through ``MeasurementStore.AGGREGATE_COLUMNS``.
-    AGGREGATE_COLUMNS = AGGREGATE_COLUMNS
-
     #: Backend identifier ("sqlite", "columnar") — what
     #: :func:`repro.core.store.open_store` selects on.
     BACKEND = "abstract"

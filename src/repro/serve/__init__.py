@@ -11,8 +11,8 @@ Submodules:
 * :mod:`repro.serve.resilience` — the overload primitives
   (`TokenBucket`, `AdmissionController`, `CircuitBreaker`, `ReadPool`);
 * :mod:`repro.serve.loadgen` — seeded open-loop workload generator and
-  latency/outcome reporting for the chaos tests and
-  ``benchmarks/bench_serve.py``.
+  latency/outcome reporting for the chaos tests
+  (``tests/test_serve_chaos.py``).
 """
 
 from .app import ServeApp

@@ -61,6 +61,9 @@ __all__ = ["ServeApp", "DATA_ENDPOINTS"]
 #: Endpoint groups with their own breaker + metrics label.
 DATA_ENDPOINTS = ("rounds", "round", "ip", "clusters")
 
+#: Listen backlog for the accept socket.
+_BACKLOG = 512
+
 _REASONS = {
     400: "Bad Request",
     404: "Not Found",
@@ -179,7 +182,7 @@ class ServeApp:
             self.config.host,
             self.config.port,
             limit=self.config.max_request_bytes,
-            backlog=self.config.backlog,
+            backlog=_BACKLOG,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 

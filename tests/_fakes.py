@@ -3,9 +3,31 @@
 from __future__ import annotations
 
 import functools
+import sys
+import threading
 
 from repro.core.records import PipelineStats
 from repro.core.transport import HttpResponse, TransportError
+
+
+def python_calls(fn):
+    """Run *fn*; return (Python ``call`` events on every thread it
+    uses, its result) -- a work proxy timing noise cannot blur."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    threading.setprofile(count)
+    sys.setprofile(count)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return calls, result
 
 
 async def run_shards_serially(platform, work_items, round_id, abort_event):

@@ -113,3 +113,26 @@ class TestDocumentedKnobsExist:
             }
         ]
         assert not stale, stale
+
+    def test_every_script_and_make_target_in_the_docs_exists(self):
+        """A ``benchmarks/….py`` / ``scripts/….py`` / ``BENCH….json``
+        path or a ``make <target>`` command written in the documents
+        must exist in the tree / the Makefile, so a retired script
+        cannot keep living in the prose."""
+        root = Path(__file__).resolve().parent.parent
+        targets = set(re.findall(
+            r"^([a-z][\w-]*):", (root / "Makefile").read_text(), re.M))
+        seen, stale = 0, []
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+            text = (root / doc).read_text()
+            paths = re.findall(
+                r"\b((?:benchmarks|scripts)/[\w/]+\.py|BENCH\w*\.json)\b",
+                text)
+            made = re.findall(r"[`$] ?make ([a-z][\w-]*)", text)
+            seen += len(paths) + len(made)
+            stale += [f"{doc}: {path}" for path in paths
+                      if not (root / path).is_file()]
+            stale += [f"{doc}: make {target}" for target in made
+                      if target not in targets]
+        assert seen, "the documents no longer name any script or target"
+        assert not stale, stale

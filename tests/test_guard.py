@@ -14,6 +14,7 @@ from repro.core.faults import FaultKind, FaultPlan, FaultyTransport, chaos_plan
 from repro.core.features import FeatureExtractor
 from repro.core.fetcher import Fetcher
 from repro.core.guard import (
+    QUARANTINE_PAYLOAD_BYTES,
     AimdController,
     GuardVerdict,
     StageDeadlineExceeded,
@@ -301,7 +302,7 @@ class TestGuardedExtraction:
         # ...but the page is flagged for replay.
         (entry,) = guard.drain_quarantine()
         assert entry.verdict == GuardVerdict.TITLE_BOMB.value
-        assert entry.payload == body[:guard.config.quarantine_payload_bytes]
+        assert entry.payload == body[:QUARANTINE_PAYLOAD_BYTES]
 
     def test_quarantine_payload_truncated(self):
         guard = Supervisor()
@@ -310,7 +311,7 @@ class TestGuardedExtraction:
             verdict=GuardVerdict.MARKUP_BOMB, payload="x" * 10_000,
         )
         (entry,) = guard.drain_quarantine()
-        assert len(entry.payload) == guard.config.quarantine_payload_bytes
+        assert len(entry.payload) == QUARANTINE_PAYLOAD_BYTES
 
     def test_stats_shape(self):
         guard = Supervisor(concurrency=16)

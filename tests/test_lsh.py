@@ -20,7 +20,6 @@ with the exact Hamming kernel.  These properties pin that story:
 from __future__ import annotations
 
 import random
-import sys
 import time
 import tracemalloc
 from itertools import combinations
@@ -37,6 +36,7 @@ from repro.analysis.gap_statistic import (
 from repro.analysis.lsh import SimhashIndex, band_layout
 from repro.core.simhash import HASH_BITS, hamming_distance
 
+from _fakes import python_calls
 from _obs import make_dataset, obs
 
 fingerprints = st.integers(0, 2**HASH_BITS - 1)
@@ -433,18 +433,8 @@ class TestPythonCallsPerFingerprint:
 
     def test_no_python_loop_per_pair(self):
         hashes = synthetic_corpus(20_000, seed=7)
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call":
-                calls += 1
-
-        sys.setprofile(count)
-        try:
-            clusters = cluster_by_threshold(hashes, 4, exact=False)
-        finally:
-            sys.setprofile(None)
+        calls, clusters = python_calls(
+            lambda: cluster_by_threshold(hashes, 4, exact=False))
         assert sum(map(len, clusters)) == len(hashes)
         assert calls < 5 * len(hashes)
 

@@ -6,6 +6,8 @@ enabling telemetry never changes what a campaign writes to the store.
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import json
 import threading
 import urllib.error
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import telemetry
-from repro.core.config import TelemetryConfig
+from repro.core.config import ServeConfig, TelemetryConfig
 from repro.core.telemetry import (
     Counter,
     Gauge,
@@ -31,6 +33,8 @@ from repro.core.telemetry import (
     read_trace,
     start_metrics_server,
 )
+
+from _fakes import python_calls
 
 
 @pytest.fixture(autouse=True)
@@ -587,3 +591,100 @@ class TestMetricsServerSlowLoris:
         tel = Telemetry(TelemetryConfig(enabled=True))
         with pytest.raises(ValueError):
             start_metrics_server(tel, 0, request_timeout=0)
+
+
+# ----------------------------------------------------------------------
+# the price of the switch, as a count that repeats
+
+
+class TestEnabledCostInPythonCalls:
+    """What ``TelemetryConfig(enabled=True)`` adds to the two hot paths,
+    counted in Python ``call`` events rather than timed: a wall-clock
+    comparison of the two modes on this workload spreads wider than the
+    effect it looks for, while these counts repeat to a tenth of a call.
+    Reading when written: +6.7 calls per record (664.3 -> 670.9) on the
+    ingest round, +30.9 per request (893 -> 924, client included on both
+    sides; 30.7-31.1 over five runs) on serve.  The budgets leave room
+    for that spread and fail on one more ``labels(...).inc()`` per page
+    or per request (a labelled increment is four calls: tried on
+    ``repro_guard_verdicts_total`` -> +8.9, on
+    ``repro_serve_requests_total`` -> +35.1).
+
+    Blind spot: the proxy does not see time spent inside C (the
+    registry's lock, ``time.perf_counter``) or the trace sink's
+    ``write`` -- a sink on a slow disk costs wall time this test cannot
+    notice.  Adds about 4 s to tier-1.
+    """
+
+    @pytest.fixture(scope="class")
+    def rounds(self, tmp_path_factory):
+        """One seeded 4 096-IP round per mode: {enabled: (calls, records,
+        rows, db path)}."""
+        from repro.core import MeasurementStore, WhoWas
+        from repro.workloads import build_sim_scenario
+        from repro.workloads.campaign import simulation_config
+
+        tmp = tmp_path_factory.mktemp("telemetry_calls")
+        out = {}
+        for enabled in (False, True):
+            telemetry.reset()
+            scenario = build_sim_scenario(
+                {"cloud": "ec2", "ips": 4096, "seed": 7})
+            db = str(tmp / f"enabled_{enabled}.sqlite")
+            store = MeasurementStore(db)
+            platform = WhoWas(scenario.transport, store, dataclasses.replace(
+                simulation_config(),
+                telemetry=TelemetryConfig(enabled=enabled),
+            ))
+            calls, summary = python_calls(lambda: platform.run_round(
+                list(scenario.targets), timestamp=scenario.scan_days[0]))
+            rows = [record.to_row() for record in store.records(1)]
+            platform.close()
+            store.close()
+            out[enabled] = (calls, summary.pipeline.records_written, rows, db)
+        telemetry.reset()
+        return out
+
+    def test_ingest_adds_at_most_8_calls_per_record(self, rounds):
+        off_calls, records, off_rows, _ = rounds[False]
+        on_calls, on_records, on_rows, _ = rounds[True]
+        assert records == on_records > 900
+        assert off_rows == on_rows
+        assert 0 < (on_calls - off_calls) / records <= 8
+
+    def test_serve_adds_at_most_33_calls_per_request(self, rounds):
+        from repro.cloudsim.addressing import int_to_ip
+        from repro.serve import ServeApp
+
+        *_, rows, db = rounds[False]
+        ip = int_to_ip(rows[0]["ip"])
+        targets = [f"/ip/{ip}", "/rounds", "/rounds/1",
+                   "/clusters/1?column=server"] * 50
+
+        async def status_of(port, target):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(f"GET {target} HTTP/1.1\r\nHost: t\r\n"
+                             "Connection: close\r\n\r\n".encode())
+                raw = await reader.read()
+            finally:
+                writer.close()
+            return int(raw.split(b" ", 2)[1])
+
+        async def drive():
+            # Admission opened: this counts the served path, not the shed.
+            app = ServeApp(db, ServeConfig(
+                port=0, rate_per_second=1e6, burst=1e6))
+            await app.start()
+            try:
+                return [await status_of(app.port, t) for t in targets]
+            finally:
+                await app.close()
+
+        calls = {}
+        for enabled in (False, True):
+            telemetry.configure(TelemetryConfig(enabled=enabled))
+            calls[enabled], statuses = python_calls(
+                lambda: asyncio.run(drive()))
+            assert statuses == [200] * len(targets)
+        assert 0 < (calls[True] - calls[False]) / len(targets) <= 33
