@@ -16,8 +16,9 @@ test:
 chaos:
 	$(PYTHON) -m pytest -q -m chaos $(PYTEST_ARGS)
 
-# Paper-scale clustering property/equivalence matrix (tier-1 runs a
-# reduced version; nightly runs this full one).
+# Paper-scale clustering property/equivalence matrix and the 40 000-IP
+# scanner-drain campaign equivalence (tier-1 runs reduced versions;
+# nightly runs these full ones).
 slow:
 	$(PYTHON) -m pytest -q -m slow $(PYTEST_ARGS)
 

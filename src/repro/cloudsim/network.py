@@ -2,7 +2,9 @@
 
 Implements the same :class:`~repro.core.transport.Transport` protocol as
 the real-socket transport, so the WhoWas scanner and fetcher run against
-the simulator unmodified.  Probes honour per-(ip, day) latency and
+the simulator unmodified; it is also the one
+:class:`~repro.core.transport.BatchProbe`, so the scanner hands it a
+shard's probes a pass at a time.  Probes honour per-(ip, day) latency and
 flakiness (driving the §4 timeout experiment); HTTP responses carry the
 owning service's software headers and rendered page.
 """
@@ -10,6 +12,7 @@ owning service's software headers and rendered page.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Sequence
 
 from ..core.transport import (
     ConnectionRefused,
@@ -41,6 +44,18 @@ class SimulatedTransport:
     # Transport protocol
 
     async def probe(self, ip: int, port: int, timeout: float) -> bool:
+        return self._probe(ip, port, timeout)
+
+    async def probe_many(
+        self, targets: Sequence[tuple[int, int]], timeout: float
+    ) -> list[bool]:
+        """:class:`~repro.core.transport.BatchProbe`: the simulator
+        answers without waiting, so a batch is a plain loop (and never
+        holds a classified failure — simulated probes only time out)."""
+        probe = self._probe
+        return [probe(ip, port, timeout) for ip, port in targets]
+
+    def _probe(self, ip: int, port: int, timeout: float) -> bool:
         self.probe_count += 1
         sim = self.simulation
         day = sim.day

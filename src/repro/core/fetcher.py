@@ -19,7 +19,13 @@ from .backoff import backoff_delay
 from .config import FetchConfig
 from .guard import GuardVerdict, StageDeadlineExceeded, Supervisor
 from .records import FetchResult, FetchStatus, ProbeOutcome
-from .transport import HttpResponse, Transport, TransportError, classify_error
+from .transport import (
+    HttpResponse,
+    Transport,
+    TransportError,
+    classify_error,
+    format_ip,
+)
 
 __all__ = ["parse_robots", "decode_body", "Fetcher"]
 
@@ -117,7 +123,7 @@ class Fetcher:
         scheme = outcome.scheme
         if scheme is None:
             return FetchResult(ip=outcome.ip, status=FetchStatus.NOT_ATTEMPTED)
-        url = f"{scheme}://{_dotted(outcome.ip)}/"
+        url = f"{scheme}://{format_ip(outcome.ip)}/"
         if self.config.respect_robots:
             allowed = await self._robots_allows(outcome.ip, scheme)
             if not allowed:
@@ -177,7 +183,7 @@ class Fetcher:
             )
             url = ""
             if outcome.scheme is not None:
-                url = f"{outcome.scheme}://{_dotted(outcome.ip)}/"
+                url = f"{outcome.scheme}://{format_ip(outcome.ip)}/"
             return FetchResult(
                 ip=outcome.ip,
                 status=FetchStatus.ERROR,
@@ -262,7 +268,3 @@ class Fetcher:
             return None
         raw = response.body[: self.config.max_body_bytes]
         return decode_body(raw, response.header("content-type"))
-
-
-def _dotted(ip: int) -> str:
-    return ".".join(str((ip >> shift) & 0xFF) for shift in (24, 16, 8, 0))

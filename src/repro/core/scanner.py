@@ -1,10 +1,24 @@
 """The WhoWas scanner: lightweight TCP probing of cloud IP ranges (§4).
 
-For every target IP the scanner sends a probe to port 80 first, then to
-443; only if both fail does it probe port 22 — identifying live instances
-that are not public web servers.  Probes time out (2 s default) and are
-never retried, and a global token-bucket rate limiter caps the probe
-rate (250 pps default), keeping the measurement polite (§7).
+For every target IP the scanner probes port 80 and port 443; only if
+both fail does it probe port 22 — identifying live instances that are
+not public web servers.  Probes time out (2 s default) and are never
+retried, and a global token-bucket rate limiter caps the probe rate
+(250 pps default), keeping the measurement polite (§7).
+
+A shard is scanned as one queue of ``(target, port, attempt)`` jobs.
+Every target's web-port jobs are queued up front; a failed job is
+queued again while ``attempt < retries``; a target whose web jobs have
+all finished with nothing open queues its fallback job.  The queue
+drains one of two ways: a transport with ``probe_many``
+(:class:`~repro.core.transport.BatchProbe`) gets everything queued in
+one call after one rate-limiter grant for all of it, pass after pass;
+any other transport is driven by at most ``ScanConfig.concurrency``
+workers, one token and one ``probe`` per job.  Each target's outcome is
+built once, after its last job.  Neither the drain nor the order in
+which probes complete changes a result: for a transport whose answer
+depends only on each ``(ip, port)``'s own history, the outcomes are
+those of probing the targets one at a time, in input order.
 
 The scanner accepts a do-not-scan blacklist so operators can exclude
 tenants who opted out.
@@ -14,13 +28,22 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Iterable, Sequence
+from collections import deque
+from typing import Callable, Iterable, Sequence
 
 from .config import ScanConfig
 from .records import ProbeOutcome, ProbeStatus
 from .transport import Transport, TransportError
 
 __all__ = ["RateLimiter", "SubnetCircuitBreaker", "Scanner"]
+
+#: One probe to send: (index of the target in the scanned list, port,
+#: attempt number — 0 for the first probe of that port).
+Job = tuple[int, int, int]
+#: What one probe came back with: open or not, or a classified failure.
+ProbeResult = bool | TransportError
+#: Folds finished jobs and their results into a chunk's state.
+Settle = Callable[[Sequence[Job], Sequence[ProbeResult]], None]
 
 
 class SubnetCircuitBreaker:
@@ -47,6 +70,11 @@ class SubnetCircuitBreaker:
 
     def is_open(self, ip: int) -> bool:
         return self.threshold > 0 and (ip >> 8) in self._open
+
+    def headroom(self, ip: int) -> int:
+        """Classified failures in a row *ip*'s closed subnet can still
+        take before it trips (at least 1)."""
+        return self.threshold - self._streak.get(ip >> 8, 0)
 
     def record(self, ip: int, errored: bool) -> None:
         """Feed one finished probe outcome into the breaker."""
@@ -89,32 +117,38 @@ class RateLimiter:
         #: Acquirers inside the locked path, holding the lock or queued.
         self._queued = 0
 
-    def _take(self, now: float) -> bool:
-        """Refill to *now* and take one token if the bucket holds one."""
+    def _take(self, now: float, n: int) -> bool:
+        """Refill to *now* and take *n* tokens if the bucket holds them."""
         if self._updated is None:
             self._updated = now
         self._tokens = min(
             self._capacity, self._tokens + (now - self._updated) * self._rate
         )
         self._updated = now
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
+        if self._tokens >= n:
+            self._tokens -= n
             return True
         return False
 
-    async def acquire(self) -> None:
-        """Block until one probe token is available."""
+    async def acquire(self, n: int = 1) -> None:
+        """Block until *n* probe tokens are available.
+
+        A grant larger than the burst capacity waits for the whole
+        deficit — ``(n - tokens) / rate`` — so a batch pays for every
+        probe in it, and acquirers arriving meanwhile queue behind it.
+        """
         loop = asyncio.get_running_loop()
-        # Nobody ahead and a token in the bucket: no lock to enter.  Any
-        # acquirer that has to wait goes through the lock, which is FIFO.
-        if not self._queued and self._take(loop.time()):
+        # Nobody ahead and the tokens in the bucket: no lock to enter.
+        # Any acquirer that has to wait goes through the lock, which is
+        # FIFO.
+        if not self._queued and self._take(loop.time(), n):
             return
         self._queued += 1
         try:
             async with self._lock:
-                if self._take(loop.time()):
+                if self._take(loop.time(), n):
                     return
-                deficit = 1.0 - self._tokens
+                deficit = n - self._tokens
                 self._tokens = 0.0
                 await asyncio.sleep(deficit / self._rate)
                 self._updated = loop.time()
@@ -150,58 +184,36 @@ class Scanner:
         #: the pipeline's per-stage throughput telemetry).
         self.scan_busy_seconds = 0.0
 
-    async def scan_ip(self, ip: int) -> ProbeOutcome:
-        """Probe one IP: web ports first, SSH fallback (§4).
-
-        At most ``len(web_ports) + len(fallback_ports)`` probes are sent;
-        the SSH probe is skipped as soon as any web port answers.  A
-        probe that raises a classified :class:`TransportError` counts as
-        a failed probe; the last error class seen is recorded on the
-        outcome.
-        """
-        if ip in self.blacklist:
-            return ProbeOutcome(ip=ip, status=ProbeStatus.SKIPPED)
-        if self.breaker.is_open(ip):
-            self.circuit_open_skips += 1
-            return ProbeOutcome(ip=ip, status=ProbeStatus.CIRCUIT_OPEN)
-        open_ports: set[int] = set()
-        error_class: str | None = None
-        for port in self.config.web_ports:
-            opened, error_class = await self._probe_once(ip, port, error_class)
-            if opened:
-                open_ports.add(port)
-        if not open_ports:
-            for port in self.config.fallback_ports:
-                opened, error_class = await self._probe_once(
-                    ip, port, error_class
-                )
-                if opened:
-                    open_ports.add(port)
-        status = ProbeStatus.RESPONSIVE if open_ports else ProbeStatus.UNRESPONSIVE
-        self.breaker.record(ip, not open_ports and error_class is not None)
-        return ProbeOutcome(
-            ip=ip,
-            status=status,
-            open_ports=frozenset(open_ports),
-            error_class=None if open_ports else error_class,
-        )
-
     async def scan(self, ips: Sequence[int]) -> list[ProbeOutcome]:
-        """Probe many IPs concurrently under the global rate limit.
+        """Probe *ips* under the global rate limit; outcomes come back
+        in input order.
 
-        Results are returned in input order.  Each IP is treated exactly
-        once per call — the platform invokes one call per round, matching
-        the "at most three probes per IP per day" budget.
+        Each IP is treated exactly once per call — the platform invokes
+        one call per shard per round, matching the "at most three probes
+        per IP per day" budget.  Blacklisted IPs are ``SKIPPED`` without
+        a probe.  With the per-/24 breaker on, targets are admitted in
+        chunks (:meth:`_admit`) and each chunk's outcomes are fed to the
+        breaker in input order before the next chunk is admitted.
         """
-        semaphore = asyncio.Semaphore(self.config.concurrency)
-
-        async def bounded(ip: int) -> ProbeOutcome:
-            async with semaphore:
-                return await self.scan_ip(ip)
-
         started = time.perf_counter()
         try:
-            return list(await asyncio.gather(*(bounded(ip) for ip in ips)))
+            outcomes: list = [None] * len(ips)
+            pending = []
+            for index, ip in enumerate(ips):
+                if ip in self.blacklist:
+                    outcomes[index] = ProbeOutcome(
+                        ip=ip, status=ProbeStatus.SKIPPED)
+                else:
+                    pending.append(index)
+            breaker = self.breaker
+            while pending:
+                chunk, pending = self._admit(ips, pending, outcomes)
+                await self._probe_chunk(ips, chunk, outcomes)
+                if breaker.threshold > 0:
+                    for index in chunk:
+                        breaker.record(
+                            ips[index], outcomes[index].error_class is not None)
+            return outcomes
         finally:
             self.scan_busy_seconds += time.perf_counter() - started
 
@@ -218,31 +230,159 @@ class Scanner:
             "circuit_open_skips": self.circuit_open_skips,
         }
 
-    async def _probe_once(
-        self, ip: int, port: int, error_class: str | None = None
-    ) -> tuple[bool, str | None]:
-        """One probe (plus configured retries); returns (opened, last
-        classified error seen — *error_class* carried through unchanged
-        when this probe fails without raising)."""
-        opened, kind = await self._guarded_probe(ip, port)
-        error_class = kind or error_class
-        for _ in range(self.config.retries):
-            if opened:
-                break
-            opened, kind = await self._guarded_probe(ip, port)
-            error_class = kind or error_class
-        return opened, error_class
+    def _admit(
+        self, ips: Sequence[int], pending: list[int], outcomes: list
+    ) -> tuple[list[int], list[int]]:
+        """Split *pending* (input indices, ascending) into the next
+        admission chunk and the targets left for a later one.
 
-    async def _guarded_probe(self, ip: int, port: int) -> tuple[bool, str | None]:
-        """Send one rate-limited probe; a classified failure comes back
-        as (False, taxonomy label)."""
-        await self._limiter.acquire()
-        self.probes_sent += 1
+        With the breaker off the whole shard is one chunk.  Otherwise a
+        target of an open subnet becomes ``CIRCUIT_OPEN`` on the spot,
+        and a closed subnet admits at most :meth:`~SubnetCircuitBreaker.
+        headroom` targets: even if every one of them fails, the subnet
+        trips on the last, so nothing in the chunk is probed that a
+        one-at-a-time scan would have skipped.  Its further targets wait
+        for a chunk that sees these outcomes.
+        """
+        breaker = self.breaker
+        if breaker.threshold <= 0:
+            return pending, []
+        chunk: list[int] = []
+        later: list[int] = []
+        room: dict[int, int] = {}
+        for index in pending:
+            ip = ips[index]
+            net = breaker.subnet(ip)
+            left = room.get(net)
+            if left is None:
+                if breaker.is_open(ip):
+                    self.circuit_open_skips += 1
+                    outcomes[index] = ProbeOutcome(
+                        ip=ip, status=ProbeStatus.CIRCUIT_OPEN)
+                    continue
+                left = breaker.headroom(ip)
+            if left:
+                room[net] = left - 1
+                chunk.append(index)
+            else:
+                later.append(index)
+        return chunk, later
+
+    async def _probe_chunk(
+        self, ips: Sequence[int], chunk: list[int], outcomes: list
+    ) -> None:
+        """Run one admission chunk's job queue to empty, then write each
+        target's outcome: its open ports, or — when nothing opened — the
+        last classified error in port order."""
+        config = self.config
+        web, fallback = config.web_ports, config.fallback_ports
+        retries = config.retries
+        jobs: deque[Job] = deque(
+            [(index, port, 0) for index in chunk for port in web or fallback])
+        web_left = dict.fromkeys(chunk, len(web))
+        opened: dict[int, list[int]] = {}
+        errors: dict[tuple[int, int], str] = {}
+
+        def settle(done: Sequence[Job], results: Sequence[ProbeResult]) -> None:
+            """Fold finished probes in and queue what they make due."""
+            for (index, port, attempt), result in zip(done, results):
+                if isinstance(result, TransportError):
+                    self.probe_errors += 1
+                    errors[index, port] = result.kind
+                    result = False
+                if result:
+                    opened.setdefault(index, []).append(port)
+                elif attempt < retries:
+                    jobs.append((index, port, attempt + 1))
+                    continue
+                if port in web:
+                    left = web_left[index] - 1
+                    web_left[index] = left
+                    if not left and index not in opened:
+                        for spare in fallback:
+                            jobs.append((index, spare, 0))
+
+        probe_many = getattr(self.transport, "probe_many", None)
+        if probe_many is None:
+            await self._drain_pool(ips, jobs, settle)
+        else:
+            await self._drain_batches(probe_many, ips, jobs, settle)
+
+        order = web + fallback
+        for index in chunk:
+            ip = ips[index]
+            found = opened.get(index)
+            if found:
+                outcomes[index] = ProbeOutcome(
+                    ip=ip, status=ProbeStatus.RESPONSIVE,
+                    open_ports=frozenset(found))
+                continue
+            error = None
+            if errors:
+                for port in order:
+                    error = errors.get((index, port), error)
+            outcomes[index] = ProbeOutcome(
+                ip=ip, status=ProbeStatus.UNRESPONSIVE, error_class=error)
+
+    async def _drain_batches(
+        self, probe_many, ips: Sequence[int], jobs: deque[Job], settle: Settle
+    ) -> None:
+        """Send everything queued as one ``probe_many`` call after one
+        rate-limiter grant for all of it; repeat for what the results
+        queued (fallbacks, retries)."""
+        timeout = self.config.probe_timeout
+        while jobs:
+            batch = list(jobs)
+            jobs.clear()
+            await self._limiter.acquire(len(batch))
+            self.probes_sent += len(batch)
+            settle(batch, await probe_many(
+                [(ips[index], port) for index, port, _ in batch], timeout))
+
+    async def _drain_pool(
+        self, ips: Sequence[int], jobs: deque[Job], settle: Settle
+    ) -> None:
+        """Drain *jobs* through up to ``min(concurrency, queued)``
+        workers, one token and one ``probe`` per job.  A worker takes
+        the next job the moment it is free, so no pass waits on the
+        slowest probe of the one before.  A worker leaves when the queue
+        is empty: a job queued later is queued by a worker still
+        running, which stays to take it.
+
+        Workers start one at a time, each once the one before has
+        waited for the first time; a transport that never waits (the
+        simulator behind a wrapper) is drained by the first alone,
+        instead of starting thousands of workers that find nothing
+        to do."""
+        acquire = self._limiter.acquire
+        probe = self.transport.probe
+        timeout = self.config.probe_timeout
+
+        async def worker() -> None:
+            try:
+                while jobs:
+                    job = jobs.popleft()
+                    await acquire()
+                    self.probes_sent += 1
+                    try:
+                        result = await probe(ips[job[0]], job[1], timeout)
+                    except TransportError as exc:
+                        result = exc
+                    settle((job,), (result,))
+            except BaseException:
+                # A crash ends the chunk: empty the queue so no worker
+                # is started on, or takes, the rest of it.
+                jobs.clear()
+                raise
+
+        workers: list[asyncio.Task] = []
         try:
-            return (
-                await self.transport.probe(ip, port, self.config.probe_timeout),
-                None,
-            )
-        except TransportError as exc:
-            self.probe_errors += 1
-            return False, exc.kind
+            for _ in range(min(self.config.concurrency, len(jobs))):
+                if not jobs:
+                    break
+                workers.append(asyncio.create_task(worker()))
+                await asyncio.sleep(0)      # let it run until it waits
+            await asyncio.gather(*workers)
+        finally:
+            for task in workers:            # no-ops unless a worker failed
+                task.cancel()

@@ -3,7 +3,10 @@
 The WhoWas pipeline is written against the :class:`Transport` protocol so
 that identical scanner/fetcher code drives either the real network
 (:class:`SocketTransport`) or the cloud simulator
-(:class:`repro.cloudsim.network.SimulatedTransport`).
+(:class:`repro.cloudsim.network.SimulatedTransport`).  Two optional
+capabilities are detected with ``getattr``: :class:`RoundAware`
+(``on_round_start``) and :class:`BatchProbe` (``probe_many``, one call
+for a whole pass of a shard's probes).
 
 :class:`SocketTransport` implements the probe as a plain TCP connect
 (equivalent in effect to the paper's SYN probing: an accepted handshake
@@ -17,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import ssl
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from .records import Port
 
@@ -29,8 +32,10 @@ __all__ = [
     "ProtocolError",
     "BodyTruncated",
     "classify_error",
+    "format_ip",
     "Transport",
     "RoundAware",
+    "BatchProbe",
     "SocketTransport",
 ]
 
@@ -103,7 +108,11 @@ class HttpResponse:
 
 @runtime_checkable
 class Transport(Protocol):
-    """What the scanner and fetcher need from the network."""
+    """What the scanner and fetcher need from the network.
+
+    ``probe`` is the one probe primitive every transport has; the
+    scanner drains its job queue through a pool of workers calling it,
+    unless the transport also offers :class:`BatchProbe`."""
 
     async def probe(self, ip: int, port: int, timeout: float) -> bool:
         """Attempt a TCP handshake; True iff the port accepted within
@@ -146,7 +155,29 @@ class RoundAware(Protocol):
         ...
 
 
-def _format_ip(ip: int) -> str:
+@runtime_checkable
+class BatchProbe(Protocol):
+    """Transports that answer a whole pass of probes in one call.
+
+    The scanner looks ``probe_many`` up with ``getattr`` and, when it is
+    there, sends everything queued in one call after one rate-limiter
+    grant for all of it — so an implementation over a real network
+    would have to pace and bound its own in-flight probes.  A wrapper
+    that adds per-probe behaviour (latency, faults, tracing) must not
+    forward it, not even through a delegating ``__getattr__``: the
+    scanner would then skip the wrapper's ``probe``."""
+
+    async def probe_many(
+        self, targets: Sequence[tuple[int, int]], timeout: float
+    ) -> list[bool | TransportError]:
+        """One result per ``(ip, port)``, in order: what ``probe``
+        would have returned, or the classified :class:`TransportError`
+        it would have raised, in its slot instead of raised."""
+        ...
+
+
+def format_ip(ip: int) -> str:
+    """Dotted-quad form of an IPv4 address held as an int."""
     return ".".join(str((ip >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
@@ -165,7 +196,7 @@ class SocketTransport:
         return self._port_map.get(port, port)
 
     async def probe(self, ip: int, port: int, timeout: float) -> bool:
-        host = _format_ip(ip)
+        host = format_ip(ip)
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(host, self._real_port(port)),
@@ -182,7 +213,7 @@ class SocketTransport:
 
     async def banner(self, ip: int, port: int, timeout: float) -> str:
         """Connect and read the first line the server volunteers."""
-        host = _format_ip(ip)
+        host = format_ip(ip)
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(host, self._real_port(port)),
@@ -216,7 +247,7 @@ class SocketTransport:
         max_body: int,
         headers: Mapping[str, str] | None = None,
     ) -> HttpResponse:
-        host = _format_ip(ip)
+        host = format_ip(ip)
         port = self._real_port(Port.HTTPS if scheme == "https" else Port.HTTP)
         ssl_context = None
         if scheme == "https":

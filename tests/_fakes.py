@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
 import functools
 import sys
 import threading
+from dataclasses import dataclass
 
-from repro.core.records import PipelineStats
+from repro.core.records import PipelineStats, ProbeOutcome, ProbeStatus
 from repro.core.transport import HttpResponse, TransportError
 
 
@@ -58,6 +60,80 @@ def serial_oracle(platform):
     return platform
 
 
+@dataclass
+class ReferenceScan:
+    """What :func:`reference_scan` saw: the scanner's outcomes and
+    counters, by the same names."""
+
+    outcomes: list[ProbeOutcome]
+    probes_sent: int = 0
+    probe_errors: int = 0
+    circuit_open_skips: int = 0
+    open_subnets: frozenset[int] = frozenset()
+
+
+def reference_scan(transport, config, ips, blacklist=()) -> ReferenceScan:
+    """Oracle for ``Scanner.scan``: the scanner's old per-IP loop, one
+    target at a time in input order.  Web ports first (each retried
+    while it fails, up to ``config.retries`` times), the fallback ports
+    only when no web port opened, the last classified error carried
+    across ports, and the per-/24 breaker fed as each target finishes.
+    Imports nothing from ``scanner.py``."""
+    seen = ReferenceScan(outcomes=[])
+    threshold = config.subnet_error_threshold
+    streak: dict[int, int] = {}
+    tripped: set[int] = set()
+
+    async def probe(ip, port, error_class):
+        for _ in range(1 + config.retries):
+            seen.probes_sent += 1
+            try:
+                if await transport.probe(ip, port, config.probe_timeout):
+                    return True, error_class
+            except TransportError as exc:
+                seen.probe_errors += 1
+                error_class = exc.kind
+        return False, error_class
+
+    async def scan_one(ip):
+        if ip in blacklist:
+            return ProbeOutcome(ip=ip, status=ProbeStatus.SKIPPED)
+        if threshold > 0 and ip >> 8 in tripped:
+            seen.circuit_open_skips += 1
+            return ProbeOutcome(ip=ip, status=ProbeStatus.CIRCUIT_OPEN)
+        open_ports: set[int] = set()
+        error_class = None
+        for port in config.web_ports:
+            opened, error_class = await probe(ip, port, error_class)
+            if opened:
+                open_ports.add(port)
+        if not open_ports:
+            for port in config.fallback_ports:
+                opened, error_class = await probe(ip, port, error_class)
+                if opened:
+                    open_ports.add(port)
+        if threshold > 0:
+            if open_ports or error_class is None:
+                streak[ip >> 8] = 0
+            else:
+                streak[ip >> 8] = streak.get(ip >> 8, 0) + 1
+                if streak[ip >> 8] >= threshold:
+                    tripped.add(ip >> 8)
+        if open_ports:
+            return ProbeOutcome(ip=ip, status=ProbeStatus.RESPONSIVE,
+                                open_ports=frozenset(open_ports))
+        return ProbeOutcome(ip=ip, status=ProbeStatus.UNRESPONSIVE,
+                            error_class=error_class)
+
+    async def run():
+        for ip in ips:
+            seen.outcomes.append(await scan_one(ip))
+
+    asyncio.run(run())
+    seen.open_subnets = frozenset(tripped)
+    return seen
+
+
 class FakeTransport:
     """Scriptable transport: open ports and canned pages per IP."""
 
@@ -95,6 +171,21 @@ class FakeTransport:
             self.fail_first[key] -= 1
             return False
         return port in self.open_ports.get(ip, set())
+
+    def enable_probe_many(self) -> "FakeTransport":
+        """Opt in to :class:`~repro.core.transport.BatchProbe`: the
+        scanner then drains its queue through :meth:`_probe_many`."""
+        self.probe_many = self._probe_many
+        return self
+
+    async def _probe_many(self, targets, timeout: float) -> list:
+        results = []
+        for ip, port in targets:
+            try:
+                results.append(await self.probe(ip, port, timeout))
+            except TransportError as exc:
+                results.append(exc)
+        return results
 
     async def get(self, ip: int, scheme: str, path: str, *, timeout: float,
                   max_body: int, headers=None) -> HttpResponse:

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ScanConfig
 from repro.core.records import ProbeStatus
 from repro.core.scanner import RateLimiter, Scanner
-from repro.core.transport import ConnectionRefused, ConnectTimeout
+from repro.core.store import MeasurementStore
+from repro.core.store.base import rows_checksum
+from repro.core.transport import ConnectionRefused, ConnectTimeout, ProtocolError
+from repro.workloads import Campaign, build_sim_scenario, simulation_config
 
-from _fakes import FakeTransport
+from _fakes import FakeTransport, python_calls, reference_scan
 
 
 def fast_config(**overrides) -> ScanConfig:
@@ -26,7 +32,7 @@ class TestScanIp:
         transport = FakeTransport()
         transport.add_host(1, {80})
         scanner = Scanner(transport, fast_config())
-        outcome = asyncio.run(scanner.scan_ip(1))
+        outcome = scanner.scan_sync([1])[0]
         assert outcome.status is ProbeStatus.RESPONSIVE
         assert outcome.open_ports == {80}
 
@@ -35,7 +41,7 @@ class TestScanIp:
         transport = FakeTransport()
         transport.add_host(1, {22})
         scanner = Scanner(transport, fast_config())
-        outcome = asyncio.run(scanner.scan_ip(1))
+        outcome = scanner.scan_sync([1])[0]
         assert outcome.open_ports == {22}
         assert [port for _, port in transport.probe_calls] == [80, 443, 22]
 
@@ -43,13 +49,13 @@ class TestScanIp:
         transport = FakeTransport()
         transport.add_host(1, {80, 443})
         scanner = Scanner(transport, fast_config())
-        asyncio.run(scanner.scan_ip(1))
+        scanner.scan_sync([1])
         assert [port for _, port in transport.probe_calls] == [80, 443]
 
     def test_unresponsive(self):
         transport = FakeTransport()
         scanner = Scanner(transport, fast_config())
-        outcome = asyncio.run(scanner.scan_ip(5))
+        outcome = scanner.scan_sync([5])[0]
         assert outcome.status is ProbeStatus.UNRESPONSIVE
         assert not outcome.open_ports
 
@@ -57,14 +63,14 @@ class TestScanIp:
         """Ethics invariant (§7): at most 3 probes per IP per round."""
         transport = FakeTransport()
         scanner = Scanner(transport, fast_config())
-        asyncio.run(scanner.scan_ip(9))
+        scanner.scan_sync([9])
         assert len(transport.probe_calls) == 3
 
     def test_blacklisted_ip_never_probed(self):
         transport = FakeTransport()
         transport.add_host(7, {80})
         scanner = Scanner(transport, fast_config(), blacklist=[7])
-        outcome = asyncio.run(scanner.scan_ip(7))
+        outcome = scanner.scan_sync([7])[0]
         assert outcome.status is ProbeStatus.SKIPPED
         assert transport.probe_calls == []
 
@@ -76,7 +82,7 @@ class TestScanIp:
         transport.fail_first[(3, 443)] = 1
         transport.fail_first[(3, 22)] = 1
         scanner = Scanner(transport, fast_config())
-        outcome = asyncio.run(scanner.scan_ip(3))
+        outcome = scanner.scan_sync([3])[0]
         assert outcome.status is ProbeStatus.UNRESPONSIVE
         assert len(transport.probe_calls) == 3
 
@@ -85,7 +91,7 @@ class TestScanIp:
         transport.add_host(3, {80})
         transport.fail_first[(3, 80)] = 1
         scanner = Scanner(transport, fast_config(retries=1))
-        outcome = asyncio.run(scanner.scan_ip(3))
+        outcome = scanner.scan_sync([3])[0]
         assert outcome.status is ProbeStatus.RESPONSIVE
 
 
@@ -96,7 +102,7 @@ class TestProbeErrorClass:
         transport.probe_raises[(4, 443)] = ConnectTimeout("injected")
         transport.probe_raises[(4, 22)] = ConnectionRefused("injected")
         scanner = Scanner(transport, fast_config())
-        outcome = asyncio.run(scanner.scan_ip(4))
+        outcome = scanner.scan_sync([4])[0]
         assert outcome.status is ProbeStatus.UNRESPONSIVE
         # The last classified error wins (the SSH fallback's refusal).
         assert outcome.error_class == "connection-refused"
@@ -109,7 +115,7 @@ class TestProbeErrorClass:
         transport.probe_raises[(4, 80)] = ConnectTimeout("injected")
         transport.add_host(4, {443})
         scanner = Scanner(transport, fast_config())
-        outcome = asyncio.run(scanner.scan_ip(4))
+        outcome = scanner.scan_sync([4])[0]
         assert outcome.status is ProbeStatus.RESPONSIVE
         assert outcome.open_ports == {443}
         # Responsive IPs don't carry a probe error class.
@@ -119,7 +125,7 @@ class TestProbeErrorClass:
     def test_silent_failures_have_no_error_class(self):
         transport = FakeTransport()
         scanner = Scanner(transport, fast_config())
-        outcome = asyncio.run(scanner.scan_ip(9))
+        outcome = scanner.scan_sync([9])[0]
         assert outcome.status is ProbeStatus.UNRESPONSIVE
         assert outcome.error_class is None
         assert scanner.probe_errors == 0
@@ -144,6 +150,130 @@ class TestScanMany:
         scanner.scan_sync([1, 2])
         # ip 1: 80 (open) + 443 (closed) = 2; ip 2: 3 probes.
         assert scanner.probes_sent == 5
+
+    def test_crash_surfaces_and_ends_the_shard(self):
+        """A non-transport error is a crash, not a failed probe: it
+        leaves ``scan`` as itself and nothing after it is probed."""
+        class Crashing(FakeTransport):
+            async def probe(self, ip, port, timeout):
+                if ip == 2:
+                    raise RuntimeError("crash")
+                return await super().probe(ip, port, timeout)
+
+        transport = Crashing()
+        scanner = Scanner(transport, fast_config(concurrency=4))
+        with pytest.raises(RuntimeError, match="crash"):
+            scanner.scan_sync([1, 2, 3, 4])
+        assert transport.probe_calls == [(1, 80), (1, 443)]
+
+
+# ----------------------------------------------------------------------
+# the job queue equals the one-at-a-time oracle
+
+
+#: Three /24s, eight hosts each: enough for a breaker to need several
+#: admission chunks in one subnet while a neighbour stays clean.
+SUBNETS = (0x0A0000, 0x0A0001, 0x0B0000)
+POOL = [(net << 8) | host for net in SUBNETS for host in range(8)]
+PORTS = (80, 443, 22)
+FAILURES = (ConnectTimeout, ConnectionRefused, ProtocolError)
+
+
+class ShuffledFake(FakeTransport):
+    """A per-probe fake whose probes suspend 0–2 times, so the pool's
+    completions come back out of order."""
+
+    async def probe(self, ip, port, timeout):
+        for _ in range((ip * 7 + port) % 3):
+            await asyncio.sleep(0)
+        return await super().probe(ip, port, timeout)
+
+
+@st.composite
+def scan_cases(draw):
+    ips = draw(st.lists(st.sampled_from(POOL), unique=True, min_size=1,
+                        max_size=18))
+    keys = st.tuples(st.sampled_from(ips), st.sampled_from(PORTS))
+    return {
+        "ips": ips,
+        "split": draw(st.integers(0, len(ips))),
+        "hosts": draw(st.dictionaries(
+            st.sampled_from(ips), st.frozensets(st.sampled_from(PORTS)))),
+        "raises": draw(st.dictionaries(keys, st.sampled_from(FAILURES))),
+        # Hosts where every probe fails classified: breaker fodder.
+        "dead": draw(st.frozensets(st.sampled_from(ips))),
+        "fail_first": draw(st.dictionaries(keys, st.integers(1, 2))),
+        "blacklist": draw(st.frozensets(st.sampled_from(ips))),
+        "threshold": draw(st.integers(0, 4)),
+        "retries": draw(st.integers(0, 2)),
+        "concurrency": draw(st.integers(1, 8)),
+        "flavour": draw(st.sampled_from(["probe", "batch", "shuffled"])),
+    }
+
+
+def scripted_fake(case, flavour: str) -> FakeTransport:
+    transport = ShuffledFake() if flavour == "shuffled" else FakeTransport()
+    for ip, ports in case["hosts"].items():
+        transport.add_host(ip, ports)
+    transport.fail_first.update(case["fail_first"])
+    for key, failure in case["raises"].items():
+        transport.probe_raises[key] = failure("injected")
+    for ip in case["dead"]:
+        for port in PORTS:
+            transport.probe_raises[(ip, port)] = ConnectTimeout("injected")
+    if flavour == "batch":
+        transport.enable_probe_many()
+    return transport
+
+
+class TestJobQueueEqualsOracle:
+    @given(scan_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_outcomes_counters_and_attempts(self, case):
+        """Either drain, any concurrency, any completion order, the
+        breaker on or off, the shard cut anywhere: what the scanner
+        reports — and what it sent to each (ip, port) — is what the
+        one-at-a-time loop over the same targets reports."""
+        config = fast_config(
+            subnet_error_threshold=case["threshold"],
+            retries=case["retries"], concurrency=case["concurrency"],
+        )
+        ips, blacklist = case["ips"], case["blacklist"]
+        oracle_transport = scripted_fake(case, "probe")
+        expected = reference_scan(oracle_transport, config, ips, blacklist)
+
+        transport = scripted_fake(case, case["flavour"])
+        scanner = Scanner(transport, config, blacklist=blacklist)
+        cut = case["split"]         # two shards of one round
+        outcomes = scanner.scan_sync(ips[:cut]) + scanner.scan_sync(ips[cut:])
+
+        assert outcomes == expected.outcomes
+        assert scanner.probes_sent == expected.probes_sent
+        assert scanner.probe_errors == expected.probe_errors
+        assert scanner.circuit_open_skips == expected.circuit_open_skips
+        assert scanner.breaker.open_subnets == expected.open_subnets
+        assert Counter(transport.probe_calls) == Counter(
+            oracle_transport.probe_calls)
+
+    def test_batch_transport_gets_one_call_per_pass(self):
+        transport = FakeTransport().enable_probe_many()
+        batches = []
+        probe_many = transport.probe_many
+
+        async def spy(targets, timeout):
+            batches.append(list(targets))
+            return await probe_many(targets, timeout)
+
+        transport.probe_many = spy
+        transport.add_host(1, {80})
+        transport.add_host(2, {22})
+        outcomes = Scanner(transport, fast_config()).scan_sync([1, 2, 3])
+        assert [o.open_ports for o in outcomes] == [{80}, {22}, set()]
+        # Pass 1: every web job; pass 2: the fallbacks of 2 and 3.
+        assert batches == [
+            [(1, 80), (1, 443), (2, 80), (2, 443), (3, 80), (3, 443)],
+            [(2, 22), (3, 22)],
+        ]
 
 
 class TestRateLimiter:
@@ -260,6 +390,36 @@ class TestRateLimiter:
             in_window = sum(1 for t in ordered[i:] if t - start <= window)
             assert in_window <= rate * window + burst + 1
 
+    def test_batch_grant_pays_for_every_token(self):
+        """acquire(n) on a 250-pps, burst-25 bucket waits the whole
+        deficit, (n - 25) / 250 s; single acquirers arriving meanwhile
+        are served after it, in arrival order, one token period apart."""
+        rate, burst, n = 250.0, 25, 50
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            limiter = RateLimiter(rate, burst=burst)
+            grants: list[tuple[str, float]] = []
+            start = loop.time()
+
+            async def take(name, count):
+                await limiter.acquire(count)
+                grants.append((name, loop.time() - start))
+
+            batch = asyncio.ensure_future(take("batch", n))
+            await asyncio.sleep(0.01)        # the batch is waiting now
+            await asyncio.gather(
+                batch, *(take(f"single{i}", 1) for i in range(3)))
+            return grants
+
+        grants = asyncio.run(run())
+        assert [name for name, _ in grants] == [
+            "batch", "single0", "single1", "single2"]
+        # Sleeps only overshoot; 1 ms covers the loop's timer slack.
+        assert grants[0][1] >= (n - burst) / rate - 1e-3
+        for (_, before), (_, after) in zip(grants, grants[1:]):
+            assert after - before >= 1 / rate - 1e-3
+
 
 class AlwaysLockedLimiter(RateLimiter):
     """The limiter as it was before the uncontended fast path: every
@@ -357,3 +517,146 @@ class TestRateLimiterFastPath:
                 await limiter.acquire()
 
         asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# politeness through the scanner's per-probe drain
+
+
+class SleepyTransport(FakeTransport):
+    """Every probe takes *delay* seconds of loop time; records when each
+    was sent and the most probes ever in flight at once."""
+
+    def __init__(self, delay: float):
+        super().__init__()
+        self.delay = delay
+        self.sent: list[float] = []
+        self.in_flight = 0
+        self.peak_in_flight = 0
+
+    async def probe(self, ip, port, timeout):
+        self.sent.append(asyncio.get_running_loop().time())
+        self.in_flight += 1
+        self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+        try:
+            await asyncio.sleep(self.delay)
+            return await super().probe(ip, port, timeout)
+        finally:
+            self.in_flight -= 1
+
+
+class TestPoolPoliteness:
+    def test_rate_concurrency_and_per_ip_budget_hold(self):
+        rate, concurrency = 200.0, 6
+        burst = rate / 10                    # the scanner's bucket
+        transport = SleepyTransport(delay=0.005)
+        targets = list(range(1, 25))
+        for ip in targets:
+            if ip % 3 == 0:
+                transport.add_host(ip, {80})
+            elif ip % 3 == 1:
+                transport.add_host(ip, {22})
+        scanner = Scanner(transport, ScanConfig(
+            probes_per_second=rate, concurrency=concurrency))
+        outcomes = scanner.scan_sync(targets)
+
+        # 8 web hosts x 2 probes + 16 others x 3 probes.
+        assert scanner.probes_sent == len(transport.sent) == 64
+        assert sum(o.responsive for o in outcomes) == 16
+        stamps = sorted(transport.sent)
+        assert stamps[-1] - stamps[0] >= (64 - burst) / rate * 0.95
+        window = 0.025
+        for i, start in enumerate(stamps):
+            in_window = sum(1 for t in stamps[i:] if t - start <= window)
+            assert in_window <= rate * window + burst + 1
+        assert transport.peak_in_flight == concurrency
+        per_ip = Counter(ip for ip, _ in transport.probe_calls)
+        assert max(per_ip.values()) <= 3
+
+
+# ----------------------------------------------------------------------
+# work budget: Python calls per probe
+
+
+class TestPythonCallsPerProbe:
+    """Interpreter work per probe on one simulated 1 024-target shard,
+    counted as Python ``call`` events — a reading this host's timing
+    noise cannot blur.  A task, a semaphore slot and four nested
+    coroutines per probe read 22.7; the batch drain reads about 6, most
+    of it the simulator's own answer.  The proxy cannot see time spent
+    inside C, so it gates "did the hot path get heavier", never a
+    speed claim."""
+
+    def test_calls_per_probe_within_budget(self):
+        scenario = build_sim_scenario({"cloud": "ec2", "ips": 4096, "seed": 7})
+        scenario.simulation.advance_to(scenario.scan_days[1])
+        scanner = Scanner(scenario.transport, simulation_config().scan)
+        shard = scenario.targets[:1024]
+        scanner.scan_sync(shard)                     # warm-up
+        before = scanner.probes_sent
+        calls, outcomes = python_calls(lambda: scanner.scan_sync(shard))
+        probes = scanner.probes_sent - before
+        assert len(outcomes) == len(shard)
+        assert probes > 2 * len(shard)
+        assert calls < 8 * probes
+
+
+# ----------------------------------------------------------------------
+# both drains store the same campaign
+
+
+class PerProbeOnly:
+    """Forwards ``probe``, ``get``, ``banner`` and ``on_round_start``
+    and nothing else — the shape of a latency or tracing wrapper — so
+    the scanner drains probe by probe."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def on_round_start(self, round_id):
+        hook = getattr(self.inner, "on_round_start", None)
+        if callable(hook):
+            hook(round_id)
+
+    async def probe(self, ip, port, timeout):
+        return await self.inner.probe(ip, port, timeout)
+
+    async def banner(self, ip, port, timeout):
+        return await self.inner.banner(ip, port, timeout)
+
+    async def get(self, ip, scheme, path, **kwargs):
+        return await self.inner.get(ip, scheme, path, **kwargs)
+
+
+def campaign_fingerprint(ips: int, rounds: int, per_probe: bool):
+    scenario = build_sim_scenario({"cloud": "ec2", "ips": ips, "seed": 7})
+    if per_probe:
+        scenario.transport = PerProbeOnly(scenario.transport)
+    store = MeasurementStore()
+    campaign = Campaign(scenario, store, simulation_config())
+    seen = []
+    for day in scenario.scan_days[:rounds]:
+        scenario.simulation.advance_to(day)
+        round_id = campaign.platform.run_round(
+            scenario.targets, timestamp=day).round_id
+        seen.append((
+            rows_checksum(r.to_row() for r in store.records(round_id)),
+            [(e.shard_index, e.record_count, e.errors, e.operations,
+              e.checksum) for e in store.shard_journal(round_id)],
+            campaign.platform.scanner.probes_sent,
+        ))
+    campaign.platform.close()
+    store.close()
+    return seen
+
+
+class TestDrainsStoreTheSameCampaign:
+    def test_small_campaign(self):
+        batch = campaign_fingerprint(4096, 2, per_probe=False)
+        assert batch == campaign_fingerprint(4096, 2, per_probe=True)
+        assert batch[-1][2] > 0
+
+    @pytest.mark.slow
+    def test_ingest_scale_campaign(self):
+        batch = campaign_fingerprint(40_000, 3, per_probe=False)
+        assert batch == campaign_fingerprint(40_000, 3, per_probe=True)

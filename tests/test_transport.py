@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from repro.core import ProbeStatus, ScanConfig, Scanner
 from repro.core.transport import SocketTransport, TransportError
 
 LOCALHOST = (127 << 24) | 1
@@ -153,3 +154,42 @@ class TestWhoWasOverSockets:
         history = platform.history(LOCALHOST)
         assert len(history) == 1
         assert history[0].features.title == "local"
+
+
+class RecordingSockets(SocketTransport):
+    """SocketTransport that remembers which ports it was asked for."""
+
+    def __init__(self, port_map):
+        super().__init__(port_map=port_map)
+        self.ports: list[int] = []
+
+    async def probe(self, ip, port, timeout):
+        self.ports.append(port)
+        return await super().probe(ip, port, timeout)
+
+
+class TestScannerOverSockets:
+    """The scanner's per-probe drain over real connects (SocketTransport
+    has no ``probe_many``); port 1 stands in for a closed port."""
+
+    def scan(self, port_map):
+        transport = RecordingSockets(port_map)
+        scanner = Scanner(transport, ScanConfig(
+            probes_per_second=1e6, probe_timeout=1.0))
+        (outcome,) = scanner.scan_sync([LOCALHOST])
+        return outcome, scanner, transport
+
+    def test_open_web_port_skips_the_fallback(self, http_server):
+        outcome, scanner, transport = self.scan(
+            {80: http_server, 443: 1, 22: 1})
+        assert outcome.status is ProbeStatus.RESPONSIVE
+        assert outcome.open_ports == {80}
+        assert scanner.probes_sent == 2
+        assert sorted(transport.ports) == [80, 443]
+
+    def test_all_closed_probes_the_fallback_last(self):
+        outcome, scanner, transport = self.scan({80: 1, 443: 1, 22: 1})
+        assert outcome.status is ProbeStatus.UNRESPONSIVE
+        assert scanner.probes_sent == 3
+        assert transport.ports[-1] == 22
+        assert sorted(transport.ports[:2]) == [80, 443]
