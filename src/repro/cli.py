@@ -408,7 +408,9 @@ def _cmd_simulate(args) -> int:
           f"{len(scenario.scan_days)} rounds{pool} "
           f"[{backend} store]")
     telemetry = _setup_telemetry(args)
-    store = open_store(args.out, backend=backend)
+    store = _open_db(args.out, readonly=False, backend=backend)
+    if store is None:
+        return 1
     store.set_meta("simulate_args", json.dumps(params))
     abort_event = _install_abort_handler()
     try:
@@ -424,7 +426,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_resume(args) -> int:
     telemetry = _setup_telemetry(args)
-    store = open_store(args.db)
+    store = _open_db(args.db, readonly=False)
+    if store is None:
+        return 1
     raw = store.get_meta("simulate_args")
     if raw is None:
         print(f"{args.db}: no campaign metadata; not resumable",
@@ -457,7 +461,9 @@ def _cmd_scan(args) -> int:
     if not targets:
         print("no targets", file=sys.stderr)
         return 1
-    store = open_store(args.out)
+    store = _open_db(args.out, readonly=False)
+    if store is None:
+        return 1
     platform = WhoWas(SocketTransport(), store)
     # A previous interrupted scan of the same timestamp resumes instead
     # of starting over.
@@ -486,7 +492,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    store = _open_readonly(args.db)
+    store = _open_db(args.db)
     if store is None:
         return 1
     dataset = Dataset.from_store(store)
@@ -542,7 +548,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_lookup(args) -> int:
-    store = _open_readonly(args.db)
+    store = _open_db(args.db)
     if store is None:
         return 1
     history = store.history(ip_to_int(args.ip))
@@ -561,7 +567,7 @@ def _cmd_lookup(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    store = _open_readonly(args.db)
+    store = _open_db(args.db)
     if store is None:
         return 1
     dataset = Dataset.from_store(store)
@@ -573,26 +579,27 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
-def _open_readonly(path: str):
-    """Open a database read-only for the analysis commands, so they can
-    never take a write lock away from (or leave WAL litter behind for)
-    a campaign that is still writing.  The engine is auto-detected from
-    what is on disk.  Prints a friendly error and returns None when the
-    path is absent/unreadable."""
+def _open_db(path: str, *, readonly: bool = True, **kwargs):
+    """Open a database for a command — read-only for the analysis
+    commands, so they can never take a write lock away from (or leave
+    WAL litter behind for) a campaign that is still writing.  The
+    engine is auto-detected from what is on disk.  Prints a one-line
+    error and returns None when the store cannot be opened: an absent
+    or unreadable path, an unknown backend, or an unsupported format."""
     import sqlite3
 
     try:
-        return open_store(path, readonly=True)
+        return open_store(path, readonly=readonly, **kwargs)
     except (sqlite3.OperationalError, FileNotFoundError, ValueError) as exc:
-        print(f"{path}: cannot open database read-only ({exc})",
-              file=sys.stderr)
+        mode = " read-only" if readonly else ""
+        print(f"{path}: cannot open database{mode} ({exc})", file=sys.stderr)
         return None
 
 
 def _cmd_rounds(args) -> int:
     import dataclasses
 
-    store = _open_readonly(args.db)
+    store = _open_db(args.db)
     if store is None:
         return 1
     rounds = store.rounds()
@@ -633,7 +640,7 @@ def _load_pipeline_stats(store, round_id: int):
 
 
 def _cmd_stats(args) -> int:
-    store = _open_readonly(args.db)
+    store = _open_db(args.db)
     if store is None:
         return 1
     rounds = store.rounds()
@@ -714,7 +721,9 @@ def _cmd_quarantine(args) -> int:
     from .core import FeatureExtractor
     from .cloudsim.addressing import int_to_ip
 
-    store = open_store(args.db)
+    store = _open_db(args.db, readonly=False)
+    if store is None:
+        return 1
     entries = store.quarantine_rows(
         args.round, include_replayed=(args.all or args.action == "list")
     )
@@ -761,7 +770,7 @@ def _cmd_quarantine(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    store = _open_readonly(args.db)
+    store = _open_db(args.db)
     if store is None:
         return 1
     infos = store.rounds() + store.open_rounds()
@@ -788,12 +797,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rebuild_views(args) -> int:
-    import sqlite3
-
-    try:
-        store = open_store(args.db)
-    except (sqlite3.OperationalError, ValueError) as exc:
-        print(f"{args.db}: cannot open database ({exc})", file=sys.stderr)
+    store = _open_db(args.db, readonly=False)
+    if store is None:
         return 1
     refolded = store.rebuild_views()
     print(f"rebuilt materialized views for {refolded} round(s)")
@@ -837,7 +842,8 @@ def _cmd_serve(args) -> int:
         app = ServeApp(args.db, config)
         try:
             await app.start()
-        except (sqlite3.OperationalError, FileNotFoundError) as exc:
+        except (sqlite3.OperationalError, FileNotFoundError,
+                ValueError) as exc:
             print(f"{args.db}: cannot open database read-only ({exc})",
                   file=sys.stderr)
             return 1

@@ -481,14 +481,11 @@ class RoundRecord:
             for line in row["headers"].split("\n"):
                 name, _, value = line.partition(": ")
                 headers[name] = value
-        keys = row.keys() if hasattr(row, "keys") else row
         probe = ProbeOutcome(
             ip=row["ip"],
             status=ProbeStatus(row["probe_status"]),
             open_ports=open_ports,
-            error_class=(
-                row["probe_error_class"] if "probe_error_class" in keys else None
-            ),
+            error_class=row["probe_error_class"],
         )
         fetch = FetchResult(
             ip=row["ip"],
@@ -498,7 +495,7 @@ class RoundRecord:
             headers=headers,
             body=row["body"],
             error=row["error"],
-            error_class=row["error_class"] if "error_class" in keys else None,
+            error_class=row["error_class"],
         )
         # Features exist only for records with stored page content; the
         # writer serialises defaults for feature-less rows, so body
@@ -524,5 +521,5 @@ class RoundRecord:
             probe=probe,
             fetch=fetch,
             features=features,
-            ssh_banner=row["ssh_banner"] if "ssh_banner" in keys else None,
+            ssh_banner=row["ssh_banner"],
         )

@@ -29,7 +29,7 @@ from .base import (
     shard_checksum,
 )
 from .columnar import MANIFEST_NAME, ColumnarStore
-from .sqlite import MeasurementStore
+from .sqlite import MeasurementStore, UnsupportedStoreFormat
 
 __all__ = [
     "ROUND_IN_PROGRESS",
@@ -43,6 +43,7 @@ __all__ = [
     "RoundVerification",
     "StoreBackend",
     "MeasurementStore",
+    "UnsupportedStoreFormat",
     "ColumnarStore",
     "shard_checksum",
     "is_interrupted",
@@ -98,7 +99,9 @@ def open_store(
     *backend* argument > what's on disk (:func:`detect_backend`) >
     :func:`default_backend`.  Read-only opens never create files and
     raise the engine's missing-store error (sqlite:
-    ``sqlite3.OperationalError``; columnar: ``FileNotFoundError``)."""
+    ``sqlite3.OperationalError``; columnar: ``FileNotFoundError``).  A
+    sqlite file written before the read models existed raises
+    :class:`UnsupportedStoreFormat` (a ``ValueError``) in either mode."""
     resolved = backend or detect_backend(path) or default_backend()
     engine = BACKENDS.get(resolved)
     if engine is None:

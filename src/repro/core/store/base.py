@@ -38,7 +38,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..records import PageFeatures, QuarantineRecord, RoundRecord
+from ..records import (
+    PageFeatures,
+    QuarantineRecord,
+    RoundRecord,
+    is_available,
+)
 from .. import telemetry as _telemetry
 
 __all__ = [
@@ -151,8 +156,8 @@ def shard_checksum(rows: Iterable[Mapping]) -> str:
 
 
 def rows_checksum(rows: Iterable[Mapping]) -> str:
-    """Order-insensitive digest over a set of dict rows — the view
-    audit's checksum (view row order is an implementation detail)."""
+    """Order-insensitive digest over a set of dict rows — for comparing
+    row sets whose order is an implementation detail."""
     blobs = sorted(
         json.dumps(dict(row), sort_keys=True, separators=(",", ":"),
                    ensure_ascii=False)
@@ -224,7 +229,7 @@ class ShardJournalEntry:
     record_count: int
     errors: int = 0
     operations: int = 0
-    #: blake2b digest of the shard's rows ('' for pre-checksum shards).
+    #: blake2b digest of the shard's rows.
     checksum: str = ""
     #: Quarantine entries committed with the shard.
     quarantine_count: int = 0
@@ -247,15 +252,12 @@ class RoundVerification:
     #: Shards whose rows no longer match their journaled checksum or
     #: record count.
     corrupt: list[int] = field(default_factory=list)
-    #: Shards written before checksums existed (nothing to verify).
-    unverifiable: list[int] = field(default_factory=list)
     #: Rows in the round table not attributed to any journaled shard.
     orphan_rows: int = 0
     #: Quarantine entries not attributed to any journaled shard.
     orphan_quarantine: int = 0
-    #: Materialized read models whose recomputed checksum no longer
-    #: matches the maintained table (empty for clean or view-less
-    #: legacy databases).
+    #: Materialized read models whose stored contents no longer match
+    #: the fold of the round's journaled rows.
     view_issues: list[str] = field(default_factory=list)
 
     @property
@@ -269,8 +271,6 @@ class RoundVerification:
     def describe(self) -> str:
         """One human-readable line for ``repro verify``."""
         parts = [f"{self.verified}/{self.shards} shards verified"]
-        if self.unverifiable:
-            parts.append(f"{len(self.unverifiable)} unverifiable (legacy)")
         if self.missing:
             parts.append(f"MISSING shards {self.missing}")
         if self.corrupt:
@@ -293,7 +293,7 @@ def summarize_rows(row_dicts: Sequence[Mapping]) -> dict[str, int]:
     by every backend's view maintenance (and by the audits)."""
     available = sum(
         1 for row in row_dicts
-        if row["fetch_status"] == "ok" and row["status_code"] is not None
+        if is_available(row["fetch_status"], row["status_code"])
     )
     fetched = sum(
         1 for row in row_dicts if row["fetch_status"] != "not-attempted"

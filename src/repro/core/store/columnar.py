@@ -614,9 +614,6 @@ class ColumnarStore(StoreBackend):
                 attributed_quarantine += len(
                     (shard or {}).get("quarantine", [])
                 )
-                if not entry.checksum:
-                    report.unverifiable.append(entry.shard_index)
-                    continue
                 if (
                     len(rows) != entry.record_count
                     or shard_checksum(rows) != entry.checksum

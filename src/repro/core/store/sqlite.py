@@ -44,11 +44,23 @@ across a crash:
   every :data:`~repro.core.store.base.AGGREGATE_COLUMNS` column
   (``/clusters/<id>``), replacing per-request GROUP-BY scans.
 
-``rebuild_views()`` refolds everything from the base tables (the
-``repro rebuild-views`` escape hatch); :meth:`verify_round` audits the
-views against the base data with the same checksum discipline as the
-shards.  Reads fall back to base-table scans for rounds written before
-the views existed (no summary row = unfolded round).
+One fold defines all three (:func:`_fold`, over
+:func:`~repro.core.store.base.light_row` and
+:func:`~repro.core.store.base.summarize_rows`).  The write path stages
+it per shard; :meth:`verify_round` accumulates it over the rows it
+decodes for the shard checksums and compares the stored views;
+``rebuild_views()`` (the ``repro rebuild-views`` repair) replays it
+over every round's shard journal; ``update_features`` retracts the old
+row's fold and applies the new one's.
+
+Store format
+------------
+Every round this engine writes is folded, so reads go to the views
+only: a round with no summary row reads as zero or empty.  A database
+whose ``rounds`` table holds rows but which has no
+``view_round_summary`` table was written before the materialized read
+models were added; it is refused with :class:`UnsupportedStoreFormat`
+before any DDL runs — there are no migrations.
 """
 
 from __future__ import annotations
@@ -60,7 +72,7 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..backoff import backoff_delay
 from ..records import PageFeatures, QuarantineRecord, RoundRecord
@@ -78,31 +90,66 @@ from .base import (
     ShardJournalEntry,
     ShardPayload,
     StoreBackend,
-    rows_checksum,
     shard_checksum,
 )
 
-__all__ = ["MeasurementStore"]
-
-#: The feature columns ``update_features`` may change that also feed
-#: ``view_cluster_agg`` — the delta set the replay path re-folds.
-_REPLAYED_AGG_COLUMNS = ("powered_by", "title", "template", "server")
+__all__ = ["MeasurementStore", "UnsupportedStoreFormat"]
 
 _VIEW_TABLES = ("view_ip_history", "view_round_summary", "view_cluster_agg")
 
-#: Columns added to the round tables after the first databases were
-#: written (the ones ``RoundRecord.from_row`` tolerates the absence of).
-_LATE_COLUMNS = ("error_class", "probe_error_class", "ssh_banner")
+_SUMMARY_COLUMNS = ("responsive", "available", "fetched", "quarantined")
 
-#: SQL projection of a base-table row onto the per-IP-history read
-#: model — mirrors :func:`~repro.core.store.base.light_row` (feature
-#: columns are nulled for rows without stored page content).
-_LIGHT_SELECT = (
-    "ip, round_id, timestamp, open_ports, fetch_status, status_code,"
-    " CASE WHEN body IS NULL THEN NULL ELSE server END,"
-    " CASE WHEN body IS NULL THEN NULL ELSE title END,"
-    " CASE WHEN body IS NULL THEN NULL ELSE template END"
-)
+_AGG_COLUMNS = tuple(sorted(AGGREGATE_COLUMNS))
+
+
+class UnsupportedStoreFormat(ValueError):
+    """The database's rounds were written before the materialized read
+    models were added (no ``view_round_summary`` table).  Such files
+    are refused, not migrated."""
+
+
+def _check_format(conn: sqlite3.Connection) -> None:
+    """Refuse a database with rounds but no read models.  A file with
+    some tables and no rounds — a partition journal torn while it was
+    being created — passes, and a writer completes its schema."""
+    tables = {
+        row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+    }
+    if "rounds" not in tables or "view_round_summary" in tables:
+        return
+    if conn.execute("SELECT 1 FROM rounds LIMIT 1").fetchone() is None:
+        return
+    raise UnsupportedStoreFormat(
+        "unsupported store format: its rounds were written before the "
+        "materialized read models were added (no view_round_summary "
+        "table); this version opens only stores written with the read "
+        "models — re-run the campaign to rebuild it"
+    )
+
+
+def _fold(
+    row_dicts: Sequence[Mapping],
+) -> tuple[dict[int, tuple], dict[str, int], Counter]:
+    """What a batch of record rows contributes to the read models — the
+    only definition of their contents: ``view_ip_history`` rows by ip,
+    ``view_round_summary`` increments (bar ``quarantined``, which the
+    shard journal counts) and ``view_cluster_agg`` counts by
+    ``(column, value)``.  Each part adds up across batches."""
+    history = {
+        row["ip"]: tuple(
+            _base.light_row(row)[name] for name in IP_HISTORY_COLUMNS
+        )
+        for row in row_dicts
+    }
+    tallies = Counter(
+        (column, row[column])
+        for column in _AGG_COLUMNS
+        for row in row_dicts
+        if row[column] is not None
+    )
+    return history, _base.summarize_rows(row_dicts), tallies
 
 
 def _connect(
@@ -118,6 +165,7 @@ def _connect(
     Both shapes share ``Row`` factory, ``busy_timeout``, and
     ``check_same_thread=False`` (the store serialises access with its
     own lock, and the pipeline may commit from a worker thread).
+    :func:`_check_format` runs before either shape touches the file.
     """
     if readonly:
         if path == ":memory:":
@@ -129,6 +177,11 @@ def _connect(
         conn = sqlite3.connect(path, check_same_thread=False)
     conn.row_factory = sqlite3.Row
     conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
+    try:
+        _check_format(conn)
+    except BaseException:
+        conn.close()
+        raise
     if readonly:
         conn.execute("PRAGMA query_only=ON")
     else:
@@ -182,11 +235,7 @@ class MeasurementStore(StoreBackend):
         )
         self._lock = threading.RLock()
         if readonly:
-            # No schema DDL or migration runs on a reader; view-backed
-            # read paths are available only when the writer (or a
-            # migration) created the tables.
-            self._has_views = self._table_exists("view_round_summary")
-            return
+            return      # no schema DDL on a reader
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS rounds ("
             "  round_id INTEGER PRIMARY KEY,"
@@ -239,9 +288,7 @@ class MeasurementStore(StoreBackend):
         )
         # Materialized read models.  The (ip, round_id) WITHOUT-ROWID
         # primary key IS the per-IP covering index: a history lookup is
-        # one clustered B-tree range scan over light rows.  Creating
-        # these on an existing database is the schema migration — old
-        # rounds simply have no summary row until `repro rebuild-views`.
+        # one clustered B-tree range scan over light rows.
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS view_ip_history ("
             "  ip INTEGER NOT NULL,"
@@ -277,93 +324,7 @@ class MeasurementStore(StoreBackend):
             "  PRIMARY KEY (round_id, column_name, value)"
             ") WITHOUT ROWID"
         )
-        self._has_views = True
-        self._migrate_rounds_table()
-        self._migrate_shard_tables()
-        self._migrate_round_indexes()
         self._commit()
-
-    def _migrate_rounds_table(self) -> None:
-        """Upgrade databases written before the resilience/journal
-        columns existed (older files lack ``degraded``, ``error_count``
-        and ``round_status``)."""
-        existing = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(rounds)")
-        }
-        for name in ("degraded", "error_count"):
-            if name not in existing:
-                self._conn.execute(
-                    f"ALTER TABLE rounds ADD COLUMN {name} "
-                    "INTEGER NOT NULL DEFAULT 0"
-                )
-        if "round_status" not in existing:
-            self._conn.execute(
-                "ALTER TABLE rounds ADD COLUMN round_status "
-                f"TEXT NOT NULL DEFAULT '{ROUND_COMPLETE}'"
-            )
-            # Pre-journal rounds were only ever written whole, so they
-            # are complete; carry the degraded flag into the status.
-            self._conn.execute(
-                "UPDATE rounds SET round_status = ? WHERE degraded = 1",
-                (ROUND_DEGRADED,),
-            )
-        if "shard_size" not in existing:
-            self._conn.execute(
-                "ALTER TABLE rounds ADD COLUMN shard_size "
-                "INTEGER NOT NULL DEFAULT 0"
-            )
-        if "duration_seconds" not in existing:
-            self._conn.execute(
-                "ALTER TABLE rounds ADD COLUMN duration_seconds "
-                "REAL NOT NULL DEFAULT 0"
-            )
-
-    def _migrate_round_indexes(self) -> None:
-        """Backfill the per-round ``(ip)`` index.  Finalize creates it,
-        so only tables from runs that crashed between their last shard
-        and finalize (then resumed on older code) can lack it — but a
-        missing one turns every record/history lookup into a full
-        table scan, so opening a writer repairs it unconditionally."""
-        for row in self._conn.execute(
-            "SELECT name FROM sqlite_master WHERE type = 'table'"
-        ).fetchall():
-            table = row["name"]
-            if not (table.startswith("round_") and
-                    table[len("round_"):].isdigit()):
-                continue
-            self._conn.execute(
-                f"CREATE INDEX IF NOT EXISTS idx_{table}_ip "
-                f"ON {table} (ip)"
-            )
-
-    def _migrate_shard_tables(self) -> None:
-        """Upgrade databases written before shard checksums existed.
-        Legacy shards keep an empty checksum — :meth:`verify_round`
-        reports them *unverifiable* rather than corrupt."""
-        existing = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(round_shards)")
-        }
-        if "checksum" not in existing:
-            self._conn.execute(
-                "ALTER TABLE round_shards ADD COLUMN checksum "
-                "TEXT NOT NULL DEFAULT ''"
-            )
-        if "quarantine_count" not in existing:
-            self._conn.execute(
-                "ALTER TABLE round_shards ADD COLUMN quarantine_count "
-                "INTEGER NOT NULL DEFAULT 0"
-            )
-        quarantine_cols = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(quarantine)")
-        }
-        if quarantine_cols and "shard_index" not in quarantine_cols:
-            self._conn.execute(
-                "ALTER TABLE quarantine ADD COLUMN shard_index "
-                "INTEGER NOT NULL DEFAULT 0"
-            )
 
     @classmethod
     def open_readonly(cls, path: str, **kwargs) -> "MeasurementStore":
@@ -397,18 +358,6 @@ class MeasurementStore(StoreBackend):
             yield self
         finally:
             self._conn.set_progress_handler(None, 0)
-
-    def _table_has_column(self, table: str, column: str) -> bool:
-        return any(
-            row["name"] == column
-            for row in self._conn.execute(f"PRAGMA table_info({table})")
-        )
-
-    def _table_exists(self, table: str) -> bool:
-        return self._conn.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = ?",
-            (table,),
-        ).fetchone() is not None
 
     def _commit(self) -> None:
         """Commit with a bounded jittered-backoff retry on SQLITE_BUSY.
@@ -477,16 +426,7 @@ class MeasurementStore(StoreBackend):
                     )
                     self._delete_view_rows(round_id)
                 elif row["round_status"] == ROUND_IN_PROGRESS:
-                    # Resume: keep shards.  Tables written before the
-                    # shard_index bookkeeping column gain it here so
-                    # the remaining shards insert cleanly.
-                    if not self._table_has_column(table, "shard_index"):
-                        self._conn.execute(
-                            f"ALTER TABLE {table} ADD COLUMN shard_index "
-                            "INTEGER NOT NULL DEFAULT 0"
-                        )
-                        self._commit()
-                    return self._any_round(round_id)
+                    return self._any_round(round_id)    # resume: keep shards
                 else:
                     raise ValueError(f"round {round_id} is already finalized")
             columns_sql = ", ".join(f"{name} {sql}" for name, sql in COLUMNS)
@@ -620,25 +560,33 @@ class MeasurementStore(StoreBackend):
              checksum, len(entries)),
         )
         self._fold_rows(info.round_id, row_dicts, len(entries))
+        self._note_view_fold()
         return True
 
     def _fold_rows(
-        self, round_id: int, row_dicts: Sequence[dict], quarantined: int
+        self,
+        round_id: int,
+        row_dicts: Sequence[Mapping],
+        quarantined: int,
+        *,
+        sign: int = 1,
     ) -> None:
-        """Stage one committed shard's fold into the three read models
-        on the open transaction (the shard and its fold are one atomic
-        unit).  Always upserts the summary — even for an empty shard —
-        so summary-row presence marks the round as view-maintained."""
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO view_ip_history "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                tuple(_base.light_row(row)[name]
-                      for name in IP_HISTORY_COLUMNS)
-                for row in row_dicts
-            ),
-        )
-        counts = _base.summarize_rows(row_dicts)
+        """Stage :func:`_fold` of *row_dicts* into the three read
+        models on the open transaction (a shard and its fold are one
+        atomic unit).  ``sign=-1`` retracts rows folded earlier.  The
+        summary is upserted even for an empty shard."""
+        history, counts, tallies = _fold(row_dicts)
+        if sign > 0:
+            self._conn.executemany(
+                "INSERT OR REPLACE INTO view_ip_history "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                history.values(),
+            )
+        else:
+            self._conn.executemany(
+                "DELETE FROM view_ip_history WHERE ip = ? AND round_id = ?",
+                ((ip, round_id) for ip in history),
+            )
         self._conn.execute(
             "INSERT INTO view_round_summary VALUES (?, ?, ?, ?, ?) "
             "ON CONFLICT(round_id) DO UPDATE SET"
@@ -646,23 +594,24 @@ class MeasurementStore(StoreBackend):
             " available = available + excluded.available,"
             " fetched = fetched + excluded.fetched,"
             " quarantined = quarantined + excluded.quarantined",
-            (round_id, counts["responsive"], counts["available"],
-             counts["fetched"], quarantined),
+            (round_id, sign * counts["responsive"],
+             sign * counts["available"], sign * counts["fetched"],
+             sign * quarantined),
         )
-        for column in sorted(AGGREGATE_COLUMNS):
-            tally = Counter(
-                row[column] for row in row_dicts if row[column] is not None
+        self._conn.executemany(
+            "INSERT INTO view_cluster_agg VALUES (?, ?, ?, ?) "
+            "ON CONFLICT(round_id, column_name, value) "
+            "DO UPDATE SET n = n + excluded.n",
+            (
+                (round_id, column, value, sign * count)
+                for (column, value), count in tallies.items()
+            ),
+        )
+        if sign < 0:
+            self._conn.execute(
+                "DELETE FROM view_cluster_agg WHERE round_id = ? AND n <= 0",
+                (round_id,),
             )
-            self._conn.executemany(
-                "INSERT INTO view_cluster_agg VALUES (?, ?, ?, ?) "
-                "ON CONFLICT(round_id, column_name, value) "
-                "DO UPDATE SET n = n + excluded.n",
-                (
-                    (round_id, column, value, count)
-                    for value, count in tally.items()
-                ),
-            )
-        self._note_view_fold()
 
     def _delete_view_rows(self, round_id: int) -> None:
         for table in _VIEW_TABLES:
@@ -779,10 +728,10 @@ class MeasurementStore(StoreBackend):
     def verify_round(self, round_id: int) -> RoundVerification:
         """Walk one round's shard journal and recompute every shard's
         checksum: reports missing shards (journal gaps in a finalized
-        round), corrupt shards (digest or row-count mismatch), legacy
-        shards with no digest, orphaned rows/quarantine entries not
-        attributed to any journaled shard, and read models whose
-        contents no longer match a refold of the base data."""
+        round), corrupt shards (digest or row-count mismatch),
+        orphaned rows/quarantine entries not attributed to any journaled
+        shard, and read models whose contents differ from the fold of
+        the rows it decoded for the checksums."""
         with self._lock:
             info = self._any_round(round_id)
             entries = self.shard_journal(round_id)
@@ -799,12 +748,11 @@ class MeasurementStore(StoreBackend):
                     report.missing = sorted(set(range(expected)) - present)
                 elif entries and 0 not in present:
                     report.missing = [0]
-            if not self._table_has_column(info.table_name, "shard_index"):
-                # Pre-checksum table: rows cannot be attributed.
-                report.unverifiable = sorted(present)
-                return report
             attributed_rows = 0
             attributed_quarantine = 0
+            history: dict[int, tuple] = {}
+            summary: Counter = Counter()
+            agg: Counter = Counter()
             for entry in entries:
                 rows = [
                     record.to_row()
@@ -818,9 +766,6 @@ class MeasurementStore(StoreBackend):
                     "WHERE round_id = ? AND shard_index = ?",
                     (round_id, entry.shard_index),
                 ).fetchone()[0]
-                if not entry.checksum:
-                    report.unverifiable.append(entry.shard_index)
-                    continue
                 if (
                     len(rows) != entry.record_count
                     or shard_checksum(rows) != entry.checksum
@@ -828,6 +773,10 @@ class MeasurementStore(StoreBackend):
                     report.corrupt.append(entry.shard_index)
                 else:
                     report.verified += 1
+                shard_history, counts, tallies = _fold(rows)
+                history.update(shard_history)
+                summary.update(counts, quarantined=entry.quarantine_count)
+                agg.update(tallies)
             total_rows = self._conn.execute(
                 f"SELECT COUNT(*) FROM {info.table_name}"
             ).fetchone()[0]
@@ -836,65 +785,52 @@ class MeasurementStore(StoreBackend):
             report.orphan_quarantine = (
                 total_quarantine - attributed_quarantine
             )
-            self._audit_views(info, report)
+            report.view_issues = self._stale_views(
+                round_id, history, summary, agg
+            )
             return report
 
-    def _audit_views(
-        self, info: RoundInfo, report: RoundVerification
-    ) -> None:
-        """Audit the three read models for one round against a refold
-        of its base table, appending stale view names to
-        ``report.view_issues``.  Rounds with no summary row (written
-        before the views existed, or awaiting ``repro rebuild-views``)
-        are skipped — absence is legacy, not corruption."""
-        if not self._has_views or not self._folded(info.round_id):
-            return
-        table = info.table_name
-        summary = self._conn.execute(
-            "SELECT responsive, available, fetched, quarantined "
+    def _stale_views(
+        self,
+        round_id: int,
+        history: dict[int, tuple],
+        summary: Counter,
+        agg: Counter,
+    ) -> list[str]:
+        """Names of the round's read models whose stored contents differ
+        from the fold of its journaled rows (a missing summary row
+        reads as zeros)."""
+        stale = []
+        stored = self._conn.execute(
+            f"SELECT {', '.join(_SUMMARY_COLUMNS)} "
             "FROM view_round_summary WHERE round_id = ?",
-            (info.round_id,),
+            (round_id,),
         ).fetchone()
-        expected = self._scan_counts(table)
-        expected["quarantined"] = self._journal_quarantine(info.round_id)
-        actual = {key: int(summary[key]) for key in expected}
-        if actual != expected:
-            report.view_issues.append("round_summary")
-        expected_rows = [
-            dict(zip(IP_HISTORY_COLUMNS, row))
-            for row in self._conn.execute(
-                f"SELECT {_LIGHT_SELECT} FROM {table}"
-            )
-        ]
-        actual_rows = [
-            dict(zip(IP_HISTORY_COLUMNS, row))
+        if tuple(stored or (0,) * len(_SUMMARY_COLUMNS)) != tuple(
+            summary[key] for key in _SUMMARY_COLUMNS
+        ):
+            stale.append("round_summary")
+        stored_history = {
+            row[0]: tuple(row)
             for row in self._conn.execute(
                 f"SELECT {', '.join(IP_HISTORY_COLUMNS)} "
                 "FROM view_ip_history WHERE round_id = ?",
-                (info.round_id,),
+                (round_id,),
             )
-        ]
-        if rows_checksum(expected_rows) != rows_checksum(actual_rows):
-            report.view_issues.append("ip_history")
-        expected_agg = []
-        for column in sorted(AGGREGATE_COLUMNS):
-            expected_agg.extend(
-                {"column_name": column, "value": row[0], "n": int(row[1])}
-                for row in self._conn.execute(
-                    f"SELECT {column}, COUNT(*) FROM {table} "
-                    f"WHERE {column} IS NOT NULL GROUP BY {column}"
-                )
-            )
-        actual_agg = [
-            {"column_name": row[0], "value": row[1], "n": int(row[2])}
+        }
+        if stored_history != history:
+            stale.append("ip_history")
+        stored_agg = {
+            (row[0], row[1]): row[2]
             for row in self._conn.execute(
                 "SELECT column_name, value, n FROM view_cluster_agg "
                 "WHERE round_id = ?",
-                (info.round_id,),
+                (round_id,),
             )
-        ]
-        if rows_checksum(expected_agg) != rows_checksum(actual_agg):
-            report.view_issues.append("cluster_agg")
+        }
+        if stored_agg != dict(agg):
+            stale.append("cluster_agg")
+        return stale
 
     def delete_partial(self, round_id: int) -> None:
         info = self._any_round(round_id)
@@ -975,15 +911,19 @@ class MeasurementStore(StoreBackend):
     def update_features(
         self, round_id: int, ip: int, features: PageFeatures
     ) -> bool:
+        """Overwrite one row's feature columns, re-journal its shard's
+        checksum, and refold the read models: the old row's fold is
+        retracted and the new row's applied, both over the decoded rows
+        :meth:`verify_round` and :meth:`rebuild_views` fold."""
         with self._lock:
-            info = self._any_round(round_id)
+            table = self._any_round(round_id).table_name
             old = self._conn.execute(
-                f"SELECT {', '.join(_REPLAYED_AGG_COLUMNS)} "
-                f"FROM {info.table_name} WHERE ip = ?",
-                (ip,),
+                f"SELECT * FROM {table} WHERE ip = ?", (ip,)
             ).fetchone()
-            cursor = self._conn.execute(
-                f"UPDATE {info.table_name} SET"
+            if old is None:
+                return False
+            self._conn.execute(
+                f"UPDATE {table} SET"
                 " powered_by = ?, description = ?, header_string = ?,"
                 " html_length = ?, title = ?, template = ?, server = ?,"
                 " keywords = ?, analytics_id = ?, simhash = ?"
@@ -993,78 +933,24 @@ class MeasurementStore(StoreBackend):
                  features.template, features.server, features.keywords,
                  features.analytics_id, f"{features.simhash:024x}", ip),
             )
-            if (
-                cursor.rowcount > 0
-                and self._table_has_column(info.table_name, "shard_index")
-            ):
-                owner = self._conn.execute(
-                    f"SELECT shard_index FROM {info.table_name} WHERE ip = ?",
-                    (ip,),
-                ).fetchone()
-                if owner is not None:
-                    rows = [
-                        record.to_row()
-                        for record in self.shard_records(round_id, owner[0])
-                    ]
-                    self._conn.execute(
-                        "UPDATE round_shards SET checksum = ? "
-                        "WHERE round_id = ? AND shard_index = ? "
-                        "AND checksum != ''",
-                        (shard_checksum(rows), round_id, owner[0]),
-                    )
-            if cursor.rowcount > 0 and old is not None:
-                self._refold_replayed_row(info, ip, old)
+            shard = old["shard_index"]
+            rows = [
+                record.to_row()
+                for record in self.shard_records(round_id, shard)
+            ]
+            self._conn.execute(
+                "UPDATE round_shards SET checksum = ? "
+                "WHERE round_id = ? AND shard_index = ?",
+                (shard_checksum(rows), round_id, shard),
+            )
+            self._fold_rows(
+                round_id, [RoundRecord.from_row(old).to_row()], 0, sign=-1
+            )
+            self._fold_rows(
+                round_id, [row for row in rows if row["ip"] == ip], 0
+            )
             self._commit()
-            return cursor.rowcount > 0
-
-    def _refold_replayed_row(
-        self, info: RoundInfo, ip: int, old: sqlite3.Row
-    ) -> None:
-        """Re-fold the read models after ``update_features`` changed a
-        row in place: replace the IP's light history row and shift the
-        cluster-aggregate counts from the old feature values to the new
-        ones (the round summary is unaffected — replay never changes
-        fetch_status or status_code)."""
-        if not self._folded(info.round_id):
-            return
-        row = self._conn.execute(
-            f"SELECT {_LIGHT_SELECT} FROM {info.table_name} WHERE ip = ?",
-            (ip,),
-        ).fetchone()
-        if row is None:
-            return
-        self._conn.execute(
-            "INSERT OR REPLACE INTO view_ip_history "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            tuple(row),
-        )
-        new_row = self._conn.execute(
-            f"SELECT {', '.join(_REPLAYED_AGG_COLUMNS)} "
-            f"FROM {info.table_name} WHERE ip = ?",
-            (ip,),
-        ).fetchone()
-        for column in _REPLAYED_AGG_COLUMNS:
-            old_value, new_value = old[column], new_row[column]
-            if old_value == new_value:
-                continue
-            if old_value is not None:
-                self._conn.execute(
-                    "UPDATE view_cluster_agg SET n = n - 1 WHERE"
-                    " round_id = ? AND column_name = ? AND value = ?",
-                    (info.round_id, column, old_value),
-                )
-                self._conn.execute(
-                    "DELETE FROM view_cluster_agg WHERE round_id = ?"
-                    " AND column_name = ? AND value = ? AND n <= 0",
-                    (info.round_id, column, old_value),
-                )
-            if new_value is not None:
-                self._conn.execute(
-                    "INSERT INTO view_cluster_agg VALUES (?, ?, ?, 1) "
-                    "ON CONFLICT(round_id, column_name, value) "
-                    "DO UPDATE SET n = n + 1",
-                    (info.round_id, column, new_value),
-                )
+            return True
 
     # ------------------------------------------------------------------
     # campaign metadata
@@ -1136,77 +1022,18 @@ class MeasurementStore(StoreBackend):
             raise ValueError(f"round {round_id} is not open for writing")
         return info
 
-    def _folded(self, round_id: int) -> bool:
-        """True when the round has a summary row — i.e. its read models
-        are being maintained (rounds written before the views existed
-        have none until ``repro rebuild-views``)."""
-        return self._conn.execute(
-            "SELECT 1 FROM view_round_summary WHERE round_id = ?",
-            (round_id,),
-        ).fetchone() is not None
-
-    def _all_finalized_folded(self) -> bool:
-        """True when every finalized round has a summary row, so the
-        cross-round ``view_ip_history`` read is complete (a mixed
-        legacy/new database must fall back to base scans)."""
-        total = self._conn.execute(
-            "SELECT COUNT(*) FROM rounds WHERE round_status != ?",
-            (ROUND_IN_PROGRESS,),
-        ).fetchone()[0]
-        folded = self._conn.execute(
-            "SELECT COUNT(*) FROM view_round_summary s"
-            " JOIN rounds r ON r.round_id = s.round_id"
-            " WHERE r.round_status != ?",
-            (ROUND_IN_PROGRESS,),
-        ).fetchone()[0]
-        return int(folded) == int(total)
-
-    def _scan_counts(self, table: str) -> dict[str, int]:
-        row = self._conn.execute(
-            "SELECT COUNT(*),"
-            " COALESCE(SUM(CASE WHEN fetch_status = 'ok'"
-            "   AND status_code IS NOT NULL THEN 1 ELSE 0 END), 0),"
-            " COALESCE(SUM(CASE WHEN fetch_status != 'not-attempted'"
-            "   THEN 1 ELSE 0 END), 0) "
-            f"FROM {table}"
-        ).fetchone()
-        return {
-            "responsive": int(row[0]),
-            "available": int(row[1]),
-            "fetched": int(row[2]),
-        }
-
-    def _journal_quarantine(self, round_id: int) -> int:
-        """Quarantine entries journaled with the round's shards (the
-        summary's ``quarantined`` semantics — tool-added entries live
-        outside the shard protocol)."""
-        if not self._table_exists("round_shards"):
-            return 0
-        row = self._conn.execute(
-            "SELECT COALESCE(SUM(quarantine_count), 0) FROM round_shards "
-            "WHERE round_id = ?",
-            (round_id,),
-        ).fetchone()
-        return int(row[0])
-
     def round_stats(self, round_id: int) -> dict[str, int]:
         with self._lock:
-            info = self._any_round(round_id)
-            if self._has_views:
-                row = self._conn.execute(
-                    "SELECT responsive, available, fetched, quarantined "
-                    "FROM view_round_summary WHERE round_id = ?",
-                    (round_id,),
-                ).fetchone()
-                if row is not None:
-                    return {
-                        key: int(row[key])
-                        for key in ("responsive", "available", "fetched",
-                                    "quarantined")
-                    }
-            stats = self._scan_counts(info.table_name)
-            stats["quarantined"] = self._journal_quarantine(round_id)
-            return stats
+            self._any_round(round_id)
+            row = self._conn.execute(
+                f"SELECT {', '.join(_SUMMARY_COLUMNS)} "
+                "FROM view_round_summary WHERE round_id = ?",
+                (round_id,),
+            ).fetchone()
+            return {
+                key: int(row[key]) if row is not None else 0
+                for key in _SUMMARY_COLUMNS
+            }
 
     def aggregate_column(
         self, round_id: int, column: str, *, limit: int = 20
@@ -1216,22 +1043,14 @@ class MeasurementStore(StoreBackend):
         if limit <= 0:
             raise ValueError("limit must be positive")
         with self._lock:
-            info = self.round_info(round_id)
-            if self._has_views and self._folded(round_id):
-                cursor = self._conn.execute(
-                    "SELECT value, n FROM view_cluster_agg "
-                    "WHERE round_id = ? AND column_name = ? "
-                    "ORDER BY n DESC, value LIMIT ?",
-                    (round_id, column, limit),
-                )
-                return [(str(row[0]), int(row[1])) for row in cursor]
+            self.round_info(round_id)
             cursor = self._conn.execute(
-                f"SELECT {column}, COUNT(*) AS n FROM {info.table_name} "
-                f"WHERE {column} IS NOT NULL "
-                f"GROUP BY {column} ORDER BY n DESC, {column} LIMIT ?",
-                (limit,),
+                "SELECT value, n FROM view_cluster_agg "
+                "WHERE round_id = ? AND column_name = ? "
+                "ORDER BY n DESC, value LIMIT ?",
+                (round_id, column, limit),
             )
-            return [(str(row[0]), int(row[1])) for row in cursor.fetchall()]
+            return [(str(row[0]), int(row[1])) for row in cursor]
 
     def records(self, round_id: int) -> Iterator[RoundRecord]:
         info = self.round_info(round_id)
@@ -1244,20 +1063,13 @@ class MeasurementStore(StoreBackend):
     ) -> Iterator[tuple]:
         names = _base.check_column_names(names)
         table = self.round_info(round_id).table_name
-        # Tables written before these columns existed lack them;
-        # from_row reads them as None, so the projection does too.
-        absent = {
-            name for name in _LATE_COLUMNS
-            if name in names and not self._table_has_column(table, name)
-        }
-        select = ", ".join(
-            "NULL" if name in absent else name for name in names
-        )
         cursor = self._conn.cursor()
         cursor.row_factory = None      # plain tuples, not sqlite3.Row
         # Without the explicit order a narrow projection is planned as
         # a scan of the covering (ip) index: ip order, not commit order.
-        return cursor.execute(f"SELECT {select} FROM {table} ORDER BY rowid")
+        return cursor.execute(
+            f"SELECT {', '.join(names)} FROM {table} ORDER BY rowid"
+        )
 
     def record(self, round_id: int, ip: int) -> RoundRecord | None:
         info = self.round_info(round_id)
@@ -1282,20 +1094,16 @@ class MeasurementStore(StoreBackend):
         """One clustered-index range scan over ``view_ip_history``
         (finalized rounds only, chronological order) instead of a
         per-round full-row lookup — the serving layer's hot path."""
+        columns = ", ".join(f"h.{n}" for n in IP_HISTORY_COLUMNS)
         with self._lock:
-            if self._has_views and self._all_finalized_folded():
-                columns = ", ".join(f"h.{n}" for n in IP_HISTORY_COLUMNS)
-                cursor = self._conn.execute(
-                    f"SELECT {columns} FROM view_ip_history h"
-                    " JOIN rounds r ON r.round_id = h.round_id"
-                    " WHERE h.ip = ? AND r.round_status != ?"
-                    " ORDER BY h.timestamp, h.round_id",
-                    (ip, ROUND_IN_PROGRESS),
-                )
-                return [
-                    dict(zip(IP_HISTORY_COLUMNS, row)) for row in cursor
-                ]
-            return super().ip_history_rows(ip)
+            cursor = self._conn.execute(
+                f"SELECT {columns} FROM view_ip_history h"
+                " JOIN rounds r ON r.round_id = h.round_id"
+                " WHERE h.ip = ? AND r.round_status != ?"
+                " ORDER BY h.timestamp, h.round_id",
+                (ip, ROUND_IN_PROGRESS),
+            )
+            return [dict(zip(IP_HISTORY_COLUMNS, row)) for row in cursor]
 
     def responsive_ips(self, round_id: int) -> set[int]:
         info = self.round_info(round_id)
@@ -1306,55 +1114,40 @@ class MeasurementStore(StoreBackend):
     # read models
 
     def rebuild_views(self) -> int:
-        """Drop and refold every read model from the base tables — the
-        ``repro rebuild-views`` escape hatch, and the migration path
-        for databases written before the views existed.  Covers open
-        rounds too (folding tracks writing, not finalization).  One
-        transaction: a crash mid-rebuild rolls back to the old views."""
+        """Clear every read model and replay :meth:`_fold_rows` over each
+        round's shard journal — the ``repro rebuild-views`` repair for
+        views :meth:`verify_round` flags stale.  Covers open rounds too
+        (folding tracks writing, not finalization).  One transaction: a
+        crash mid-rebuild rolls back to the old views."""
         with self._lock:
             if self.readonly:
                 raise ValueError("store is read-only")
             try:
                 for table in _VIEW_TABLES:
                     self._conn.execute(f"DELETE FROM {table}")
-                rows = self._conn.execute(
-                    f"SELECT {self._ROUND_COLUMNS} FROM rounds "
-                    "ORDER BY timestamp, round_id"
-                ).fetchall()
-                refolded = 0
-                for row in rows:
-                    info = self._round_info(row)
-                    if not self._table_exists(info.table_name):
-                        continue
-                    self._refold_round(info)
-                    refolded += 1
+                round_ids = [
+                    row[0] for row in self._conn.execute(
+                        "SELECT round_id FROM rounds "
+                        "ORDER BY timestamp, round_id"
+                    ).fetchall()
+                ]
+                for round_id in round_ids:
+                    for entry in self.shard_journal(round_id):
+                        rows = [
+                            record.to_row()
+                            for record in self.shard_records(
+                                round_id, entry.shard_index
+                            )
+                        ]
+                        self._fold_rows(
+                            round_id, rows, entry.quarantine_count
+                        )
+                        self._note_view_fold()
                 self._commit()
             except BaseException:
                 self._conn.rollback()
                 raise
-            return refolded
-
-    def _refold_round(self, info: RoundInfo) -> None:
-        table = info.table_name
-        self._conn.execute(
-            f"INSERT OR REPLACE INTO view_ip_history "
-            f"SELECT {_LIGHT_SELECT} FROM {table}"
-        )
-        counts = self._scan_counts(table)
-        self._conn.execute(
-            "INSERT OR REPLACE INTO view_round_summary "
-            "VALUES (?, ?, ?, ?, ?)",
-            (info.round_id, counts["responsive"], counts["available"],
-             counts["fetched"], self._journal_quarantine(info.round_id)),
-        )
-        for column in sorted(AGGREGATE_COLUMNS):
-            self._conn.execute(
-                f"INSERT OR REPLACE INTO view_cluster_agg "
-                f"SELECT ?, ?, {column}, COUNT(*) FROM {table} "
-                f"WHERE {column} IS NOT NULL GROUP BY {column}",
-                (info.round_id, column),
-            )
-        self._note_view_fold()
+            return len(round_ids)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import sqlite3
 
 import pytest
 
@@ -277,34 +276,6 @@ class TestJournaledStore:
             "scenario": "Azure", "completed_days": "[0, 3]",
         }
         reopened.close()
-
-    def test_migrates_pre_journal_database(self, tmp_path):
-        """A rounds table from before round_status/shard_size existed
-        is upgraded in place; degraded rounds keep their flag in the
-        new status column."""
-        path = str(tmp_path / "old.sqlite")
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE rounds ("
-            "  round_id INTEGER PRIMARY KEY,"
-            "  timestamp INTEGER NOT NULL,"
-            "  targets_probed INTEGER NOT NULL,"
-            "  responsive_count INTEGER NOT NULL,"
-            "  degraded INTEGER NOT NULL DEFAULT 0,"
-            "  error_count INTEGER NOT NULL DEFAULT 0"
-            ")"
-        )
-        conn.execute("INSERT INTO rounds VALUES (1, 0, 10, 0, 0, 0)")
-        conn.execute("INSERT INTO rounds VALUES (2, 3, 10, 0, 1, 4)")
-        conn.commit()
-        conn.close()
-
-        store = MeasurementStore(path)
-        first, second = store.rounds()
-        assert first.status == ROUND_COMPLETE
-        assert second.status == "degraded" and second.degraded
-        assert store.open_rounds() == []
-        store.close()
 
 
 # ----------------------------------------------------------------------

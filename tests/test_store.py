@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
+from repro.cli import main
 from repro.core.records import (
     FetchResult,
     FetchStatus,
@@ -12,7 +15,11 @@ from repro.core.records import (
     ProbeStatus,
 )
 from repro.core.records import RoundRecord
-from repro.core.store import MeasurementStore
+from repro.core.store import (
+    MeasurementStore,
+    UnsupportedStoreFormat,
+    open_store,
+)
 
 
 def record(ip: int, round_id: int, timestamp: int, title: str = "t") -> RoundRecord:
@@ -165,29 +172,123 @@ class TestRoundIsolation:
         assert info.degraded is True and info.error_count == 3
         reopened.close()
 
-    def test_migrates_pre_resilience_database(self, tmp_path):
-        """A rounds table from before the degraded/error_count columns
-        existed is upgraded in place on open."""
-        import sqlite3
 
-        path = str(tmp_path / "old.sqlite")
-        conn = sqlite3.connect(path)
+def _old_rounds_table(path: str, columns: str, rows: list[tuple]) -> None:
+    conn = sqlite3.connect(path)
+    conn.execute(f"CREATE TABLE rounds ({columns})")
+    for row in rows:
         conn.execute(
-            "CREATE TABLE rounds ("
-            "  round_id INTEGER PRIMARY KEY,"
-            "  timestamp INTEGER NOT NULL,"
-            "  targets_probed INTEGER NOT NULL,"
-            "  responsive_count INTEGER NOT NULL"
-            ")"
+            f"INSERT INTO rounds VALUES ({', '.join('?' for _ in row)})", row
         )
-        conn.execute("INSERT INTO rounds VALUES (1, 0, 10, 0)")
-        conn.commit()
+    conn.commit()
+    conn.close()
+
+
+def _pre_resilience(path: str) -> None:
+    _old_rounds_table(
+        path,
+        "round_id INTEGER PRIMARY KEY, timestamp INTEGER NOT NULL,"
+        " targets_probed INTEGER NOT NULL, responsive_count INTEGER NOT NULL",
+        [(1, 0, 10, 0)],
+    )
+
+
+def _pre_journal(path: str) -> None:
+    _old_rounds_table(
+        path,
+        "round_id INTEGER PRIMARY KEY, timestamp INTEGER NOT NULL,"
+        " targets_probed INTEGER NOT NULL, responsive_count INTEGER NOT NULL,"
+        " degraded INTEGER NOT NULL DEFAULT 0,"
+        " error_count INTEGER NOT NULL DEFAULT 0",
+        [(1, 0, 10, 0, 0, 0), (2, 3, 10, 0, 1, 4)],
+    )
+
+
+def _pre_views(path: str) -> None:
+    """Today's columns and journal, one round, no read-model tables."""
+    store = MeasurementStore(path)
+    store.write_round(1, 0, 10, [record(1, 1, 0), record(2, 1, 0)])
+    store.close()
+    conn = sqlite3.connect(path)
+    for table in ("view_ip_history", "view_round_summary",
+                  "view_cluster_agg"):
+        conn.execute(f"DROP TABLE {table}")
+    conn.commit()
+    conn.close()
+
+
+PRE_READ_MODEL_SHAPES = {
+    "pre_resilience": _pre_resilience,
+    "pre_journal": _pre_journal,
+    "pre_views": _pre_views,
+}
+
+REFUSAL = "before the materialized read models were added"
+
+
+def pre_read_model_database(tmp_path, shape: str = "pre_views") -> str:
+    path = str(tmp_path / f"{shape}.sqlite")
+    PRE_READ_MODEL_SHAPES[shape](path)
+    return path
+
+
+def schema(path: str) -> list[tuple]:
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute(
+            "SELECT type, name, sql FROM sqlite_master ORDER BY name"
+        ).fetchall()
+    finally:
         conn.close()
 
+
+class TestStoreFormat:
+    """Stores are readable from the read-model format on: an older file
+    is refused before any DDL runs, never migrated."""
+
+    @pytest.mark.parametrize("readonly", [False, True],
+                             ids=["writer", "readonly"])
+    @pytest.mark.parametrize("shape", sorted(PRE_READ_MODEL_SHAPES))
+    def test_pre_read_model_database_is_refused(self, tmp_path, shape,
+                                                readonly):
+        path = pre_read_model_database(tmp_path, shape)
+        before = schema(path)
+        with pytest.raises(UnsupportedStoreFormat, match=REFUSAL) as caught:
+            open_store(path, readonly=readonly)
+        assert isinstance(caught.value, ValueError)
+        assert schema(path) == before
+
+    def test_empty_rounds_table_opens_and_gains_the_schema(self, tmp_path):
+        """A partition journal torn mid-creation: tables, no rounds."""
+        reference = str(tmp_path / "fresh.sqlite")
+        MeasurementStore(reference).close()
+        (rounds_sql,) = [sql for _, name, sql in schema(reference)
+                         if name == "rounds"]
+        path = str(tmp_path / "torn.sqlite")
+        conn = sqlite3.connect(path)
+        conn.execute(rounds_sql)
+        conn.commit()
+        conn.close()
         store = MeasurementStore(path)
-        info = store.round_info(1)
-        assert info.degraded is False and info.error_count == 0
+        assert schema(path) == schema(reference)
+        store.write_round(1, 0, 10, [record(1, 1, 0)])
+        assert store.verify_round(1).ok
+        assert store.round_stats(1)["responsive"] == 1
         store.close()
+
+    @pytest.mark.parametrize(
+        "command", ["serve", "verify", "report", "resume", "rebuild-views"]
+    )
+    def test_cli_refuses_in_one_line(self, tmp_path, capsys, command):
+        path = pre_read_model_database(tmp_path)
+        argv = [command, path] + (["--port", "0"] if command == "serve"
+                                  else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: cannot open database" in err
+        assert REFUSAL in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestReadonlyStore:

@@ -68,18 +68,31 @@ def tamper_base_row(store, round_id: int, ip: int) -> None:
     store.close()
 
 
-def tamper_view_summary(store, round_id: int) -> None:
-    """Corrupt the materialized round summary, per engine."""
+def tamper_view(store, round_id: int, view: str = "round_summary") -> None:
+    """Corrupt one materialized read model of a round, per engine."""
     if store.BACKEND == "sqlite":
         store._conn.execute(
-            "UPDATE view_round_summary SET responsive = responsive + 5 "
-            "WHERE round_id = ?", (round_id,)
+            {
+                "round_summary": "UPDATE view_round_summary"
+                                 " SET responsive = responsive + 5",
+                "ip_history": "UPDATE view_ip_history SET title = 'stale'",
+                "cluster_agg": "UPDATE view_cluster_agg SET n = n + 1",
+            }[view] + " WHERE round_id = ?",
+            (round_id,),
         )
         store._conn.commit()
         return
     views_file = store._round_dir(round_id) / "views.json"
     views = json.loads(views_file.read_text(encoding="utf-8"))
-    views["summary"]["responsive"] += 5
+    if view == "round_summary":
+        views["summary"]["responsive"] += 5
+    elif view == "ip_history":
+        for row in views["ip"].values():
+            row["title"] = "stale"
+    else:
+        for pairs in views["agg"].values():
+            for pair in pairs:
+                pair[1] += 1
     views_file.write_text(json.dumps(views), encoding="utf-8")
     store.close()
 
@@ -200,13 +213,27 @@ class TestVerification:
         path = store_path(backend, tmp_path)
         store = open_store(path, backend=backend)
         store.write_round(1, 0, 10, [record(i, 1, 0) for i in range(1, 4)])
-        tamper_view_summary(store, 1)
+        tamper_view(store, 1)
         reopened = open_store(path)
         report = reopened.verify_round(1)
         assert not report.ok
         assert any("round_summary" in issue for issue in report.view_issues)
         # The escape hatch restores the invariant from base data.
         assert reopened.rebuild_views() >= 1
+        assert reopened.verify_round(1).ok
+        reopened.close()
+
+    @pytest.mark.parametrize("view", ["ip_history", "cluster_agg"])
+    def test_stale_view_is_named_alone(self, backend, tmp_path, view):
+        path = store_path(backend, tmp_path)
+        store = open_store(path, backend=backend)
+        store.write_round(1, 0, 10, [record(i, 1, 0) for i in range(1, 4)])
+        tamper_view(store, 1, view)
+        reopened = open_store(path)
+        report = reopened.verify_round(1)
+        assert report.view_issues == [view]
+        assert not report.corrupt and not report.ok
+        reopened.rebuild_views()
         assert reopened.verify_round(1).ok
         reopened.close()
 
@@ -262,6 +289,51 @@ class TestReadModels:
         values = dict(store.aggregate_column(1, "title", limit=10))
         assert values == {"after": 1, "other": 1}
         assert store.verify_round(1).ok
+        store.close()
+
+    def test_sqlite_rebuild_is_a_byte_level_noop(self, tmp_path):
+        """Rebuild replays the write path's fold over the shard journal,
+        so on a healthy store it rewrites the views byte for byte —
+        quarantine counts, a replayed row and an open round included."""
+        store = make_store("sqlite", tmp_path)
+
+        def hostile(ip, round_id, timestamp):
+            return QuarantineRecord(
+                ip=ip, round_id=round_id, timestamp=timestamp,
+                stage="extract", verdict="trapped", error_class="ValueError",
+            )
+
+        store.begin_round(1, 0, 6, shard_size=3)
+        store.write_shard(1, 0, [record(ip, 1, 0, f"t{ip % 2}")
+                                 for ip in (1, 2, 3)],
+                          quarantine=[hostile(2, 1, 0)])
+        store.write_shard(1, 1, [record(ip, 1, 0, "t0") for ip in (4, 5)],
+                          quarantine=[hostile(4, 1, 0), hostile(5, 1, 0)])
+        store.finalize_round(1)
+        store.write_round(2, 3, 6, [record(ip, 2, 3, "u") for ip in (1, 6)])
+        store.write_round(3, 6, 6, [])
+        store.begin_round(4, 9, 6, shard_size=3)
+        store.write_shard(4, 0, [record(7, 4, 9, "open")],
+                          quarantine=[hostile(7, 4, 9)])
+        assert store.update_features(1, 2, PageFeatures(title="t1",
+                                                         server="fixed"))
+
+        def views():
+            return [
+                line for line in store._conn.iterdump()
+                if line.startswith('INSERT INTO "view_')
+            ]
+
+        before = views()
+        assert any("view_round_summary" in line for line in before)
+        assert store.rebuild_views() == 4
+        assert views() == before
+        for round_id in (1, 2, 3, 4):
+            assert store.verify_round(round_id).ok, round_id
+        assert store.round_stats(1) == {
+            "responsive": 5, "available": 5, "fetched": 5, "quarantined": 3,
+        }
+        assert dict(store.aggregate_column(1, "title")) == {"t1": 3, "t0": 2}
         store.close()
 
 
@@ -466,33 +538,6 @@ class TestColumnsProjection:
                     list(reader.records(missing))
                 with pytest.raises(KeyError):
                     list(reader.columns(missing, ("ip",)))
-
-    def test_sqlite_table_older_than_late_columns_reads_none(self, tmp_path):
-        """A round table written before error_class / probe_error_class
-        / ssh_banner existed: ``from_row`` reads them as None, and so
-        does the projection."""
-        late = ("error_class", "probe_error_class", "ssh_banner")
-        path = store_path("sqlite", tmp_path)
-        store = MeasurementStore(path)
-        store.write_round(1, 0, 10, [record(1, 1, 0), record(2, 1, 0)])
-        store.close()
-        conn = sqlite3.connect(path)
-        kept = ", ".join(
-            [n for n in COLUMN_NAMES if n not in late] + ["shard_index"]
-        )
-        conn.execute(f"CREATE TABLE old AS SELECT {kept} FROM round_00000")
-        conn.execute("DROP TABLE round_00000")
-        conn.execute("ALTER TABLE old RENAME TO round_00000")
-        conn.commit()
-        conn.close()
-        with open_store(path, readonly=True) as reader:
-            assert [r.ssh_banner for r in reader.records(1)] == [None, None]
-            assert list(reader.columns(1, ("ip",) + late)) == [
-                (1, None, None, None), (2, None, None, None),
-            ]
-            assert list(reader.columns(1, COLUMN_NAMES)) == projection_oracle(
-                reader, 1, COLUMN_NAMES
-            )
 
 
 class TestCrossBackendEquivalence:
