@@ -3,8 +3,10 @@
 Implements the same :class:`~repro.core.transport.Transport` protocol as
 the real-socket transport, so the WhoWas scanner and fetcher run against
 the simulator unmodified; it is also the one
-:class:`~repro.core.transport.BatchProbe`, so the scanner hands it a
-shard's probes a pass at a time.  Probes honour per-(ip, day) latency and
+:class:`~repro.core.transport.BatchProbe` and
+:class:`~repro.core.transport.BatchGet`, so the scanner hands it a
+shard's probes, and the fetcher a shard's GETs and banner reads, a pass
+at a time.  Probes honour per-(ip, day) latency and
 flakiness (driving the §4 timeout experiment); HTTP responses carry the
 owning service's software headers and rendered page.
 """
@@ -12,6 +14,7 @@ owning service's software headers and rendered page.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Sequence
 
 from ..core.transport import (
@@ -27,6 +30,18 @@ from .simulation import CloudSimulation, HostState
 __all__ = ["SimulatedTransport"]
 
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+
+
+def _answer_each(call, requests) -> list:
+    """``call(*request)`` for each request: its result, or the exception
+    it raised, in the request's slot."""
+    answers = []
+    for request in requests:
+        try:
+            answers.append(call(*request))
+        except Exception as exc:
+            answers.append(exc)
+    return answers
 
 
 class SimulatedTransport:
@@ -73,6 +88,16 @@ class SimulatedTransport:
         return True
 
     async def banner(self, ip: int, port: int, timeout: float) -> str:
+        return self._banner(ip, port, timeout)
+
+    async def banner_many(
+        self, targets: Sequence[tuple[int, int]], timeout: float
+    ) -> list[str | Exception]:
+        """:class:`~repro.core.transport.BatchGet`: one banner (or the
+        exception ``banner`` would have raised) per ``(ip, port)``."""
+        return _answer_each(partial(self._banner, timeout=timeout), targets)
+
+    def _banner(self, ip: int, port: int, timeout: float) -> str:
         sim = self.simulation
         state = sim.host_state(ip)
         if state is None or port not in state.open_ports:
@@ -93,6 +118,23 @@ class SimulatedTransport:
         max_body: int,
         headers=None,
     ) -> HttpResponse:
+        return self._get(ip, scheme, path, max_body)
+
+    async def get_many(
+        self,
+        requests: Sequence[tuple[int, str, str]],
+        *,
+        timeout: float,
+        max_body: int,
+        headers=None,
+    ) -> list[HttpResponse | Exception]:
+        """:class:`~repro.core.transport.BatchGet`: the simulator answers
+        without waiting, so a batch is a plain loop; a failure sits in
+        its slot instead of being raised."""
+        return _answer_each(partial(self._get, max_body=max_body), requests)
+
+    def _get(self, ip: int, scheme: str, path: str,
+             max_body: int) -> HttpResponse:
         self.get_count += 1
         sim = self.simulation
         state = sim.host_state(ip)

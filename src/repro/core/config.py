@@ -136,7 +136,9 @@ class GuardConfig:
     #: Wall-clock ceiling in seconds for one IP's whole fetch task
     #: (robots.txt + page GET + retries).  A task that blows it is
     #: cancelled, recorded as a ``stage-deadline`` fetch error, and
-    #: quarantined.  0 disables the deadline.
+    #: quarantined.  0 disables the deadline.  It guards the pooled
+    #: fetch only: a ``BatchGet`` transport never suspends, so its
+    #: batch calls have nothing to cancel.
     fetch_deadline: float = 30.0
     #: Wall-clock ceiling in seconds for extracting one page's features.
     #: 0 disables the deadline (extraction then runs inline, guarded

@@ -19,17 +19,15 @@ Missing entries are recorded as ``"unknown"``.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import threading
-from collections import OrderedDict
 from typing import Iterator, Mapping
 
 from .records import UNKNOWN, FetchResult, PageFeatures
 from .simhash import simhash as compute_simhash
 
-__all__ = ["FeatureExtractor", "extract_links", "extract_internal_links",
-           "extract_domains", "GA_ID_RE"]
+__all__ = ["FeatureExtractor", "RoundMemo", "extract_links",
+           "extract_internal_links", "extract_domains", "GA_ID_RE"]
 
 _TITLE_RE = re.compile(r"<title[^>]*>(.*?)</title>", re.IGNORECASE | re.DOTALL)
 
@@ -125,56 +123,132 @@ def extract_internal_links(html: str) -> list[str]:
     ))
 
 
+class RoundMemo:
+    """Values keyed by a body digest, kept for as long as the body can
+    recur: the rounds that see it again.
+
+    Two generations: this round's and the last one's.  A lookup that
+    finds a key in the last round's generation moves it into this
+    round's, and :meth:`new_round` drops whatever the last round saw and
+    this one did not.  So a body fetched every round is computed once
+    per campaign, and the memo holds at most the distinct bodies of two
+    consecutive rounds, whatever the scale — a bound that follows the
+    round instead of a constant a large round would overrun.  A memo
+    nobody rotates keeps everything it was given.
+
+    Shared by the loop thread and executor threads, so every operation
+    holds a lock; values are computed outside it.
+    """
+
+    __slots__ = ("_current", "_previous", "_lock")
+
+    def __init__(self) -> None:
+        self._current: dict = {}
+        self._previous: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._current.get(key)
+            if value is None:
+                value = self._previous.pop(key, None)
+                if value is not None:
+                    self._current[key] = value
+            return value
+
+    def put(self, key, value) -> None:
+        with self._lock:
+            self._current[key] = value
+
+    def add(self, key, value) -> None:
+        """:meth:`put`, unless *key* already holds a value."""
+        with self._lock:
+            if key not in self._current and key not in self._previous:
+                self._current[key] = value
+
+    def new_round(self) -> None:
+        with self._lock:
+            self._previous = self._current
+            self._current = {}
+
+    def __len__(self) -> int:
+        return len(self._current) + len(self._previous)
+
+
+#: The body half of a page with no body.
+_NO_BODY = (UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN, 0)
+#: Memo entry for a body whose extraction the guard abandoned.
+_WITHHELD = object()
+
+
+def _body_half(body: str) -> tuple[str, str, str, str, str, int]:
+    """Everything :class:`PageFeatures` takes from a non-empty body:
+    (title, description, keywords, template, analytics id, simhash)."""
+    title = description = keywords = template = analytics_id = UNKNOWN
+    match = _TITLE_RE.search(body)
+    if match:
+        title = _clean(match.group(1)) or UNKNOWN
+    for name, raw_content in _iter_meta(body):
+        content = _clean(raw_content)
+        if not content:
+            continue
+        if name == "description":
+            description = content
+        elif name == "keywords":
+            keywords = content
+        elif name == "generator":
+            template = content
+    ga_match = GA_ID_RE.search(body)
+    if ga_match:
+        analytics_id = ga_match.group(0)
+    return (title, description, keywords, template, analytics_id,
+            compute_simhash(body))
+
+
 class FeatureExtractor:
     """Computes :class:`PageFeatures` for fetched pages.
 
-    The simhash is about three quarters of a page's extraction cost
-    (~210 of ~270 µs on a 180-token page; see DESIGN.md, "Ingest hot
-    path"), so fingerprints are memoised by body identity — rounds
-    overwhelmingly refetch unchanged pages (the paper's churn is ~3%
-    per round, and a warm benchmark round hits the memo for ~96% of its
-    pages).  The memo is a bounded LRU keyed by a real content digest:
-    a 51-round campaign must not leak memory, and Python's ``hash()``
-    collides too easily to key a correctness-critical cache.  It is
-    shared between threads (the guard extracts on the loop thread and
-    in executor threads), so lookups and inserts hold a lock; the
-    fingerprint itself is computed outside it.
+    A page's features split in two.  The body half — title,
+    description, keywords, template, Analytics ID and the simhash — is
+    a pure function of the body, and rounds overwhelmingly refetch
+    unchanged pages (the paper's churn is ~3 % per round; a warm
+    benchmark round repeats ~96 % of its bodies).  So it is memoised
+    under :attr:`FetchResult.body_digest`, a real content digest
+    (Python's ``hash()`` collides too easily to key a correctness-
+    critical cache), in a :class:`RoundMemo` the platform rotates at
+    every round start.  The header half (``powered_by``, ``server``,
+    ``header_string``) and ``html_length`` are computed per fetch.  A
+    warm page therefore costs one digest and a dict lookup.
+
+    ``memoize=False`` computes everything on every call and never
+    touches the digest.  An extraction the guard abandoned on its
+    deadline is never memoised (:meth:`withhold`), and one that raised
+    has nothing to store.
     """
 
-    def __init__(self, *, memoize: bool = True, max_cache_entries: int = 4096):
-        if max_cache_entries <= 0:
-            raise ValueError("max_cache_entries must be positive")
+    def __init__(self, *, memoize: bool = True):
         self._memoize = memoize
-        self._max_cache_entries = max_cache_entries
-        self._simhash_cache: OrderedDict[bytes, int] = OrderedDict()
-        self._cache_lock = threading.Lock()
+        self._memo = RoundMemo()
 
     def extract(self, fetch: FetchResult) -> PageFeatures:
         """Features for one fetch; empty/non-text bodies yield defaults."""
         headers = fetch.headers
         body = fetch.body or ""
-        title = UNKNOWN
-        description = UNKNOWN
-        keywords = UNKNOWN
-        template = UNKNOWN
-        analytics_id = UNKNOWN
-        if body:
-            match = _TITLE_RE.search(body)
-            if match:
-                title = _clean(match.group(1)) or UNKNOWN
-            for name, raw_content in _iter_meta(body):
-                content = _clean(raw_content)
-                if not content:
-                    continue
-                if name == "description":
-                    description = content
-                elif name == "keywords":
-                    keywords = content
-                elif name == "generator":
-                    template = content
-            ga_match = GA_ID_RE.search(body)
-            if ga_match:
-                analytics_id = ga_match.group(0)
+        if not body:
+            half = _NO_BODY
+        elif not self._memoize:
+            half = _body_half(body)
+        else:
+            key = fetch.body_digest
+            half = self._memo.get(key)
+            if half is _WITHHELD:
+                half = _body_half(body)
+            elif half is None:
+                half = _body_half(body)
+                # add, not put: a late store from an abandoned thread
+                # must not replace withhold()'s marker.
+                self._memo.add(key, half)
+        title, description, keywords, template, analytics_id, simhash = half
         return PageFeatures(
             powered_by=self._header(headers, "x-powered-by"),
             description=description,
@@ -185,33 +259,26 @@ class FeatureExtractor:
             server=self._header(headers, "server"),
             keywords=keywords,
             analytics_id=analytics_id,
-            simhash=self._simhash(body),
+            simhash=simhash,
         )
 
-    def _simhash(self, body: str) -> int:
-        if not body:
-            return 0
-        if not self._memoize:
-            return compute_simhash(body)
-        # surrogatepass keeps the digest total over any str, including
-        # lone surrogates hostile bodies can smuggle through decoding.
-        key = hashlib.blake2b(
-            body.encode("utf-8", "surrogatepass"), digest_size=16
-        ).digest()
-        cache = self._simhash_cache
-        with self._cache_lock:
-            cached = cache.get(key)
-            if cached is not None:
-                cache.move_to_end(key)
-                return cached
-        # Fingerprint outside the lock: two threads may both compute a
-        # body they both missed, and both store the same value.
-        value = compute_simhash(body)
-        with self._cache_lock:
-            cache[key] = value
-            if len(cache) > self._max_cache_entries:
-                cache.popitem(last=False)
-        return value
+    def knows(self, fetch: FetchResult) -> bool:
+        """Whether :meth:`extract` would answer *fetch*'s body half from
+        the memo (the guard runs such pages inline)."""
+        if not (self._memoize and fetch.body):
+            return False
+        half = self._memo.get(fetch.body_digest)
+        return half is not None and half is not _WITHHELD
+
+    def withhold(self, fetch: FetchResult) -> None:
+        """Never memoise *fetch*'s body: its extraction was abandoned
+        past the guard's deadline and may still finish in its thread."""
+        if self._memoize and fetch.body:
+            self._memo.put(fetch.body_digest, _WITHHELD)
+
+    def new_round(self) -> None:
+        """Start a memo generation (the platform calls this per round)."""
+        self._memo.new_round()
 
     @staticmethod
     def _header(headers: Mapping[str, str], name: str) -> str:
@@ -225,4 +292,4 @@ class FeatureExtractor:
         """Feature (3): all header field names, sorted, '#'-separated."""
         if not headers:
             return UNKNOWN
-        return "#".join(sorted(key.lower() for key in headers))
+        return "#".join(sorted(map(str.lower, headers)))

@@ -1,13 +1,19 @@
 """The WhoWas webpage fetcher (§4).
 
-For every IP the scanner reported with port 80 or 443 open, a worker
-from the pool issues at most two GET requests: first ``/robots.txt``,
-then — unless robots forbids it — the top-level page.  The fetcher
-records the status code, response headers and any error; text bodies are
-stored up to 512 KB, while "application/*", "audio/*", "image/*" and
-"video/*" bodies are never downloaded (the analysis engine cannot
-process non-text data).  Links are never followed and active content is
-never executed.
+For every IP the scanner reported with port 80 or 443 open, the fetcher
+issues at most two GET requests: first ``/robots.txt``, then — unless
+robots forbids it — the top-level page.  It records the status code,
+response headers and any error; text bodies are stored up to 512 KB,
+while "application/*", "audio/*", "image/*" and "video/*" bodies are
+never downloaded (the analysis engine cannot process non-text data).
+Links are never followed and active content is never executed.
+
+A shard's IPs are fetched one of two ways.  A transport with
+``get_many`` (:class:`~repro.core.transport.BatchGet`) gets the shard's
+robots.txt GETs in one call and its page GETs in another, plus one more
+per retry pass.  Any other transport is driven through the supervised
+pool, one deadline-guarded task per IP.  Both give each IP the same
+result, counters and quarantine records.
 """
 
 from __future__ import annotations
@@ -91,15 +97,24 @@ def decode_body(raw: bytes, content_type: str) -> str:
     return raw.decode("utf-8", errors="replace")
 
 
-class Fetcher:
-    """Worker pool fetching top-level pages from responsive IPs.
+def _response(slot):
+    """A batch slot's response, or the exception it holds, raised."""
+    if isinstance(slot, Exception):
+        raise slot
+    return slot
 
-    The pool runs through the supervision layer
-    (:class:`~repro.core.guard.Supervisor`): a bounded work queue
-    instead of one task per IP, a per-IP wall-clock deadline, and AIMD
-    backpressure on the concurrency limit.  A standalone fetcher builds
-    its own supervisor; the platform injects a shared one so fetch and
-    extract feed the same quarantine.
+
+class Fetcher:
+    """Fetches top-level pages from responsive IPs.
+
+    A transport without ``get_many`` is driven by a worker pool run
+    through the supervision layer (:class:`~repro.core.guard.Supervisor`):
+    a bounded work queue instead of one task per IP, a per-IP wall-clock
+    deadline, and AIMD backpressure on the concurrency limit.  A
+    ``BatchGet`` transport gets the shard in batch calls, with the same
+    trap, quarantine and AIMD accounting per IP.  A standalone fetcher
+    builds its own supervisor; the platform injects a shared one so
+    fetch and extract feed the same quarantine.
     """
 
     def __init__(
@@ -123,33 +138,15 @@ class Fetcher:
         scheme = outcome.scheme
         if scheme is None:
             return FetchResult(ip=outcome.ip, status=FetchStatus.NOT_ATTEMPTED)
-        url = f"{scheme}://{format_ip(outcome.ip)}/"
         if self.config.respect_robots:
             allowed = await self._robots_allows(outcome.ip, scheme)
             if not allowed:
-                return FetchResult(
-                    ip=outcome.ip, status=FetchStatus.ROBOTS_DISALLOWED, url=url
-                )
+                return self._disallowed(outcome)
         try:
             response = await self._get_with_retries(outcome.ip, scheme, "/")
         except TransportError as exc:
-            self.fetch_errors += 1
-            return FetchResult(
-                ip=outcome.ip,
-                status=FetchStatus.ERROR,
-                url=url,
-                error=str(exc),
-                error_class=classify_error(exc),
-            )
-        body = self._body_text(response)
-        return FetchResult(
-            ip=outcome.ip,
-            status=FetchStatus.OK,
-            url=url,
-            status_code=response.status_code,
-            headers=dict(response.headers),
-            body=body,
-        )
+            return self._error(outcome, exc)
+        return self._page(outcome, response)
 
     async def fetch(
         self,
@@ -157,21 +154,17 @@ class Fetcher:
         *,
         quarantine: list | None = None,
     ) -> list[FetchResult]:
-        """Fetch many IPs through the supervised pool; preserves order.
+        """Fetch many IPs; preserves order.
 
-        Every per-IP task runs under ``GuardConfig.fetch_deadline``; a
-        blown deadline or an exception that escapes :meth:`fetch_ip`
-        becomes an ERROR result plus a quarantine record instead of a
-        crashed round.  With *quarantine*, dead letters land in that
-        per-shard sink (pipeline shard attribution) instead of the
-        supervisor-wide buffer.
+        An exception that escapes one IP's fetch becomes an ERROR result
+        plus a quarantine record instead of a crashed round, and on the
+        pooled path so does a blown ``GuardConfig.fetch_deadline``.
+        With *quarantine*, dead letters land in that per-shard sink
+        (pipeline shard attribution) instead of the supervisor-wide
+        buffer.
         """
 
-        def failed(result: FetchResult) -> bool:
-            return result.status is FetchStatus.ERROR
-
         def fallback(outcome: ProbeOutcome, exc: BaseException) -> FetchResult:
-            self.fetch_errors += 1
             verdict = (
                 GuardVerdict.STAGE_DEADLINE
                 if isinstance(exc, StageDeadlineExceeded)
@@ -181,25 +174,96 @@ class Fetcher:
                 ip=outcome.ip, stage=Supervisor.FETCH, verdict=verdict,
                 exc=exc, sink=quarantine,
             )
-            url = ""
-            if outcome.scheme is not None:
-                url = f"{outcome.scheme}://{format_ip(outcome.ip)}/"
-            return FetchResult(
-                ip=outcome.ip,
-                status=FetchStatus.ERROR,
-                url=url,
-                error=str(exc),
-                error_class=classify_error(exc),
-            )
+            return self._error(outcome, exc)
 
+        get_many = getattr(self.transport, "get_many", None)
+        if get_many is not None:
+            results = await self._fetch_batched(get_many, outcomes, fallback)
+            self.guard.settle(
+                [result.status is not FetchStatus.ERROR for result in results])
+            return results
         return list(await self.guard.map(
             outcomes,
             self.fetch_ip,
             stage=Supervisor.FETCH,
             deadline=self.guard.config.fetch_deadline,
-            is_failure=failed,
+            is_failure=lambda result: result.status is FetchStatus.ERROR,
             fallback=fallback,
         ))
+
+    async def _fetch_batched(
+        self, get_many, outcomes: Sequence[ProbeOutcome], fallback
+    ) -> list[FetchResult]:
+        """:meth:`fetch_ip` for a whole shard, a pass at a time: every
+        robots.txt GET in one ``get_many`` call, then every allowed page
+        GET in one more, then one per retry pass for the page GETs that
+        failed, after the longest of their backoff delays.  An exception
+        in an IP's slot is trapped into *fallback*, as the pool would."""
+        config = self.config
+        results: list = [None] * len(outcomes)
+        todo = []
+        for index, outcome in enumerate(outcomes):
+            if outcome.scheme is None:
+                results[index] = FetchResult(
+                    ip=outcome.ip, status=FetchStatus.NOT_ATTEMPTED)
+            else:
+                todo.append(index)
+
+        async def send(path: str) -> list:
+            self.gets_sent += len(todo)
+            requests = [
+                (outcomes[index].ip, outcomes[index].scheme, path)
+                for index in todo
+            ]
+            try:
+                return await get_many(
+                    requests, timeout=config.timeout,
+                    max_body=config.max_body_bytes,
+                    headers={"User-Agent": config.user_agent},
+                )
+            except Exception as exc:  # the whole call failed: every slot
+                return [exc] * len(requests)
+
+        def trap(index: int, exc: Exception) -> None:
+            results[index] = self.guard.trap(
+                Supervisor.FETCH, outcomes[index], exc, fallback)
+
+        if todo and config.respect_robots:
+            allowed = []
+            for index, answer in zip(todo, await send("/robots.txt")):
+                try:
+                    # Unreachable robots.txt does not forbid the main
+                    # fetch.
+                    if (isinstance(answer, TransportError)
+                            or self._robots_permit(_response(answer))):
+                        allowed.append(index)
+                    else:
+                        results[index] = self._disallowed(outcomes[index])
+                except Exception as exc:  # poison-proof by design
+                    trap(index, exc)
+            todo = allowed
+        for attempt in range(1 + config.retries):
+            if not todo:
+                break
+            if attempt:
+                await asyncio.sleep(max(
+                    self._backoff_delay(outcomes[index].ip, attempt - 1)
+                    for index in todo
+                ))
+            failed = []
+            for index, answer in zip(todo, await send("/")):
+                try:
+                    if not isinstance(answer, TransportError):
+                        results[index] = self._page(
+                            outcomes[index], _response(answer))
+                    elif attempt < config.retries:
+                        failed.append(index)
+                    else:
+                        results[index] = self._error(outcomes[index], answer)
+                except Exception as exc:  # poison-proof by design
+                    trap(index, exc)
+            todo = failed
+        return results
 
     def fetch_sync(self, outcomes: Sequence[ProbeOutcome]) -> list[FetchResult]:
         return asyncio.run(self.fetch(outcomes))
@@ -220,10 +284,49 @@ class Fetcher:
         except TransportError:
             # Unreachable robots.txt does not forbid the main fetch.
             return True
+        return self._robots_permit(response)
+
+    def _robots_permit(self, response: HttpResponse) -> bool:
         if response.status_code != 200:
             return True
         text = response.body.decode("utf-8", errors="replace")
         return parse_robots(text, self.config.user_agent)
+
+    # One constructor per kind of result, shared by both drains.
+
+    @staticmethod
+    def _url(outcome: ProbeOutcome) -> str:
+        if outcome.scheme is None:
+            return ""
+        return f"{outcome.scheme}://{format_ip(outcome.ip)}/"
+
+    def _disallowed(self, outcome: ProbeOutcome) -> FetchResult:
+        return FetchResult(
+            ip=outcome.ip, status=FetchStatus.ROBOTS_DISALLOWED,
+            url=self._url(outcome),
+        )
+
+    def _error(self, outcome: ProbeOutcome, exc: BaseException) -> FetchResult:
+        self.fetch_errors += 1
+        return FetchResult(
+            ip=outcome.ip,
+            status=FetchStatus.ERROR,
+            url=self._url(outcome),
+            error=str(exc),
+            error_class=classify_error(exc),
+        )
+
+    def _page(
+        self, outcome: ProbeOutcome, response: HttpResponse
+    ) -> FetchResult:
+        return FetchResult(
+            ip=outcome.ip,
+            status=FetchStatus.OK,
+            url=self._url(outcome),
+            status_code=response.status_code,
+            headers=dict(response.headers),
+            body=self._body_text(response),
+        )
 
     async def _get(self, ip: int, scheme: str, path: str) -> HttpResponse:
         self.gets_sent += 1

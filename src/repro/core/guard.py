@@ -10,10 +10,14 @@ cost its own record, never a round.
 
 :class:`Supervisor` is the one place per-task fault policy lives:
 
-* **Deadlines** — every per-IP unit of work runs under a per-stage
+* **Deadlines** — every per-IP unit of work :meth:`Supervisor.map`
+  runs, and every suspect page extraction, runs under a per-stage
   wall-clock ceiling (``asyncio.wait_for`` with cancel-and-record
   semantics).  A blown deadline yields a sentinel result plus a
-  dead-letter record, not a hung round.
+  dead-letter record, not a hung round.  Work a ``BatchGet`` transport
+  answers in batch calls never suspends, so it has no deadline to
+  enforce; :meth:`Supervisor.trap` and :meth:`Supervisor.settle` give
+  each of its items the rest of the policy.
 * **Work queue** — :meth:`Supervisor.map` bounds in-flight tasks with a
   real feeder/worker queue instead of one-task-per-item ``gather``,
   so a 4.7M-IP round holds thousands, not millions, of task objects.
@@ -28,10 +32,11 @@ cost its own record, never a round.
   re-process the pages after an extractor fix.
 
 Extraction runs inline for small, clean bodies (the overwhelmingly
-common case) and in a worker thread under the extract deadline for
-large or suspect ones.  A thread that blows the deadline is abandoned,
-not cancelled — Python cannot interrupt it — but the pipeline moves on
-and the page is quarantined, which is the property that matters.
+common case) and for bodies the extractor has memoised, and in a worker
+thread under the extract deadline for large or suspect ones.  A thread
+that blows the deadline is abandoned, not cancelled — Python cannot
+interrupt it — but the pipeline moves on and the page is quarantined,
+which is the property that matters; its body is never memoised.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from collections import Counter, deque
 from typing import Awaitable, Callable, Sequence, TypeVar
 
 from .config import GuardConfig
-from .features import FeatureExtractor
+from .features import FeatureExtractor, RoundMemo
 from .records import FetchResult, PageFeatures, QuarantineRecord
 from .transport import TransportError
 from . import telemetry as _telemetry
@@ -199,14 +204,16 @@ class AimdController:
         async with cond:
             self._active = max(0, self._active - 1)
             self._m_in_flight.set(self._active)
-            self._record(ok)
+            self.record(ok)
             cond.notify_all()
 
     @property
     def in_flight(self) -> int:
         return self._active
 
-    def _record(self, ok: bool) -> None:
+    def record(self, ok: bool) -> None:
+        """Feed one outcome to the AIMD window (``release`` does this
+        for admitted work; the batch path calls it directly)."""
         if self._threshold >= 1.0:
             return  # controller disabled
         self._window.append(ok)
@@ -258,7 +265,10 @@ class Supervisor:
         self.round_id = 0
         self.timestamp = 0
         self._quarantine: list[QuarantineRecord] = []
-        #: Units of work run through :meth:`map` (lifetime counter).
+        #: Body verdicts by :attr:`FetchResult.body_digest`.
+        self._verdicts = RoundMemo()
+        #: Units of work run through :meth:`map` or accounted by
+        #: :meth:`settle` (lifetime counter).
         self.tasks_run = 0
         #: Deadline kills per stage label.
         self.deadline_kills: Counter[str] = Counter()
@@ -288,9 +298,11 @@ class Supervisor:
     # round context
 
     def start_round(self, round_id: int, timestamp: int) -> None:
-        """Stamp subsequent quarantine records with this round."""
+        """Stamp subsequent quarantine records with this round, and
+        start a generation of the body-verdict memo."""
         self.round_id = round_id
         self.timestamp = timestamp
+        self._verdicts.new_round()
 
     # ------------------------------------------------------------------
     # supervised work queue (fetch stage)
@@ -378,12 +390,32 @@ class Supervisor:
             ))
         except Exception as exc:  # poison-proof by design
             ok = False
-            self.trapped[stage] += 1
-            self._m_guard_events.labels(stage=stage, event="trapped").inc()
-            result = fallback(item, exc)
+            result = self.trap(stage, item, exc, fallback)
         finally:
             await self.controller.release(ok)
         return result
+
+    def trap(
+        self,
+        stage: str,
+        item: ItemT,
+        exc: Exception,
+        fallback: Callable[[ItemT, BaseException], ResultT],
+    ) -> ResultT:
+        """Count one exception that escaped a unit of work and turn it
+        into ``fallback(item, exc)`` — :meth:`map`'s trap, also used by
+        the batch paths for an exception in one item's slot."""
+        self.trapped[stage] += 1
+        self._m_guard_events.labels(stage=stage, event="trapped").inc()
+        return fallback(item, exc)
+
+    def settle(self, oks: Sequence[bool]) -> None:
+        """Account for units of work a batch call ran outside
+        :meth:`map`: each counts as a task run and feeds its outcome to
+        the AIMD window, in input order."""
+        self.tasks_run += len(oks)
+        for ok in oks:
+            self.controller.record(ok)
 
     # ------------------------------------------------------------------
     # hostile-content inspection
@@ -392,13 +424,22 @@ class Supervisor:
         """Cheap hostility checks on a fetched page.
 
         All checks are linear scans — the inspector must never itself
-        be the thing a poison page hangs.
+        be the thing a poison page hangs.  The header-bomb check runs
+        per fetch; the body's verdict is memoised under
+        :attr:`FetchResult.body_digest`, like its features.
         """
         if len(fetch.headers) > self.config.max_response_headers:
             return GuardVerdict.HEADER_BOMB
-        body = fetch.body or ""
-        if not body:
+        if not fetch.body:
             return GuardVerdict.OK
+        key = fetch.body_digest
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._inspect_body(fetch.body)
+            self._verdicts.put(key, verdict)
+        return verdict
+
+    def _inspect_body(self, body: str) -> GuardVerdict:
         if body.count("\x00") > _MAX_NULL_BYTES:
             return GuardVerdict.BINARY_GARBAGE
         if self._title_length(body) > _MAX_TITLE_BYTES:
@@ -448,10 +489,11 @@ class Supervisor:
             stage=self.EXTRACT, verdict=verdict.value
         ).inc()
         deadline = self.config.extract_deadline
+        # A memoised body costs a lookup, so it never needs the thread.
         inline = deadline <= 0 or (
             verdict is GuardVerdict.OK
             and len(body) <= self.config.extract_inline_max_bytes
-        )
+        ) or extractor.knows(fetch)
         try:
             if inline:
                 features = extractor.extract(fetch)
@@ -462,6 +504,7 @@ class Supervisor:
                     deadline,
                 )
         except asyncio.TimeoutError:
+            extractor.withhold(fetch)
             self.deadline_kills[self.EXTRACT] += 1
             self.quarantine(
                 ip=fetch.ip, stage=self.EXTRACT,

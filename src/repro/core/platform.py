@@ -263,13 +263,15 @@ class WhoWas:
         )
 
     def _start_round(self, round_id: int, timestamp: int) -> None:
-        """Point this process's transport, breaker and guard at the
-        round (runs wherever shards execute: here, or in each worker)."""
+        """Point this process's transport, breaker, guard and extractor
+        memo at the round (runs wherever shards execute: here, or in
+        each worker)."""
         round_hook = getattr(self.transport, "on_round_start", None)
         if callable(round_hook):
             round_hook(round_id)
         self.scanner.breaker.reset()
         self.guard.start_round(round_id, timestamp)
+        self.features.new_round()
 
     def _finish_round(
         self,
@@ -561,10 +563,13 @@ class WhoWas:
     ) -> dict[int, str]:
         """Read SSH banners from responsive IPs with port 22 open.
 
-        Runs through the supervisor's bounded work queue under the
-        fetch deadline, so a hung banner read is killed and quarantined
-        instead of stalling the round (the old path was a bare
-        ``asyncio.gather`` with no deadline)."""
+        A transport with ``banner_many``
+        (:class:`~repro.core.transport.BatchGet`) reads them all in one
+        call.  Otherwise they run through the supervisor's bounded work
+        queue under the fetch deadline, so a hung banner read is killed
+        and quarantined instead of stalling the round.  Either way an
+        exception other than a classified transport error is trapped
+        and quarantined."""
         targets = [
             o.ip for o in outcomes
             if o.responsive and Port.SSH in o.open_ports
@@ -577,7 +582,7 @@ class WhoWas:
             except TransportError:
                 return ip, None
 
-        def fallback(ip: int, exc: BaseException) -> tuple[int, str | None]:
+        def fallback(ip: int, exc: BaseException) -> tuple[int, None]:
             verdict = (
                 GuardVerdict.STAGE_DEADLINE
                 if isinstance(exc, StageDeadlineExceeded)
@@ -589,6 +594,30 @@ class WhoWas:
             )
             return ip, None
 
+        banner_many = getattr(self.transport, "banner_many", None)
+        if banner_many is not None:
+            if not targets:
+                return {}
+            try:
+                answers = await banner_many(
+                    [(ip, 22) for ip in targets], timeout)
+            except Exception as exc:  # the whole call failed: every slot
+                answers = [exc] * len(targets)
+            banners = {}
+            oks = []
+            for ip, answer in zip(targets, answers):
+                ok = True
+                if isinstance(answer, TransportError):
+                    answer = None
+                elif isinstance(answer, Exception):
+                    _, answer = self.guard.trap(
+                        Supervisor.BANNER, ip, answer, fallback)
+                    ok = False
+                if answer:
+                    banners[ip] = answer
+                oks.append(ok)
+            self.guard.settle(oks)
+            return banners
         results = await self.guard.map(
             targets,
             grab,

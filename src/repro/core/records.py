@@ -8,7 +8,9 @@ is the fully-populated row persisted for one IP in one round of scanning.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 __all__ = [
@@ -171,6 +173,19 @@ class FetchResult:
     def available(self) -> bool:
         """Whether any HTTP response came back (:func:`is_available`)."""
         return is_available(self.status.value, self.status_code)
+
+    @cached_property
+    def body_digest(self) -> bytes:
+        """blake2b-16 of the decoded body: the one key everything
+        derived from a body is memoised under (feature extraction and
+        the guard's body verdict), computed at most once per fetch.  Not
+        a field, so ``==`` and ``repr`` ignore it."""
+        # surrogatepass keeps the digest total over any str, including
+        # lone surrogates hostile bodies can smuggle through decoding.
+        return hashlib.blake2b(
+            (self.body or "").encode("utf-8", "surrogatepass"),
+            digest_size=16,
+        ).digest()
 
     @property
     def content_type(self) -> str:

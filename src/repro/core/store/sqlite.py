@@ -137,10 +137,9 @@ def _fold(
     ``view_round_summary`` increments (bar ``quarantined``, which the
     shard journal counts) and ``view_cluster_agg`` counts by
     ``(column, value)``.  Each part adds up across batches."""
+    # One projection per row; its keys are IP_HISTORY_COLUMNS, in order.
     history = {
-        row["ip"]: tuple(
-            _base.light_row(row)[name] for name in IP_HISTORY_COLUMNS
-        )
+        row["ip"]: tuple(_base.light_row(row).values())
         for row in row_dicts
     }
     tallies = Counter(

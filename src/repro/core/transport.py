@@ -3,10 +3,11 @@
 The WhoWas pipeline is written against the :class:`Transport` protocol so
 that identical scanner/fetcher code drives either the real network
 (:class:`SocketTransport`) or the cloud simulator
-(:class:`repro.cloudsim.network.SimulatedTransport`).  Two optional
+(:class:`repro.cloudsim.network.SimulatedTransport`).  Three optional
 capabilities are detected with ``getattr``: :class:`RoundAware`
-(``on_round_start``) and :class:`BatchProbe` (``probe_many``, one call
-for a whole pass of a shard's probes).
+(``on_round_start``), :class:`BatchProbe` (``probe_many``, one call for
+a whole pass of a shard's probes) and :class:`BatchGet` (``get_many``
+and ``banner_many``, the same for its GETs and banner reads).
 
 :class:`SocketTransport` implements the probe as a plain TCP connect
 (equivalent in effect to the paper's SYN probing: an accepted handshake
@@ -36,6 +37,7 @@ __all__ = [
     "Transport",
     "RoundAware",
     "BatchProbe",
+    "BatchGet",
     "SocketTransport",
 ]
 
@@ -176,9 +178,48 @@ class BatchProbe(Protocol):
         ...
 
 
+@runtime_checkable
+class BatchGet(Protocol):
+    """Transports that answer a shard's GETs, and its banner reads, a
+    pass at a time.
+
+    The fetcher looks ``get_many`` up with ``getattr`` and, when it is
+    there, sends a shard's robots.txt GETs in one call and its page GETs
+    in another (plus one per retry pass); the platform sends its SSH
+    banner reads through ``banner_many`` the same way.  These calls run
+    outside the supervised pool — no per-IP deadline, no concurrency
+    limit — which loses nothing only for a transport whose calls never
+    wait (a deadline cannot interrupt a call that never suspends).  An
+    implementation over a real network would have to bound and time
+    out its own requests.  As with :class:`BatchProbe`, a wrapper that
+    adds per-call behaviour must not forward either method, not even
+    through a delegating ``__getattr__``."""
+
+    async def get_many(
+        self,
+        requests: Sequence[tuple[int, str, str]],
+        *,
+        timeout: float,
+        max_body: int,
+        headers: Mapping[str, str] | None = None,
+    ) -> list[HttpResponse | Exception]:
+        """One answer per ``(ip, scheme, path)``, in order: what ``get``
+        would have returned, or the exception it would have raised — a
+        classified :class:`TransportError` for an ordinary failure — in
+        its slot instead of raised."""
+        ...
+
+    async def banner_many(
+        self, targets: Sequence[tuple[int, int]], timeout: float
+    ) -> list[str | Exception]:
+        """One answer per ``(ip, port)``, in order, as ``get_many``
+        answers for ``get``: ``banner``'s result or its exception."""
+        ...
+
+
 def format_ip(ip: int) -> str:
     """Dotted-quad form of an IPv4 address held as an int."""
-    return ".".join(str((ip >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return f"{ip >> 24 & 0xFF}.{ip >> 16 & 0xFF}.{ip >> 8 & 0xFF}.{ip & 0xFF}"
 
 
 class SocketTransport:

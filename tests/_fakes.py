@@ -8,8 +8,15 @@ import sys
 import threading
 from dataclasses import dataclass
 
-from repro.core.records import PipelineStats, ProbeOutcome, ProbeStatus
-from repro.core.transport import HttpResponse, TransportError
+from repro.core.records import (
+    FetchResult,
+    FetchStatus,
+    PipelineStats,
+    ProbeOutcome,
+    ProbeStatus,
+    QuarantineRecord,
+)
+from repro.core.transport import ConnectTimeout, HttpResponse, TransportError
 
 
 def python_calls(fn):
@@ -134,6 +141,110 @@ def reference_scan(transport, config, ips, blacklist=()) -> ReferenceScan:
     return seen
 
 
+@dataclass
+class ReferenceFetch:
+    """What :func:`reference_fetch` saw, by the names the fetcher and
+    the platform's banner grab use."""
+
+    results: list[FetchResult]
+    banners: dict[int, str]
+    quarantine: list[QuarantineRecord]
+    gets_sent: int = 0
+    fetch_errors: int = 0
+    tasks_run: int = 0
+
+
+def reference_fetch(transport, config, outcomes, *, ssh_timeout=2.0,
+                    round_id=0, timestamp=0) -> ReferenceFetch:
+    """Oracle for a shard's fetch stage (``Fetcher.fetch`` plus the SSH
+    banner grab): one responsive IP at a time, in input order —
+    robots.txt, then the page (retried up to ``config.retries`` times),
+    then the banner.  An exception that is not a classified transport
+    error costs the IP its result and writes a ``task-error`` quarantine
+    record.  Handles the robots.txt bodies and charset-free content
+    types the tests serve; imports nothing from ``fetcher.py``."""
+    seen = ReferenceFetch(results=[], banners={}, quarantine=[])
+    kwargs = {"timeout": config.timeout, "max_body": config.max_body_bytes,
+              "headers": {"User-Agent": config.user_agent}}
+
+    def trapped(ip, stage, exc):
+        seen.quarantine.append(QuarantineRecord(
+            ip=ip, round_id=round_id, timestamp=timestamp, stage=stage,
+            verdict="task-error", error_class=type(exc).__name__,
+            error=str(exc)[:200], payload=""))
+
+    async def page(ip, scheme):
+        for attempt in range(1 + config.retries):
+            seen.gets_sent += 1
+            try:
+                return await transport.get(ip, scheme, "/", **kwargs), None
+            except TransportError as exc:
+                error = exc
+        return None, error
+
+    async def fetch_one(outcome):
+        ip, scheme = outcome.ip, outcome.scheme
+        if scheme is None:
+            return FetchResult(ip=ip, status=FetchStatus.NOT_ATTEMPTED)
+        dotted = ".".join(str(ip >> shift & 255) for shift in (24, 16, 8, 0))
+        url = f"{scheme}://{dotted}/"
+        try:
+            if config.respect_robots:
+                seen.gets_sent += 1
+                try:
+                    robots = await transport.get(
+                        ip, scheme, "/robots.txt", **kwargs)
+                except TransportError:
+                    robots = None
+                if (robots is not None and robots.status_code == 200
+                        and "Disallow: /" in robots.body.decode().split("\n")):
+                    return FetchResult(
+                        ip=ip, status=FetchStatus.ROBOTS_DISALLOWED, url=url)
+            response, error = await page(ip, scheme)
+            if response is None:
+                seen.fetch_errors += 1
+                return FetchResult(ip=ip, status=FetchStatus.ERROR, url=url,
+                                   error=str(error), error_class=error.kind)
+            content_type = response.headers.get("Content-Type", "")
+            body = None
+            if config.should_download(content_type.split(";")[0].lower()):
+                body = response.body[:config.max_body_bytes].decode(
+                    "utf-8", errors="replace")
+            return FetchResult(ip=ip, status=FetchStatus.OK, url=url,
+                               status_code=response.status_code,
+                               headers=dict(response.headers), body=body)
+        except Exception as exc:
+            seen.fetch_errors += 1
+            trapped(ip, "fetch", exc)
+            return FetchResult(ip=ip, status=FetchStatus.ERROR, url=url,
+                               error=str(exc), error_class="transport-error")
+
+    async def banner_of(ip):
+        try:
+            return await transport.banner(ip, 22, ssh_timeout)
+        except TransportError:
+            return None
+        except Exception as exc:
+            trapped(ip, "banner", exc)
+            return None
+
+    async def run():
+        for outcome in outcomes:
+            if not outcome.responsive:
+                continue
+            if outcome.wants_fetch:
+                seen.tasks_run += 1
+                seen.results.append(await fetch_one(outcome))
+            if 22 in outcome.open_ports:
+                seen.tasks_run += 1
+                banner = await banner_of(outcome.ip)
+                if banner:
+                    seen.banners[outcome.ip] = banner
+
+    asyncio.run(run())
+    return seen
+
+
 class FakeTransport:
     """Scriptable transport: open ports and canned pages per IP."""
 
@@ -148,6 +259,14 @@ class FakeTransport:
         self.fail_first: dict[tuple[int, int], int] = {}
         #: Per-(ip, port): exception raised instead of returning False.
         self.probe_raises: dict[tuple[int, int], Exception] = {}
+        #: Per-(ip, path): GETs that time out before one succeeds.
+        self.get_fail_first: dict[tuple[int, str], int] = {}
+        #: Per-(ip, path): exception every GET raises.
+        self.get_raises: dict[tuple[int, str], Exception] = {}
+        #: SSH banners per IP, and exceptions raised instead of one.
+        self.banners: dict[int, str] = {}
+        self.banner_raises: dict[int, Exception] = {}
+        self.banner_calls: list[int] = []
 
     def add_host(self, ip: int, ports, *, body: str = "<html></html>",
                  status: int = 200, content_type: str = "text/html",
@@ -187,9 +306,51 @@ class FakeTransport:
                 results.append(exc)
         return results
 
+    def enable_get_many(self) -> "FakeTransport":
+        """Opt in to :class:`~repro.core.transport.BatchGet`: the fetcher
+        and the banner grab then send a pass at a time."""
+        self.get_many = self._get_many
+        self.banner_many = self._banner_many
+        return self
+
+    async def _get_many(self, requests, *, timeout, max_body,
+                        headers=None) -> list:
+        answers = []
+        for ip, scheme, path in requests:
+            try:
+                answers.append(await self.get(
+                    ip, scheme, path, timeout=timeout, max_body=max_body,
+                    headers=headers))
+            except Exception as exc:
+                answers.append(exc)
+        return answers
+
+    async def _banner_many(self, targets, timeout) -> list:
+        answers = []
+        for ip, port in targets:
+            try:
+                answers.append(await self.banner(ip, port, timeout))
+            except Exception as exc:
+                answers.append(exc)
+        return answers
+
+    async def banner(self, ip: int, port: int, timeout: float) -> str:
+        self.banner_calls.append(ip)
+        if ip in self.banner_raises:
+            raise self.banner_raises[ip]
+        if ip not in self.banners:
+            raise TransportError("no banner")
+        return self.banners[ip]
+
     async def get(self, ip: int, scheme: str, path: str, *, timeout: float,
                   max_body: int, headers=None) -> HttpResponse:
         self.get_calls.append((ip, scheme, path))
+        key = (ip, path)
+        if key in self.get_raises:
+            raise self.get_raises[key]
+        if self.get_fail_first.get(key, 0) > 0:
+            self.get_fail_first[key] -= 1
+            raise ConnectTimeout("injected")
         if ip in self.errors:
             raise TransportError(self.errors[ip])
         if path in ("/robots.txt", "robots.txt"):

@@ -106,36 +106,22 @@ class TestFeatureExtraction:
         extractor = FeatureExtractor()
         first = extractor.extract(fetch())
         second = extractor.extract(fetch())
-        assert first.simhash == second.simhash
-        assert len(extractor._simhash_cache) == 1
-
-    def test_simhash_cache_bounded_lru(self):
-        extractor = FeatureExtractor(max_cache_entries=4)
-        for n in range(10):
-            extractor.extract(fetch(body=f"<html>page {n}</html>"))
-        assert len(extractor._simhash_cache) == 4
-        # Re-touching an entry keeps it resident past newer insertions.
-        extractor.extract(fetch(body="<html>page 6</html>"))
-        extractor.extract(fetch(body="<html>page 99</html>"))
-        keys = list(extractor._simhash_cache)
-        import hashlib
-        key6 = hashlib.blake2b(
-            b"<html>page 6</html>", digest_size=16
-        ).digest()
-        assert key6 in keys
+        assert first == second
+        assert len(extractor._memo) == 1
 
     def test_memo_survives_concurrent_threads(self):
         """The guard extracts on the loop thread and in executor threads
-        at once: lookups, inserts and evictions on a tiny shared memo
-        must neither raise nor hand back another body's fingerprint."""
+        at once, and a round start rotates the memo under them: lookups,
+        stores and rotations must neither raise nor hand back another
+        body's features."""
         import sys
         import threading
-        import time
 
-        bodies = [f"<html>page number {n} of the hammer</html>"
-                  for n in range(6)]
-        expected = [simhash(body) for body in bodies]
-        extractor = FeatureExtractor(max_cache_entries=2)
+        pages = [fetch(body=f"<html><title>page {n}</title> of the "
+                       f"hammer</html>") for n in range(6)]
+        expected = [FeatureExtractor(memoize=False).extract(page)
+                    for page in pages]
+        extractor = FeatureExtractor()
         failures: list[BaseException] = []
         deadline = time.monotonic() + 1.5
 
@@ -143,15 +129,21 @@ class TestFeatureExtraction:
             try:
                 step = offset
                 while time.monotonic() < deadline and not failures:
-                    index = step % len(bodies)
-                    assert extractor._simhash(bodies[index]) == \
-                        expected[index]
+                    index = step % len(pages)
+                    # A fresh FetchResult: no digest cached on it yet.
+                    page = fetch(body=pages[index].body)
+                    assert extractor.extract(page) == expected[index]
                     step += 1 + offset
             except BaseException as error:
                 failures.append(error)
 
+        def rotate() -> None:
+            while time.monotonic() < deadline and not failures:
+                extractor.new_round()
+
         threads = [threading.Thread(target=hammer, args=(offset,))
                    for offset in range(4)]
+        threads.append(threading.Thread(target=rotate))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -163,12 +155,7 @@ class TestFeatureExtraction:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert len(extractor._simhash_cache) <= 2
-
-    def test_cache_size_must_be_positive(self):
-        import pytest
-        with pytest.raises(ValueError):
-            FeatureExtractor(max_cache_entries=0)
+        assert len(extractor._memo) <= len(pages)
 
     def test_surrogates_do_not_break_memoization(self):
         extractor = FeatureExtractor()
@@ -215,6 +202,92 @@ class TestFeatureExtraction:
         )
         features = FeatureExtractor().extract(fetch(body=body))
         assert features.description == UNKNOWN
+
+
+def counting_fingerprints(monkeypatch) -> list[int]:
+    """Count the fingerprints the extractor computes: one entry per
+    memo miss (the simhash is computed with the rest of the body half)."""
+    import repro.core.features as features_module
+
+    computed: list[int] = []
+    real = features_module.compute_simhash
+
+    def counted(body):
+        computed.append(1)
+        return real(body)
+
+    monkeypatch.setattr(features_module, "compute_simhash", counted)
+    return computed
+
+
+class TestMemoGenerations:
+    def test_memo_is_sized_by_the_round(self, monkeypatch):
+        """More distinct bodies than the old 4 096-entry LRU held, fed
+        over two rounds in the same cyclic order: the LRU evicted each
+        body just before its next sight and recomputed all of them; the
+        round-sized memo recomputes none."""
+        computed = counting_fingerprints(monkeypatch)
+        bodies = [f"<html><title>t{n}</title>body {n}</html>"
+                  for n in range(5000)]
+        extractor = FeatureExtractor()
+        for _ in range(2):
+            extractor.new_round()
+            computed.clear()
+            for body in bodies:
+                extractor.extract(fetch(body=body))
+        assert computed == []
+        assert len(extractor._memo) == len(bodies)
+
+    def test_a_body_not_seen_for_a_round_is_dropped(self, monkeypatch):
+        computed = counting_fingerprints(monkeypatch)
+        extractor = FeatureExtractor()
+        extractor.extract(fetch(body="<html>old</html>"))
+        extractor.new_round()
+        extractor.extract(fetch(body="<html>new</html>"))
+        extractor.new_round()           # "old" was not seen last round
+        assert len(extractor._memo) == 1
+        extractor.extract(fetch(body="<html>old</html>"))
+        extractor.extract(fetch(body="<html>new</html>"))
+        assert len(computed) == 3
+
+    def test_warm_page_keeps_its_per_fetch_fields(self):
+        """The memo holds the body half only: headers and the length
+        are read from each fetch."""
+        extractor = FeatureExtractor()
+        cold = extractor.extract(fetch())
+        other = {"Server": "nginx", "X-Powered-By": "Express"}
+        warm = extractor.extract(fetch(headers=other))
+        assert warm == FeatureExtractor(memoize=False).extract(
+            fetch(headers=other))
+        assert (warm.server, warm.powered_by, warm.header_string) == (
+            "nginx", "Express", "server#x-powered-by")
+        assert warm.level1_key()[:2] == cold.level1_key()[:2]
+        assert warm.simhash == cold.simhash
+
+    def test_memoize_false_computes_every_page(self, monkeypatch):
+        computed = counting_fingerprints(monkeypatch)
+        extractor = FeatureExtractor(memoize=False)
+        page = fetch()
+        for _ in range(3):
+            extractor.extract(page)
+        assert len(computed) == 3
+        assert "body_digest" not in vars(page)
+
+    def test_withheld_body_is_never_memoised(self, monkeypatch):
+        computed = counting_fingerprints(monkeypatch)
+        extractor = FeatureExtractor()
+        page = fetch()
+        extractor.withhold(page)
+        assert not extractor.knows(page)
+        first = extractor.extract(page)
+        assert first == extractor.extract(page)
+        assert len(computed) == 2
+        assert not extractor.knows(page)
+
+    def test_digest_is_cached_and_not_a_field(self):
+        page = fetch()
+        assert page.body_digest is page.body_digest
+        assert page == fetch() and repr(page) == repr(fetch())
 
 
 class TestExtractLinks:

@@ -325,6 +325,105 @@ class TestGuardedExtraction:
         }
 
 
+class _ThreadNotingExtractor(FeatureExtractor):
+    """Records which thread ran each extract call."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads: list[str] = []
+
+    def extract(self, fetch):
+        import threading
+
+        self.threads.append(threading.current_thread().name)
+        return super().extract(fetch)
+
+
+def _at(ip: int, fetch: FetchResult) -> FetchResult:
+    import dataclasses
+
+    return dataclasses.replace(fetch, ip=ip)
+
+
+class TestBodyMemo:
+    """The guard's side of the one-digest contract: a body's verdict is
+    memoised with its features, and neither changes what quarantine
+    sees nor what may run inline."""
+
+    TITLE_BOMB = "<title>" + "A" * 200_000
+
+    def test_memoised_verdict_still_quarantines_each_occurrence(self):
+        guard = Supervisor()
+        inspected = []
+        real = guard._inspect_body
+        guard._inspect_body = lambda body: inspected.append(1) or real(body)
+        extractor = FeatureExtractor()
+        guard.start_round(2, 5)
+        for ip in (7, 8, 9):
+            run(guard.extract_features(
+                extractor, _at(ip, page(self.TITLE_BOMB))))
+        entries = guard.drain_quarantine()
+        assert [e.ip for e in entries] == [7, 8, 9]
+        assert {e.verdict for e in entries} == {GuardVerdict.TITLE_BOMB.value}
+        assert all(e.round_id == 2 for e in entries)
+        assert len(inspected) == 1
+
+    def test_header_bomb_is_judged_per_fetch(self):
+        guard = Supervisor()
+        body = "<html><title>same body</title></html>"
+        bomb = {f"X-T-{n}": "x" for n in range(300)}
+        assert guard.inspect(page(body, bomb)) is GuardVerdict.HEADER_BOMB
+        assert guard.inspect(page(body)) is GuardVerdict.OK
+        assert guard.inspect(page(body, bomb)) is GuardVerdict.HEADER_BOMB
+
+    def test_memo_hit_never_goes_to_the_executor(self):
+        import threading
+
+        guard = Supervisor()
+        extractor = _ThreadNotingExtractor()
+        first = run(guard.extract_features(extractor, page(self.TITLE_BOMB)))
+        second = run(guard.extract_features(extractor, page(self.TITLE_BOMB)))
+        assert first == second
+        main = threading.current_thread().name
+        assert extractor.threads[0] != main      # suspect: the thread
+        assert extractor.threads[1] == main      # memoised: inline
+
+    def test_deadline_kill_is_never_memoised(self):
+        config = GuardConfig(extract_deadline=0.1, extract_inline_max_bytes=4)
+        guard = Supervisor(config)
+        extractor = _SleepyExtractor(0.3)
+        body = "<html>slow page</html>"
+        run(guard.extract_features(extractor, page(body)))
+        time.sleep(0.5)             # the abandoned thread has finished
+        assert not extractor.knows(page(body))
+        run(guard.extract_features(extractor, page(body)))
+        assert guard.deadline_kills[Supervisor.EXTRACT] == 2
+
+    def test_trapped_exception_is_never_memoised(self, monkeypatch):
+        import repro.core.features as features_module
+
+        real = features_module.compute_simhash
+        calls = []
+
+        def fails_once(body):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(body)
+
+        monkeypatch.setattr(features_module, "compute_simhash", fails_once)
+        guard = Supervisor()
+        extractor = FeatureExtractor()
+        body = "<html><title>flaky</title></html>"
+        sentinel = run(guard.extract_features(extractor, page(body)))
+        assert sentinel.title == UNKNOWN
+        assert not extractor.knows(page(body))
+        features = run(guard.extract_features(extractor, page(body)))
+        assert features.title == "flaky"
+        assert extractor.knows(page(body))
+        assert guard.trapped[Supervisor.EXTRACT] == 1
+
+
 def _outcomes(n: int) -> list[ProbeOutcome]:
     return [
         ProbeOutcome(

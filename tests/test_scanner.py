@@ -608,7 +608,9 @@ class TestPythonCallsPerProbe:
 class PerProbeOnly:
     """Forwards ``probe``, ``get``, ``banner`` and ``on_round_start``
     and nothing else — the shape of a latency or tracing wrapper — so
-    the scanner drains probe by probe."""
+    it hides ``probe_many``, ``get_many`` and ``banner_many``: the
+    scanner drains probe by probe, and the fetcher and the banner grab
+    go through the supervised pool, one task per IP."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -644,6 +646,9 @@ def campaign_fingerprint(ips: int, rounds: int, per_probe: bool):
             [(e.shard_index, e.record_count, e.errors, e.operations,
               e.checksum) for e in store.shard_journal(round_id)],
             campaign.platform.scanner.probes_sent,
+            campaign.platform.fetcher.gets_sent,
+            campaign.platform.fetcher.fetch_errors,
+            sorted(repr(q.to_row()) for q in store.quarantine_rows(round_id)),
         ))
     campaign.platform.close()
     store.close()
@@ -652,9 +657,12 @@ def campaign_fingerprint(ips: int, rounds: int, per_probe: bool):
 
 class TestDrainsStoreTheSameCampaign:
     def test_small_campaign(self):
+        wrapped = PerProbeOnly(None)
+        assert not any(hasattr(wrapped, name) for name in (
+            "probe_many", "get_many", "banner_many"))
         batch = campaign_fingerprint(4096, 2, per_probe=False)
         assert batch == campaign_fingerprint(4096, 2, per_probe=True)
-        assert batch[-1][2] > 0
+        assert batch[-1][2] > 0 and batch[-1][3] > 0
 
     @pytest.mark.slow
     def test_ingest_scale_campaign(self):

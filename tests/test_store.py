@@ -469,3 +469,26 @@ class TestConnectHelper:
             assert conn.execute("PRAGMA busy_timeout").fetchone()[0] == 123
         finally:
             conn.close()
+
+
+class TestFoldProjectsEachRowOnce:
+    def test_light_row_called_once_per_row(self, monkeypatch):
+        from repro.core.store import base as store_base
+        from repro.core.store import sqlite as store_sqlite
+
+        rows = [record(ip, 1, 0).to_row() for ip in range(1, 8)]
+        rows[3]["body"] = None          # a row the projection nulls out
+        expected = {
+            row["ip"]: tuple(
+                store_base.light_row(row)[name]
+                for name in store_base.IP_HISTORY_COLUMNS)
+            for row in rows
+        }
+        calls = []
+        real = store_base.light_row
+        monkeypatch.setattr(
+            store_base, "light_row",
+            lambda row: calls.append(row["ip"]) or real(row))
+        history, _, _ = store_sqlite._fold(rows)
+        assert calls == [row["ip"] for row in rows]
+        assert history == expected
