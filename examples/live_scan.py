@@ -12,13 +12,9 @@ Run:  python examples/live_scan.py
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.core import (
-    FetchConfig,
-    PlatformConfig,
-    ScanConfig,
-    SocketTransport,
-    WhoWas,
-)
+from repro.core.config import FetchConfig, PlatformConfig, ScanConfig
+from repro.core.platform import WhoWas
+from repro.core.transport import SocketTransport
 
 LOCALHOST = (127 << 24) | 1
 

@@ -16,7 +16,7 @@ Run:  python examples/malicious_activity_hunt.py
 from collections import Counter
 
 from repro.analysis import SafeBrowsingAnalyzer, VirusTotalAnalyzer
-from repro.cloudsim import int_to_ip
+from repro.cloudsim.addressing import int_to_ip
 from repro.workloads import Campaign, ec2_scenario
 
 

@@ -7,7 +7,7 @@ and content for this IP address over time".
 Run:  python examples/quickstart.py
 """
 
-from repro.cloudsim import int_to_ip
+from repro.cloudsim.addressing import int_to_ip
 from repro.workloads import Campaign, ec2_scenario
 
 

@@ -11,7 +11,7 @@ Run:  python examples/vhost_recovery.py
 """
 
 from repro.analysis import DomainCorrelator
-from repro.cloudsim import int_to_ip
+from repro.cloudsim.addressing import int_to_ip
 from repro.workloads import Campaign, ec2_scenario
 
 

@@ -6,21 +6,4 @@ substrate, :mod:`repro.analysis` for the analysis engines, and
 :mod:`repro.workloads` for ready-made scenarios and campaign drivers.
 """
 
-from .core import (
-    FetchConfig,
-    MeasurementStore,
-    PlatformConfig,
-    ScanConfig,
-    WhoWas,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "FetchConfig",
-    "MeasurementStore",
-    "PlatformConfig",
-    "ScanConfig",
-    "WhoWas",
-    "__version__",
-]

@@ -1,17 +1,27 @@
-"""Command-line interface: simulate, resume, scan, report, lookup, aggregate.
+"""Command-line interface (``python -m repro <command>``).
 
-``python -m repro simulate`` runs a full measurement campaign against a
-simulated cloud and writes the round database through a pluggable
-storage engine (``--store-backend``: the default sqlite file, or the
-partitioned columnar directory layout); the other subcommands analyse
-such a database (or one produced by a real ``scan``), auto-detecting
-the engine from what is on disk.  The platform's politeness defaults
-apply to real scans.
+Campaigns: ``simulate`` runs a measurement campaign against a simulated
+cloud and writes the round database through a pluggable storage engine
+(``--store-backend``: the default sqlite file, or the partitioned
+columnar directory layout); ``resume`` continues an interrupted one from
+the first incomplete day/shard using the parameters persisted in the
+database; ``scan`` probes real targets over the network with the
+platform's politeness defaults.  ``simulate`` and ``scan`` install
+SIGINT/SIGTERM handlers that checkpoint the in-flight shard and exit 0.
 
-``simulate`` and ``scan`` install SIGINT/SIGTERM handlers that
-checkpoint the in-flight shard and exit 0; ``repro resume <db>``
-continues an interrupted campaign from the first incomplete day/shard
-using the parameters persisted in the database.
+Analysis: ``report`` summarises a database, ``lookup`` prints one IP's
+history, ``aggregate`` emits the privacy-preserving JSON report.
+
+Operations: ``rounds``, ``stats``, ``verify``, ``rebuild-views`` and
+``quarantine`` inspect or repair a database; ``trace`` reads the span
+trace of ``--trace-out``; ``watch`` polls a running campaign's metrics
+endpoint; ``serve`` answers the query API over HTTP.  Every command
+except ``simulate`` auto-detects the engine from what is on disk.
+
+The module's top level imports only the config, the store and the
+address helpers; each handler imports what it runs, so ``serve``,
+``lookup`` and the other light commands never load numpy, the
+simulator or the analysis package.
 """
 
 from __future__ import annotations
@@ -23,25 +33,9 @@ import signal
 import sys
 from typing import Sequence
 
-from .analysis import (
-    Dataset,
-    DynamicsAnalyzer,
-    SoftwareCensus,
-    SshCensus,
-    WebpageClusterer,
-    build_aggregate_report,
-)
-from .cloudsim.addressing import ip_to_int
-from .core import RoundInterrupted, SocketTransport, WhoWas
+from .cloudsim.addressing import int_to_ip, ip_to_int
 from .core.config import ClusteringConfig, StoreConfig
 from .core.store import BACKENDS, default_backend, open_store
-from .workloads import (
-    Campaign,
-    CampaignInterrupted,
-    SimTransportFactory,
-    build_sim_scenario,
-)
-from .workloads.campaign import simulation_config
 
 __all__ = ["main", "build_parser"]
 
@@ -321,6 +315,8 @@ def _build_sim_scenario(params: dict):
     scenario assembly (shared with ``resume`` and spawned partition
     workers), plus a chatty chaos banner that only the interactive
     entrypoint should print."""
+    from .workloads.campaign import build_sim_scenario
+
     scenario = build_sim_scenario(params)
     chaos_rate = params.get("chaos_rate", 0.0)
     if chaos_rate > 0:
@@ -356,12 +352,17 @@ def _setup_telemetry(args):
     return tel_config
 
 
-def _sim_campaign(scenario, store, params: dict, telemetry=None) -> Campaign:
+def _sim_campaign(scenario, store, params: dict, telemetry=None):
     """Build the Campaign for ``simulate``/``resume``, wiring in the
     supervised worker pool when the parameters ask for one."""
     import dataclasses
 
     from .core.config import WorkerConfig
+    from .workloads.campaign import (
+        Campaign,
+        SimTransportFactory,
+        simulation_config,
+    )
 
     workers = int(params.get("workers") or 0)
     config = simulation_config()
@@ -390,6 +391,8 @@ def _finish_campaign(result, db_path: str) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .workloads.campaign import CampaignInterrupted
+
     backend = args.store_backend or default_backend()
     try:
         StoreConfig(backend)
@@ -425,6 +428,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_resume(args) -> int:
+    from .workloads.campaign import CampaignInterrupted
+
     telemetry = _setup_telemetry(args)
     store = _open_db(args.db, readonly=False)
     if store is None:
@@ -456,6 +461,9 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .core.platform import RoundInterrupted, WhoWas
+    from .core.transport import SocketTransport
+
     with open(args.targets) as handle:
         targets = [ip_to_int(line.strip()) for line in handle if line.strip()]
     if not targets:
@@ -492,6 +500,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .analysis.census import SoftwareCensus, SshCensus
+    from .analysis.clustering import WebpageClusterer
+    from .analysis.dataset import Dataset
+    from .analysis.dynamics import DynamicsAnalyzer
+
     store = _open_db(args.db)
     if store is None:
         return 1
@@ -538,7 +551,7 @@ def _cmd_report(args) -> int:
         print(f"clusters: {clustering.stats.final_clusters} final "
               f"(threshold {clustering.threshold})")
         if args.export:
-            from .analysis import FigureExporter
+            from .analysis.export import FigureExporter
 
             written = FigureExporter(dataset, clustering).export_all(
                 args.export
@@ -567,6 +580,10 @@ def _cmd_lookup(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    from .analysis.aggregates import build_aggregate_report
+    from .analysis.clustering import WebpageClusterer
+    from .analysis.dataset import Dataset
+
     store = _open_db(args.db)
     if store is None:
         return 1
@@ -630,8 +647,7 @@ def _cmd_rounds(args) -> int:
 
 
 def _load_pipeline_stats(store, round_id: int):
-    from .core.platform import PIPELINE_STATS_META_PREFIX
-    from .core.records import PipelineStats
+    from .core.records import PIPELINE_STATS_META_PREFIX, PipelineStats
 
     raw = store.get_meta(f"{PIPELINE_STATS_META_PREFIX}{round_id}")
     if raw is None:
@@ -718,8 +734,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_quarantine(args) -> int:
-    from .core import FeatureExtractor
-    from .cloudsim.addressing import int_to_ip
+    from .core.features import FeatureExtractor
 
     store = _open_db(args.db, readonly=False)
     if store is None:
@@ -810,7 +825,7 @@ def _cmd_serve(args) -> int:
     import sqlite3
 
     from .core.config import ServeConfig
-    from .serve import ServeApp
+    from .serve.app import ServeApp
 
     overrides = {}
     if args.host is not None:

@@ -7,72 +7,7 @@ paper measured: address spaces and regions (:mod:`addressing`,
 stacks (:mod:`content`, :mod:`software`), the network face the WhoWas
 scanner probes (:mod:`network`), EC2-style DNS (:mod:`dns`), and the
 external blacklist services (:mod:`blacklist`).
+
+Import from the submodules: the package re-exports nothing, so a
+reader that needs only :mod:`addressing` does not load the simulator.
 """
-
-from .addressing import AddressSpace, Prefix, Region, int_to_ip, ip_to_int
-from .blacklist import SafeBrowsingSim, VirusTotalReport, VirusTotalSim
-from .content import ContentFactory, ContentProfile, TRACKER_CATALOG
-from .dns import CloudDns, DnsAnswer, public_hostname
-from .instances import Deployment, IpPool
-from .malicious import MaliciousUrlFactory
-from .network import SimulatedTransport
-from .population import GiantSpec, PopulationBuilder, WorkloadSpec
-from .providers import (
-    AZURE_SPEC,
-    EC2_SPEC,
-    NetKind,
-    ProviderSpec,
-    ProviderTopology,
-    RegionSpec,
-)
-from .services import Elasticity, MaliciousBehavior, PortProfile, ServiceSpec
-from .simulation import CloudSimulation, DeploymentLog, HostState
-from .software import (
-    AZURE_CATALOG,
-    EC2_CATALOG,
-    SoftwareCatalog,
-    SoftwareStack,
-    WeightedChoice,
-)
-
-__all__ = [
-    "AddressSpace",
-    "Prefix",
-    "Region",
-    "int_to_ip",
-    "ip_to_int",
-    "SafeBrowsingSim",
-    "VirusTotalReport",
-    "VirusTotalSim",
-    "ContentFactory",
-    "ContentProfile",
-    "TRACKER_CATALOG",
-    "CloudDns",
-    "DnsAnswer",
-    "public_hostname",
-    "Deployment",
-    "IpPool",
-    "MaliciousUrlFactory",
-    "SimulatedTransport",
-    "GiantSpec",
-    "PopulationBuilder",
-    "WorkloadSpec",
-    "AZURE_SPEC",
-    "EC2_SPEC",
-    "NetKind",
-    "ProviderSpec",
-    "ProviderTopology",
-    "RegionSpec",
-    "Elasticity",
-    "MaliciousBehavior",
-    "PortProfile",
-    "ServiceSpec",
-    "CloudSimulation",
-    "DeploymentLog",
-    "HostState",
-    "AZURE_CATALOG",
-    "EC2_CATALOG",
-    "SoftwareCatalog",
-    "SoftwareStack",
-    "WeightedChoice",
-]

@@ -3,173 +3,8 @@
 This is the paper's primary contribution (§4): a pipeline that probes
 cloud IP ranges, fetches top-level pages, extracts content features and
 persists per-round records behind a programmatic lookup API.
+
+Import from the submodules (``repro.core.platform``, ``.store``,
+``.transport``, ...): the package re-exports nothing, so loading the
+store does not load the ingest stack and numpy.
 """
-
-from .config import (
-    FetchConfig,
-    GuardConfig,
-    PipelineConfig,
-    PlatformConfig,
-    ScanConfig,
-    TelemetryConfig,
-    WorkerConfig,
-)
-from .crawler import Crawler, CrawlResult
-from .faults import (
-    HOSTILE_CONTENT_KINDS,
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    FaultyTransport,
-    ProcessChaosPlan,
-    ProcFaultKind,
-    ProcFaultRule,
-    chaos_plan,
-    hostile_plan,
-    proc_chaos_plan,
-)
-from .features import FeatureExtractor, extract_internal_links, extract_links
-from .fetcher import Fetcher, decode_body, parse_robots
-from .guard import (
-    AimdController,
-    GuardVerdict,
-    StageDeadlineExceeded,
-    Supervisor,
-)
-from .pipeline import BoundedShardQueue, RoundPipeline, ShardWork
-from .platform import RoundInterrupted, RoundSummary, WhoWas
-from .records import (
-    UNKNOWN,
-    FetchResult,
-    FetchStatus,
-    PageFeatures,
-    PipelineStats,
-    Port,
-    ProbeOutcome,
-    ProbeStatus,
-    QuarantineRecord,
-    RoundRecord,
-    StageStats,
-)
-from .scanner import RateLimiter, Scanner, SubnetCircuitBreaker
-from .simhash import HASH_BITS, hamming_distance, simhash
-from .telemetry import (
-    MetricsRegistry,
-    SpanRecord,
-    Telemetry,
-    TraceSink,
-    start_metrics_server,
-)
-from .store import (
-    MeasurementStore,
-    RoundInfo,
-    RoundVerification,
-    ShardJournalEntry,
-    ShardPayload,
-    shard_checksum,
-)
-from .workers import (
-    PartitionSpec,
-    WorkerRoundReport,
-    WorkerSupervisor,
-    WorkerTask,
-    partition_shards,
-    run_partition,
-)
-from .transport import (
-    BatchProbe,
-    BodyTruncated,
-    ConnectionRefused,
-    ConnectTimeout,
-    HttpResponse,
-    ProtocolError,
-    RoundAware,
-    SocketTransport,
-    Transport,
-    TransportError,
-    classify_error,
-)
-
-__all__ = [
-    "FetchConfig",
-    "GuardConfig",
-    "PipelineConfig",
-    "PlatformConfig",
-    "ScanConfig",
-    "TelemetryConfig",
-    "WorkerConfig",
-    "BoundedShardQueue",
-    "RoundPipeline",
-    "ShardWork",
-    "Crawler",
-    "CrawlResult",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRule",
-    "FaultyTransport",
-    "chaos_plan",
-    "hostile_plan",
-    "proc_chaos_plan",
-    "ProcessChaosPlan",
-    "ProcFaultKind",
-    "ProcFaultRule",
-    "HOSTILE_CONTENT_KINDS",
-    "FeatureExtractor",
-    "extract_internal_links",
-    "extract_links",
-    "Fetcher",
-    "decode_body",
-    "parse_robots",
-    "AimdController",
-    "GuardVerdict",
-    "StageDeadlineExceeded",
-    "Supervisor",
-    "RoundInterrupted",
-    "RoundSummary",
-    "WhoWas",
-    "UNKNOWN",
-    "FetchResult",
-    "FetchStatus",
-    "PageFeatures",
-    "PipelineStats",
-    "Port",
-    "ProbeOutcome",
-    "ProbeStatus",
-    "QuarantineRecord",
-    "RoundRecord",
-    "StageStats",
-    "RateLimiter",
-    "Scanner",
-    "SubnetCircuitBreaker",
-    "HASH_BITS",
-    "hamming_distance",
-    "simhash",
-    "MetricsRegistry",
-    "SpanRecord",
-    "Telemetry",
-    "TraceSink",
-    "start_metrics_server",
-    "MeasurementStore",
-    "RoundInfo",
-    "RoundVerification",
-    "ShardJournalEntry",
-    "ShardPayload",
-    "shard_checksum",
-    "PartitionSpec",
-    "WorkerRoundReport",
-    "WorkerSupervisor",
-    "WorkerTask",
-    "partition_shards",
-    "run_partition",
-    "HttpResponse",
-    "SocketTransport",
-    "Transport",
-    "RoundAware",
-    "BatchProbe",
-    "TransportError",
-    "ConnectTimeout",
-    "ConnectionRefused",
-    "ProtocolError",
-    "BodyTruncated",
-    "classify_error",
-]

@@ -37,6 +37,7 @@ from .fetcher import Fetcher
 from .guard import GuardVerdict, StageDeadlineExceeded, Supervisor
 from .pipeline import RoundPipeline, ShardWork
 from .records import (
+    PIPELINE_STATS_META_PREFIX,
     FetchResult,
     FetchStatus,
     PipelineStats,
@@ -49,13 +50,10 @@ from .records import (
 from .scanner import Scanner
 from .store import MeasurementStore, RoundInfo, ShardPayload, StoreBackend
 from .transport import Transport, TransportError
+from .workers import WorkerSupervisor
 from . import telemetry as _telemetry
 
 __all__ = ["RoundSummary", "RoundInterrupted", "WhoWas"]
-
-#: ``campaign_meta`` key prefix under which per-round pipeline stats
-#: are persisted as JSON (read back by ``repro stats``).
-PIPELINE_STATS_META_PREFIX = "pipeline_stats:"
 
 
 class RoundInterrupted(Exception):
@@ -397,8 +395,6 @@ class WhoWas:
         on spawned workers under a
         :class:`~repro.core.workers.WorkerSupervisor` and merge back
         into the canonical journal; returns its report."""
-        from .workers import WorkerSupervisor
-
         writer_before = self.store.writer_stats_snapshot()
         supervisor = WorkerSupervisor(
             self.store, self.config, self.transport_factory,

@@ -24,6 +24,7 @@ __all__ = [
     "QuarantineRecord",
     "StageStats",
     "PipelineStats",
+    "PIPELINE_STATS_META_PREFIX",
     "UNKNOWN",
     "parse_open_ports",
     "port_profile_of",
@@ -324,6 +325,11 @@ class StageStats:
     @classmethod
     def from_dict(cls, data: Mapping) -> "StageStats":
         return cls(**dict(data))
+
+
+#: ``campaign_meta`` key prefix under which per-round pipeline stats
+#: are persisted as JSON (read back by ``repro stats``).
+PIPELINE_STATS_META_PREFIX = "pipeline_stats:"
 
 
 @dataclass

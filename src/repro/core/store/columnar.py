@@ -4,9 +4,7 @@ The second :class:`~repro.core.store.base.StoreBackend` implementation:
 a campaign is a **directory**, partitioned by round, with each shard
 stored column-major — the layout analytical reads want (aggregate one
 column without deserialising page bodies), in the spirit of
-parquet/feather but built on the stdlib only (pyarrow/pandas are
-optional elsewhere and deliberately not required here; numpy is used
-opportunistically for count folds when present).
+parquet/feather but built on the stdlib only.
 
 Layout::
 
@@ -52,16 +50,10 @@ import time
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover - numpy is baked in here
-    _np = None
-
 from ..records import PageFeatures, QuarantineRecord, RoundRecord
 from .base import (
     AGGREGATE_COLUMNS,
     COLUMN_NAMES,
-    IP_HISTORY_COLUMNS,
     ROUND_COMPLETE,
     ROUND_DEGRADED,
     ROUND_IN_PROGRESS,
@@ -144,28 +136,6 @@ def _rows_from_columns(columns: dict[str, list]) -> list[dict]:
         {name: columns[name][i] for name in COLUMN_NAMES}
         for i in range(count)
     ]
-
-
-def _count_summary(columns: dict[str, list]) -> dict[str, int]:
-    """Round-summary increments straight off the column arrays —
-    vectorised with numpy when available, pure python otherwise."""
-    fetch_status = columns.get("fetch_status", [])
-    status_code = columns.get("status_code", [])
-    if _np is not None and fetch_status:
-        status = _np.asarray(fetch_status, dtype=object)
-        has_code = _np.asarray(
-            [code is not None for code in status_code], dtype=bool
-        )
-        return {
-            "responsive": int(status.size),
-            "available": int(((status == "ok") & has_code).sum()),
-            "fetched": int((status != "not-attempted").sum()),
-        }
-    rows = [
-        {"fetch_status": fs, "status_code": sc}
-        for fs, sc in zip(fetch_status, status_code)
-    ]
-    return summarize_rows(rows)
 
 
 class ColumnarStore(StoreBackend):
@@ -464,7 +434,7 @@ class ColumnarStore(StoreBackend):
         views = json.loads(json.dumps(self._views(round_id)))
         if shard_index in views["folded"]:
             return
-        counts = _count_summary(_columns_from_rows(row_dicts))
+        counts = summarize_rows(row_dicts)
         summary = views["summary"]
         summary["responsive"] += counts["responsive"]
         summary["available"] += counts["available"]

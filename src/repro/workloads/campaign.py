@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from ..analysis.clustering import ClusteringResult, WebpageClusterer
 from ..analysis.dataset import Dataset
 from ..core.config import FetchConfig, PlatformConfig, ScanConfig
+from ..core.faults import FaultyTransport, chaos_plan, hostile_plan
 from ..core.platform import RoundInterrupted, RoundSummary, WhoWas
 from ..core.store import MeasurementStore
 from .scenario import Scenario, azure_scenario, ec2_scenario
@@ -50,8 +51,6 @@ def build_sim_scenario(params: dict) -> Scenario:
     scenario = builder(**kwargs)
     chaos_rate = params.get("chaos_rate", 0.0)
     if chaos_rate > 0:
-        from ..core import FaultyTransport, chaos_plan, hostile_plan
-
         seed = params.get("chaos_seed", 0)
         plan = chaos_plan(seed, rate=chaos_rate)
         if params.get("chaos_hostile"):

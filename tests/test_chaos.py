@@ -20,15 +20,14 @@ import dataclasses
 
 import pytest
 
-from repro.core import (
+from repro.core.faults import (
     FaultKind,
     FaultPlan,
     FaultRule,
     FaultyTransport,
-    FetchStatus,
-    MeasurementStore,
     chaos_plan,
 )
+from repro.core.records import FetchStatus
 from repro.core.transport import (
     BodyTruncated,
     ConnectionRefused,

@@ -33,7 +33,7 @@ class TestParser:
 
 class TestSimulate(object):
     def test_creates_database(self, db_path):
-        from repro.core import MeasurementStore
+        from repro.core.store import MeasurementStore
 
         store = MeasurementStore(db_path)
         rounds = store.rounds()
@@ -87,7 +87,7 @@ class TestReport:
         assert "clusters:" not in capsys.readouterr().out
 
     def test_empty_database(self, tmp_path, capsys):
-        from repro.core import MeasurementStore
+        from repro.core.store import MeasurementStore
 
         path = str(tmp_path / "empty.sqlite")
         MeasurementStore(path).close()
@@ -96,7 +96,7 @@ class TestReport:
 
 class TestLookup:
     def test_lookup_known_ip(self, db_path, capsys):
-        from repro.core import MeasurementStore
+        from repro.core.store import MeasurementStore
 
         store = MeasurementStore(db_path)
         ip = sorted(store.responsive_ips(store.rounds()[0].round_id))[0]
@@ -122,7 +122,7 @@ class TestAggregate:
 
 
 class TestScan:
-    def test_scan_localhost(self, tmp_path, capsys):
+    def test_scan_localhost(self, tmp_path, capsys, monkeypatch):
         """The real-network scan subcommand against a local server."""
         import threading
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -146,21 +146,20 @@ class TestScan:
             targets.write_text("127.0.0.1\n")
             out = str(tmp_path / "scan.sqlite")
             # Redirect the well-known ports to the ephemeral test server
-            # by monkeypatching the transport the CLI constructs.
-            import repro.cli as cli
-            from repro.core import SocketTransport
+            # by monkeypatching the transport the CLI constructs: the
+            # scan handler imports it from repro.core.transport when it
+            # runs, so patch it there.
+            import repro.core.transport as transport_module
 
+            socket_transport = transport_module.SocketTransport
             port = server.server_address[1]
-            original = cli.SocketTransport
-            cli.SocketTransport = lambda: SocketTransport(
-                port_map={80: port, 443: 1, 22: 1}
+            monkeypatch.setattr(
+                transport_module, "SocketTransport",
+                lambda: socket_transport(port_map={80: port, 443: 1, 22: 1}),
             )
-            try:
-                code = cli.main([
-                    "scan", "--targets", str(targets), "--out", out,
-                ])
-            finally:
-                cli.SocketTransport = original
+            code = main([
+                "scan", "--targets", str(targets), "--out", out,
+            ])
             assert code == 0
             assert "responsive=1" in capsys.readouterr().out
         finally:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,3 +141,69 @@ class TestDocumentedKnobsExist:
                       if target not in targets]
         assert seen, "the documents no longer name any script or target"
         assert not stale, stale
+
+    def test_every_documented_repro_import_resolves(self):
+        """Every ``import repro…`` / ``from repro… import …`` in the
+        documents' ``python`` blocks and in ``examples/``, and every
+        backticked dotted ``repro.…`` name in the documents, must
+        resolve, so a removed re-export cannot keep living in a
+        snippet.  All of them run in one fresh interpreter."""
+        root = Path(__file__).resolve().parent.parent
+        docs = {doc: (root / doc).read_text()
+                for doc in ("README.md", "DESIGN.md")}
+        sources = [
+            block for text in docs.values()
+            for block in re.findall(r"^```python\n(.*?)^```", text,
+                                    re.M | re.S)
+        ] + [path.read_text() for path in (root / "examples").glob("*.py")]
+        statements = sorted({
+            ast.unparse(node)
+            for source in sources
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "repro" for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "repro"
+        })
+        dotted = sorted({
+            name for text in docs.values()
+            for name in re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)[`(]", text)
+        })
+        assert statements and dotted, "the documents show no repro import"
+        proc = subprocess.run(
+            [sys.executable, "-c", _RESOLVE_IMPORTS],
+            input=json.dumps([statements, dotted]),
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+
+#: Run by the documented-imports test in a fresh interpreter: reads
+#: ``[statements, dotted_names]`` as JSON on stdin and prints the JSON
+#: list of those that do not resolve.
+_RESOLVE_IMPORTS = """
+import importlib, json, sys
+
+statements, dotted = json.load(sys.stdin)
+stale = []
+for statement in statements:
+    try:
+        exec(statement, {})
+    except ImportError as exc:
+        stale.append(f"{statement}: {exc}")
+for name in dotted:
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+            break
+        except ImportError:
+            continue
+    for attr in parts[cut:]:
+        obj = getattr(obj, attr, None)
+    if obj is None:
+        stale.append(name)
+print(json.dumps(stale))
+"""

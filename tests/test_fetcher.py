@@ -539,9 +539,10 @@ class TestBatchDrainEqualsOracle:
         what the per-IP loop reports, and sends the same GETs."""
         from collections import Counter
 
-        from repro.core import MeasurementStore, WhoWas
         from repro.core.config import PlatformConfig
         from repro.core.pipeline import ShardWork
+        from repro.core.platform import WhoWas
+        from repro.core.store import MeasurementStore
 
         config = FetchConfig(
             retries=case["retries"], retry_base_delay=0.0,
@@ -601,9 +602,10 @@ class TestBatchDrainEqualsOracle:
             transport.add_host(ip, {80, 22})
         transport.banners[2] = "SSH-2.0-x"
 
-        from repro.core import MeasurementStore, WhoWas
         from repro.core.config import PlatformConfig
         from repro.core.pipeline import ShardWork
+        from repro.core.platform import WhoWas
+        from repro.core.store import MeasurementStore
 
         platform = WhoWas(transport, MeasurementStore(),
                           PlatformConfig(grab_ssh_banners=True))

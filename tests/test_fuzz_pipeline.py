@@ -18,7 +18,8 @@ from repro.cloudsim.services import PORT_PROFILES_EC2
 from repro.cloudsim.simulation import CloudSimulation
 from repro.cloudsim.network import SimulatedTransport
 from repro.cloudsim.software import EC2_CATALOG
-from repro.core import MeasurementStore, WhoWas
+from repro.core.platform import WhoWas
+from repro.core.store import MeasurementStore
 from repro.workloads import simulation_config
 
 

@@ -12,23 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    FetchStatus,
-    MeasurementStore,
-    QuarantineRecord,
-    RoundRecord,
-    hostile_plan,
-)
-from repro.core.faults import FaultKind, _hostile_response
+from repro.core.faults import FaultKind, _hostile_response, hostile_plan
 from repro.core.features import FeatureExtractor
 from repro.core.fetcher import decode_body
 from repro.core.guard import GuardVerdict, Supervisor
 from repro.core.records import (
     FetchResult,
+    FetchStatus,
     PageFeatures,
     ProbeOutcome,
     ProbeStatus,
+    QuarantineRecord,
+    RoundRecord,
 )
+from repro.core.store import MeasurementStore
 from repro.cli import main as cli_main
 
 from test_chaos import assert_chaos_invariants, storm_campaign
@@ -161,7 +158,7 @@ class TestHostileCampaign:
     def test_hostile_plus_network_storm(self):
         # Hostile content and network faults together; first matching
         # rule wins, the pipeline survives both.
-        from repro.core import FaultPlan, chaos_plan
+        from repro.core.faults import FaultPlan, chaos_plan
 
         hostile = hostile_plan(5, rate=0.1)
         network = chaos_plan(5, rate=0.15)

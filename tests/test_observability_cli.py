@@ -13,9 +13,10 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import MeasurementStore, telemetry
+from repro.core import telemetry
 from repro.core.config import TelemetryConfig
 from repro.core.records import PipelineStats
+from repro.core.store import MeasurementStore
 from repro.core.telemetry import Telemetry, start_metrics_server
 from repro import dashboard
 

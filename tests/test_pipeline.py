@@ -18,25 +18,28 @@ import sqlite3
 import pytest
 
 from repro.cli import main
-from repro.core import (
+from repro.core.config import PipelineConfig, WorkerConfig
+from repro.core.faults import (
     FaultKind,
     FaultPlan,
     FaultRule,
     FaultyTransport,
-    MeasurementStore,
-    WhoWas,
     chaos_plan,
     hostile_plan,
 )
-from repro.core.config import PipelineConfig, WorkerConfig
 from repro.core.pipeline import (
     BoundedShardQueue,
     RoundPipeline,
     ShardWork,
     _DONE,
 )
-from repro.core.platform import PIPELINE_STATS_META_PREFIX
-from repro.core.records import PipelineStats, StageStats
+from repro.core.platform import WhoWas
+from repro.core.records import (
+    PIPELINE_STATS_META_PREFIX,
+    PipelineStats,
+    StageStats,
+)
+from repro.core.store import MeasurementStore
 from repro.workloads import (
     Campaign,
     CampaignInterrupted,

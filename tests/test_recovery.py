@@ -15,25 +15,27 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import (
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    FaultyTransport,
-    MeasurementStore,
-    RoundInterrupted,
-    Scanner,
-    SubnetCircuitBreaker,
-    WhoWas,
-    chaos_plan,
-)
 from repro.core.config import (
     FetchConfig,
     PlatformConfig,
     ScanConfig,
 )
+from repro.core.faults import (
+    FaultKind,
+    FaultPlan,
+    FaultRule,
+    FaultyTransport,
+    chaos_plan,
+)
+from repro.core.platform import RoundInterrupted, WhoWas
 from repro.core.records import ProbeStatus
-from repro.core.store import ROUND_COMPLETE, ROUND_IN_PROGRESS, open_store
+from repro.core.scanner import Scanner, SubnetCircuitBreaker
+from repro.core.store import (
+    ROUND_COMPLETE,
+    ROUND_IN_PROGRESS,
+    MeasurementStore,
+    open_store,
+)
 from repro.core.transport import ConnectionRefused
 from repro.workloads import Campaign, CampaignInterrupted, ec2_scenario
 from _fakes import serial_oracle

@@ -16,7 +16,7 @@ import sqlite3
 
 import pytest
 
-from repro.core import proc_chaos_plan, ProcFaultKind
+from repro.core.faults import ProcFaultKind, proc_chaos_plan
 from repro.core.records import PageFeatures, QuarantineRecord
 from repro.core.store import (
     BACKENDS,

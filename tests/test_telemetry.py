@@ -502,7 +502,7 @@ class TestMetricsServer:
 class TestStoreOutputUnchanged:
     def _campaign_checksums(self, path, telemetry_on):
         from repro.cli import main
-        from repro.core import MeasurementStore
+        from repro.core.store import MeasurementStore
 
         argv = [
             "simulate", "--cloud", "ec2", "--ips", "512", "--days", "6",
@@ -620,7 +620,8 @@ class TestEnabledCostInPythonCalls:
     def rounds(self, tmp_path_factory):
         """One seeded 4 096-IP round per mode: {enabled: (calls, records,
         rows, db path)}."""
-        from repro.core import MeasurementStore, WhoWas
+        from repro.core.platform import WhoWas
+        from repro.core.store import MeasurementStore
         from repro.workloads import build_sim_scenario
         from repro.workloads.campaign import simulation_config
 

@@ -8,7 +8,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.core import ProbeStatus, ScanConfig, Scanner
+from repro.core.config import ScanConfig
+from repro.core.records import ProbeStatus
+from repro.core.scanner import Scanner
 from repro.core.transport import SocketTransport, TransportError
 
 LOCALHOST = (127 << 24) | 1
@@ -133,12 +135,8 @@ class TestSocketTransport:
 class TestWhoWasOverSockets:
     def test_full_pipeline_against_local_server(self, http_server):
         """The real-network transport drives the full platform."""
-        from repro.core import (
-            FetchConfig,
-            PlatformConfig,
-            ScanConfig,
-            WhoWas,
-        )
+        from repro.core.config import FetchConfig, PlatformConfig, ScanConfig
+        from repro.core.platform import WhoWas
 
         transport = SocketTransport(port_map={80: http_server, 443: 1, 22: 1})
         platform = WhoWas(

@@ -19,23 +19,22 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.core import (
+from repro.core.config import PlatformConfig, WorkerConfig
+from repro.core.faults import ProcFaultKind, proc_chaos_plan
+from repro.core.platform import RoundInterrupted, WhoWas
+from repro.core.records import PipelineStats
+from repro.core.store import (
+    ROUND_IN_PROGRESS,
     MeasurementStore,
-    ProcessChaosPlan,
-    ProcFaultKind,
-    RoundInterrupted,
-    WhoWas,
+    shard_checksum,
+)
+from repro.core.workers import (
+    WorkerRoundReport,
     WorkerSupervisor,
     WorkerTask,
     partition_shards,
-    proc_chaos_plan,
     run_partition,
-    shard_checksum,
 )
-from repro.core.config import PlatformConfig, WorkerConfig
-from repro.core.records import PipelineStats
-from repro.core.store import ROUND_IN_PROGRESS
-from repro.core.workers import WorkerRoundReport
 from repro.workloads import Campaign, SimTransportFactory, ec2_scenario
 from test_recovery import SCENARIO_PARAMS, db_snapshot, small_config
 from test_store import record
@@ -355,7 +354,7 @@ class TestMultiprocessRounds:
     def test_worker_telemetry_is_persisted(self, tmp_path):
         path = str(tmp_path / "mp.sqlite")
         run_mp_campaign(path)
-        from repro.core.platform import PIPELINE_STATS_META_PREFIX
+        from repro.core.records import PIPELINE_STATS_META_PREFIX
         import json
 
         store = MeasurementStore(path)
@@ -381,7 +380,7 @@ class TestMultiprocessRounds:
         run_mp_campaign(path, chaos=chaos)
         assert db_snapshot(path) == reference
         import json
-        from repro.core.platform import PIPELINE_STATS_META_PREFIX
+        from repro.core.records import PIPELINE_STATS_META_PREFIX
 
         store = MeasurementStore(path)
         stats = PipelineStats.from_dict(json.loads(
@@ -632,7 +631,7 @@ class TestWorkersChaosTier:
         )
         assert db_snapshot(path) == reference
         import json
-        from repro.core.platform import PIPELINE_STATS_META_PREFIX
+        from repro.core.records import PIPELINE_STATS_META_PREFIX
 
         store = MeasurementStore(path)
         stats = PipelineStats.from_dict(json.loads(
@@ -679,7 +678,7 @@ class TestWorkersChaosTier:
         info = [i for i in store.rounds() if i.round_id == 1][0]
         assert info.status == "degraded"
         import json
-        from repro.core.platform import PIPELINE_STATS_META_PREFIX
+        from repro.core.records import PIPELINE_STATS_META_PREFIX
 
         stats = PipelineStats.from_dict(json.loads(
             store.get_meta(f"{PIPELINE_STATS_META_PREFIX}1")
