@@ -14,8 +14,7 @@ owning service's software headers and rendered page.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..core.transport import (
     ConnectionRefused,
@@ -25,41 +24,96 @@ from ..core.transport import (
     TransportError,
 )
 from .services import ServiceSpec
-from .simulation import CloudSimulation, HostState
+from .simulation import CloudSimulation
 
 __all__ = ["SimulatedTransport"]
 
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 
-def _answer_each(call, requests) -> list:
-    """``call(*request)`` for each request: its result, or the exception
-    it raised, in the request's slot."""
-    answers = []
-    for request in requests:
-        try:
-            answers.append(call(*request))
-        except Exception as exc:
-            answers.append(exc)
-    return answers
+def _raised(answer):
+    """A single call's answer: raise it if the batch slot holds a
+    failure."""
+    if isinstance(answer, Exception):
+        raise answer
+    return answer
+
+
+class _Host(NamedTuple):
+    """What an occupied IP answers with today, read from the
+    simulation's per-call accessors once per (IP, day)."""
+
+    service: ServiceSpec
+    open_ports: frozenset[int]
+    latency: float
+    flaky: bool
+    #: The day's HTTP roll; False for a service that serves no web.
+    web_up: bool
 
 
 class SimulatedTransport:
-    """Answers probes and GETs from the simulation's ground truth."""
+    """Answers probes and GETs from the simulation's ground truth.
+
+    Answers come from two tables that live for one simulated day: a row
+    per occupied IP (:class:`_Host`), filled on the IP's first probe,
+    banner read or GET of the day, and one response per service, path
+    and body cap, since every IP of a service serves the same robots.txt
+    and page on a given day.  Both are dropped, with the flaky-drop
+    attempt counter, when the transport first sees a new day, so they
+    never hold more than one day's occupied hosts."""
 
     def __init__(self, simulation: CloudSimulation):
         self.simulation = simulation
-        self._page_cache: dict[tuple, str] = {}
-        self._attempts: Counter[tuple[int, int, int]] = Counter()
+        #: Encoded page bodies by service, version and page.
+        self._page_cache: dict[tuple, bytes] = {}
+        self._day = simulation.day
+        self._hosts: dict[int, _Host] = {}
+        self._responses: dict[tuple[int, str, int], HttpResponse] = {}
+        self._attempts: Counter[tuple[int, int]] = Counter()
         #: Counters for politeness auditing in tests and ethics checks.
         self.probe_count = 0
         self.get_count = 0
 
     # ------------------------------------------------------------------
+    # the day's tables
+
+    def _today(self) -> dict[int, _Host]:
+        """The host table, emptied first if the simulation has moved on
+        to a new day."""
+        day = self.simulation.day
+        if day != self._day:
+            self._day = day
+            self._hosts.clear()
+            self._responses.clear()
+            self._attempts.clear()
+        return self._hosts
+
+    def _fill(self, ip: int) -> _Host:
+        """Build and keep today's row for the occupied *ip*."""
+        sim = self.simulation
+        day = sim.day
+        service = sim.services[sim.owner_of(ip)]
+        host = self._hosts[ip] = _Host(
+            service,
+            service.port_profile.open_ports,
+            sim.probe_latency(ip, day),
+            sim.is_flaky(ip, day),
+            service.serves_web and sim.service_web_up(service, ip, day),
+        )
+        return host
+
+    def _host(self, ip: int) -> _Host | None:
+        """Today's row for *ip*, or None if it is idle."""
+        host = self._today().get(ip)
+        if host is None and ip in self.simulation._owner:
+            host = self._fill(ip)
+        return host
+
+    # ------------------------------------------------------------------
     # Transport protocol
 
     async def probe(self, ip: int, port: int, timeout: float) -> bool:
-        return self._probe(ip, port, timeout)
+        return self._probe_all(((ip, port),), timeout)[0]
 
     async def probe_many(
         self, targets: Sequence[tuple[int, int]], timeout: float
@@ -67,46 +121,61 @@ class SimulatedTransport:
         """:class:`~repro.core.transport.BatchProbe`: the simulator
         answers without waiting, so a batch is a plain loop (and never
         holds a classified failure — simulated probes only time out)."""
-        probe = self._probe
-        return [probe(ip, port, timeout) for ip, port in targets]
+        return self._probe_all(targets, timeout)
 
-    def _probe(self, ip: int, port: int, timeout: float) -> bool:
-        self.probe_count += 1
-        sim = self.simulation
-        day = sim.day
-        state = sim.host_state(ip)
-        if state is None or port not in state.open_ports:
-            return False
-        if sim.probe_latency(ip, day) > timeout:
-            return False
-        if sim.is_flaky(ip, day):
-            key = (ip, port, day)
-            attempt = self._attempts[key]
-            self._attempts[key] += 1
-            if sim.flaky_drop(ip, day, attempt):
-                return False
-        return True
+    def _probe_all(
+        self, targets: Sequence[tuple[int, int]], timeout: float
+    ) -> list[bool]:
+        self.probe_count += len(targets)
+        hosts = self._today()
+        owner = self.simulation._owner
+        fill = self._fill
+        attempts = self._attempts
+        flaky_drop = self.simulation.flaky_drop
+        day = self._day
+        answers = []
+        for ip, port in targets:
+            if ip not in owner:
+                answers.append(False)
+                continue
+            host = hosts.get(ip) or fill(ip)
+            if port not in host.open_ports or host.latency > timeout:
+                answers.append(False)
+            elif host.flaky:
+                key = (ip, port)
+                attempt = attempts[key]
+                attempts[key] = attempt + 1
+                answers.append(not flaky_drop(ip, day, attempt))
+            else:
+                answers.append(True)
+        return answers
 
     async def banner(self, ip: int, port: int, timeout: float) -> str:
-        return self._banner(ip, port, timeout)
+        return _raised(self._banners(((ip, port),), timeout)[0])
 
     async def banner_many(
         self, targets: Sequence[tuple[int, int]], timeout: float
     ) -> list[str | Exception]:
         """:class:`~repro.core.transport.BatchGet`: one banner (or the
         exception ``banner`` would have raised) per ``(ip, port)``."""
-        return _answer_each(partial(self._banner, timeout=timeout), targets)
+        return self._banners(targets, timeout)
 
-    def _banner(self, ip: int, port: int, timeout: float) -> str:
-        sim = self.simulation
-        state = sim.host_state(ip)
-        if state is None or port not in state.open_ports:
-            raise ConnectionRefused("connection refused")
-        if port != 22 or not state.service.ssh_banner:
-            raise TransportError("no banner")
-        if sim.probe_latency(ip, sim.day) > timeout:
-            raise ConnectTimeout("banner read timed out")
-        return state.service.ssh_banner
+    def _banners(
+        self, targets: Sequence[tuple[int, int]], timeout: float
+    ) -> list[str | TransportError]:
+        host_of = self._host
+        answers: list[str | TransportError] = []
+        for ip, port in targets:
+            host = host_of(ip)
+            if host is None or port not in host.open_ports:
+                answers.append(ConnectionRefused("connection refused"))
+            elif port != 22 or not host.service.ssh_banner:
+                answers.append(TransportError("no banner"))
+            elif host.latency > timeout:
+                answers.append(ConnectTimeout("banner read timed out"))
+            else:
+                answers.append(host.service.ssh_banner)
+        return answers
 
     async def get(
         self,
@@ -118,7 +187,7 @@ class SimulatedTransport:
         max_body: int,
         headers=None,
     ) -> HttpResponse:
-        return self._get(ip, scheme, path, max_body)
+        return _raised(self._gets(((ip, scheme, path),), max_body)[0])
 
     async def get_many(
         self,
@@ -131,29 +200,49 @@ class SimulatedTransport:
         """:class:`~repro.core.transport.BatchGet`: the simulator answers
         without waiting, so a batch is a plain loop; a failure sits in
         its slot instead of being raised."""
-        return _answer_each(partial(self._get, max_body=max_body), requests)
+        return self._gets(requests, max_body)
 
-    def _get(self, ip: int, scheme: str, path: str,
-             max_body: int) -> HttpResponse:
-        self.get_count += 1
-        sim = self.simulation
-        state = sim.host_state(ip)
-        if state is None:
-            raise ConnectionRefused("connection refused")
-        service = state.service
-        port = 443 if scheme == "https" else 80
-        if port not in state.open_ports:
-            raise ConnectionRefused(f"port {port} closed")
-        if not service.serves_web:
-            raise ProtocolError("connection reset by peer")
-        if not sim.service_web_up(service, ip, sim.day):
-            raise ConnectTimeout("connection timed out")
-        if path in ("/robots.txt", "robots.txt"):
-            return self._robots_response(service)
-        return self._page_response(state, path, max_body)
+    def _gets(
+        self, requests: Sequence[tuple[int, str, str]], max_body: int
+    ) -> list[HttpResponse | TransportError]:
+        self.get_count += len(requests)
+        host_of = self._host
+        # Every IP of a service answers a path alike on a given day, and
+        # an HttpResponse is frozen, so one object serves them all.
+        responses = self._responses
+        answers: list[HttpResponse | TransportError] = []
+        for ip, scheme, path in requests:
+            host = host_of(ip)
+            port = 443 if scheme == "https" else 80
+            if host is None:
+                answers.append(ConnectionRefused("connection refused"))
+            elif port not in host.open_ports:
+                answers.append(ConnectionRefused(f"port {port} closed"))
+            elif not host.web_up:
+                answers.append(
+                    ConnectTimeout("connection timed out")
+                    if host.service.serves_web
+                    else ProtocolError("connection reset by peer"))
+            else:
+                service = host.service
+                key = (service.service_id, path, max_body)
+                response = responses.get(key)
+                if response is None:
+                    response = responses[key] = self._respond(
+                        service, path, max_body)
+                answers.append(response)
+        return answers
 
     # ------------------------------------------------------------------
     # response synthesis
+
+    def _respond(self, service: ServiceSpec, path: str,
+                 max_body: int) -> HttpResponse:
+        if path in ("/robots.txt", "robots.txt"):
+            return self._robots_response(service)
+        if path in ("", "/"):
+            return self._page_response(service, max_body)
+        return self._subpage_response(service, path, max_body)
 
     def _robots_response(self, service: ServiceSpec) -> HttpResponse:
         profile = service.profile
@@ -169,30 +258,29 @@ class SimulatedTransport:
             404, self._base_headers(service, "text/html", len(body)), body
         )
 
-    def _page_response(self, state: HostState, path: str,
+    def _page_response(self, service: ServiceSpec,
                        max_body: int) -> HttpResponse:
-        service = state.service
         profile = service.profile
         assert profile is not None
-        if path not in ("", "/"):
-            return self._subpage_response(service, path, max_body)
         active_urls: tuple[str, ...] = ()
         if service.malicious is not None and service.malicious.on_page:
-            active_urls = service.malicious.active_urls(state.day_in_life)
+            active_urls = service.malicious.active_urls(
+                service.day_in_life(self.simulation.day))
         cache_key = (
             service.service_id,
             service.major_version,
             service.revision,
-            hash(active_urls),
+            active_urls,
         )
-        body_text = self._page_cache.get(cache_key)
-        if body_text is None:
+        encoded = self._page_cache.get(cache_key)
+        if encoded is None:
             rendered = profile
             if active_urls:
                 rendered = profile.with_malicious_links(active_urls)
-            body_text = rendered.render(service.major_version, service.revision)
-            self._page_cache[cache_key] = body_text
-        body = body_text.encode("utf-8")[:max_body]
+            encoded = rendered.render(
+                service.major_version, service.revision).encode("utf-8")
+            self._page_cache[cache_key] = encoded
+        body = encoded[:max_body]
         headers = self._base_headers(service, profile.content_type, len(body))
         return HttpResponse(profile.status_code, headers, body)
 
@@ -208,13 +296,13 @@ class SimulatedTransport:
         cache_key = (
             service.service_id, service.major_version, service.revision, path
         )
-        body_text = self._page_cache.get(cache_key)
-        if body_text is None:
-            body_text = profile.render_subpage(
+        encoded = self._page_cache.get(cache_key)
+        if encoded is None:
+            encoded = profile.render_subpage(
                 path, service.major_version, service.revision
-            )
-            self._page_cache[cache_key] = body_text
-        body = body_text.encode("utf-8")[:max_body]
+            ).encode("utf-8")
+            self._page_cache[cache_key] = encoded
+        body = encoded[:max_body]
         headers = self._base_headers(service, "text/html", len(body))
         return HttpResponse(200, headers, body)
 

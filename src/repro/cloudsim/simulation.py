@@ -110,7 +110,7 @@ class HostState:
 def _stable_hash(*parts: int | str) -> int:
     """Process-stable hash (unlike builtin ``hash``, which is salted by
     PYTHONHASHSEED and would break seed-reproducibility)."""
-    data = b":".join(str(p).encode() for p in parts)
+    data = ":".join(map(str, parts)).encode()
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 

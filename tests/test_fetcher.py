@@ -651,8 +651,11 @@ class TestBatchDrainEqualsOracle:
 
 
 class WarmShard:
-    """One warm 1 024-target shard of the seeded 4 096-IP scenario,
-    fetched and extracted once, on one reusable event loop."""
+    """One 1 024-target shard of the seeded 4 096-IP scenario on one
+    reusable event loop: scanned, fetched and extracted on
+    ``scan_days[1]``, then scanned on ``scan_days[2]`` and fetched once
+    under :func:`python_calls` — the first GETs of a day, as in a warm
+    round — and that day's pages extracted once."""
 
     def __init__(self):
         from repro.core.features import FeatureExtractor
@@ -662,17 +665,22 @@ class WarmShard:
         from repro.workloads.campaign import simulation_config
 
         scenario = build_sim_scenario({"cloud": "ec2", "ips": 4096, "seed": 7})
-        scenario.simulation.advance_to(scenario.scan_days[1])
         config = simulation_config()
-        outcomes = Scanner(scenario.transport, config.scan).scan_sync(
-            scenario.targets[:1024])
-        self.to_fetch = [o for o in outcomes if o.responsive and o.wants_fetch]
+        scanner = Scanner(scenario.transport, config.scan)
         self.guard = Supervisor(config.guard, concurrency=config.fetch.workers)
         self.fetcher = Fetcher(scenario.transport, config.fetch,
                                guard=self.guard)
         self.extractor = FeatureExtractor()
         self.loop = asyncio.new_event_loop()
-        self.extract(self.fetch())                   # warm-up
+        for day in scenario.scan_days[1:3]:
+            scenario.simulation.advance_to(day)
+            outcomes = scanner.scan_sync(scenario.targets[:1024])
+            self.to_fetch = [
+                o for o in outcomes if o.responsive and o.wants_fetch]
+            if day == scenario.scan_days[1]:
+                self.extract(self.fetch())           # an earlier scan day
+        self.fetch_calls, self.fetches = python_calls(self.fetch)
+        self.extract(self.fetches)
 
     def fetch(self):
         return self.loop.run_until_complete(self.fetcher.fetch(self.to_fetch))
@@ -688,11 +696,15 @@ class WarmShard:
 
 
 class TestPythonCallsPerFetchAndPage:
-    """Interpreter work on one warm simulated shard, counted as Python
-    ``call`` events — a reading this host's timing noise cannot blur.
-    Through ``Fetcher.fetch``: 188 calls per fetched IP when each IP
-    took a pooled task, a deadline and an AIMD slot; the batch drain
-    reads 64, most of it the simulator's two answers.  Through
+    """Interpreter work on one warm simulated shard (:class:`WarmShard`),
+    counted as Python ``call`` events — a reading this host's timing
+    noise cannot blur.  Through ``Fetcher.fetch``, on the first GETs of
+    a day: 188 calls per fetched IP when each IP took a pooled task, a
+    deadline and an AIMD slot; the batch drain read 88.9 (64.4
+    re-fetching on the day the shard was first fetched), most of it the
+    simulator's two answers — a ``HostState``, a web-up roll and a
+    response built per GET.  With the per-day host and response tables
+    it reads 51.9 (24.3 on a same-day re-fetch).  Through
     ``guard.extract_features``: 52 per warm page when the regexes and
     the inspection ran every time; one digest and two memo lookups read
     15.  Bounds sit within 20 % of the readings.  The proxy cannot see
@@ -706,9 +718,8 @@ class TestPythonCallsPerFetchAndPage:
         shard.close()
 
     def test_calls_per_fetched_ip_within_budget(self, shard):
-        calls, fetches = python_calls(shard.fetch)
-        assert len(fetches) == len(shard.to_fetch) > 100
-        assert calls < 75 * len(fetches)
+        assert len(shard.fetches) == len(shard.to_fetch) > 100
+        assert shard.fetch_calls < 60 * len(shard.fetches)
 
     def test_calls_per_warm_page_within_budget(self, shard):
         pages = [fetch for fetch in shard.fetch() if fetch.body]

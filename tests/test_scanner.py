@@ -581,24 +581,31 @@ class TestPoolPoliteness:
 class TestPythonCallsPerProbe:
     """Interpreter work per probe on one simulated 1 024-target shard,
     counted as Python ``call`` events — a reading this host's timing
-    noise cannot blur.  A task, a semaphore slot and four nested
-    coroutines per probe read 22.7; the batch drain reads about 6, most
-    of it the simulator's own answer.  The proxy cannot see time spent
-    inside C, so it gates "did the hot path get heavier", never a
-    speed claim."""
+    noise cannot blur.  The shard is scanned on ``scan_days[1]``, then
+    measured on ``scan_days[2]``: the first probes of a day, as in a warm
+    round, so the simulator fills its host table inside the reading.
+    A task, a semaphore slot and four nested coroutines per probe read
+    22.7; the batch drain read 6.2 (6.1 re-scanning the same day), most
+    of it the simulator rebuilding a ``HostState`` and re-hashing its
+    rolls per probe.  With the per-day host table it reads 1.7 (0.5 on a
+    same-day re-scan, where every row is already filled).  The bound
+    sits within 20 % of the reading.  The proxy cannot see time spent
+    inside C, so it gates "did the hot path get heavier", never a speed
+    claim."""
 
     def test_calls_per_probe_within_budget(self):
         scenario = build_sim_scenario({"cloud": "ec2", "ips": 4096, "seed": 7})
-        scenario.simulation.advance_to(scenario.scan_days[1])
         scanner = Scanner(scenario.transport, simulation_config().scan)
         shard = scenario.targets[:1024]
-        scanner.scan_sync(shard)                     # warm-up
+        scenario.simulation.advance_to(scenario.scan_days[1])
+        scanner.scan_sync(shard)                     # an earlier scan day
+        scenario.simulation.advance_to(scenario.scan_days[2])
         before = scanner.probes_sent
         calls, outcomes = python_calls(lambda: scanner.scan_sync(shard))
         probes = scanner.probes_sent - before
         assert len(outcomes) == len(shard)
         assert probes > 2 * len(shard)
-        assert calls < 8 * probes
+        assert calls < 2.0 * probes
 
 
 # ----------------------------------------------------------------------
