@@ -9,7 +9,7 @@ observation is made of; no row is decoded into a ``RoundRecord`` and no
 page body is parsed.  The text mined from bodies — outgoing links and
 leaked domain names, which only the Safe Browsing and DNS-correlation
 analyses read — is :attr:`Dataset.page_text`, computed by a second scan
-the first time one of them asks for it.
+the first time one of them asks for it, once per distinct body.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ __all__ = ["Observation", "Dataset", "PageText"]
 #: (vhost leakage, §4).
 PageText = tuple[tuple[str, ...], tuple[str, ...]]
 
-#: The columns an :class:`Observation` is made of.  ``body`` is read
-#: only for its presence: the page marker ``RoundRecord.from_row``
-#: treats as authoritative for whether a row carries features.
+#: The columns an :class:`Observation` is made of.  ``body_digest``
+#: stands in for the body, which ``RoundRecord.from_row`` treats as the
+#: authoritative marker of whether a row carries features: it is None
+#: exactly when the body is, and reading it reads no body text.
 _OBSERVATION_COLUMNS = (
     "ip", "round_id", "timestamp", "open_ports", "fetch_status",
-    "status_code", "content_type", "ssh_banner", "body",
+    "status_code", "content_type", "ssh_banner", "body_digest",
     "powered_by", "description", "header_string", "html_length", "title",
     "template", "server", "keywords", "analytics_id", "simhash",
 )
@@ -101,7 +102,7 @@ class Dataset:
         observations = []
         for info in rounds:
             for (ip, round_id, timestamp, open_ports, fetch_status,
-                 status_code, content_type, ssh_banner, body,
+                 status_code, content_type, ssh_banner, digest,
                  powered_by, description, header_string, html_length,
                  title, template, server, keywords, analytics_id,
                  simhash) in store.columns(info.round_id,
@@ -117,7 +118,7 @@ class Dataset:
                         status_code
                     )
                 features = None
-                if body is not None:
+                if digest is not None:
                     features = PageFeatures(
                         powered_by, description, header_string, html_length,
                         title, template, server, keywords, analytics_id,
@@ -139,18 +140,31 @@ class Dataset:
         that carries a page.  A dataset loaded from a store parses the
         stored bodies the first time this is read, so the store must
         still be readable then: a closed sqlite handle raises, it does
-        not pass for "no links"."""
+        not pass for "no links".  Each distinct body is parsed once,
+        however many rows store it."""
         if self._page_text is None:
-            store = self._store
-            self._page_text = {} if store is None else {
-                (ip, info.round_id): (
-                    tuple(extract_links(body)), tuple(extract_domains(body))
-                )
-                for info in self.rounds
-                for ip, body in store.columns(info.round_id, ("ip", "body"))
-                if body is not None
-            }
+            self._page_text = (
+                {} if self._store is None else self._read_page_text()
+            )
         return self._page_text
+
+    def _read_page_text(self) -> dict[tuple[int, int], PageText]:
+        page_text: dict[tuple[int, int], PageText] = {}
+        parsed: dict[bytes, PageText] = {}      # body digest -> text
+        for info in self.rounds:
+            for ip, digest, body in self._store.columns(
+                info.round_id, ("ip", "body_digest", "body")
+            ):
+                if body is None:    # no page, or its body is missing
+                    continue
+                text = parsed.get(digest)
+                if text is None:
+                    text = parsed[digest] = (
+                        tuple(extract_links(body)),
+                        tuple(extract_domains(body)),
+                    )
+                page_text[ip, info.round_id] = text
+        return page_text
 
     # ------------------------------------------------------------------
 

@@ -6,7 +6,8 @@ regular expressions (e.g. ``http://b.scorecardresearch.com`` inside a
 script tag).  Searching the stored bodies directly in the measurement
 database keeps the method faithful: this module scans the
 :class:`~repro.core.store.StoreBackend`'s ``body`` column, not the
-in-memory dataset (whose observations carry no bodies).
+in-memory dataset (whose observations carry no bodies), and searches
+each distinct body (``body_digest``) once.
 
 Google Analytics gets the extra account treatment of §8.3: IDs have the
 form ``UA-<account>-<profile>``, so distinct profiles of one account
@@ -67,6 +68,14 @@ class TrackerHits:
         return {n: c / total * 100.0 for n, c in sorted(counts.items())}
 
 
+def _fingerprints_in(body: str) -> tuple[str, ...]:
+    """The trackers whose fingerprint URL *body* contains."""
+    return tuple(
+        name for name, fingerprint in TRACKER_FINGERPRINTS.items()
+        if fingerprint in body
+    )
+
+
 class TrackerAnalyzer:
     """Searches stored page bodies for tracker fingerprints."""
 
@@ -81,16 +90,21 @@ class TrackerAnalyzer:
         clusters: dict[str, set[int]] = {
             name: set() for name in TRACKER_FINGERPRINTS
         }
-        for ip, body in self.store.columns(round_id, ("ip", "body")):
+        trackers_of: dict[bytes, tuple[str, ...]] = {}     # by digest
+        for ip, digest, body in self.store.columns(
+            round_id, ("ip", "body_digest", "body")
+        ):
             if not body:
                 continue
-            for name, fingerprint in TRACKER_FINGERPRINTS.items():
-                if fingerprint in body:
-                    ips[name].add(ip)
-                    if self.clustering is not None:
-                        cid = self.clustering.cluster_of(ip, round_id)
-                        if cid is not None:
-                            clusters[name].add(cid)
+            names = trackers_of.get(digest)
+            if names is None:
+                names = trackers_of[digest] = _fingerprints_in(body)
+            for name in names:
+                ips[name].add(ip)
+                if self.clustering is not None:
+                    cid = self.clustering.cluster_of(ip, round_id)
+                    if cid is not None:
+                        clusters[name].add(cid)
         ips = {name: found for name, found in ips.items() if found}
         clusters = {name: found for name, found in clusters.items() if found}
         return TrackerHits(round_id, ips, clusters)
@@ -99,11 +113,11 @@ class TrackerAnalyzer:
         """All Google Analytics IDs across the campaign -> IPs using them."""
         ids: dict[str, set[int]] = {}
         for info in self.store.rounds():
-            for ip, body, analytics_id in self.store.columns(
-                info.round_id, ("ip", "body", "analytics_id")
+            for ip, digest, analytics_id in self.store.columns(
+                info.round_id, ("ip", "body_digest", "analytics_id")
             ):
                 # Rows without a stored page carry no features.
-                if body is None or analytics_id in ("", "unknown"):
+                if digest is None or analytics_id in ("", "unknown"):
                     continue
                 ids.setdefault(analytics_id, set()).add(ip)
         return ids

@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="recompute per-shard checksums and materialized-view "
              "digests; exit nonzero on any mismatch, gap, orphan row, "
-             "or stale view",
+             "stale view, or missing or orphan page body",
     )
     verify.add_argument("db")
     verify.add_argument("--round", type=int, default=None,
@@ -803,8 +803,12 @@ def _cmd_verify(args) -> int:
         print(report.describe())
         if not report.ok:
             failed += 1
-    if failed:
-        print(f"verification FAILED for {failed} of {len(infos)} round(s)",
+    orphans = store.orphan_bodies()
+    if orphans:
+        print(f"bodies: FAIL — {orphans} stored bodies no round references")
+    if failed or orphans:
+        print(f"verification FAILED for {failed} of {len(infos)} round(s)"
+              + (f" and {orphans} orphan bodies" if orphans else ""),
               file=sys.stderr)
         return 1
     print(f"all {len(infos)} round(s) verified")

@@ -19,6 +19,7 @@ result, counters and quarantine records.
 from __future__ import annotations
 
 import asyncio
+import re
 from typing import Sequence
 
 from .backoff import backoff_delay
@@ -70,6 +71,11 @@ def parse_robots(body: str, user_agent: str = "*") -> bool:
     return True
 
 
+#: A UTF-16 surrogate code point: never part of a decoded str that
+#: UTF-8 can encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _charset_of(content_type: str) -> str | None:
     """The ``charset=`` parameter of a Content-Type header, if any."""
     for param in content_type.split(";")[1:]:
@@ -86,14 +92,19 @@ def decode_body(raw: bytes, content_type: str) -> str:
     Falls back to UTF-8 when no (or an unknown/hostile) charset is
     declared; ``errors="replace"`` in both paths means decoding never
     raises, so non-UTF-8 pages stop mojibake-ing feature extraction
-    without poison charsets gaining a crash vector.
+    without poison charsets gaining a crash vector.  A codec that can
+    decode to a lone surrogate (``unicode_escape`` turns ``\\ud83d``
+    into one) has each replaced with U+FFFD too: such a str cannot be
+    encoded as UTF-8, so the store could not write the page.
     """
     charset = _charset_of(content_type)
     if charset:
         try:
-            return raw.decode(charset, errors="replace")
+            text = raw.decode(charset, errors="replace")
         except (LookupError, ValueError):
             pass  # unknown or non-text codec name: fall back
+        else:
+            return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
     return raw.decode("utf-8", errors="replace")
 
 

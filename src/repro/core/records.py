@@ -26,6 +26,7 @@ __all__ = [
     "PipelineStats",
     "PIPELINE_STATS_META_PREFIX",
     "UNKNOWN",
+    "digest_of",
     "parse_open_ports",
     "port_profile_of",
     "status_class_of",
@@ -35,6 +36,16 @@ __all__ = [
 #: Placeholder for features missing from the HTML or headers (§4:
 #: "We mark entries as unknown when they are missing").
 UNKNOWN = "unknown"
+
+
+def digest_of(body: str) -> bytes:
+    """blake2b-16 of a decoded page body: the key a body is memoised
+    under while a round is ingested and stored under once it is."""
+    # surrogatepass keeps the digest total over any str, including
+    # lone surrogates a hand-built record may carry.
+    return hashlib.blake2b(
+        body.encode("utf-8", "surrogatepass"), digest_size=16
+    ).digest()
 
 
 class Port(enum.IntEnum):
@@ -181,12 +192,7 @@ class FetchResult:
         derived from a body is memoised under (feature extraction and
         the guard's body verdict), computed at most once per fetch.  Not
         a field, so ``==`` and ``repr`` ignore it."""
-        # surrogatepass keeps the digest total over any str, including
-        # lone surrogates hostile bodies can smuggle through decoding.
-        return hashlib.blake2b(
-            (self.body or "").encode("utf-8", "surrogatepass"),
-            digest_size=16,
-        ).digest()
+        return digest_of(self.body or "")
 
     @property
     def content_type(self) -> str:

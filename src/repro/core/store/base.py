@@ -42,6 +42,7 @@ from ..records import (
     PageFeatures,
     QuarantineRecord,
     RoundRecord,
+    digest_of,
     is_available,
 )
 from .. import telemetry as _telemetry
@@ -119,15 +120,26 @@ COLUMNS: tuple[tuple[str, str], ...] = (
 
 COLUMN_NAMES = tuple(name for name, _ in COLUMNS)
 
+#: What :meth:`StoreBackend.columns` projects: the record columns plus
+#: ``body_digest``, the body's :func:`~repro.core.records.digest_of`
+#: (None for a row without a body) — a body-presence test and a
+#: per-page memo key that reads no body text.
+PROJECTION_NAMES = COLUMN_NAMES + ("body_digest",)
+
 
 def check_column_names(names: Iterable[str]) -> tuple[str, ...]:
     """*names* as a tuple, after checking each against
-    :data:`COLUMN_NAMES` — :meth:`StoreBackend.columns` engines
+    :data:`PROJECTION_NAMES` — :meth:`StoreBackend.columns` engines
     interpolate them into queries, so anything else is refused here."""
     names = tuple(names)
-    if not names or any(name not in COLUMN_NAMES for name in names):
+    if not names or any(name not in PROJECTION_NAMES for name in names):
         raise ValueError(f"expected record column names, got {names!r}")
     return names
+
+
+def body_digest(body: str | None) -> bytes | None:
+    """The ``body_digest`` projection of one row's *body*."""
+    return None if body is None else digest_of(body)
 
 
 #: The light columns the per-IP-history read model carries — everything
@@ -259,13 +271,16 @@ class RoundVerification:
     #: Materialized read models whose stored contents no longer match
     #: the fold of the round's journaled rows.
     view_issues: list[str] = field(default_factory=list)
+    #: Rows whose body digest names no stored body (engines that store
+    #: bodies apart from rows); their shards read back corrupt too.
+    missing_bodies: int = 0
 
     @property
     def ok(self) -> bool:
         return (
             not self.missing and not self.corrupt
             and self.orphan_rows == 0 and self.orphan_quarantine == 0
-            and not self.view_issues
+            and not self.view_issues and self.missing_bodies == 0
         )
 
     def describe(self) -> str:
@@ -275,6 +290,8 @@ class RoundVerification:
             parts.append(f"MISSING shards {self.missing}")
         if self.corrupt:
             parts.append(f"CORRUPT shards {self.corrupt}")
+        if self.missing_bodies:
+            parts.append(f"{self.missing_bodies} rows with a MISSING body")
         if self.orphan_rows:
             parts.append(f"{self.orphan_rows} orphan rows")
         if self.orphan_quarantine:
@@ -303,6 +320,13 @@ def summarize_rows(row_dicts: Sequence[Mapping]) -> dict[str, int]:
         "available": available,
         "fetched": fetched,
     }
+
+
+def _projection_row(record: RoundRecord) -> dict:
+    """*record*'s :meth:`~RoundRecord.to_row` plus ``body_digest``."""
+    row = record.to_row()
+    row["body_digest"] = body_digest(row["body"])
+    return row
 
 
 def light_row(row: Mapping) -> dict:
@@ -516,6 +540,12 @@ class StoreBackend(ABC):
         checksum, and audit the materialized read models against the
         base data."""
 
+    def orphan_bodies(self) -> int:
+        """Stored page bodies no round references — ``repro verify``'s
+        campaign-wide check.  Engines that keep bodies inline in their
+        rows have none."""
+        return 0
+
     @abstractmethod
     def delete_partial(self, round_id: int) -> None:
         """Discard an ``in_progress`` round entirely (rows, journal,
@@ -617,16 +647,16 @@ class StoreBackend(ABC):
         self, round_id: int, names: Sequence[str]
     ) -> Iterator[tuple]:
         """The projection read: one tuple of the *names* columns
-        (:data:`COLUMN_NAMES` only, else :class:`ValueError`) per row of
-        the round, in exactly :meth:`records`' order — what an analysis
-        that needs a few light columns scans instead of decoding every
-        row into a :class:`RoundRecord`.  This definition over
-        :meth:`records` is the reference; engines override it with a
-        read that touches only the named columns."""
+        (:data:`PROJECTION_NAMES` only, else :class:`ValueError`) per
+        row of the round, in exactly :meth:`records`' order — what an
+        analysis that needs a few light columns scans instead of
+        decoding every row into a :class:`RoundRecord`.  This definition
+        over :meth:`records` is the reference; engines override it with
+        a read that touches only the named columns."""
         names = check_column_names(names)
         return (
             tuple(row[name] for name in names)
-            for row in map(RoundRecord.to_row, self.records(round_id))
+            for row in map(_projection_row, self.records(round_id))
         )
 
     @abstractmethod

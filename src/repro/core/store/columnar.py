@@ -61,6 +61,7 @@ from .base import (
     RoundVerification,
     ShardJournalEntry,
     StoreBackend,
+    body_digest,
     check_column_names,
     light_row,
     shard_checksum,
@@ -136,6 +137,14 @@ def _rows_from_columns(columns: dict[str, list]) -> list[dict]:
         {name: columns[name][i] for name in COLUMN_NAMES}
         for i in range(count)
     ]
+
+
+def _column(columns: dict[str, list], name: str) -> list:
+    """One projected column of a decoded shard; ``body_digest`` is
+    derived from the inline bodies."""
+    if name == "body_digest":
+        return [body_digest(body) for body in columns["body"]]
+    return columns[name]
 
 
 class ColumnarStore(StoreBackend):
@@ -906,7 +915,7 @@ class ColumnarStore(StoreBackend):
             for entry in self.shard_journal(round_id)
         )
         return itertools.chain.from_iterable(
-            zip(*(shard["columns"][name] for name in names))
+            zip(*(_column(shard["columns"], name) for name in names))
             for shard in shards if shard is not None
         )
 

@@ -55,12 +55,27 @@ row's fold and applies the new one's.
 
 Store format
 ------------
+A round table holds one row per responsive IP in the columns of
+:data:`~repro.core.store.base.COLUMNS`, except that the page body is
+replaced by ``body_digest`` (its :func:`~repro.core.records.digest_of`,
+a 16-byte BLOB; NULL for a row without a body).  One ``bodies(digest,
+body)`` table holds each distinct body once for the whole campaign: a
+shard inserts its new bodies (``INSERT OR IGNORE``) in its own
+transaction, every full-row read joins them back (:func:`_rows_sql`),
+and dropping a round table (:meth:`~MeasurementStore.delete_partial`,
+``begin_round(fresh=True)``) deletes the bodies it leaves unreferenced.
+Rows, checksums and folds are over the decoded rows, body text
+included, so the layout is invisible above this module.  Most pages
+repeat from round to round, so a round table costs a few hundred bytes
+a row and the bodies grow with the distinct pages, not with the rounds.
+
 Every round this engine writes is folded, so reads go to the views
-only: a round with no summary row reads as zero or empty.  A database
-whose ``rounds`` table holds rows but which has no
-``view_round_summary`` table was written before the materialized read
-models were added; it is refused with :class:`UnsupportedStoreFormat`
-before any DDL runs — there are no migrations.
+only: a round with no summary row reads as zero or empty.  Older
+layouts are refused with :class:`UnsupportedStoreFormat` before any DDL
+runs — there are no migrations: a database whose ``rounds`` table holds
+rows but which has no ``view_round_summary`` table (written before the
+materialized read models), and one whose round tables still carry a
+``body`` column (written before bodies were stored once).
 """
 
 from __future__ import annotations
@@ -101,32 +116,70 @@ _SUMMARY_COLUMNS = ("responsive", "available", "fetched", "quarantined")
 
 _AGG_COLUMNS = tuple(sorted(AGGREGATE_COLUMNS))
 
+#: Where a round table's ``body_digest`` sits: the position of
+#: :data:`COLUMNS`' ``body``.
+_BODY_INDEX = COLUMN_NAMES.index("body")
+
+#: A round table's stored columns, in :data:`COLUMN_NAMES` order.
+_ROW_COLUMNS = tuple(
+    ("body_digest", "BLOB") if name == "body" else (name, sql)
+    for name, sql in COLUMNS
+)
+
 
 class UnsupportedStoreFormat(ValueError):
-    """The database's rounds were written before the materialized read
-    models were added (no ``view_round_summary`` table).  Such files
-    are refused, not migrated."""
+    """The database was written in an older layout: before the
+    materialized read models were added (no ``view_round_summary``
+    table), or before page bodies were stored once (round tables with a
+    ``body`` column).  Such files are refused, not migrated."""
+
+
+def _is_round_table(name: str) -> bool:
+    return name.startswith("round_") and name[6:].isdigit()
 
 
 def _check_format(conn: sqlite3.Connection) -> None:
-    """Refuse a database with rounds but no read models.  A file with
-    some tables and no rounds — a partition journal torn while it was
-    being created — passes, and a writer completes its schema."""
-    tables = {
+    """Refuse a database with rounds but no read models, or whose round
+    tables store bodies inline (one round table is inspected).  A file
+    with some tables and no rounds — a partition journal torn while it
+    was being created — passes, and a writer completes its schema."""
+    tables = [
         row[0] for row in conn.execute(
             "SELECT name FROM sqlite_master WHERE type = 'table'"
         )
-    }
-    if "rounds" not in tables or "view_round_summary" in tables:
-        return
-    if conn.execute("SELECT 1 FROM rounds LIMIT 1").fetchone() is None:
-        return
-    raise UnsupportedStoreFormat(
-        "unsupported store format: its rounds were written before the "
-        "materialized read models were added (no view_round_summary "
-        "table); this version opens only stores written with the read "
-        "models — re-run the campaign to rebuild it"
-    )
+    ]
+    if (
+        "rounds" in tables and "view_round_summary" not in tables
+        and conn.execute("SELECT 1 FROM rounds LIMIT 1").fetchone()
+    ):
+        raise UnsupportedStoreFormat(
+            "unsupported store format: its rounds were written before the "
+            "materialized read models were added (no view_round_summary "
+            "table); this version opens only stores written with the read "
+            "models — re-run the campaign to rebuild it"
+        )
+    table = next(filter(_is_round_table, tables), None)
+    if table is not None and any(
+        row[1] == "body" for row in conn.execute(f"PRAGMA table_info({table})")
+    ):
+        raise UnsupportedStoreFormat(
+            "unsupported store format: its round tables store page bodies "
+            "inline (a body column), as stores did before each body was "
+            "kept once in a bodies table; this version opens only stores "
+            "with the bodies table — re-run the campaign to rebuild it"
+        )
+
+
+#: How a read of round table ``t`` gets its rows' bodies, as ``b.body``.
+_JOIN_BODIES = "LEFT JOIN bodies b ON b.digest = t.body_digest"
+
+
+def _rows_sql(table: str, tail: str = "") -> str:
+    """The full-row read of round table *table*: every stored column
+    (aliased ``t``) with the body joined back in as ``body``, the shape
+    :meth:`RoundRecord.from_row` decodes.  *tail* adds WHERE / ORDER
+    BY clauses over ``t``."""
+    return f"SELECT t.*, b.body AS body FROM {table} t {_JOIN_BODIES} {tail}"
 
 
 def _fold(
@@ -258,6 +311,14 @@ class MeasurementStore(StoreBackend):
             "  checksum TEXT NOT NULL DEFAULT '',"
             "  quarantine_count INTEGER NOT NULL DEFAULT 0,"
             "  PRIMARY KEY (round_id, shard_index)"
+            ")"
+        )
+        # Each distinct page body, once per campaign, under its digest
+        # (round tables carry the digest).
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS bodies ("
+            "  digest BLOB PRIMARY KEY,"
+            "  body TEXT NOT NULL"
             ")"
         )
         self._conn.execute(
@@ -415,20 +476,14 @@ class MeasurementStore(StoreBackend):
             table = f"round_{timestamp:05d}"
             if row is not None:
                 if fresh:
-                    self._conn.execute(f"DROP TABLE IF EXISTS {table}")
-                    self._conn.execute(
-                        "DELETE FROM round_shards WHERE round_id = ?",
-                        (round_id,),
-                    )
-                    self._conn.execute(
-                        "DELETE FROM rounds WHERE round_id = ?", (round_id,)
-                    )
-                    self._delete_view_rows(round_id)
+                    self._drop_round(round_id, table)
                 elif row["round_status"] == ROUND_IN_PROGRESS:
                     return self._any_round(round_id)    # resume: keep shards
                 else:
                     raise ValueError(f"round {round_id} is already finalized")
-            columns_sql = ", ".join(f"{name} {sql}" for name, sql in COLUMNS)
+            columns_sql = ", ".join(
+                f"{name} {sql}" for name, sql in _ROW_COLUMNS
+            )
             self._conn.execute(
                 f"CREATE TABLE IF NOT EXISTS {table} "
                 f"({columns_sql}, shard_index INTEGER NOT NULL DEFAULT 0)"
@@ -525,21 +580,32 @@ class MeasurementStore(StoreBackend):
         ).fetchone()
         if already is not None:
             return False
-        row_dicts = [record.to_row() for record in records]
+        row_dicts = []
+        values = []
+        bodies: dict[bytes, str] = {}
+        for record in records:
+            row = record.to_row()
+            row_dicts.append(row)
+            # Each row carries the shard index it was committed under so
+            # verification/merge can attribute rows to journal entries
+            # in any landing order (resume, partition merge, salvage).
+            value = [row[name] for name in COLUMN_NAMES]
+            value.append(shard_index)
+            if value[_BODY_INDEX] is not None:
+                digest = record.fetch.body_digest
+                bodies[digest] = value[_BODY_INDEX]
+                value[_BODY_INDEX] = digest
+            values.append(value)
         checksum = shard_checksum(row_dicts)
         entries = list(quarantine)
-        placeholders = ", ".join("?" for _ in COLUMN_NAMES)
-        # Each row carries the shard index it was committed under so
-        # verification/merge can attribute rows to journal entries in
-        # any landing order (resume, partition merge, salvage).
+        self._conn.executemany(
+            "INSERT OR IGNORE INTO bodies VALUES (?, ?)", bodies.items()
+        )
         self._conn.executemany(
             f"INSERT INTO {info.table_name} "
-            f"({', '.join(COLUMN_NAMES)}, shard_index) "
-            f"VALUES ({placeholders}, ?)",
-            (
-                tuple(row[name] for name in COLUMN_NAMES) + (shard_index,)
-                for row in row_dicts
-            ),
+            f"({', '.join(name for name, _ in _ROW_COLUMNS)}, shard_index) "
+            f"VALUES ({', '.join('?' for _ in _ROW_COLUMNS)}, ?)",
+            values,
         )
         self._conn.executemany(
             "INSERT INTO quarantine "
@@ -612,11 +678,48 @@ class MeasurementStore(StoreBackend):
                 (round_id,),
             )
 
-    def _delete_view_rows(self, round_id: int) -> None:
-        for table in _VIEW_TABLES:
+    def _drop_round(self, round_id: int, table: str) -> None:
+        """Stage the removal of one round on the open transaction: its
+        table, journal, metadata and view rows, and the bodies no other
+        round table references any more."""
+        # sqlite3 opens the transaction at the first DELETE, not at DDL,
+        # so the DROP comes after one to be part of it.
+        self._conn.execute(
+            "DELETE FROM round_shards WHERE round_id = ?", (round_id,)
+        )
+        self._conn.execute(
+            "DELETE FROM rounds WHERE round_id = ?", (round_id,)
+        )
+        for view in _VIEW_TABLES:
             self._conn.execute(
-                f"DELETE FROM {table} WHERE round_id = ?", (round_id,)
+                f"DELETE FROM {view} WHERE round_id = ?", (round_id,)
             )
+        self._conn.execute(f"DROP TABLE IF EXISTS {table}")
+        self._conn.executemany(
+            "DELETE FROM bodies WHERE digest = ?",
+            ((digest,) for digest in self._orphan_digests()),
+        )
+
+    def _orphan_digests(self) -> list[bytes]:
+        """Digests in ``bodies`` that no round table references."""
+        referenced: set[bytes] = set()
+        for (table,) in self._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        ).fetchall():
+            if _is_round_table(table):
+                referenced.update(
+                    row[0] for row in self._conn.execute(
+                        f"SELECT DISTINCT body_digest FROM {table}"
+                    )
+                )
+        return [
+            row[0] for row in self._conn.execute("SELECT digest FROM bodies")
+            if row[0] not in referenced
+        ]
+
+    def orphan_bodies(self) -> int:
+        with self._lock:
+            return len(self._orphan_digests())
 
     def finalize_round(
         self,
@@ -706,13 +809,23 @@ class MeasurementStore(StoreBackend):
     def shard_records(
         self, round_id: int, shard_index: int
     ) -> list[RoundRecord]:
+        return list(map(
+            RoundRecord.from_row, self._shard_rows(round_id, shard_index)
+        ))
+
+    def _shard_rows(
+        self, round_id: int, shard_index: int
+    ) -> list[sqlite3.Row]:
+        """One shard's stored rows with their bodies joined back in,
+        insertion order."""
         info = self._any_round(round_id)
-        cursor = self._conn.execute(
-            f"SELECT * FROM {info.table_name} WHERE shard_index = ? "
-            "ORDER BY rowid",
+        return self._conn.execute(
+            _rows_sql(
+                info.table_name,
+                "WHERE t.shard_index = ? ORDER BY t.rowid",
+            ),
             (shard_index,),
-        )
-        return [RoundRecord.from_row(row) for row in cursor.fetchall()]
+        ).fetchall()
 
     def shard_quarantine(
         self, round_id: int, shard_index: int
@@ -729,8 +842,9 @@ class MeasurementStore(StoreBackend):
         checksum: reports missing shards (journal gaps in a finalized
         round), corrupt shards (digest or row-count mismatch),
         orphaned rows/quarantine entries not attributed to any journaled
-        shard, and read models whose contents differ from the fold of
-        the rows it decoded for the checksums."""
+        shard, rows whose body digest names no stored body (their
+        shards are corrupt too), and read models whose contents differ
+        from the fold of the rows it decoded for the checksums."""
         with self._lock:
             info = self._any_round(round_id)
             entries = self.shard_journal(round_id)
@@ -753,12 +867,12 @@ class MeasurementStore(StoreBackend):
             summary: Counter = Counter()
             agg: Counter = Counter()
             for entry in entries:
-                rows = [
-                    record.to_row()
-                    for record in self.shard_records(
-                        round_id, entry.shard_index
-                    )
-                ]
+                stored = self._shard_rows(round_id, entry.shard_index)
+                report.missing_bodies += sum(
+                    1 for row in stored
+                    if row["body"] is None and row["body_digest"] is not None
+                )
+                rows = [RoundRecord.from_row(row).to_row() for row in stored]
                 attributed_rows += len(rows)
                 attributed_quarantine += self._conn.execute(
                     "SELECT COUNT(*) FROM quarantine "
@@ -837,14 +951,7 @@ class MeasurementStore(StoreBackend):
             raise ValueError(
                 f"round {round_id} is {info.status}, not a partial round"
             )
-        self._conn.execute(f"DROP TABLE IF EXISTS {info.table_name}")
-        self._conn.execute(
-            "DELETE FROM round_shards WHERE round_id = ?", (round_id,)
-        )
-        self._conn.execute(
-            "DELETE FROM rounds WHERE round_id = ?", (round_id,)
-        )
-        self._delete_view_rows(round_id)
+        self._drop_round(round_id, info.table_name)
         self._commit()
 
     def max_round_id(self) -> int:
@@ -917,7 +1024,7 @@ class MeasurementStore(StoreBackend):
         with self._lock:
             table = self._any_round(round_id).table_name
             old = self._conn.execute(
-                f"SELECT * FROM {table} WHERE ip = ?", (ip,)
+                _rows_sql(table, "WHERE t.ip = ?"), (ip,)
             ).fetchone()
             if old is None:
                 return False
@@ -1053,7 +1160,7 @@ class MeasurementStore(StoreBackend):
 
     def records(self, round_id: int) -> Iterator[RoundRecord]:
         info = self.round_info(round_id)
-        cursor = self._conn.execute(f"SELECT * FROM {info.table_name}")
+        cursor = self._conn.execute(_rows_sql(info.table_name))
         for row in cursor:
             yield RoundRecord.from_row(row)
 
@@ -1064,16 +1171,21 @@ class MeasurementStore(StoreBackend):
         table = self.round_info(round_id).table_name
         cursor = self._conn.cursor()
         cursor.row_factory = None      # plain tuples, not sqlite3.Row
+        # Only a read that asks for the body text joins ``bodies``.
         # Without the explicit order a narrow projection is planned as
         # a scan of the covering (ip) index: ip order, not commit order.
+        select = ", ".join(
+            "b.body" if name == "body" else f"t.{name}" for name in names
+        )
+        join = _JOIN_BODIES if "body" in names else ""
         return cursor.execute(
-            f"SELECT {', '.join(names)} FROM {table} ORDER BY rowid"
+            f"SELECT {select} FROM {table} t {join} ORDER BY t.rowid"
         )
 
     def record(self, round_id: int, ip: int) -> RoundRecord | None:
         info = self.round_info(round_id)
         cursor = self._conn.execute(
-            f"SELECT * FROM {info.table_name} WHERE ip = ?", (ip,)
+            _rows_sql(info.table_name, "WHERE t.ip = ?"), (ip,)
         )
         row = cursor.fetchone()
         return RoundRecord.from_row(row) if row else None
@@ -1082,7 +1194,7 @@ class MeasurementStore(StoreBackend):
         history: list[RoundRecord] = []
         for info in self.rounds():
             cursor = self._conn.execute(
-                f"SELECT * FROM {info.table_name} WHERE ip = ?", (ip,)
+                _rows_sql(info.table_name, "WHERE t.ip = ?"), (ip,)
             )
             row = cursor.fetchone()
             if row is not None:

@@ -18,12 +18,14 @@ import pytest
 
 from repro.analysis import Dataset, WebpageClusterer
 from repro.analysis.dataset import Observation, PageText
+from repro.analysis.trackers import TrackerAnalyzer
 from repro.cli import main
 from repro.core.features import extract_domains, extract_links
-from repro.core.records import RoundRecord
-from repro.core.store import open_store
+from repro.core.records import RoundRecord, digest_of
+from repro.core.store import MeasurementStore, open_store
 
 from test_hostile import hostile_campaign
+from test_store import record
 from test_store_backends import ALL_BACKENDS, run_campaign, store_path
 from test_workers import mp_config
 
@@ -217,6 +219,53 @@ class TestPageTextSource:
             dataset = Dataset.from_store(store)
             first = dataset.page_text
         assert first and dataset.page_text is first
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_each_distinct_body_is_parsed_once(
+        self, backend, cli_campaigns, monkeypatch
+    ):
+        """One ``extract_links`` / ``extract_domains`` call per distinct
+        body digest, not per row, and the per-row reference's text."""
+        calls = {"links": 0, "domains": 0}
+
+        def counted(name, real):
+            def extract(body):
+                calls[name] += 1
+                return real(body)
+            return extract
+
+        monkeypatch.setattr("repro.analysis.dataset.extract_links",
+                            counted("links", extract_links))
+        monkeypatch.setattr("repro.analysis.dataset.extract_domains",
+                            counted("domains", extract_domains))
+        with open_store(cli_campaigns[backend], readonly=True) as store:
+            records = [
+                record for info in store.rounds()
+                for record in store.records(info.round_id)
+                if record.fetch.body is not None
+            ]
+            page_text = Dataset.from_store(store).page_text
+        digests = {record.fetch.body_digest for record in records}
+        assert len(digests) < len(records)
+        assert calls == {"links": len(digests), "domains": len(digests)}
+        assert page_text == {
+            (record.ip, record.round_id): (
+                tuple(extract_links(record.fetch.body)),
+                tuple(extract_domains(record.fetch.body)),
+            )
+            for record in records
+        }
+
+    def test_a_row_whose_body_is_missing_has_no_text(self):
+        """A digest with no stored body (what ``verify`` reports as a
+        MISSING body) is skipped, as ``TrackerAnalyzer.scan_round``
+        skips it, not parsed as None."""
+        store = MeasurementStore()
+        store.write_round(1, 0, 10, [record(1, 1, 0, "x"), record(2, 1, 0, "y")])
+        store._conn.execute("DELETE FROM bodies WHERE digest = ?",
+                            (digest_of("<title>x</title>"),))
+        assert set(Dataset.from_store(store).page_text) == {(2, 1)}
+        assert TrackerAnalyzer(store).scan_round(1).ips_by_tracker == {}
 
     def test_hand_built_dataset_has_the_text_it_was_given(self):
         assert Dataset([], []).page_text == {}

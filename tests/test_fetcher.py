@@ -462,6 +462,43 @@ class TestBodyDecoding:
         text = decode_body(b"\xff\xfe<html>\xc3\x28</html>", "text/html")
         assert "�" in text
 
+    @pytest.mark.parametrize("charset", ["unicode_escape",
+                                         "raw_unicode_escape"])
+    def test_no_lone_surrogate_survives_decoding(self, charset):
+        from repro.core.fetcher import decode_body
+
+        text = decode_body(b"<html>\\ud83d \\udc00x</html>",
+                           f"text/html; charset={charset}")
+        assert text == "<html>\ufffd \ufffdx</html>"
+        text.encode("utf-8")
+
+    def test_escape_codec_page_is_fetched_stored_and_verified(
+        self, tmp_path
+    ):
+        """A server declaring ``charset=unicode_escape`` and sending an
+        escaped lone surrogate cannot fail the round's commit."""
+        from repro.core.platform import WhoWas
+        from repro.core.store import MeasurementStore
+        from repro.core.transport import HttpResponse
+
+        transport = FakeTransport()
+        transport.add_host(1, {80}, body="<html><title>plain</title></html>")
+        transport.add_host(2, {80})
+        transport.pages[(2, "/")] = HttpResponse(
+            200, {"Content-Type": "text/html; charset=unicode_escape"},
+            b"<html><title>\\ud83d</title></html>",
+        )
+        path = str(tmp_path / "escape.sqlite")
+        with WhoWas(transport, MeasurementStore(path)) as platform:
+            platform.run_round([1, 2], 0)
+        with MeasurementStore.open_readonly(path) as store:
+            (info,) = store.rounds()
+            assert store.verify_round(info.round_id).ok
+            assert store.orphan_bodies() == 0
+            page = store.record(info.round_id, 2)
+            assert page.fetch.body == "<html><title>\ufffd</title></html>"
+            assert page.features is not None
+
     def test_quoted_charset_parameter(self):
         from repro.core.fetcher import _charset_of
 

@@ -13,6 +13,7 @@ from repro.core.records import (
     PageFeatures,
     ProbeOutcome,
     ProbeStatus,
+    digest_of,
 )
 from repro.core.records import RoundRecord
 from repro.core.store import (
@@ -20,6 +21,7 @@ from repro.core.store import (
     UnsupportedStoreFormat,
     open_store,
 )
+from repro.core.store.base import COLUMN_NAMES, COLUMNS
 
 
 def record(ip: int, round_id: int, timestamp: int, title: str = "t") -> RoundRecord:
@@ -217,6 +219,33 @@ def _pre_views(path: str) -> None:
     conn.close()
 
 
+def _pre_bodies(path: str) -> None:
+    """The read-model format with every body inline: the round table
+    has a ``body TEXT`` column in place of ``body_digest`` and there is
+    no ``bodies`` table."""
+    store = MeasurementStore(path)
+    store.write_round(1, 0, 10, [record(1, 1, 0), record(2, 1, 0)])
+    store.close()
+    conn = sqlite3.connect(path)
+    columns = ", ".join(f"{name} {sql}" for name, sql in COLUMNS)
+    conn.execute(
+        f"CREATE TABLE inline ({columns},"
+        " shard_index INTEGER NOT NULL DEFAULT 0)"
+    )
+    select = ", ".join(
+        "b.body" if name == "body" else f"t.{name}" for name in COLUMN_NAMES
+    )
+    conn.execute(
+        f"INSERT INTO inline SELECT {select}, t.shard_index"
+        " FROM round_00000 t LEFT JOIN bodies b ON b.digest = t.body_digest"
+    )
+    conn.execute("DROP TABLE round_00000")
+    conn.execute("ALTER TABLE inline RENAME TO round_00000")
+    conn.execute("DROP TABLE bodies")
+    conn.commit()
+    conn.close()
+
+
 PRE_READ_MODEL_SHAPES = {
     "pre_resilience": _pre_resilience,
     "pre_journal": _pre_journal,
@@ -225,10 +254,18 @@ PRE_READ_MODEL_SHAPES = {
 
 REFUSAL = "before the materialized read models were added"
 
+BODIES_REFUSAL = "store page bodies inline"
+
 
 def pre_read_model_database(tmp_path, shape: str = "pre_views") -> str:
     path = str(tmp_path / f"{shape}.sqlite")
     PRE_READ_MODEL_SHAPES[shape](path)
+    return path
+
+
+def pre_bodies_database(tmp_path) -> str:
+    path = str(tmp_path / "pre_bodies.sqlite")
+    _pre_bodies(path)
     return path
 
 
@@ -276,17 +313,41 @@ class TestStoreFormat:
         assert store.round_stats(1)["responsive"] == 1
         store.close()
 
+    @pytest.mark.parametrize("readonly", [False, True],
+                             ids=["writer", "readonly"])
+    def test_pre_bodies_database_is_refused(self, tmp_path, readonly):
+        path = pre_bodies_database(tmp_path)
+        before = schema(path)
+        with pytest.raises(UnsupportedStoreFormat, match=BODIES_REFUSAL):
+            open_store(path, readonly=readonly)
+        assert schema(path) == before
+
     @pytest.mark.parametrize(
         "command", ["serve", "verify", "report", "resume", "rebuild-views"]
     )
     def test_cli_refuses_in_one_line(self, tmp_path, capsys, command):
-        path = pre_read_model_database(tmp_path)
-        argv = [command, path] + (["--port", "0"] if command == "serve"
-                                  else [])
-        assert main(argv) == 1
+        self.assert_cli_refuses(
+            pre_read_model_database(tmp_path), command, REFUSAL, capsys
+        )
+
+    @pytest.mark.parametrize(
+        "command", ["serve", "verify", "report", "resume", "rebuild-views",
+                    "lookup", "aggregate"]
+    )
+    def test_cli_refuses_pre_bodies_in_one_line(self, tmp_path, capsys,
+                                                command):
+        self.assert_cli_refuses(
+            pre_bodies_database(tmp_path), command, BODIES_REFUSAL, capsys
+        )
+
+    @staticmethod
+    def assert_cli_refuses(path, command, refusal, capsys):
+        extra = {"serve": ["--port", "0"], "lookup": ["54.0.0.1"],
+                 "aggregate": ["--cloud", "EC2"]}
+        assert main([command, path] + extra.get(command, [])) == 1
         err = capsys.readouterr().err
         assert f"{path}: cannot open database" in err
-        assert REFUSAL in err
+        assert refusal in err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
@@ -492,3 +553,164 @@ class TestFoldProjectsEachRowOnce:
         history, _, _ = store_sqlite._fold(rows)
         assert calls == [row["ip"] for row in rows]
         assert history == expected
+
+
+def bare_record(ip: int, round_id: int, timestamp: int) -> RoundRecord:
+    """A responsive IP with no page: no body, so no digest."""
+    return RoundRecord(
+        ip=ip, round_id=round_id, timestamp=timestamp,
+        probe=ProbeOutcome(
+            ip=ip, status=ProbeStatus.RESPONSIVE, open_ports=frozenset({22})
+        ),
+        fetch=FetchResult(ip=ip, status=FetchStatus.NOT_ATTEMPTED),
+    )
+
+
+def stored_digests(store: MeasurementStore) -> set[bytes]:
+    return {row[0] for row in store._conn.execute("SELECT digest FROM bodies")}
+
+
+class TestBodiesTable:
+    """Round tables carry ``body_digest``; each distinct body is stored
+    once in ``bodies``, written, dropped and audited with its rows."""
+
+    def test_one_body_row_per_distinct_digest_across_rounds(self):
+        store = MeasurementStore()
+        store.write_round(1, 0, 10, [record(1, 1, 0, "a"), record(2, 1, 0, "a"),
+                                     record(3, 1, 0, "b"), bare_record(4, 1, 0)])
+        store.write_round(2, 3, 10, [record(1, 2, 3, "a"), record(2, 2, 3, "c"),
+                                     bare_record(4, 2, 3)])
+        digests = {
+            digest_of(rec.fetch.body)
+            for info in store.rounds() for rec in store.records(info.round_id)
+            if rec.fetch.body is not None
+        }
+        assert len(digests) == 3
+        assert stored_digests(store) == digests
+        assert store.orphan_bodies() == 0
+        assert [r.fetch.body for r in store.records(2)] == [
+            "<title>a</title>", "<title>c</title>", None
+        ]
+
+    def test_no_round_table_has_a_body_column(self):
+        store = MeasurementStore()
+        store.write_round(1, 0, 10, [record(1, 1, 0)])
+        store.begin_round(2, 3, 10, shard_size=5)      # left open
+        for info in store.rounds() + store.open_rounds():
+            columns = [
+                row[1] for row in store._conn.execute(
+                    f"PRAGMA table_info({info.table_name})"
+                )
+            ]
+            assert "body" not in columns
+            assert "body_digest" in columns
+
+    def test_shard_that_raises_mid_transaction_leaves_no_body(
+        self, monkeypatch
+    ):
+        store = MeasurementStore()
+        store.begin_round(1, 0, 10, shard_size=5)
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("crash after the rows, before the commit")
+
+        monkeypatch.setattr(store, "_fold_rows", explode)
+        with pytest.raises(RuntimeError):
+            store.write_shard(1, 0, [record(1, 1, 0, "lost")])
+        assert stored_digests(store) == set()
+        assert store.completed_shards(1) == set()
+        monkeypatch.undo()
+        assert store.write_shard(1, 0, [record(1, 1, 0, "kept")])
+        assert stored_digests(store) == {digest_of("<title>kept</title>")}
+
+    def test_delete_partial_leaves_no_orphan(self):
+        store = MeasurementStore()
+        store.write_round(1, 0, 10, [record(1, 1, 0, "shared")])
+        store.begin_round(2, 3, 10, shard_size=5)
+        store.write_shard(2, 0, [record(1, 2, 3, "shared"),
+                                 record(2, 2, 3, "partial")])
+        assert len(stored_digests(store)) == 2
+        store.delete_partial(2)
+        assert stored_digests(store) == {digest_of("<title>shared</title>")}
+        assert store.orphan_bodies() == 0
+        assert store.verify_round(1).ok
+
+    def test_fresh_round_leaves_no_orphan(self):
+        store = MeasurementStore()
+        store.write_round(1, 0, 10, [record(1, 1, 0, "old")])
+        store.write_round(2, 3, 10, [record(1, 2, 3, "kept")])
+        store.write_round(1, 0, 10, [record(1, 1, 0, "new"),
+                                     record(2, 1, 0, "kept")])
+        assert stored_digests(store) == {
+            digest_of("<title>new</title>"), digest_of("<title>kept</title>")
+        }
+        assert store.orphan_bodies() == 0
+        assert all(store.verify_round(i.round_id).ok for i in store.rounds())
+
+    def test_tampered_body_makes_its_shards_corrupt(self):
+        store = MeasurementStore()
+        store.begin_round(1, 0, 4, shard_size=2)
+        store.write_shard(1, 0, [record(1, 1, 0, "x"), record(2, 1, 0, "y")])
+        store.write_shard(1, 1, [record(3, 1, 0, "y"), record(4, 1, 0, "z")])
+        store.finalize_round(1)
+        store.write_round(2, 3, 10, [record(1, 2, 3, "y")])
+        store._conn.execute(
+            "UPDATE bodies SET body = 'evil' WHERE digest = ?",
+            (digest_of("<title>y</title>"),),
+        )
+        store._conn.commit()
+        report = store.verify_round(1)
+        assert report.corrupt == [0, 1]
+        assert report.missing_bodies == 0
+        assert store.verify_round(2).corrupt == [0]
+
+    def test_deleted_body_is_named_by_verify(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.sqlite")
+        store = MeasurementStore(path)
+        store.write_round(1, 0, 10, [record(1, 1, 0, "x"), record(2, 1, 0, "x"),
+                                     record(3, 1, 0, "y")])
+        store._conn.execute(
+            "DELETE FROM bodies WHERE digest = ?",
+            (digest_of("<title>x</title>"),),
+        )
+        store._conn.commit()
+        report = store.verify_round(1)
+        assert report.missing_bodies == 2
+        assert report.corrupt == [0]
+        assert not report.ok
+        assert "2 rows with a MISSING body" in report.describe()
+        store.close()
+        assert main(["verify", path]) == 1
+        assert "MISSING body" in capsys.readouterr().out
+
+    def test_orphan_body_is_named_by_verify(self, tmp_path, capsys):
+        path = str(tmp_path / "orphan.sqlite")
+        store = MeasurementStore(path)
+        store.write_round(1, 0, 10, [record(1, 1, 0)])
+        store.close()
+        assert main(["verify", path]) == 0
+        conn = sqlite3.connect(path)
+        conn.execute("INSERT INTO bodies VALUES (?, 'nobody')",
+                     (digest_of("nobody"),))
+        conn.commit()
+        conn.close()
+        with MeasurementStore.open_readonly(path) as reader:
+            assert reader.orphan_bodies() == 1
+            assert reader.verify_round(1).ok
+        assert main(["verify", path]) == 1
+        captured = capsys.readouterr()
+        assert "1 stored bodies no round references" in captured.out
+        assert "1 orphan bodies" in captured.err
+
+    def test_body_digest_projection_reads_no_body(self):
+        store = MeasurementStore()
+        store.write_round(1, 0, 10, [record(1, 1, 0, "x"), bare_record(2, 1, 0)])
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        assert list(store.columns(1, ("ip", "body_digest"))) == [
+            (1, digest_of("<title>x</title>")), (2, None)
+        ]
+        assert not any("bodies" in sql for sql in statements)
+        assert list(store.columns(1, ("body",))) == [
+            ("<title>x</title>",), (None,)
+        ]

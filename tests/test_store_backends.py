@@ -17,7 +17,7 @@ import sqlite3
 import pytest
 
 from repro.core.faults import ProcFaultKind, proc_chaos_plan
-from repro.core.records import PageFeatures, QuarantineRecord
+from repro.core.records import PageFeatures, QuarantineRecord, digest_of
 from repro.core.store import (
     BACKENDS,
     ColumnarStore,
@@ -27,7 +27,12 @@ from repro.core.store import (
     open_store,
 )
 from repro.analysis.dataset import _OBSERVATION_COLUMNS
-from repro.core.store.base import COLUMN_NAMES, StoreBackend, rows_checksum
+from repro.core.store.base import (
+    COLUMN_NAMES,
+    PROJECTION_NAMES,
+    StoreBackend,
+    rows_checksum,
+)
 from repro.workloads import Campaign, SimTransportFactory, ec2_scenario
 from test_recovery import SCENARIO_PARAMS, small_config
 from test_store import record
@@ -428,11 +433,15 @@ def sqlite_reference(seed_campaigns):
 
 def projection_oracle(store, round_id: int, names) -> list[tuple]:
     """What ``columns()`` must yield: the named cells of every record
-    of ``records()``, in its order."""
-    return [
-        tuple(rec.to_row()[name] for name in names)
-        for rec in store.records(round_id)
-    ]
+    of ``records()``, in its order; ``body_digest`` is the body's
+    ``digest_of`` (None without a body)."""
+    oracle = []
+    for rec in store.records(round_id):
+        row = rec.to_row()
+        body = row["body"]
+        row["body_digest"] = None if body is None else digest_of(body)
+        oracle.append(tuple(row[name] for name in names))
+    return oracle
 
 
 def merge_two_partition_journals(store, tmp_path) -> None:
@@ -465,7 +474,7 @@ class TestColumnsProjection:
 
     @pytest.mark.parametrize(
         "names",
-        [(name,) for name in COLUMN_NAMES]
+        [(name,) for name in PROJECTION_NAMES]
         + [_OBSERVATION_COLUMNS, COLUMN_NAMES],
         ids=lambda names: names[0] if len(names) == 1 else str(len(names)),
     )
@@ -576,3 +585,48 @@ class TestCrossBackendEquivalence:
         with open_store(path, readonly=True) as store:
             for info in store.rounds():
                 assert store.verify_round(info.round_id).ok
+
+
+def stored_bodies(path: str) -> list[bytes]:
+    """The digests in a sqlite store's ``bodies`` table."""
+    conn = sqlite3.connect(path)
+    try:
+        return [row[0] for row in conn.execute("SELECT digest FROM bodies")]
+    finally:
+        conn.close()
+
+
+class TestStoredBodies:
+    """sqlite keeps each distinct body once; on every engine, every
+    stored body is referenced and ``body_digest`` names it."""
+
+    def test_one_body_row_per_distinct_digest(self, seed_campaigns):
+        path = seed_campaigns["sqlite"]
+        with open_store(path, readonly=True) as store:
+            digests = [
+                digest
+                for info in store.rounds()
+                for (digest,) in store.columns(
+                    info.round_id, ("body_digest",)
+                )
+                if digest is not None
+            ]
+        stored = stored_bodies(path)
+        assert len(stored) == len(set(stored))
+        assert set(stored) == set(digests)
+        assert len(stored) < len(digests)      # rounds share bodies
+
+    def test_no_orphan_body(self, backend, seed_campaigns):
+        with open_store(seed_campaigns[backend], readonly=True) as store:
+            assert store.orphan_bodies() == 0
+
+    def test_two_worker_merge_stores_the_same_bodies(
+        self, tmp_path, seed_campaigns
+    ):
+        path = store_path("sqlite", tmp_path, "mp")
+        run_campaign(path, "sqlite", config=mp_config(2))
+        assert sorted(stored_bodies(path)) == sorted(
+            stored_bodies(seed_campaigns["sqlite"])
+        )
+        with open_store(path, readonly=True) as store:
+            assert store.orphan_bodies() == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import trackers
 from repro.analysis.trackers import (
     TRACKER_FINGERPRINTS,
     TrackerAnalyzer,
@@ -53,6 +54,39 @@ class TestTrackerAnalyzer:
         assert sum(shares.values()) == pytest.approx(100.0)
         # §8.3: most tracker-using pages embed a single tracker.
         assert shares.get(1, 0.0) > 50.0
+
+    def test_each_distinct_body_is_searched_once(
+        self, ec2_campaign, ec2_clustering, monkeypatch
+    ):
+        """One fingerprint scan per distinct body digest in the round,
+        and the hits the per-row scan finds."""
+        store = ec2_campaign.store
+        round_id = ec2_campaign.dataset.round_ids[-1]
+        pages = [
+            record for record in store.records(round_id)
+            if record.fetch.body
+        ]
+        ips: dict[str, set[int]] = {}
+        clusters: dict[str, set[int]] = {}
+        for record in pages:
+            for name, fingerprint in TRACKER_FINGERPRINTS.items():
+                if fingerprint in record.fetch.body:
+                    ips.setdefault(name, set()).add(record.ip)
+                    cid = ec2_clustering.cluster_of(record.ip, round_id)
+                    if cid is not None:
+                        clusters.setdefault(name, set()).add(cid)
+        scanned = []
+        real = trackers._fingerprints_in
+        monkeypatch.setattr(
+            trackers, "_fingerprints_in",
+            lambda body: scanned.append(body) or real(body),
+        )
+        hits = TrackerAnalyzer(store, ec2_clustering).scan_round(round_id)
+        digests = {record.fetch.body_digest for record in pages}
+        assert len(digests) < len(pages)
+        assert len(scanned) == len(digests)
+        assert hits.ips_by_tracker == ips
+        assert hits.clusters_by_tracker == clusters
 
     def test_ga_ids_collected(self, ec2_campaign):
         analyzer = TrackerAnalyzer(ec2_campaign.store)
