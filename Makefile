@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test chaos slow bench perf-smoke all
+.PHONY: test chaos slow bench perf-smoke deadcode all
 
 # Tier-1: the fast suite (the chaos storm matrix is deselected by the
 # `-m 'not chaos'` default in pyproject.toml).
@@ -32,5 +32,11 @@ bench:
 perf-smoke:
 	$(PYTHON) -m pytest benchmarks/perf -q
 	$(PYTHON) benchmarks/perf/run.py --smoke --traced
+
+# Every src/ function must be reached by a shipped entry point (CI's
+# commands, the examples, the benchmark harness and benches) or carry a
+# reason in scripts/deadcode_allow.txt: lists the rest, exit 1 if any.
+deadcode:
+	$(PYTHON) scripts/deadcode.py
 
 all: test chaos

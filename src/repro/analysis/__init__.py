@@ -25,14 +25,7 @@ from .domains import CorrelationReport, DomainCorrelation, DomainCorrelator
 from .dynamics import ChurnRates, DynamicsAnalyzer, SeriesSummary
 from .evaluation import ClusteringScore, score_clustering
 from .export import FigureExporter
-from .gap_statistic import (
-    cluster_by_threshold,
-    cluster_profile,
-    dispersion,
-    gap_profile,
-    gap_statistic,
-    select_threshold,
-)
+from .gap_statistic import cluster_by_threshold, select_threshold
 from .lsh import SimhashIndex, band_layout
 from .malicious import (
     MaliciousIp,
@@ -88,10 +81,6 @@ __all__ = [
     "DynamicsAnalyzer",
     "SeriesSummary",
     "cluster_by_threshold",
-    "cluster_profile",
-    "dispersion",
-    "gap_profile",
-    "gap_statistic",
     "select_threshold",
     "SimhashIndex",
     "band_layout",

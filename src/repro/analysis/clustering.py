@@ -138,12 +138,6 @@ class ClusteringResult:
             return None
         return cluster_id
 
-    def clusters_in_round(self, round_id: int) -> set[int]:
-        return {
-            cid for cid, cluster in self.clusters.items()
-            if any(rid == round_id for _, rid in cluster.members)
-        }
-
     def sizes(self, round_count: int) -> dict[int, float]:
         """Average cluster size per cluster id."""
         return {
@@ -391,9 +385,3 @@ class WebpageClusterer:
             ):
                 removed[cid] = clusters.pop(cid)
         return removed
-
-
-def features_or_raise(obs: Observation) -> PageFeatures:
-    if obs.features is None:
-        raise ValueError("observation carries no page features")
-    return obs.features

@@ -183,13 +183,6 @@ class Dataset:
     def responsive_ips(self, round_id: int) -> set[int]:
         return {o.ip for o in self.by_round[round_id]}
 
-    def available_ips(self, round_id: int) -> set[int]:
-        return {o.ip for o in self.by_round[round_id] if o.available}
-
-    def pages(self, round_id: int) -> list[Observation]:
-        """Observations of this round that carry page content."""
-        return [o for o in self.by_round[round_id] if o.has_page]
-
     def history(self, ip: int) -> list[Observation]:
         """All observations of one IP, in chronological order."""
         return self.by_ip.get(ip, [])

@@ -1,16 +1,11 @@
-"""Gap-statistic threshold tuning for simhash clustering (§5).
+"""Threshold tuning and single-linkage clustering for simhashes (§5).
 
 The paper picks the Hamming-distance threshold of the second-level
-clustering "based on the gap statistic" (Tibshirani et al. 2001), the
-standard device for estimating the number of clusters in unsupervised
-clustering.  We adapt it to threshold selection: for each candidate
-threshold *t*, single-linkage clustering of the fingerprints yields a
-partition whose within-cluster dispersion ``W(t)`` is compared against
-the expected dispersion of *reference* data (uniformly random
-fingerprints, where every pairwise distance concentrates around
-``HASH_BITS/2``).  The gap is ``E[log W_ref(t)] − log W(t)``; we choose
-the smallest threshold whose gap is within one standard error of the
-next threshold's gap (the "1-SE" rule of the original paper).
+clustering "based on the gap statistic" (Tibshirani et al. 2001).  This
+reproduction stands the separation-band estimator of
+:func:`select_threshold` in for it: near-duplicate corpora have a
+bimodal pairwise-distance distribution, and the threshold goes into the
+empty band between the modes.
 
 Scale notes: :func:`cluster_by_threshold` dispatches between a
 brute-force all-pairs path (blocked over the packed popcount kernels of
@@ -22,14 +17,10 @@ identical partitions; ``exact=True`` forces brute force,
 size.  Both collapse identical fingerprints first and end in the same
 connected-components kernel (:mod:`repro.analysis.components`); only a
 brute-force population under ``_VECTORIZE_MIN`` stays scalar.
-:func:`cluster_profile` / :func:`gap_profile` evaluate *many* candidate
-thresholds against one shared index instead of re-scanning the
-population per threshold.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence
 
@@ -44,8 +35,7 @@ from ..core.simhash import (
 from .components import DisjointSets, groups_by_label, union_edges
 from .lsh import DEFAULT_EXACT_CUTOFF, SimhashIndex
 
-__all__ = ["cluster_by_threshold", "cluster_profile", "dispersion",
-           "gap_profile", "gap_statistic", "pairwise_distances",
+__all__ = ["cluster_by_threshold", "pairwise_distances",
            "select_threshold"]
 
 #: Brute force below this size stays scalar: kernel/packing overhead
@@ -135,151 +125,6 @@ def cluster_by_threshold(
     return groups_by_label(hashes, labels[inverse])
 
 
-def cluster_profile(
-    hashes: Sequence[int],
-    thresholds: Sequence[int],
-    *,
-    exact: bool | None = None,
-    exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
-) -> dict[int, list[list[int]]]:
-    """Partitions at several thresholds from **one** candidate scan.
-
-    A banded index built for ``max(thresholds)`` retains exact recall at
-    every smaller threshold, so the matching pairs (with their exact
-    distances) are computed once and each threshold only re-runs the
-    cheap union over the pairs a mask keeps — instead of re-scanning
-    the population per candidate threshold.
-    """
-    distinct = sorted(set(thresholds))
-    if not distinct:
-        return {}
-    _check_threshold(distinct[0])
-    n = len(hashes)
-    top = distinct[-1]
-    use_index = exact is False or (exact is None and n > exact_cutoff)
-    if not use_index or top >= HASH_BITS or n == 0:
-        return {
-            t: cluster_by_threshold(hashes, t, exact=exact,
-                                    exact_cutoff=exact_cutoff)
-            for t in distinct
-        }
-    unique, inverse = _collapse(hashes)
-    left, right, distance = SimhashIndex(unique, top).pair_arrays()
-    profile = {}
-    for t in distinct:
-        keep = distance <= t
-        labels = np.arange(len(unique))
-        union_edges(labels, left[keep], right[keep])
-        profile[t] = groups_by_label(hashes, labels[inverse])
-    return profile
-
-
-def dispersion(clusters: list[list[int]]) -> float:
-    """Pooled within-cluster dispersion: sum over clusters of the mean
-    pairwise Hamming distance times cluster size."""
-    total = 0.0
-    for members in clusters:
-        size = len(members)
-        if size < 2:
-            continue
-        total += _pair_distance_sum(members) / size
-    return total
-
-
-def _pair_distance_sum(members: Sequence[int]) -> int:
-    """Sum of all pairwise Hamming distances within one cluster.
-
-    Uses the per-bit identity Σ_pairs popcount(a⊕b) = Σ_bits c·(n−c)
-    (c = how many members set that bit), which is O(n·HASH_BITS) instead
-    of O(n²) and exact integer arithmetic either way.
-    """
-    size = len(members)
-    if size < 2:
-        return 0
-    if size >= _VECTORIZE_MIN:
-        packed = pack_hashes(members)
-        as_bytes = packed.view(np.uint8)
-        bits = np.unpackbits(as_bytes, axis=1)
-        ones = bits.sum(axis=0, dtype=np.int64)
-        return int((ones * (size - ones)).sum())
-    total = 0
-    for bit in range(HASH_BITS):
-        probe = 1 << bit
-        ones = sum(1 for value in members if value & probe)
-        total += ones * (size - ones)
-    return total
-
-
-def _reference_hashes(count: int, rng: random.Random) -> list[int]:
-    return [rng.getrandbits(HASH_BITS) for _ in range(count)]
-
-
-def gap_statistic(
-    hashes: Sequence[int],
-    threshold: int,
-    *,
-    references: int = 5,
-    rng: random.Random | None = None,
-    clusters: list[list[int]] | None = None,
-) -> tuple[float, float]:
-    """Gap statistic of the clustering induced by *threshold*.
-
-    Following Tibshirani et al., the observed within-cluster dispersion
-    is compared against reference datasets with no cluster structure
-    (uniform fingerprints) partitioned into the *same cluster-size
-    profile*, so both sides are evaluated at the same model complexity.
-    A positive gap means the threshold recovered genuinely tighter
-    groups than chance.  Pass *clusters* (e.g. from
-    :func:`cluster_profile`) to skip re-clustering.
-    """
-    rng = rng or random.Random(0)
-    if clusters is None:
-        clusters = cluster_by_threshold(list(hashes), threshold)
-    observed = dispersion(clusters)
-    log_observed = math.log(observed + 1.0)
-    profile = [len(c) for c in clusters]
-    log_refs = []
-    for _ in range(references):
-        ref = _reference_hashes(len(hashes), rng)
-        start = 0
-        partition = []
-        for size in profile:
-            partition.append(ref[start : start + size])
-            start += size
-        log_refs.append(math.log(dispersion(partition) + 1.0))
-    mean_ref = sum(log_refs) / len(log_refs)
-    variance = sum((v - mean_ref) ** 2 for v in log_refs) / len(log_refs)
-    std_error = math.sqrt(variance) * math.sqrt(1.0 + 1.0 / len(log_refs))
-    return mean_ref - log_observed, std_error
-
-
-def gap_profile(
-    hashes: Sequence[int],
-    thresholds: Sequence[int],
-    *,
-    references: int = 5,
-    rng: random.Random | None = None,
-    exact: bool | None = None,
-) -> dict[int, tuple[float, float]]:
-    """``{threshold: (gap, std_error)}`` over candidate thresholds.
-
-    The threshold search that motivated the paper's gap-statistic step:
-    all candidate partitions come from one shared banded index (see
-    :func:`cluster_profile`), then each is scored by
-    :func:`gap_statistic`.  Deterministic for a given *rng* seed and
-    call order (thresholds are evaluated in ascending order).
-    """
-    rng = rng or random.Random(0)
-    profiles = cluster_profile(hashes, thresholds, exact=exact)
-    return {
-        threshold: gap_statistic(
-            hashes, threshold, references=references, rng=rng,
-            clusters=profiles[threshold],
-        )
-        for threshold in sorted(profiles)
-    }
-
-
 def pairwise_distances(hashes: Sequence[int]) -> list[int]:
     """All pairwise Hamming distances among the given fingerprints,
     in ``(i, j), i < j`` row-major order."""
@@ -318,8 +163,7 @@ def select_threshold(
     affordability) and places the threshold a third of the way in, so
     modest revision outliers are still absorbed while chaining toward
     the unrelated mode stays far away.  This plays the role of the
-    paper's gap-statistic-based tuning step: :func:`gap_statistic` /
-    :func:`gap_profile` are exposed for validating a chosen clustering.
+    paper's gap-statistic-based tuning step.
 
     Falls back to *default* when the population is too small or shows
     no separation (fewer than 3 distinct fingerprints, or no empty band

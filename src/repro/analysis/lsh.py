@@ -25,18 +25,17 @@ single digits, giving band widths of 12+ bits.
 The index runs on the packed-uint64 numpy kernels from
 :mod:`repro.core.simhash`; band keys, buckets, candidates, the Hamming
 check and the union (:func:`repro.analysis.components.union_edges`) are
-all array operations, and no pair is ever a Python object unless a
-caller asks :meth:`SimhashIndex.matching_pairs` for one.
+all array operations, and no pair is ever a Python object.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.simhash import HASH_BITS, hamming_rows, pack_hashes
-from .components import groups_by_label, union_edges
+from .components import union_edges
 
 __all__ = [
     "DEFAULT_EXACT_CUTOFF",
@@ -90,15 +89,9 @@ def band_layout(threshold: int, *, bits: int = HASH_BITS,
 class SimhashIndex:
     """Banded LSH index over a fingerprint population.
 
-    Build once for a population and a distance bound, then:
-
-    - :meth:`matching_pairs` — every (i, j, distance) with
-      ``distance <= threshold``, deduplicated, exactly the pairs brute
-      force would accept;
-    - :meth:`clusters` — the single-linkage partition at ``threshold``
-      or any smaller threshold, reusing the same band tables (a pair at
-      distance ≤ t ≤ threshold also agrees on one of the wider layout's
-      bands, so recall carries down).
+    Build once for a population and a distance bound, then ask
+    :meth:`labels` for the single-linkage partition at that bound —
+    exactly the partition brute force finds.
 
     A bucket of *s* fingerprints is s²/2 candidates, identical ones
     included: :func:`~repro.analysis.gap_statistic.cluster_by_threshold`
@@ -110,14 +103,8 @@ class SimhashIndex:
                  bits: int = HASH_BITS, bands: int | None = None):
         self.hashes = list(hashes)
         self.threshold = threshold
-        self.bits = bits
         self.spans = band_layout(threshold, bits=bits, bands=bands)
         self._packed = pack_hashes(self.hashes)
-        self._pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    @property
-    def bands(self) -> int:
-        return len(self.spans)
 
     # ------------------------------------------------------------------
     # candidate generation
@@ -160,91 +147,24 @@ class SimhashIndex:
             rights.append(block[:, local_j].ravel())
         return np.concatenate(lefts), np.concatenate(rights)
 
-    def _band_candidates(self) -> Iterator[tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]]:
-        """``(keys, left, right)`` per band: the band's key of every
-        fingerprint and the index pairs that share one."""
-        for start, width in self.spans:
-            keys = self._band_keys(start, width)
-            yield keys, *self._candidate_pairs(keys)
-
-    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`matching_pairs` at the index's own bound, as three
-        parallel arrays (computed once; do not write to them)."""
-        if self._pairs is None:
-            packed = self._packed
-            out: list[tuple[np.ndarray, ...]] = []
-            prior_keys: list[np.ndarray] = []
-            for keys, left, right in self._band_candidates():
-                low = np.minimum(left, right)
-                high = np.maximum(left, right)
-                # First-band ownership replaces a global dedup sort: a
-                # pair is emitted only by the first band whose keys
-                # agree, so concatenating the per-band outputs is
-                # already duplicate-free (within a band the bucket triu
-                # is unique by construction).
-                for keys_before in prior_keys:
-                    fresh = keys_before[low] != keys_before[high]
-                    low, high = low[fresh], high[fresh]
-                distance = hamming_rows(packed[low], packed[high])
-                keep = distance <= self.threshold
-                out.append((low[keep], high[keep], distance[keep]))
-                prior_keys.append(keys)
-            self._pairs = tuple(map(np.concatenate, zip(*out)))
-        return self._pairs
-
     # ------------------------------------------------------------------
     # public API
 
-    def _limit(self, threshold: int | None) -> int:
-        limit = self.threshold if threshold is None else threshold
-        if limit > self.threshold:
-            raise ValueError(
-                f"index built for distance <= {self.threshold}, "
-                f"cannot answer {limit}"
-            )
-        return limit
-
-    def matching_pairs(
-        self, threshold: int | None = None
-    ) -> tuple[list[int], list[int], list[int]]:
-        """All index pairs ``(i, j)``, ``i < j``, within *threshold* bits.
-
-        *threshold* defaults to the index's own bound and may be any
-        value ≤ it (the band layout's recall guarantee covers every
-        smaller distance).  Returns parallel lists (i, j, distance).
-        """
-        limit = self._limit(threshold)
-        left, right, distance = self.pair_arrays()
-        keep = distance <= limit
-        return (left[keep].tolist(), right[keep].tolist(),
-                distance[keep].tolist())
-
-    def labels(self, threshold: int | None = None) -> np.ndarray:
-        """Component label of every fingerprint at *threshold*: the
-        smallest index of its single-linkage cluster.
+    def labels(self) -> np.ndarray:
+        """Component label of every fingerprint at the index's
+        threshold: the smallest index of its single-linkage cluster.
 
         Works band by band on running labels: a candidate pair whose
         ends already share a label is dropped before the Hamming check
         (most of the later bands' candidates), the rest are confirmed
         and unioned in.
         """
-        limit = self._limit(threshold)
         packed = self._packed
         labels = np.arange(len(self.hashes))
-        for _, left, right in self._band_candidates():
+        for start, width in self.spans:
+            left, right = self._candidate_pairs(self._band_keys(start, width))
             apart = labels[left] != labels[right]
             left, right = left[apart], right[apart]
-            near = hamming_rows(packed[left], packed[right]) <= limit
+            near = hamming_rows(packed[left], packed[right]) <= self.threshold
             union_edges(labels, left[near], right[near])
         return labels
-
-    def clusters(self, threshold: int | None = None) -> list[list[int]]:
-        """Single-linkage partition of the population at *threshold*.
-
-        Same contract as the brute-force
-        :func:`~repro.analysis.gap_statistic.cluster_by_threshold`:
-        a list of clusters, each a list of fingerprint values (duplicates
-        preserved), together covering the input exactly.
-        """
-        return groups_by_label(self.hashes, self.labels(threshold))

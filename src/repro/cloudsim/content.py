@@ -181,7 +181,7 @@ class ContentProfile:
     tracker_scripts: tuple[str, ...] = ()
     links: tuple[str, ...] = ()          # ordinary external links
     malicious_links: tuple[str, ...] = ()  # links flagged by blacklists
-    #: Internal paths linked from the home page (for deep crawling).
+    #: Internal paths linked from the home page.
     subpages: tuple[str, ...] = ()
     body_seed: int = 0
     body_tokens: int = 120
@@ -251,25 +251,6 @@ class ContentProfile:
             parts.append(f"<!-- served for {self.domain} -->")
         parts.append("</body></html>")
         return "\n".join(parts)
-
-    def render_subpage(self, path: str, major: int = 0,
-                       revision: int = 0) -> str:
-        """Render an internal page; raises KeyError for unknown paths."""
-        if path not in self.subpages:
-            raise KeyError(path)
-        section = path.strip("/").capitalize()
-        seed_shift = sum(ord(c) for c in path) + 17
-        derived = replace(
-            self,
-            title=f"{self.title} — {section}",
-            body_seed=self.body_seed + seed_shift,
-            body_tokens=max(40, self.body_tokens // 2),
-            subpages=(),
-            links=(),
-            malicious_links=(),
-            tracker_scripts=(),
-        )
-        return derived.render(major, revision)
 
     def _render_json(self, major: int, revision: int) -> str:
         words = self._body_words(major, revision)

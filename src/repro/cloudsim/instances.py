@@ -48,9 +48,6 @@ class IpPool:
         """Number of free addresses of the given kind."""
         return len(self._free.get(kind, ()))
 
-    def total_free(self) -> int:
-        return sum(len(v) for v in self._free.values())
-
     def acquire(self, kind: str) -> int | None:
         """Take a random free address of *kind*; None if exhausted.
 

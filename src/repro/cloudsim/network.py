@@ -242,7 +242,10 @@ class SimulatedTransport:
             return self._robots_response(service)
         if path in ("", "/"):
             return self._page_response(service, max_body)
-        return self._subpage_response(service, path, max_body)
+        body = b"<html><title>404 Not Found</title></html>"
+        return HttpResponse(
+            404, self._base_headers(service, "text/html", len(body)), body
+        )
 
     def _robots_response(self, service: ServiceSpec) -> HttpResponse:
         profile = service.profile
@@ -283,28 +286,6 @@ class SimulatedTransport:
         body = encoded[:max_body]
         headers = self._base_headers(service, profile.content_type, len(body))
         return HttpResponse(profile.status_code, headers, body)
-
-    def _subpage_response(self, service: ServiceSpec, path: str,
-                          max_body: int) -> HttpResponse:
-        profile = service.profile
-        assert profile is not None
-        if profile.status_code != 200 or path not in profile.subpages:
-            body = b"<html><title>404 Not Found</title></html>"
-            return HttpResponse(
-                404, self._base_headers(service, "text/html", len(body)), body
-            )
-        cache_key = (
-            service.service_id, service.major_version, service.revision, path
-        )
-        encoded = self._page_cache.get(cache_key)
-        if encoded is None:
-            encoded = profile.render_subpage(
-                path, service.major_version, service.revision
-            ).encode("utf-8")
-            self._page_cache[cache_key] = encoded
-        body = encoded[:max_body]
-        headers = self._base_headers(service, "text/html", len(body))
-        return HttpResponse(200, headers, body)
 
     def _base_headers(
         self, service: ServiceSpec, content_type: str, length: int

@@ -68,14 +68,6 @@ class SoftwareStack:
     backend: str         # x-powered-by value, or "" if not advertised
     template: str        # generator template, e.g. "WordPress 3.5.1", or ""
 
-    @property
-    def advertises_backend(self) -> bool:
-        return bool(self.backend)
-
-    @property
-    def uses_template(self) -> bool:
-        return bool(self.template)
-
 
 #: SSH banner distribution for instances exposing port 22 (the paper's
 #: future-work item "analyze non-web services"; version staleness on

@@ -37,9 +37,6 @@ class ScanConfig:
     probes_per_second: float = 250.0
     #: Probes are never retried — minimises interaction with tenants.
     retries: int = 0
-    #: Ports probed, in order.  80 then 443; 22 only if both failed.
-    web_ports: tuple[int, ...] = (80, 443)
-    fallback_ports: tuple[int, ...] = (22,)
     #: Maximum concurrent in-flight probes.
     concurrency: int = 256
     #: Per-/24-subnet circuit breaker: after this many *consecutive*

@@ -27,7 +27,7 @@ from .records import UNKNOWN, FetchResult, PageFeatures
 from .simhash import simhash as compute_simhash
 
 __all__ = ["FeatureExtractor", "RoundMemo", "extract_links",
-           "extract_internal_links", "extract_domains", "GA_ID_RE"]
+           "extract_domains", "GA_ID_RE"]
 
 _TITLE_RE = re.compile(r"<title[^>]*>(.*?)</title>", re.IGNORECASE | re.DOTALL)
 
@@ -110,16 +110,6 @@ def extract_domains(html: str) -> list[str]:
     # membership test made a page of distinct names quadratic.
     return list(dict.fromkeys(
         match.group(1).lower() for match in _DOMAIN_RE.finditer(html)
-    ))
-
-
-def extract_internal_links(html: str) -> list[str]:
-    """Same-host paths linked from the page ("/about"), in document
-    order without duplicates — what the deep crawler follows."""
-    urls = (match.group(1).strip() for match in _LINK_RE.finditer(html))
-    return list(dict.fromkeys(
-        url for url in urls
-        if url.startswith("/") and not url.startswith("//")
     ))
 
 

@@ -37,6 +37,10 @@ from .transport import Transport, TransportError
 
 __all__ = ["RateLimiter", "SubnetCircuitBreaker", "Scanner"]
 
+#: Ports probed, in order: 80 then 443, and 22 only if both failed.
+WEB_PORTS = (80, 443)
+FALLBACK_PORTS = (22,)
+
 #: One probe to send: (index of the target in the scanned list, port,
 #: attempt number — 0 for the first probe of that port).
 Job = tuple[int, int, int]
@@ -274,11 +278,10 @@ class Scanner:
         """Run one admission chunk's job queue to empty, then write each
         target's outcome: its open ports, or — when nothing opened — the
         last classified error in port order."""
-        config = self.config
-        web, fallback = config.web_ports, config.fallback_ports
-        retries = config.retries
+        web, fallback = WEB_PORTS, FALLBACK_PORTS
+        retries = self.config.retries
         jobs: deque[Job] = deque(
-            [(index, port, 0) for index in chunk for port in web or fallback])
+            [(index, port, 0) for index in chunk for port in web])
         web_left = dict.fromkeys(chunk, len(web))
         opened: dict[int, list[int]] = {}
         errors: dict[tuple[int, int], str] = {}

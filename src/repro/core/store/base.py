@@ -349,9 +349,9 @@ class StoreBackend(ABC):
     merge path, the serving layer, and the analyses all program against.
 
     Concrete engines subclass this and implement the abstract methods;
-    the base class carries the protocol dataclasses (above), the legacy
-    one-shot :meth:`write_round` template, writer-flush telemetry, and
-    default implementations that hold for any compliant backend.
+    the base class carries the protocol dataclasses (above), writer-flush
+    telemetry, and default implementations that hold for any compliant
+    backend.
     """
 
     #: Backend identifier ("sqlite", "columnar") — what
@@ -426,13 +426,12 @@ class StoreBackend(ABC):
         targets_probed: int,
         *,
         shard_size: int = 0,
-        fresh: bool = False,
     ) -> RoundInfo:
         """Open a round for shard-by-shard writing; returns its info.
         Re-opening an ``in_progress`` round is the resume path (shards
-        and the journaled shard size are kept); ``fresh=True`` discards
-        any previous incarnation first.  Raises :class:`ValueError`
-        when *timestamp* already belongs to a different round."""
+        and the journaled shard size are kept); re-opening a finalized
+        one is a :class:`ValueError`, and so is a *timestamp* that
+        already belongs to a different round."""
 
     @abstractmethod
     def write_shard(
@@ -476,28 +475,6 @@ class StoreBackend(ABC):
     ) -> RoundInfo:
         """Seal an open round and flip its status to
         ``complete``/``degraded``."""
-
-    def write_round(
-        self,
-        round_id: int,
-        timestamp: int,
-        targets_probed: int,
-        records: Iterable[RoundRecord],
-        *,
-        degraded: bool = False,
-        error_count: int = 0,
-    ) -> RoundInfo:
-        """Persist one complete round in a single shard (legacy API).
-
-        Rewriting the *same* round_id replaces the round; reusing a
-        timestamp under a *different* round_id raises ValueError (the
-        two rounds would silently drop each other's data otherwise).
-        """
-        self.begin_round(round_id, timestamp, targets_probed, fresh=True)
-        self.write_shard(round_id, 0, records, errors=error_count)
-        return self.finalize_round(
-            round_id, degraded=degraded, error_count=error_count
-        )
 
     # ------------------------------------------------------------------
     # recovery / journal / integrity (abstract)
@@ -547,23 +524,12 @@ class StoreBackend(ABC):
         return 0
 
     @abstractmethod
-    def delete_partial(self, round_id: int) -> None:
-        """Discard an ``in_progress`` round entirely (rows, journal,
-        metadata, view rows).  Finalized rounds are protected:
-        ValueError."""
-
-    @abstractmethod
     def max_round_id(self) -> int:
         """Highest round_id ever assigned (0 for an empty store),
         including open rounds — the durable round-ID watermark."""
 
     # ------------------------------------------------------------------
     # quarantine (dead-letter)
-
-    @abstractmethod
-    def add_quarantine(self, entry: QuarantineRecord) -> int:
-        """Insert one quarantine entry outside the shard protocol
-        (used by tools and tests); returns its entry_id."""
 
     @abstractmethod
     def quarantine_rows(
@@ -603,10 +569,6 @@ class StoreBackend(ABC):
     @abstractmethod
     def get_meta(self, key: str, default: str | None = None) -> str | None:
         """One campaign-level value, or *default*."""
-
-    @abstractmethod
-    def meta(self) -> dict[str, str]:
-        """All campaign-level key/value pairs."""
 
     # ------------------------------------------------------------------
     # reads

@@ -11,7 +11,6 @@ Layout::
     campaign.whowas/
       manifest.json              # backend marker, rounds, campaign meta
       replayed.json              # quarantine entry ids marked replayed
-      quarantine_extra.jsonl     # entries added outside the shard protocol
       rounds/r00001/
         s00000.json              # one shard, column-major + quarantine
         journal.jsonl            # committed-shard journal (append-only)
@@ -44,7 +43,6 @@ import itertools
 import json
 import math
 import os
-import shutil
 import threading
 import time
 from pathlib import Path
@@ -310,8 +308,6 @@ class ColumnarStore(StoreBackend):
 
     def _scan_max_quarantine_id(self) -> int:
         highest = 0
-        for entry in _read_jsonl(self._root / "quarantine_extra.jsonl"):
-            highest = max(highest, int(entry.get("entry_id", 0)))
         manifest = self._manifest()
         for key in manifest.get("rounds", {}):
             round_id = int(key)
@@ -335,7 +331,6 @@ class ColumnarStore(StoreBackend):
         targets_probed: int,
         *,
         shard_size: int = 0,
-        fresh: bool = False,
     ) -> RoundInfo:
         with self._lock:
             self._require_writer()
@@ -350,13 +345,9 @@ class ColumnarStore(StoreBackend):
                     )
             existing = rounds.get(str(round_id))
             if existing is not None:
-                if fresh:
-                    self._drop_round_files(round_id)
-                    rounds.pop(str(round_id))
-                elif existing["status"] == ROUND_IN_PROGRESS:
+                if existing["status"] == ROUND_IN_PROGRESS:
                     return self._entry_info(existing)
-                else:
-                    raise ValueError(f"round {round_id} is already finalized")
+                raise ValueError(f"round {round_id} is already finalized")
             self._round_dir(round_id).mkdir(parents=True, exist_ok=True)
             rounds[str(round_id)] = {
                 "round_id": round_id,
@@ -372,16 +363,6 @@ class ColumnarStore(StoreBackend):
             manifest["rounds"] = rounds
             self._write_manifest(manifest)
             return self._any_round(round_id)
-
-    def _drop_round_files(self, round_id: int) -> None:
-        round_dir = self._round_dir(round_id)
-        for path in (self._journal_path(round_id),
-                     self._views_path(round_id)):
-            self._invalidate(path)
-        if round_dir.is_dir():
-            for path in round_dir.iterdir():
-                self._invalidate(path)
-            shutil.rmtree(round_dir)
 
     def write_shard(
         self,
@@ -664,21 +645,6 @@ class ColumnarStore(StoreBackend):
         if actual_agg != expected_agg:
             report.view_issues.append("cluster_agg")
 
-    def delete_partial(self, round_id: int) -> None:
-        with self._lock:
-            self._require_writer()
-            info = self._any_round(round_id)
-            if info.status != ROUND_IN_PROGRESS:
-                raise ValueError(
-                    f"round {round_id} is {info.status}, not a partial round"
-                )
-            self._drop_round_files(round_id)
-            manifest = dict(self._manifest())
-            rounds = dict(manifest["rounds"])
-            rounds.pop(str(round_id), None)
-            manifest["rounds"] = rounds
-            self._write_manifest(manifest)
-
     def max_round_id(self) -> int:
         rounds = self._manifest()["rounds"]
         return max((int(key) for key in rounds), default=0)
@@ -689,21 +655,6 @@ class ColumnarStore(StoreBackend):
     def _replayed_ids(self) -> set[int]:
         path = self._root / "replayed.json"
         return set(self._cached(path, lambda: _read_json(path, [])))
-
-    def _extra_quarantine(self) -> list[dict]:
-        path = self._root / "quarantine_extra.jsonl"
-        return self._cached(path, lambda: _read_jsonl(path))
-
-    def add_quarantine(self, entry: QuarantineRecord) -> int:
-        with self._lock:
-            self._require_writer()
-            row = entry.to_row()
-            row["entry_id"] = self._next_quarantine_id
-            self._next_quarantine_id += 1
-            path = self._root / "quarantine_extra.jsonl"
-            _append_jsonl(path, row)
-            self._invalidate(path)
-            return row["entry_id"]
 
     def _all_quarantine(
         self, round_id: int | None = None
@@ -718,9 +669,6 @@ class ColumnarStore(StoreBackend):
                 shard = self._shard_file(rid, entry.shard_index)
                 if shard is not None:
                     rows.extend(shard.get("quarantine", []))
-        for row in self._extra_quarantine():
-            if round_id is None or row.get("round_id") == round_id:
-                rows.append(row)
         rows.sort(key=lambda row: row.get("entry_id", 0))
         return [self._quarantine_record(row, replayed) for row in rows]
 
@@ -856,9 +804,6 @@ class ColumnarStore(StoreBackend):
 
     def get_meta(self, key: str, default: str | None = None) -> str | None:
         return self._manifest().get("meta", {}).get(key, default)
-
-    def meta(self) -> dict[str, str]:
-        return dict(self._manifest().get("meta", {}))
 
     # ------------------------------------------------------------------
     # reads

@@ -61,9 +61,7 @@ replaced by ``body_digest`` (its :func:`~repro.core.records.digest_of`,
 a 16-byte BLOB; NULL for a row without a body).  One ``bodies(digest,
 body)`` table holds each distinct body once for the whole campaign: a
 shard inserts its new bodies (``INSERT OR IGNORE``) in its own
-transaction, every full-row read joins them back (:func:`_rows_sql`),
-and dropping a round table (:meth:`~MeasurementStore.delete_partial`,
-``begin_round(fresh=True)``) deletes the bodies it leaves unreferenced.
+transaction, and every full-row read joins them back (:func:`_rows_sql`).
 Rows, checksums and folds are over the decoded rows, body text
 included, so the layout is invisible above this module.  Most pages
 repeat from round to round, so a round table costs a few hundred bytes
@@ -456,7 +454,6 @@ class MeasurementStore(StoreBackend):
         targets_probed: int,
         *,
         shard_size: int = 0,
-        fresh: bool = False,
     ) -> RoundInfo:
         with self._lock:
             clash = self._conn.execute(
@@ -475,12 +472,9 @@ class MeasurementStore(StoreBackend):
             ).fetchone()
             table = f"round_{timestamp:05d}"
             if row is not None:
-                if fresh:
-                    self._drop_round(round_id, table)
-                elif row["round_status"] == ROUND_IN_PROGRESS:
+                if row["round_status"] == ROUND_IN_PROGRESS:
                     return self._any_round(round_id)    # resume: keep shards
-                else:
-                    raise ValueError(f"round {round_id} is already finalized")
+                raise ValueError(f"round {round_id} is already finalized")
             columns_sql = ", ".join(
                 f"{name} {sql}" for name, sql in _ROW_COLUMNS
             )
@@ -677,28 +671,6 @@ class MeasurementStore(StoreBackend):
                 "DELETE FROM view_cluster_agg WHERE round_id = ? AND n <= 0",
                 (round_id,),
             )
-
-    def _drop_round(self, round_id: int, table: str) -> None:
-        """Stage the removal of one round on the open transaction: its
-        table, journal, metadata and view rows, and the bodies no other
-        round table references any more."""
-        # sqlite3 opens the transaction at the first DELETE, not at DDL,
-        # so the DROP comes after one to be part of it.
-        self._conn.execute(
-            "DELETE FROM round_shards WHERE round_id = ?", (round_id,)
-        )
-        self._conn.execute(
-            "DELETE FROM rounds WHERE round_id = ?", (round_id,)
-        )
-        for view in _VIEW_TABLES:
-            self._conn.execute(
-                f"DELETE FROM {view} WHERE round_id = ?", (round_id,)
-            )
-        self._conn.execute(f"DROP TABLE IF EXISTS {table}")
-        self._conn.executemany(
-            "DELETE FROM bodies WHERE digest = ?",
-            ((digest,) for digest in self._orphan_digests()),
-        )
 
     def _orphan_digests(self) -> list[bytes]:
         """Digests in ``bodies`` that no round table references."""
@@ -945,15 +917,6 @@ class MeasurementStore(StoreBackend):
             stale.append("cluster_agg")
         return stale
 
-    def delete_partial(self, round_id: int) -> None:
-        info = self._any_round(round_id)
-        if info.status != ROUND_IN_PROGRESS:
-            raise ValueError(
-                f"round {round_id} is {info.status}, not a partial round"
-            )
-        self._drop_round(round_id, info.table_name)
-        self._commit()
-
     def max_round_id(self) -> int:
         row = self._conn.execute(
             "SELECT COALESCE(MAX(round_id), 0) FROM rounds"
@@ -962,19 +925,6 @@ class MeasurementStore(StoreBackend):
 
     # ------------------------------------------------------------------
     # quarantine (dead-letter)
-
-    def add_quarantine(self, entry: QuarantineRecord) -> int:
-        cursor = self._conn.execute(
-            "INSERT INTO quarantine "
-            "(round_id, ip, timestamp, stage, verdict, error_class,"
-            " error, payload, replayed) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (entry.round_id, entry.ip, entry.timestamp, entry.stage,
-             entry.verdict, entry.error_class, entry.error,
-             entry.payload, int(entry.replayed)),
-        )
-        self._commit()
-        return int(cursor.lastrowid)
 
     def quarantine_rows(
         self,
@@ -1075,10 +1025,6 @@ class MeasurementStore(StoreBackend):
             "SELECT value FROM campaign_meta WHERE key = ?", (key,)
         ).fetchone()
         return default if row is None else row["value"]
-
-    def meta(self) -> dict[str, str]:
-        cursor = self._conn.execute("SELECT key, value FROM campaign_meta")
-        return {row["key"]: row["value"] for row in cursor.fetchall()}
 
     # ------------------------------------------------------------------
     # reads

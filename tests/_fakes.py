@@ -67,6 +67,17 @@ def serial_oracle(platform):
     return platform
 
 
+def write_round(store, round_id, timestamp, targets_probed, records, *,
+                degraded=False, error_count=0, quarantine=()):
+    """One whole round through the shipped write protocol, as a single
+    shard: ``begin_round`` → ``write_shard`` → ``finalize_round``."""
+    store.begin_round(round_id, timestamp, targets_probed)
+    store.write_shard(round_id, 0, records, errors=error_count,
+                      quarantine=quarantine)
+    return store.finalize_round(
+        round_id, degraded=degraded, error_count=error_count)
+
+
 @dataclass
 class ReferenceScan:
     """What :func:`reference_scan` saw: the scanner's outcomes and
@@ -81,8 +92,8 @@ class ReferenceScan:
 
 def reference_scan(transport, config, ips, blacklist=()) -> ReferenceScan:
     """Oracle for ``Scanner.scan``: the scanner's old per-IP loop, one
-    target at a time in input order.  Web ports first (each retried
-    while it fails, up to ``config.retries`` times), the fallback ports
+    target at a time in input order.  Web ports 80 and 443 first (each
+    retried while it fails, up to ``config.retries`` times), port 22
     only when no web port opened, the last classified error carried
     across ports, and the per-/24 breaker fed as each target finishes.
     Imports nothing from ``scanner.py``."""
@@ -110,15 +121,14 @@ def reference_scan(transport, config, ips, blacklist=()) -> ReferenceScan:
             return ProbeOutcome(ip=ip, status=ProbeStatus.CIRCUIT_OPEN)
         open_ports: set[int] = set()
         error_class = None
-        for port in config.web_ports:
+        for port in (80, 443):
             opened, error_class = await probe(ip, port, error_class)
             if opened:
                 open_ports.add(port)
         if not open_ports:
-            for port in config.fallback_ports:
-                opened, error_class = await probe(ip, port, error_class)
-                if opened:
-                    open_ports.add(port)
+            opened, error_class = await probe(ip, 22, error_class)
+            if opened:
+                open_ports.add(22)
         if threshold > 0:
             if open_ports or error_class is None:
                 streak[ip >> 8] = 0

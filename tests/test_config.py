@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import config as config_module
 from repro.core.config import FetchConfig, PlatformConfig, ScanConfig
+from repro.core.scanner import FALLBACK_PORTS, WEB_PORTS
 
 
 class TestScanConfig:
@@ -23,8 +24,7 @@ class TestScanConfig:
         assert config.probe_timeout == 2.0
         assert config.probes_per_second == 250.0
         assert config.retries == 0
-        assert config.web_ports == (80, 443)
-        assert config.fallback_ports == (22,)
+        assert (WEB_PORTS, FALLBACK_PORTS) == ((80, 443), (22,))
 
     @pytest.mark.parametrize(
         "kwargs",

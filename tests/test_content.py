@@ -148,38 +148,3 @@ class TestGoogleAnalyticsRegistry:
             accounts[account] += 1
         singles = sum(1 for count in accounts.values() if count == 1)
         assert singles / len(accounts) > 0.75
-
-
-class TestSubpages:
-    def test_render_subpage(self):
-        f = factory(21)
-        profile = None
-        for _ in range(50):
-            candidate = f.make_profile()
-            if candidate.status_code == 200 and candidate.subpages:
-                profile = candidate
-                break
-        assert profile is not None
-        path = profile.subpages[0]
-        body = profile.render_subpage(path)
-        assert profile.title in body
-        assert path.strip("/").capitalize() in body
-
-    def test_subpage_unknown_path_raises(self):
-        profile = factory(22).make_profile()
-        import pytest
-
-        with pytest.raises(KeyError):
-            profile.render_subpage("/nope")
-
-    def test_subpage_differs_from_home(self):
-        f = factory(23)
-        for _ in range(50):
-            profile = f.make_profile()
-            if profile.status_code == 200 and profile.subpages \
-                    and profile.content_type == "text/html":
-                home = simhash(profile.render())
-                sub = simhash(profile.render_subpage(profile.subpages[0]))
-                assert hamming_distance(home, sub) > 10
-                return
-        raise AssertionError("no subpage profile drawn")

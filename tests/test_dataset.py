@@ -23,6 +23,7 @@ from repro.cli import main
 from repro.core.features import extract_domains, extract_links
 from repro.core.records import RoundRecord, digest_of
 from repro.core.store import MeasurementStore, open_store
+from _fakes import write_round
 
 from test_hostile import hostile_campaign
 from test_store import record
@@ -261,7 +262,7 @@ class TestPageTextSource:
         MISSING body) is skipped, as ``TrackerAnalyzer.scan_round``
         skips it, not parsed as None."""
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0, "x"), record(2, 1, 0, "y")])
+        write_round(store, 1, 0, 10, [record(1, 1, 0, "x"), record(2, 1, 0, "y")])
         store._conn.execute("DELETE FROM bodies WHERE digest = ?",
                             (digest_of("<title>x</title>"),))
         assert set(Dataset.from_store(store).page_text) == {(2, 1)}

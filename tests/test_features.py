@@ -7,7 +7,6 @@ import time
 from repro.core.features import (
     FeatureExtractor,
     extract_domains,
-    extract_internal_links,
     extract_links,
 )
 from repro.core.records import UNKNOWN, FetchResult, FetchStatus
@@ -323,11 +322,3 @@ class TestDedupeIsLinear:
         names = [f"h{i}.example.com" for i in range(self.ENTRIES)]
         html = " ".join(names + names[:100] + ["H7.EXAMPLE.COM"])
         assert self.timed(extract_domains, html) == names
-
-    def test_extract_internal_links_many_distinct_paths(self):
-        paths = [f"/p{i}" for i in range(self.ENTRIES)]
-        html = "".join(
-            f'<a href="{path}">x</a>'
-            for path in paths + paths[:100] + ["//cdn.example/x", "http://a.b/"]
-        )
-        assert self.timed(extract_internal_links, html) == paths

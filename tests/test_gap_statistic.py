@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.gap_statistic import (
     cluster_by_threshold,
-    dispersion,
-    gap_statistic,
     pairwise_distances,
     select_threshold,
 )
@@ -63,24 +61,15 @@ class TestClusterByThreshold:
         assert len(cluster_by_threshold(hashes, 96)) == 1
 
 
-class TestDispersion:
-    def test_singletons_zero(self):
-        assert dispersion([[1], [2], [3]]) == 0.0
-
-    def test_tight_cluster_low(self):
-        rng = random.Random(1)
-        base = rng.getrandbits(96)
-        tight = [near(base, 1, rng) for _ in range(5)]
-        loose = [rng.getrandbits(96) for _ in range(5)]
-        assert dispersion([tight]) < dispersion([loose])
-
-
 class TestPairwiseDistances:
     def test_counts(self):
         assert len(pairwise_distances([1, 2, 3, 4])) == 6
 
     def test_values(self):
         assert pairwise_distances([0b11, 0b01]) == [1]
+
+    def test_hamming_sanity(self):
+        assert hamming_distance(0, 0b111) == 3
 
 
 class TestSelectThreshold:
@@ -109,21 +98,3 @@ class TestSelectThreshold:
         assert select_threshold(hashes, seed=5) == select_threshold(
             hashes, seed=5
         )
-
-
-class TestGapStatistic:
-    def test_structured_data_positive_gap(self):
-        """Clustered data should show a larger gap than its standard
-        error at a threshold matching the structure."""
-        rng = random.Random(4)
-        hashes = []
-        for _ in range(12):
-            base = rng.getrandbits(96)
-            for _ in range(4):
-                hashes.append(near(base, 2, rng))
-        gap, std_error = gap_statistic(hashes, threshold=6, rng=rng)
-        assert gap > 0
-        assert std_error >= 0
-
-    def test_hamming_sanity(self):
-        assert hamming_distance(0, 0b111) == 3

@@ -27,6 +27,7 @@ from repro.core.records import (
 )
 from repro.core.store import MeasurementStore
 from repro.cli import main as cli_main
+from _fakes import write_round
 
 from test_chaos import assert_chaos_invariants, storm_campaign
 
@@ -179,17 +180,18 @@ class TestQuarantineStore:
 
     def test_round_trip(self):
         store = MeasurementStore()
-        entry_id = store.add_quarantine(self.entry())
+        write_round(store, 1, 0, 10, [], quarantine=[self.entry()])
         (loaded,) = store.quarantine_rows()
-        assert loaded.entry_id == entry_id
+        assert loaded.entry_id is not None
         assert loaded.ip == 7 and loaded.verdict == "markup-bomb"
         assert not loaded.replayed
 
     def test_filters(self):
         store = MeasurementStore()
-        store.add_quarantine(self.entry(round_id=1))
-        done = store.add_quarantine(self.entry(round_id=2))
-        store.mark_quarantine_replayed(done)
+        write_round(store, 1, 0, 10, [], quarantine=[self.entry(round_id=1)])
+        write_round(store, 2, 3, 10, [], quarantine=[self.entry(round_id=2)])
+        (done,) = store.quarantine_rows(2)
+        store.mark_quarantine_replayed(done.entry_id)
         assert store.quarantine_count() == 2
         assert store.quarantine_count(round_id=2) == 1
         assert len(store.quarantine_rows(include_replayed=False)) == 1
@@ -232,15 +234,16 @@ class TestQuarantineCli:
         path = str(tmp_path / "rounds.db")
         store = MeasurementStore(path)
         body = "<html><title>recovered</title></html>"
-        store.write_round(1, 0, 2, [_record(16909060, 1, body)])
-        store.add_quarantine(QuarantineRecord(
-            ip=16909060, round_id=1, timestamp=0, stage="extract",
-            verdict="task-error", error_class="RecursionError",
-        ))
-        store.add_quarantine(QuarantineRecord(
-            ip=16909061, round_id=1, timestamp=0, stage="fetch",
-            verdict="stage-deadline", error_class="StageDeadlineExceeded",
-        ))
+        write_round(store, 1, 0, 2, [_record(16909060, 1, body)], quarantine=[
+            QuarantineRecord(
+                ip=16909060, round_id=1, timestamp=0, stage="extract",
+                verdict="task-error", error_class="RecursionError",
+            ),
+            QuarantineRecord(
+                ip=16909061, round_id=1, timestamp=0, stage="fetch",
+                verdict="stage-deadline", error_class="StageDeadlineExceeded",
+            ),
+        ])
         store.close()
         return path
 

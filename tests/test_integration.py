@@ -106,10 +106,9 @@ class TestEthicsInvariants:
     def test_only_three_ports_probed(self, ec2_campaign):
         platform = ec2_campaign  # campaign used default config
         config = platform.scenario  # noqa: F841
-        from repro.core.config import ScanConfig
+        from repro.core.scanner import FALLBACK_PORTS, WEB_PORTS
 
-        scan = ScanConfig()
-        assert set(scan.web_ports) | set(scan.fallback_ports) == {80, 443, 22}
+        assert set(WEB_PORTS) | set(FALLBACK_PORTS) == {80, 443, 22}
 
     def test_blacklisted_ips_excluded(self):
         from repro.workloads import Campaign, ec2_scenario, simulation_config

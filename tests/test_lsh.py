@@ -6,12 +6,10 @@ for pairs within the clustering threshold (pigeonhole over
 ``threshold + 1`` disjoint bands), and every candidate is confirmed
 with the exact Hamming kernel.  These properties pin that story:
 
-- candidate generation finds **every** pair at distance ≤ threshold,
-  for random corpora and random band parameters;
+- the index partitions like brute force for random corpora and random
+  band parameters;
 - ``cluster(exact=False)`` produces the identical ``ClusteringResult``
   partition as ``cluster(exact=True)`` on WhoWas-shaped datasets;
-- the multi-threshold profile (one shared index) matches per-threshold
-  brute force;
 - every strategy equals :func:`oracle_clusters` — the pure-python bucket
   loop and scalar union-find the index once fell back to — in partition,
   cluster order and member order, duplicates included.
@@ -29,12 +27,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.clustering import WebpageClusterer
-from repro.analysis.gap_statistic import (
-    cluster_by_threshold,
-    cluster_profile,
-)
+from repro.analysis.components import groups_by_label
+from repro.analysis.gap_statistic import cluster_by_threshold
 from repro.analysis.lsh import SimhashIndex, band_layout
-from repro.core.simhash import HASH_BITS, hamming_distance
+from repro.core.simhash import HASH_BITS
 
 from _fakes import python_calls
 from _obs import make_dataset, obs
@@ -64,18 +60,15 @@ def corpora(draw, min_size=1, max_bases=8, max_members=5, max_flips=8):
     return hashes
 
 
-def brute_pairs(hashes, threshold):
-    return {
-        (i, j)
-        for i in range(len(hashes))
-        for j in range(i + 1, len(hashes))
-        if hamming_distance(hashes[i], hashes[j]) <= threshold
-    }
-
-
 def partition(clusters):
     """Order-insensitive canonical form of a list-of-clusters."""
     return sorted(tuple(sorted(c)) for c in clusters)
+
+
+def index_partition(hashes, threshold, *, bands=None):
+    """The partition an index with *bands* bands finds at *threshold*."""
+    index = SimhashIndex(hashes, threshold, bands=bands)
+    return partition(groups_by_label(hashes, index.labels()))
 
 
 def oracle_clusters(hashes, threshold, *, bits=96):
@@ -176,32 +169,15 @@ class TestBandLayout:
 class TestRecall:
     @given(corpora(), st.integers(0, 12), st.integers(0, 12))
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-    def test_candidate_recall_is_total(self, hashes, threshold, extra):
+    def test_any_band_layout_partitions_like_brute_force(self, hashes,
+                                                         threshold, extra):
         """For random corpora and random band parameters the index
-        reports exactly the brute-force pair set — recall 1.0 by the
-        pigeonhole guarantee, precision 1.0 by the exact confirm."""
+        finds the brute-force partition: recall by the pigeonhole
+        guarantee, precision by the exact confirm."""
         bands = max(min(threshold + 1 + extra, HASH_BITS), 2)
-        index = SimhashIndex(hashes, threshold, bands=bands)
-        lefts, rights, distances = index.matching_pairs()
-        found = set(zip(lefts, rights))
-        assert found == brute_pairs(hashes, threshold)
-        for i, j, d in zip(lefts, rights, distances):
-            assert d == hamming_distance(hashes[i], hashes[j])
-            assert d <= threshold
-
-    @given(corpora(), st.integers(1, 10))
-    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
-    def test_recall_carries_to_smaller_thresholds(self, hashes, threshold):
-        """An index built for t answers any t' <= t exactly."""
-        index = SimhashIndex(hashes, threshold)
-        smaller = threshold // 2
-        lefts, rights, _ = index.matching_pairs(smaller)
-        assert set(zip(lefts, rights)) == brute_pairs(hashes, smaller)
-
-    def test_larger_threshold_rejected(self):
-        index = SimhashIndex([1, 2, 3], 4)
-        with pytest.raises(ValueError):
-            index.matching_pairs(5)
+        expected = cluster_by_threshold(hashes, threshold, exact=True)
+        assert index_partition(hashes, threshold, bands=bands) \
+            == partition(expected)
 
 
 class TestClusterEquivalence:
@@ -211,16 +187,6 @@ class TestClusterEquivalence:
         exact = cluster_by_threshold(hashes, threshold, exact=True)
         indexed = cluster_by_threshold(hashes, threshold, exact=False)
         assert partition(exact) == partition(indexed)
-
-    @given(corpora(min_size=2), st.lists(st.integers(0, 12), min_size=1,
-                                         max_size=4))
-    @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
-    def test_profile_matches_per_threshold_brute_force(self, hashes,
-                                                       thresholds):
-        profile = cluster_profile(hashes, thresholds, exact=False)
-        for threshold in set(thresholds):
-            expected = cluster_by_threshold(hashes, threshold, exact=True)
-            assert partition(profile[threshold]) == partition(expected)
 
     def test_auto_cutoff_switches_paths(self):
         rng = random.Random(5)
@@ -295,14 +261,10 @@ class TestClusteringResultEquivalence:
 
 
 def all_strategies(hashes, threshold, **kwargs):
-    """The clustering by brute force, by index, by the auto rule, and
-    as one rung of a profile."""
+    """The clustering by brute force, by index and by the auto rule."""
     yield cluster_by_threshold(hashes, threshold, exact=True, **kwargs)
     yield cluster_by_threshold(hashes, threshold, exact=False, **kwargs)
     yield cluster_by_threshold(hashes, threshold, **kwargs)
-    for exact in (True, False, None):
-        yield cluster_profile(hashes, [threshold, threshold + 3],
-                              exact=exact, **kwargs)[threshold]
 
 
 class TestOracleEquivalence:
@@ -403,15 +365,6 @@ class TestIdenticalFingerprints:
             tracemalloc.stop()
         assert peak - before < 32 * 1024 * 1024
 
-    def test_profile_collapses_too(self):
-        repeated, hashes = self.corpus()
-        started = time.perf_counter()
-        profile = cluster_profile(hashes, [2, 4], exact=False)
-        assert time.perf_counter() - started < 1.0
-        for clusters in profile.values():
-            assert len(clusters) == 1001
-            assert clusters[0] == [repeated] * 8000
-
 
 class TestNegativeThreshold:
     """One meaning on every strategy: not a threshold."""
@@ -421,8 +374,6 @@ class TestNegativeThreshold:
     def test_rejected_everywhere(self, exact, hashes):
         with pytest.raises(ValueError, match="threshold must be non-negative"):
             cluster_by_threshold(hashes, -1, exact=exact)
-        with pytest.raises(ValueError, match="threshold must be non-negative"):
-            cluster_profile(hashes, [-1, 2], exact=exact)
 
 
 class TestPythonCallsPerFingerprint:
@@ -470,6 +421,5 @@ class TestAtScale:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_recall_extended_matrix(self, hashes, threshold):
-        index = SimhashIndex(hashes, threshold)
-        lefts, rights, _ = index.matching_pairs()
-        assert set(zip(lefts, rights)) == brute_pairs(hashes, threshold)
+        expected = cluster_by_threshold(hashes, threshold, exact=True)
+        assert index_partition(hashes, threshold) == partition(expected)

@@ -185,17 +185,24 @@ class TestGet:
 
 
 class TestSubpages:
-    def test_subpage_served(self, sim, transport):
+    def test_linked_and_unknown_paths_are_404(self, sim, transport):
+        """Only ``/`` and ``/robots.txt`` are pages: a path the home
+        page links to answers like any unknown one, through the single
+        and the batch call alike."""
         service, ip = find_service(
             sim,
             lambda s: s.serves_web and s.profile.status_code == 200
-            and s.profile.subpages and s.availability >= 0.99
+            and "/about" in s.profile.subpages and s.availability >= 0.99
             and 80 in s.port_profile.open_ports,
         )
-        path = service.profile.subpages[0]
-        response = get(transport, ip, path)
-        assert response.status_code == 200
-        assert service.profile.title in response.body.decode()
+        paths = ("/about", "/definitely-not-a-page")
+        batch = asyncio.run(transport.get_many(
+            [(ip, "http", path) for path in paths],
+            timeout=10.0, max_body=512 * 1024))
+        for path, batched in zip(paths, batch):
+            single = get(transport, ip, path)
+            assert single.status_code == batched.status_code == 404
+            assert single.body == batched.body
 
     def test_unknown_path_404(self, sim, transport):
         service, ip = find_service(

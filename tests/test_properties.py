@@ -17,6 +17,7 @@ from repro.core.records import (
     RoundRecord,
 )
 from repro.core.store import MeasurementStore
+from _fakes import write_round
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -93,7 +94,7 @@ class TestRecordRoundTrip:
             for r in records
         ]
         store = MeasurementStore()
-        store.write_round(1, 0, 100, normalised)
+        write_round(store, 1, 0, 100, normalised)
         restored = {r.ip: r for r in store.records(1)}
         assert set(restored) == {r.ip for r in normalised}
         for record in normalised:

@@ -38,7 +38,7 @@ from repro.core.store import (
 )
 from repro.core.transport import ConnectionRefused
 from repro.workloads import Campaign, CampaignInterrupted, ec2_scenario
-from _fakes import serial_oracle
+from _fakes import serial_oracle, write_round
 from test_store import record
 
 
@@ -218,23 +218,9 @@ class TestJournaledStore:
         assert reopened.finalize_round(1).responsive_count == 2
         reopened.close()
 
-    def test_delete_partial(self):
-        store = MeasurementStore()
-        store.begin_round(1, 0, 10)
-        store.write_shard(1, 0, [record(1, 1, 0)])
-        store.delete_partial(1)
-        assert store.open_rounds() == []
-        assert store.max_round_id() == 0
-
-    def test_delete_partial_refuses_finalized_rounds(self):
-        store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0)])
-        with pytest.raises(ValueError, match="not a partial"):
-            store.delete_partial(1)
-
     def test_finalized_round_cannot_be_reopened(self):
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [])
+        write_round(store, 1, 0, 10, [])
         with pytest.raises(ValueError, match="already finalized"):
             store.begin_round(1, 0, 10)
 
@@ -242,19 +228,16 @@ class TestJournaledStore:
         """Two rounds sharing a timestamp would share a table and drop
         each other's data; the store refuses instead."""
         store = MeasurementStore()
-        store.write_round(1, 5, 10, [record(1, 1, 5)])
+        write_round(store, 1, 5, 10, [record(1, 1, 5)])
         with pytest.raises(ValueError, match="timestamp 5 already used"):
-            store.write_round(2, 5, 10, [record(2, 2, 5)])
+            write_round(store, 2, 5, 10, [record(2, 2, 5)])
         with pytest.raises(ValueError, match="timestamp 5 already used"):
             store.begin_round(3, 5, 10)
-        # The same round_id may still be rewritten (legacy semantics).
-        store.write_round(1, 5, 10, [record(9, 1, 5)])
-        assert store.responsive_ips(1) == {9}
 
     def test_max_round_id_counts_open_rounds(self):
         store = MeasurementStore()
         assert store.max_round_id() == 0
-        store.write_round(3, 0, 10, [])
+        write_round(store, 3, 0, 10, [])
         store.begin_round(7, 9, 10)
         assert store.max_round_id() == 7
 
@@ -274,9 +257,8 @@ class TestJournaledStore:
         store.set_meta("completed_days", json.dumps([0, 3]))
         store.close()
         reopened = MeasurementStore(path)
-        assert reopened.meta() == {
-            "scenario": "Azure", "completed_days": "[0, 3]",
-        }
+        assert reopened.get_meta("scenario") == "Azure"
+        assert reopened.get_meta("completed_days") == "[0, 3]"
         reopened.close()
 
 
@@ -361,8 +343,8 @@ class TestPlatformRecovery:
     def test_round_ids_continue_from_store(self, tmp_path):
         path = str(tmp_path / "ids.sqlite")
         store = MeasurementStore(path)
-        store.write_round(1, 0, 4, [])
-        store.write_round(2, 3, 4, [])
+        write_round(store, 1, 0, 4, [])
+        write_round(store, 2, 3, 4, [])
         store.close()
 
         reopened = MeasurementStore(path)

@@ -22,6 +22,7 @@ from repro.core.store import (
     open_store,
 )
 from repro.core.store.base import COLUMN_NAMES, COLUMNS
+from _fakes import write_round
 
 
 def record(ip: int, round_id: int, timestamp: int, title: str = "t") -> RoundRecord:
@@ -44,7 +45,7 @@ def record(ip: int, round_id: int, timestamp: int, title: str = "t") -> RoundRec
 class TestMeasurementStore:
     def test_write_and_read_round(self):
         store = MeasurementStore()
-        info = store.write_round(1, 0, 100, [record(1, 1, 0), record(2, 1, 0)])
+        info = write_round(store, 1, 0, 100, [record(1, 1, 0), record(2, 1, 0)])
         assert info.responsive_count == 2
         assert info.targets_probed == 100
         records = list(store.records(1))
@@ -55,30 +56,30 @@ class TestMeasurementStore:
         """§4: each round of scanning uses a distinct table with the
         round's timestamp in its name."""
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0)])
-        store.write_round(2, 3, 10, [record(1, 2, 3)])
+        write_round(store, 1, 0, 10, [record(1, 1, 0)])
+        write_round(store, 2, 3, 10, [record(1, 2, 3)])
         tables = {info.table_name for info in store.rounds()}
         assert tables == {"round_00000", "round_00003"}
 
     def test_rounds_sorted_by_timestamp(self):
         store = MeasurementStore()
-        store.write_round(2, 9, 10, [])
-        store.write_round(1, 3, 10, [])
+        write_round(store, 2, 9, 10, [])
+        write_round(store, 1, 3, 10, [])
         assert [info.timestamp for info in store.rounds()] == [3, 9]
 
     def test_history_lookup(self):
         """The core WhoWas query: an IP's status over time."""
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(5, 1, 0, "a")])
-        store.write_round(2, 3, 10, [])                      # unresponsive
-        store.write_round(3, 6, 10, [record(5, 3, 6, "b")])
+        write_round(store, 1, 0, 10, [record(5, 1, 0, "a")])
+        write_round(store, 2, 3, 10, [])                      # unresponsive
+        write_round(store, 3, 6, 10, [record(5, 3, 6, "b")])
         history = store.history(5)
         assert [r.timestamp for r in history] == [0, 6]
         assert [r.features.title for r in history] == ["a", "b"]
 
     def test_record_lookup(self):
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(5, 1, 0)])
+        write_round(store, 1, 0, 10, [record(5, 1, 0)])
         assert store.record(1, 5) is not None
         assert store.record(1, 6) is None
 
@@ -89,25 +90,19 @@ class TestMeasurementStore:
 
     def test_responsive_ips(self):
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0), record(9, 1, 0)])
+        write_round(store, 1, 0, 10, [record(1, 1, 0), record(9, 1, 0)])
         assert store.responsive_ips(1) == {1, 9}
-
-    def test_rewrite_round_replaces(self):
-        store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0)])
-        store.write_round(1, 0, 10, [record(2, 1, 0)])
-        assert store.responsive_ips(1) == {2}
 
     def test_context_manager(self):
         with MeasurementStore() as store:
-            store.write_round(1, 0, 1, [])
+            write_round(store, 1, 0, 1, [])
         with pytest.raises(Exception):
             store.rounds()
 
     def test_file_backed(self, tmp_path):
         path = str(tmp_path / "whowas.sqlite")
         store = MeasurementStore(path)
-        store.write_round(1, 0, 10, [record(3, 1, 0)])
+        write_round(store, 1, 0, 10, [record(3, 1, 0)])
         store.close()
         reopened = MeasurementStore(path)
         assert reopened.responsive_ips(1) == {3}
@@ -120,13 +115,13 @@ class TestRoundIsolation:
 
     def test_writing_round_n_never_mutates_round_n_minus_1(self):
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(5, 1, 0, "before")])
+        write_round(store, 1, 0, 10, [record(5, 1, 0, "before")])
         baseline = store.record(1, 5)
         baseline_rows = list(store.records(1))
 
         # Round 2 re-observes the same IP with different content, adds a
         # new IP, and drops nothing from round 1.
-        store.write_round(2, 3, 10, [record(5, 2, 3, "after"),
+        write_round(store, 2, 3, 10, [record(5, 2, 3, "after"),
                                      record(6, 2, 3, "new")])
 
         assert store.record(1, 5) == baseline
@@ -138,7 +133,7 @@ class TestRoundIsolation:
     def test_many_rounds_stay_isolated(self):
         store = MeasurementStore()
         for n in range(1, 6):
-            store.write_round(n, n * 3, 10, [record(ip, n, n * 3, f"r{n}")
+            write_round(store, n, n * 3, 10, [record(ip, n, n * 3, f"r{n}")
                                              for ip in range(n)])
         for n in range(1, 6):
             rows = list(store.records(n))
@@ -150,15 +145,15 @@ class TestRoundIsolation:
         by timestamp, with round_id as a deterministic tiebreak."""
         store = MeasurementStore()
         for round_id, ts in ((3, 6), (1, 0), (2, 3)):
-            store.write_round(round_id, ts, 10, [])
+            write_round(store, round_id, ts, 10, [])
         assert [i.round_id for i in store.rounds()] == [1, 2, 3]
         # Re-listing gives the identical sequence every time.
         assert store.rounds() == store.rounds()
 
     def test_degraded_flag_round_trips(self):
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [], degraded=False)
-        store.write_round(2, 3, 10, [], degraded=True, error_count=7)
+        write_round(store, 1, 0, 10, [], degraded=False)
+        write_round(store, 2, 3, 10, [], degraded=True, error_count=7)
         infos = store.rounds()
         assert [i.degraded for i in infos] == [False, True]
         assert infos[1].error_count == 7
@@ -167,7 +162,7 @@ class TestRoundIsolation:
     def test_degraded_flag_survives_reopen(self, tmp_path):
         path = str(tmp_path / "chaos.sqlite")
         store = MeasurementStore(path)
-        store.write_round(1, 0, 10, [], degraded=True, error_count=3)
+        write_round(store, 1, 0, 10, [], degraded=True, error_count=3)
         store.close()
         reopened = MeasurementStore(path)
         info = reopened.round_info(1)
@@ -209,7 +204,7 @@ def _pre_journal(path: str) -> None:
 def _pre_views(path: str) -> None:
     """Today's columns and journal, one round, no read-model tables."""
     store = MeasurementStore(path)
-    store.write_round(1, 0, 10, [record(1, 1, 0), record(2, 1, 0)])
+    write_round(store, 1, 0, 10, [record(1, 1, 0), record(2, 1, 0)])
     store.close()
     conn = sqlite3.connect(path)
     for table in ("view_ip_history", "view_round_summary",
@@ -224,7 +219,7 @@ def _pre_bodies(path: str) -> None:
     has a ``body TEXT`` column in place of ``body_digest`` and there is
     no ``bodies`` table."""
     store = MeasurementStore(path)
-    store.write_round(1, 0, 10, [record(1, 1, 0), record(2, 1, 0)])
+    write_round(store, 1, 0, 10, [record(1, 1, 0), record(2, 1, 0)])
     store.close()
     conn = sqlite3.connect(path)
     columns = ", ".join(f"{name} {sql}" for name, sql in COLUMNS)
@@ -308,7 +303,7 @@ class TestStoreFormat:
         conn.close()
         store = MeasurementStore(path)
         assert schema(path) == schema(reference)
-        store.write_round(1, 0, 10, [record(1, 1, 0)])
+        write_round(store, 1, 0, 10, [record(1, 1, 0)])
         assert store.verify_round(1).ok
         assert store.round_stats(1)["responsive"] == 1
         store.close()
@@ -359,7 +354,7 @@ class TestReadonlyStore:
         path = str(tmp_path / "ro.sqlite")
         store = MeasurementStore(path)
         for round_id in range(1, rounds + 1):
-            store.write_round(
+            write_round(store, 
                 round_id, round_id - 1, per_round,
                 [record(ip, round_id, round_id - 1)
                  for ip in range(1, per_round + 1)],
@@ -384,7 +379,7 @@ class TestReadonlyStore:
         with pytest.raises(sqlite3.OperationalError):
             reader.set_meta("k", "v")
         with pytest.raises(sqlite3.OperationalError):
-            reader.write_round(9, 9, 1, [record(1, 9, 9)])
+            write_round(reader, 9, 9, 1, [record(1, 9, 9)])
         reader.close()
         # ... and nothing leaked through.
         writer = MeasurementStore(path)
@@ -413,7 +408,7 @@ class TestReadonlyStore:
         cursor = reader._conn.execute("SELECT * FROM rounds")
         cursor.fetchone()  # cursor now holds a read snapshot open
         writer = MeasurementStore(path, busy_timeout_ms=500)
-        writer.write_round(2, 1, 4, [record(1, 2, 1)])
+        write_round(writer, 2, 1, 4, [record(1, 2, 1)])
         assert [i.round_id for i in writer.rounds()] == [1, 2]
         cursor.close()
         writer.close()
@@ -426,7 +421,7 @@ class TestReadDeadline:
     def _big_store(self, tmp_path):
         path = str(tmp_path / "big.sqlite")
         store = MeasurementStore(path)
-        store.write_round(
+        write_round(store, 
             1, 0, 3000, [record(ip, 1, 0) for ip in range(1, 2501)]
         )
         store.close()
@@ -470,7 +465,7 @@ class TestReadDeadline:
     def test_none_deadline_is_noop(self):
         store = MeasurementStore()
         with store.read_deadline(None):
-            store.write_round(1, 0, 1, [record(1, 1, 0)])
+            write_round(store, 1, 0, 1, [record(1, 1, 0)])
         assert len(store.rounds()) == 1
 
     def test_interrupted_classifier(self):
@@ -572,13 +567,13 @@ def stored_digests(store: MeasurementStore) -> set[bytes]:
 
 class TestBodiesTable:
     """Round tables carry ``body_digest``; each distinct body is stored
-    once in ``bodies``, written, dropped and audited with its rows."""
+    once in ``bodies``, written and audited with its rows."""
 
     def test_one_body_row_per_distinct_digest_across_rounds(self):
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0, "a"), record(2, 1, 0, "a"),
+        write_round(store, 1, 0, 10, [record(1, 1, 0, "a"), record(2, 1, 0, "a"),
                                      record(3, 1, 0, "b"), bare_record(4, 1, 0)])
-        store.write_round(2, 3, 10, [record(1, 2, 3, "a"), record(2, 2, 3, "c"),
+        write_round(store, 2, 3, 10, [record(1, 2, 3, "a"), record(2, 2, 3, "c"),
                                      bare_record(4, 2, 3)])
         digests = {
             digest_of(rec.fetch.body)
@@ -594,7 +589,7 @@ class TestBodiesTable:
 
     def test_no_round_table_has_a_body_column(self):
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0)])
+        write_round(store, 1, 0, 10, [record(1, 1, 0)])
         store.begin_round(2, 3, 10, shard_size=5)      # left open
         for info in store.rounds() + store.open_rounds():
             columns = [
@@ -623,37 +618,13 @@ class TestBodiesTable:
         assert store.write_shard(1, 0, [record(1, 1, 0, "kept")])
         assert stored_digests(store) == {digest_of("<title>kept</title>")}
 
-    def test_delete_partial_leaves_no_orphan(self):
-        store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0, "shared")])
-        store.begin_round(2, 3, 10, shard_size=5)
-        store.write_shard(2, 0, [record(1, 2, 3, "shared"),
-                                 record(2, 2, 3, "partial")])
-        assert len(stored_digests(store)) == 2
-        store.delete_partial(2)
-        assert stored_digests(store) == {digest_of("<title>shared</title>")}
-        assert store.orphan_bodies() == 0
-        assert store.verify_round(1).ok
-
-    def test_fresh_round_leaves_no_orphan(self):
-        store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0, "old")])
-        store.write_round(2, 3, 10, [record(1, 2, 3, "kept")])
-        store.write_round(1, 0, 10, [record(1, 1, 0, "new"),
-                                     record(2, 1, 0, "kept")])
-        assert stored_digests(store) == {
-            digest_of("<title>new</title>"), digest_of("<title>kept</title>")
-        }
-        assert store.orphan_bodies() == 0
-        assert all(store.verify_round(i.round_id).ok for i in store.rounds())
-
     def test_tampered_body_makes_its_shards_corrupt(self):
         store = MeasurementStore()
         store.begin_round(1, 0, 4, shard_size=2)
         store.write_shard(1, 0, [record(1, 1, 0, "x"), record(2, 1, 0, "y")])
         store.write_shard(1, 1, [record(3, 1, 0, "y"), record(4, 1, 0, "z")])
         store.finalize_round(1)
-        store.write_round(2, 3, 10, [record(1, 2, 3, "y")])
+        write_round(store, 2, 3, 10, [record(1, 2, 3, "y")])
         store._conn.execute(
             "UPDATE bodies SET body = 'evil' WHERE digest = ?",
             (digest_of("<title>y</title>"),),
@@ -667,7 +638,7 @@ class TestBodiesTable:
     def test_deleted_body_is_named_by_verify(self, tmp_path, capsys):
         path = str(tmp_path / "missing.sqlite")
         store = MeasurementStore(path)
-        store.write_round(1, 0, 10, [record(1, 1, 0, "x"), record(2, 1, 0, "x"),
+        write_round(store, 1, 0, 10, [record(1, 1, 0, "x"), record(2, 1, 0, "x"),
                                      record(3, 1, 0, "y")])
         store._conn.execute(
             "DELETE FROM bodies WHERE digest = ?",
@@ -686,7 +657,7 @@ class TestBodiesTable:
     def test_orphan_body_is_named_by_verify(self, tmp_path, capsys):
         path = str(tmp_path / "orphan.sqlite")
         store = MeasurementStore(path)
-        store.write_round(1, 0, 10, [record(1, 1, 0)])
+        write_round(store, 1, 0, 10, [record(1, 1, 0)])
         store.close()
         assert main(["verify", path]) == 0
         conn = sqlite3.connect(path)
@@ -704,7 +675,7 @@ class TestBodiesTable:
 
     def test_body_digest_projection_reads_no_body(self):
         store = MeasurementStore()
-        store.write_round(1, 0, 10, [record(1, 1, 0, "x"), bare_record(2, 1, 0)])
+        write_round(store, 1, 0, 10, [record(1, 1, 0, "x"), bare_record(2, 1, 0)])
         statements = []
         store._conn.set_trace_callback(statements.append)
         assert list(store.columns(1, ("ip", "body_digest"))) == [

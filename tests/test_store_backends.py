@@ -34,6 +34,7 @@ from repro.core.store.base import (
     rows_checksum,
 )
 from repro.workloads import Campaign, SimTransportFactory, ec2_scenario
+from _fakes import write_round
 from test_recovery import SCENARIO_PARAMS, small_config
 from test_store import record
 from test_workers import SIM_PARAMS, mp_config
@@ -148,11 +149,12 @@ class TestProtocolConformance:
 
     def test_quarantine_round_trip(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        store.write_round(1, 0, 10, [record(5, 1, 0)])
-        store.add_quarantine(QuarantineRecord(
-            ip=5, round_id=1, timestamp=0, stage="extract",
-            verdict="trapped", error_class="ValueError", error="boom",
-        ))
+        write_round(store, 1, 0, 10, [record(5, 1, 0)], quarantine=[
+            QuarantineRecord(
+                ip=5, round_id=1, timestamp=0, stage="extract",
+                verdict="trapped", error_class="ValueError", error="boom",
+            ),
+        ])
         (entry,) = store.quarantine_rows(1)
         assert (entry.ip, entry.stage, entry.error_class) == (
             5, "extract", "ValueError"
@@ -171,20 +173,19 @@ class TestProtocolConformance:
         store.set_meta("k", "v1")
         store.set_meta("k", "v2")
         assert store.get_meta("k") == "v2"
-        assert store.meta()["k"] == "v2"
         store.close()
 
     def test_readonly_reads_and_refuses_writes(self, backend, tmp_path):
         path = store_path(backend, tmp_path)
         store = open_store(path, backend=backend)
-        store.write_round(1, 0, 10, [record(3, 1, 0)])
+        write_round(store, 1, 0, 10, [record(3, 1, 0)])
         store.close()
         reader = open_store(path, readonly=True)
         assert reader.BACKEND == backend
         assert reader.responsive_ips(1) == {3}
         assert reader.round_stats(1)["responsive"] == 1
         with pytest.raises(Exception):
-            reader.write_round(2, 3, 10, [])
+            write_round(reader, 2, 3, 10, [])
         with pytest.raises(ValueError):
             reader.rebuild_views()
         reader.close()
@@ -198,7 +199,7 @@ class TestProtocolConformance:
 class TestVerification:
     def test_clean_round_verifies_including_views(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        store.write_round(1, 0, 10, [record(i, 1, 0) for i in range(1, 6)])
+        write_round(store, 1, 0, 10, [record(i, 1, 0) for i in range(1, 6)])
         report = store.verify_round(1)
         assert report.ok and report.view_issues == []
         store.close()
@@ -206,7 +207,7 @@ class TestVerification:
     def test_tampered_base_row_is_detected(self, backend, tmp_path):
         path = store_path(backend, tmp_path)
         store = open_store(path, backend=backend)
-        store.write_round(1, 0, 10, [record(i, 1, 0) for i in range(1, 4)])
+        write_round(store, 1, 0, 10, [record(i, 1, 0) for i in range(1, 4)])
         tamper_base_row(store, 1, 1)
         reopened = open_store(path)
         report = reopened.verify_round(1)
@@ -217,7 +218,7 @@ class TestVerification:
     def test_stale_view_is_detected_and_rebuildable(self, backend, tmp_path):
         path = store_path(backend, tmp_path)
         store = open_store(path, backend=backend)
-        store.write_round(1, 0, 10, [record(i, 1, 0) for i in range(1, 4)])
+        write_round(store, 1, 0, 10, [record(i, 1, 0) for i in range(1, 4)])
         tamper_view(store, 1)
         reopened = open_store(path)
         report = reopened.verify_round(1)
@@ -232,7 +233,7 @@ class TestVerification:
     def test_stale_view_is_named_alone(self, backend, tmp_path, view):
         path = store_path(backend, tmp_path)
         store = open_store(path, backend=backend)
-        store.write_round(1, 0, 10, [record(i, 1, 0) for i in range(1, 4)])
+        write_round(store, 1, 0, 10, [record(i, 1, 0) for i in range(1, 4)])
         tamper_view(store, 1, view)
         reopened = open_store(path)
         report = reopened.verify_round(1)
@@ -246,7 +247,7 @@ class TestVerification:
 class TestReadModels:
     def test_round_stats_come_from_the_summary_view(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        store.write_round(1, 0, 10, [record(i, 1, 0) for i in range(1, 5)])
+        write_round(store, 1, 0, 10, [record(i, 1, 0) for i in range(1, 5)])
         stats = store.round_stats(1)
         assert stats == {
             "responsive": 4, "available": 4, "fetched": 4, "quarantined": 0,
@@ -255,9 +256,9 @@ class TestReadModels:
 
     def test_ip_history_rows_are_light_and_ordered(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        store.write_round(1, 0, 10, [record(5, 1, 0, "a")])
-        store.write_round(2, 3, 10, [])
-        store.write_round(3, 6, 10, [record(5, 3, 6, "b")])
+        write_round(store, 1, 0, 10, [record(5, 1, 0, "a")])
+        write_round(store, 2, 3, 10, [])
+        write_round(store, 3, 6, 10, [record(5, 3, 6, "b")])
         rows = store.ip_history_rows(5)
         assert [(r["round_id"], r["timestamp"], r["title"]) for r in rows] \
             == [(1, 0, "a"), (3, 6, "b")]
@@ -269,7 +270,7 @@ class TestReadModels:
                                                        tmp_path):
         store = make_store(backend, tmp_path)
         titles = ["a", "a", "a", "b", "b", "c"]
-        store.write_round(
+        write_round(store, 
             1, 0, 10,
             [record(i + 1, 1, 0, t) for i, t in enumerate(titles)],
         )
@@ -286,7 +287,7 @@ class TestReadModels:
 
     def test_update_features_refolds_views(self, backend, tmp_path):
         store = make_store(backend, tmp_path)
-        store.write_round(1, 0, 10, [record(5, 1, 0, "before"),
+        write_round(store, 1, 0, 10, [record(5, 1, 0, "before"),
                                      record(6, 1, 0, "other")])
         store.update_features(1, 5, PageFeatures(title="after", simhash=1))
         (row,) = [r for r in store.ip_history_rows(5)]
@@ -315,8 +316,8 @@ class TestReadModels:
         store.write_shard(1, 1, [record(ip, 1, 0, "t0") for ip in (4, 5)],
                           quarantine=[hostile(4, 1, 0), hostile(5, 1, 0)])
         store.finalize_round(1)
-        store.write_round(2, 3, 6, [record(ip, 2, 3, "u") for ip in (1, 6)])
-        store.write_round(3, 6, 6, [])
+        write_round(store, 2, 3, 6, [record(ip, 2, 3, "u") for ip in (1, 6)])
+        write_round(store, 3, 6, 6, [])
         store.begin_round(4, 9, 6, shard_size=3)
         store.write_shard(4, 0, [record(7, 4, 9, "open")],
                           quarantine=[hostile(7, 4, 9)])
@@ -346,7 +347,7 @@ class TestEngineSelection:
     def test_detects_each_backend_on_disk(self, backend, tmp_path):
         path = store_path(backend, tmp_path)
         store = open_store(path, backend=backend)
-        store.write_round(1, 0, 1, [])
+        write_round(store, 1, 0, 1, [])
         store.close()
         assert detect_backend(path) == backend
 
@@ -520,7 +521,7 @@ class TestColumnsProjection:
         self, backend, tmp_path, names
     ):
         store = make_store(backend, tmp_path)
-        store.write_round(1, 0, 10, [record(1, 1, 0)])
+        write_round(store, 1, 0, 10, [record(1, 1, 0)])
         # Refused at the call, not at the first next(): nothing ran.
         with pytest.raises(ValueError, match="column"):
             store.columns(1, names)
@@ -535,8 +536,8 @@ class TestColumnsProjection:
     ):
         path = store_path(backend, tmp_path)
         store = open_store(path, backend=backend)
-        store.write_round(1, 0, 10, [record(3, 1, 0, "a")])
-        store.write_round(2, 3, 10, [])
+        write_round(store, 1, 0, 10, [record(3, 1, 0, "a")])
+        write_round(store, 2, 3, 10, [])
         store.begin_round(3, 6, 10)             # still in progress
         store.close()
         with open_store(path, readonly=True) as reader:
