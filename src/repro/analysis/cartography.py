@@ -44,9 +44,6 @@ class CartographyMap:
             raise KeyError(f"no prefix covers {ip}")
         return kind
 
-    def vpc_prefix_count(self) -> int:
-        return sum(1 for kind in self.prefix_kinds.values() if kind == NetKind.VPC)
-
 
 class Cartographer:
     """One-time DNS sweep labeling every prefix VPC or classic."""

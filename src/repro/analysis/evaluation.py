@@ -31,13 +31,6 @@ class ClusteringScore:
     clusters: int
     services_observed: int
 
-    def __str__(self) -> str:
-        return (
-            f"purity={self.purity:.3f} "
-            f"fragmentation={self.fragmentation:.2f} "
-            f"clusters={self.clusters} services={self.services_observed}"
-        )
-
 
 def score_clustering(
     dataset: Dataset,

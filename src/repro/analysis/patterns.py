@@ -119,12 +119,6 @@ class PatternAnalyzer:
         ]
         return cluster.size_by_round(self.dataset.round_ids), timestamps
 
-    def pattern_of(self, cluster_id: int) -> tuple[int, ...]:
-        sizes, timestamps = self.cluster_size_series(cluster_id)
-        return size_change_pattern(
-            [float(v) for v in sizes], timestamps, self.window_days
-        )
-
     def breakdown(self) -> PatternBreakdown:
         counts: Counter[str] = Counter()
         ephemeral = 0

@@ -52,12 +52,6 @@ class WeightedChoice(Generic[T]):
                 return item
         return self.items[-1]
 
-    def probability(self, item: T) -> float:
-        try:
-            return self.weights[self.items.index(item)]
-        except ValueError:
-            return 0.0
-
 
 @dataclass(frozen=True)
 class SoftwareStack:

@@ -137,14 +137,6 @@ class GuardConfig:
     #: fetch only: a ``BatchGet`` transport never suspends, so its
     #: batch calls have nothing to cancel.
     fetch_deadline: float = 30.0
-    #: Wall-clock ceiling in seconds for extracting one page's features.
-    #: 0 disables the deadline (extraction then runs inline, guarded
-    #: against exceptions only).
-    extract_deadline: float = 10.0
-    #: Bodies at most this large with a clean guard verdict are
-    #: extracted inline (fast path); larger or suspect bodies run in a
-    #: worker thread under the extract deadline.
-    extract_inline_max_bytes: int = 64 * 1024
     #: AIMD backpressure: rolling window of recent fetch outcomes
     #: evaluated between concurrency adjustments.
     aimd_window: int = 64
@@ -160,10 +152,8 @@ class GuardConfig:
     max_response_headers: int = 256
 
     def __post_init__(self) -> None:
-        if self.fetch_deadline < 0 or self.extract_deadline < 0:
-            raise ValueError("deadlines must be non-negative")
-        if self.extract_inline_max_bytes < 0:
-            raise ValueError("extract_inline_max_bytes must be non-negative")
+        if self.fetch_deadline < 0:
+            raise ValueError("fetch_deadline must be non-negative")
         if self.aimd_window <= 0:
             raise ValueError("aimd_window must be positive")
         if not 0.0 < self.aimd_error_threshold <= 1.0:

@@ -20,7 +20,6 @@ Missing entries are recorded as ``"unknown"``.
 from __future__ import annotations
 
 import re
-import threading
 from typing import Iterator, Mapping
 
 from .records import UNKNOWN, FetchResult, PageFeatures
@@ -29,7 +28,14 @@ from .simhash import simhash as compute_simhash
 __all__ = ["FeatureExtractor", "RoundMemo", "extract_links",
            "extract_domains", "GA_ID_RE"]
 
-_TITLE_RE = re.compile(r"<title[^>]*>(.*?)</title>", re.IGNORECASE | re.DOTALL)
+# Every reader below is linear in the body: the fetcher keeps 512 KB of
+# an uncurated page, and a regex that rescans the rest of the body from
+# each failed start (``<title>`` x n, ``<`` x n, ``a.`` x n) costs a
+# round seconds per page.  Each keeps the output of the plain regex it
+# replaced; tests/test_readers.py holds those regexes as oracles.
+
+_TITLE_OPEN_RE = re.compile(r"<title", re.IGNORECASE)
+_TITLE_CLOSE_RE = re.compile(r"</title>", re.IGNORECASE)
 
 # Meta tags are matched in two steps — find the tag, then pull the name
 # and content attributes independently — because real-world pages write
@@ -59,7 +65,9 @@ def _attr_value(match: re.Match) -> str:
 def _iter_meta(body: str) -> Iterator[tuple[str, str]]:
     """Yield (name, content) for every interesting ``<meta>`` tag,
     regardless of attribute order or quoting style."""
-    for tag in _META_TAG_RE.finditer(body):
+    # A tag ends at a '>', so none starts after the last one: bounding
+    # the scan there spares each start in a '<meta ' flood its rescan.
+    for tag in _META_TAG_RE.finditer(body, 0, body.rfind(">") + 1):
         text = tag.group(0)
         name_match = _META_NAME_RE.search(text)
         if name_match is None:
@@ -75,7 +83,10 @@ def _iter_meta(body: str) -> Iterator[tuple[str, str]]:
 #: Google Analytics account IDs: UA-<account>-<profile> (§8.3).
 GA_ID_RE = re.compile(r"\bUA-(\d{4,10})-(\d{1,4})\b")
 
-_LINK_RE = re.compile(r"""<a\s+[^>]*href=["']([^"'#]+)["']""", re.IGNORECASE)
+_LINK_START_RE = re.compile(r"<a\s", re.IGNORECASE)
+#: The rest of ``<a\s+[^>]*href=["']([^"'#]+)["']`` after its first
+#: whitespace: ``\s+[^>]*`` reaches the same positions as ``[^>]*``.
+_HREF_RE = re.compile(r"""[^>]*href=["']([^"'#]+)["']""", re.IGNORECASE)
 
 _WHITESPACE_RE = re.compile(r"\s+")
 
@@ -88,17 +99,40 @@ def extract_links(html: str) -> list[str]:
     """All absolute http(s) URLs linked from the page (used by the
     Safe Browsing analysis, which queries every extracted URL)."""
     links = []
-    for match in _LINK_RE.finditer(html):
+    pos = 0
+    while (start := _LINK_START_RE.search(html, pos)) is not None:
+        match = _HREF_RE.match(html, start.end())
+        if match is None:
+            # Whether an href matches depends only on where it sits, and
+            # a later start inside this tag sees fewer places before the
+            # same '>': the whole tag fails, so skip it.
+            pos = html.find(">", start.end()) + 1
+            if pos == 0:
+                break
+            continue
+        pos = match.end()
         url = match.group(1).strip()
         if url.startswith(("http://", "https://")):
             links.append(url)
     return links
 
 
-_DOMAIN_RE = re.compile(
-    r"\b((?:[a-z0-9-]+\.)+(?:com|org|net|info|biz|io|co|cn|ru))\b",
-    re.IGNORECASE,
-)
+# ``\b((?:[a-z0-9-]+\.)+(?:com|org|net|info|biz|io|co|cn|ru))\b`` in one
+# pass.  A match lies inside a *stretch*: a maximal run of non-empty
+# labels joined by single dots.  From every word-boundary start in a
+# stretch the greedy label chain reaches the same place, the stretch's
+# last TLD that ends on a word boundary; the match ends there, and no
+# later start in the stretch has a TLD left to reach.  So a stretch
+# yields at most one name, from its first boundary start to that end.
+#: A TLD that ends on a word boundary, after a label and its dot.
+_TLD_RE = re.compile(r"(?<=[a-z0-9-]\.)(?:com|org|net|info|biz|io|co|cn|ru)\b",
+                     re.IGNORECASE)
+#: What lies between two TLDs of one stretch: labels and single dots.
+_LABELS_RE = re.compile(r"(?:[a-z0-9-]+\.)+", re.IGNORECASE)
+#: Up to the last character no stretch holds: a non-label character or
+#: the second of two dots.
+_LAST_BREAK_RE = re.compile(r"(?s:.*)(?:[^a-z0-9.-]|\.\.)", re.IGNORECASE)
+_NAME_START_RE = re.compile(r"\b[a-z0-9-]", re.IGNORECASE)
 
 
 def extract_domains(html: str) -> list[str]:
@@ -106,11 +140,35 @@ def extract_domains(html: str) -> list[str]:
     without duplicates.  Virtual-host 404 pages often leak the intended
     site's domain (§4's second limitation notes WhoWas can sometimes
     recover ownership this way); active DNS then confirms it."""
-    # dict.fromkeys dedupes in first-seen order in linear time; a list
+    # A dict dedupes in first-seen order in linear time; a list
     # membership test made a page of distinct names quadratic.
-    return list(dict.fromkeys(
-        match.group(1).lower() for match in _DOMAIN_RE.finditer(html)
-    ))
+    found: dict[str, None] = {}
+    stretch: list[int] = []     # its first TLD's start, its last TLD's span
+    after = 0                   # the end of the stretch before it
+    for tld in _TLD_RE.finditer(html):
+        if stretch and _LABELS_RE.fullmatch(html, stretch[1], tld.start()):
+            stretch[1:] = tld.span()
+            continue
+        if stretch:
+            _take_name(html, after, *stretch, found)
+            after = stretch[2]
+        stretch = [tld.start(), *tld.span()]
+    if stretch:
+        _take_name(html, after, *stretch, found)
+    return list(found)
+
+
+def _take_name(html: str, after: int, first: int, last: int, end: int,
+               found: dict[str, None]) -> None:
+    """Record the name of the stretch whose TLDs run from *first* to
+    *last*, if it has a boundary start.  The stretch begins after the
+    last break between *after*, where the one before it ended, and
+    *first*."""
+    brk = _LAST_BREAK_RE.match(html, after, first)
+    start = _NAME_START_RE.search(
+        html, after if brk is None else brk.end(), last - 1)
+    if start is not None:
+        found[html[start.start():end].lower()] = None
 
 
 class RoundMemo:
@@ -125,41 +183,28 @@ class RoundMemo:
     consecutive rounds, whatever the scale — a bound that follows the
     round instead of a constant a large round would overrun.  A memo
     nobody rotates keeps everything it was given.
-
-    Shared by the loop thread and executor threads, so every operation
-    holds a lock; values are computed outside it.
     """
 
-    __slots__ = ("_current", "_previous", "_lock")
+    __slots__ = ("_current", "_previous")
 
     def __init__(self) -> None:
         self._current: dict = {}
         self._previous: dict = {}
-        self._lock = threading.Lock()
 
     def get(self, key):
-        with self._lock:
-            value = self._current.get(key)
-            if value is None:
-                value = self._previous.pop(key, None)
-                if value is not None:
-                    self._current[key] = value
-            return value
+        value = self._current.get(key)
+        if value is None:
+            value = self._previous.pop(key, None)
+            if value is not None:
+                self._current[key] = value
+        return value
 
     def put(self, key, value) -> None:
-        with self._lock:
-            self._current[key] = value
-
-    def add(self, key, value) -> None:
-        """:meth:`put`, unless *key* already holds a value."""
-        with self._lock:
-            if key not in self._current and key not in self._previous:
-                self._current[key] = value
+        self._current[key] = value
 
     def new_round(self) -> None:
-        with self._lock:
-            self._previous = self._current
-            self._current = {}
+        self._previous = self._current
+        self._current = {}
 
     def __len__(self) -> int:
         return len(self._current) + len(self._previous)
@@ -167,17 +212,28 @@ class RoundMemo:
 
 #: The body half of a page with no body.
 _NO_BODY = (UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN, 0)
-#: Memo entry for a body whose extraction the guard abandoned.
-_WITHHELD = object()
+
+
+def _title(body: str) -> str | None:
+    """What ``<title[^>]*>(.*?)</title>`` captures, in one pass.  Only
+    the first ``<title`` can match: a later one reaches the same or a
+    later '>', and no ``</title>`` follows that if none follows the
+    first one's."""
+    opening = _TITLE_OPEN_RE.search(body)
+    if opening is None:
+        return None
+    start = body.find(">", opening.end()) + 1
+    closing = _TITLE_CLOSE_RE.search(body, start) if start else None
+    return None if closing is None else body[start:closing.start()]
 
 
 def _body_half(body: str) -> tuple[str, str, str, str, str, int]:
     """Everything :class:`PageFeatures` takes from a non-empty body:
     (title, description, keywords, template, analytics id, simhash)."""
     title = description = keywords = template = analytics_id = UNKNOWN
-    match = _TITLE_RE.search(body)
-    if match:
-        title = _clean(match.group(1)) or UNKNOWN
+    text = _title(body)
+    if text is not None:
+        title = _clean(text) or UNKNOWN
     for name, raw_content in _iter_meta(body):
         content = _clean(raw_content)
         if not content:
@@ -211,9 +267,8 @@ class FeatureExtractor:
     warm page therefore costs one digest and a dict lookup.
 
     ``memoize=False`` computes everything on every call and never
-    touches the digest.  An extraction the guard abandoned on its
-    deadline is never memoised (:meth:`withhold`), and one that raised
-    has nothing to store.
+    touches the digest.  An extraction that raised has nothing to
+    store.
     """
 
     def __init__(self, *, memoize: bool = True):
@@ -231,13 +286,9 @@ class FeatureExtractor:
         else:
             key = fetch.body_digest
             half = self._memo.get(key)
-            if half is _WITHHELD:
+            if half is None:
                 half = _body_half(body)
-            elif half is None:
-                half = _body_half(body)
-                # add, not put: a late store from an abandoned thread
-                # must not replace withhold()'s marker.
-                self._memo.add(key, half)
+                self._memo.put(key, half)
         title, description, keywords, template, analytics_id, simhash = half
         return PageFeatures(
             powered_by=self._header(headers, "x-powered-by"),
@@ -251,20 +302,6 @@ class FeatureExtractor:
             analytics_id=analytics_id,
             simhash=simhash,
         )
-
-    def knows(self, fetch: FetchResult) -> bool:
-        """Whether :meth:`extract` would answer *fetch*'s body half from
-        the memo (the guard runs such pages inline)."""
-        if not (self._memoize and fetch.body):
-            return False
-        half = self._memo.get(fetch.body_digest)
-        return half is not None and half is not _WITHHELD
-
-    def withhold(self, fetch: FetchResult) -> None:
-        """Never memoise *fetch*'s body: its extraction was abandoned
-        past the guard's deadline and may still finish in its thread."""
-        if self._memoize and fetch.body:
-            self._memo.put(fetch.body_digest, _WITHHELD)
 
     def new_round(self) -> None:
         """Start a memo generation (the platform calls this per round)."""

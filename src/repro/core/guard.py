@@ -11,13 +11,13 @@ cost its own record, never a round.
 :class:`Supervisor` is the one place per-task fault policy lives:
 
 * **Deadlines** — every per-IP unit of work :meth:`Supervisor.map`
-  runs, and every suspect page extraction, runs under a per-stage
-  wall-clock ceiling (``asyncio.wait_for`` with cancel-and-record
-  semantics).  A blown deadline yields a sentinel result plus a
-  dead-letter record, not a hung round.  Work a ``BatchGet`` transport
-  answers in batch calls never suspends, so it has no deadline to
-  enforce; :meth:`Supervisor.trap` and :meth:`Supervisor.settle` give
-  each of its items the rest of the policy.
+  runs under a per-stage wall-clock ceiling (``asyncio.wait_for`` with
+  cancel-and-record semantics).  A blown deadline yields a sentinel
+  result plus a dead-letter record, not a hung round.  Work a
+  ``BatchGet`` transport answers in batch calls never suspends, so it
+  has no deadline to enforce; :meth:`Supervisor.trap` and
+  :meth:`Supervisor.settle` give each of its items the rest of the
+  policy.
 * **Work queue** — :meth:`Supervisor.map` bounds in-flight tasks with a
   real feeder/worker queue instead of one-task-per-item ``gather``,
   so a 4.7M-IP round holds thousands, not millions, of task objects.
@@ -31,12 +31,10 @@ cost its own record, never a round.
   journals them next to the round so ``repro quarantine replay`` can
   re-process the pages after an extractor fix.
 
-Extraction runs inline for small, clean bodies (the overwhelmingly
-common case) and for bodies the extractor has memoised, and in a worker
-thread under the extract deadline for large or suspect ones.  A thread
-that blows the deadline is abandoned, not cancelled — Python cannot
-interrupt it — but the pipeline moves on and the page is quarantined,
-which is the property that matters; its body is never memoised.
+Extraction runs inline, with no deadline: every body reader is linear,
+so a page costs at most the fetcher's 512 KB cap times one scan.  A
+deadline could not bound it anyway — ``re`` holds the GIL through a
+whole search, so a timer on the event loop never fires mid-match.
 """
 
 from __future__ import annotations
@@ -466,7 +464,7 @@ class Supervisor:
     # ------------------------------------------------------------------
     # supervised extraction (extract stage)
 
-    async def extract_features(
+    def extract_features(
         self,
         extractor: FeatureExtractor,
         fetch: FetchResult,
@@ -475,46 +473,21 @@ class Supervisor:
     ) -> PageFeatures:
         """Run ``extractor.extract(fetch)`` under the guard.
 
-        Never raises: a trapped exception or blown deadline yields
-        sentinel features (everything unknown, length preserved) plus a
-        quarantine record; hostile content yields best-effort features
-        *and* a quarantine record, so the page can be replayed after an
-        extractor fix.  With *sink*, quarantine records go to that
-        per-shard buffer instead of the supervisor-wide one (the
-        streaming pipeline's shard-attribution path).
+        Never raises: a trapped exception yields sentinel features
+        (everything unknown, length preserved) plus a quarantine record;
+        hostile content yields best-effort features *and* a quarantine
+        record, so the page can be replayed after an extractor fix.
+        With *sink*, quarantine records go to that per-shard buffer
+        instead of the supervisor-wide one (the streaming pipeline's
+        shard-attribution path).
         """
         body = fetch.body or ""
         verdict = self.inspect(fetch)
         self._m_verdicts.labels(
             stage=self.EXTRACT, verdict=verdict.value
         ).inc()
-        deadline = self.config.extract_deadline
-        # A memoised body costs a lookup, so it never needs the thread.
-        inline = deadline <= 0 or (
-            verdict is GuardVerdict.OK
-            and len(body) <= self.config.extract_inline_max_bytes
-        ) or extractor.knows(fetch)
         try:
-            if inline:
-                features = extractor.extract(fetch)
-            else:
-                loop = asyncio.get_running_loop()
-                features = await asyncio.wait_for(
-                    loop.run_in_executor(None, extractor.extract, fetch),
-                    deadline,
-                )
-        except asyncio.TimeoutError:
-            extractor.withhold(fetch)
-            self.deadline_kills[self.EXTRACT] += 1
-            self.quarantine(
-                ip=fetch.ip, stage=self.EXTRACT,
-                verdict=GuardVerdict.STAGE_DEADLINE,
-                exc=StageDeadlineExceeded(
-                    f"extract stage exceeded its {deadline:g}s deadline"
-                ),
-                payload=body, sink=sink,
-            )
-            return _sentinel_features(body)
+            features = extractor.extract(fetch)
         except Exception as exc:  # poison-proof by design
             self.trapped[self.EXTRACT] += 1
             self.quarantine(
@@ -578,7 +551,6 @@ class Supervisor:
         return {
             "tasks_run": self.tasks_run,
             "deadline_kills_fetch": self.deadline_kills[self.FETCH],
-            "deadline_kills_extract": self.deadline_kills[self.EXTRACT],
             "deadline_kills_banner": self.deadline_kills[self.BANNER],
             "trapped_fetch": self.trapped[self.FETCH],
             "trapped_extract": self.trapped[self.EXTRACT],

@@ -468,7 +468,7 @@ class WhoWas:
             if fetch.body:
                 # Guarded extraction: a poison page yields sentinel
                 # features plus a quarantine entry, never a crash.
-                features = await self.guard.extract_features(
+                features = self.guard.extract_features(
                     self.features, fetch, sink=work.quarantine
                 )
             records.append(RoundRecord(

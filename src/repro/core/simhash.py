@@ -70,7 +70,10 @@ def tokenize(text: str, *, strip_markup: bool = True) -> list[str]:
     dropped.  With ``strip_markup=False`` the raw text is tokenized as-is.
     """
     if strip_markup:
-        text = _TAG_RE.sub(" ", text)
+        # No tag starts after the last '>': leaving that tail out of the
+        # substitution spares each '<' in a '<' flood a rescan to the end.
+        cut = text.rfind(">") + 1
+        text = _TAG_RE.sub(" ", text[:cut]) + text[cut:]
     # Lowercase per token, not the whole text first: ``"\u0130".lower()``
     # is ``"i\u0307"``, which would turn a non-token into one.
     return [token.lower() for token in _TOKEN_RE.findall(text)]

@@ -76,7 +76,7 @@ class TestCartographyMap:
         )
         assert mapping.kind_of((10 << 24) | 5) == NetKind.VPC
         assert mapping.kind_of((10 << 24) | (1 << 8) | 5) == NetKind.CLASSIC
-        assert mapping.vpc_prefix_count() == 1
+        assert list(mapping.prefix_kinds.values()).count(NetKind.VPC) == 1
         with pytest.raises(KeyError):
             mapping.kind_of(1)
 

@@ -108,54 +108,6 @@ class TestFeatureExtraction:
         assert first == second
         assert len(extractor._memo) == 1
 
-    def test_memo_survives_concurrent_threads(self):
-        """The guard extracts on the loop thread and in executor threads
-        at once, and a round start rotates the memo under them: lookups,
-        stores and rotations must neither raise nor hand back another
-        body's features."""
-        import sys
-        import threading
-
-        pages = [fetch(body=f"<html><title>page {n}</title> of the "
-                       f"hammer</html>") for n in range(6)]
-        expected = [FeatureExtractor(memoize=False).extract(page)
-                    for page in pages]
-        extractor = FeatureExtractor()
-        failures: list[BaseException] = []
-        deadline = time.monotonic() + 1.5
-
-        def hammer(offset: int) -> None:
-            try:
-                step = offset
-                while time.monotonic() < deadline and not failures:
-                    index = step % len(pages)
-                    # A fresh FetchResult: no digest cached on it yet.
-                    page = fetch(body=pages[index].body)
-                    assert extractor.extract(page) == expected[index]
-                    step += 1 + offset
-            except BaseException as error:
-                failures.append(error)
-
-        def rotate() -> None:
-            while time.monotonic() < deadline and not failures:
-                extractor.new_round()
-
-        threads = [threading.Thread(target=hammer, args=(offset,))
-                   for offset in range(4)]
-        threads.append(threading.Thread(target=rotate))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        assert len(extractor._memo) <= len(pages)
-
     def test_surrogates_do_not_break_memoization(self):
         extractor = FeatureExtractor()
         body = "<html>\udcff lone surrogate</html>"
@@ -271,17 +223,6 @@ class TestMemoGenerations:
             extractor.extract(page)
         assert len(computed) == 3
         assert "body_digest" not in vars(page)
-
-    def test_withheld_body_is_never_memoised(self, monkeypatch):
-        computed = counting_fingerprints(monkeypatch)
-        extractor = FeatureExtractor()
-        page = fetch()
-        extractor.withhold(page)
-        assert not extractor.knows(page)
-        first = extractor.extract(page)
-        assert first == extractor.extract(page)
-        assert len(computed) == 2
-        assert not extractor.knows(page)
 
     def test_digest_is_cached_and_not_a_field(self):
         page = fetch()

@@ -723,10 +723,8 @@ class WarmShard:
         return self.loop.run_until_complete(self.fetcher.fetch(self.to_fetch))
 
     def extract(self, fetches):
-        async def each():
-            return [await self.guard.extract_features(
-                self.extractor, fetch, sink=[]) for fetch in fetches]
-        return self.loop.run_until_complete(each())
+        return [self.guard.extract_features(self.extractor, fetch, sink=[])
+                for fetch in fetches]
 
     def close(self):
         self.loop.close()

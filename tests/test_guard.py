@@ -5,7 +5,6 @@ inspection, and guarded feature extraction."""
 from __future__ import annotations
 
 import asyncio
-import time
 
 import pytest
 
@@ -247,22 +246,12 @@ class _PoisonExtractor(FeatureExtractor):
         raise RecursionError("maximum recursion depth exceeded")
 
 
-class _SleepyExtractor(FeatureExtractor):
-    def __init__(self, delay: float):
-        super().__init__()
-        self.delay = delay
-
-    def extract(self, fetch):
-        time.sleep(self.delay)
-        return super().extract(fetch)
-
-
 class TestGuardedExtraction:
     def test_clean_page_untouched(self):
         guard = Supervisor()
-        features = run(guard.extract_features(
+        features = guard.extract_features(
             FeatureExtractor(), page("<html><title>hi</title></html>")
-        ))
+        )
         assert features.title == "hi"
         assert guard.drain_quarantine() == []
 
@@ -270,7 +259,7 @@ class TestGuardedExtraction:
         guard = Supervisor()
         guard.start_round(4, 12)
         body = "<html>poison</html>"
-        features = run(guard.extract_features(_PoisonExtractor(), page(body)))
+        features = guard.extract_features(_PoisonExtractor(), page(body))
         assert features.title == UNKNOWN
         assert features.html_length == len(body)
         (entry,) = guard.drain_quarantine()
@@ -280,23 +269,10 @@ class TestGuardedExtraction:
         assert entry.round_id == 4 and entry.timestamp == 12
         assert guard.trapped[Supervisor.EXTRACT] == 1
 
-    def test_extract_deadline_kills_slow_extractor(self):
-        config = GuardConfig(
-            extract_deadline=0.1, extract_inline_max_bytes=4
-        )
-        guard = Supervisor(config)
-        features = run(guard.extract_features(
-            _SleepyExtractor(1.0), page("<html>slow page</html>")
-        ))
-        assert features.title == UNKNOWN
-        (entry,) = guard.drain_quarantine()
-        assert entry.verdict == GuardVerdict.STAGE_DEADLINE.value
-        assert guard.deadline_kills[Supervisor.EXTRACT] == 1
-
     def test_hostile_verdict_keeps_features_but_quarantines(self):
         guard = Supervisor()
         body = "<title>" + "A" * 200_000
-        features = run(guard.extract_features(FeatureExtractor(), page(body)))
+        features = guard.extract_features(FeatureExtractor(), page(body))
         # Extraction itself succeeded, so the real features survive...
         assert features.html_length == len(body)
         # ...but the page is flagged for replay.
@@ -319,7 +295,7 @@ class TestGuardedExtraction:
         assert stats["concurrency_limit"] == 16
         assert stats["quarantined"] == 0
         assert set(stats) >= {
-            "tasks_run", "deadline_kills_fetch", "deadline_kills_extract",
+            "tasks_run", "deadline_kills_fetch",
             "trapped_fetch", "trapped_extract", "aimd_decreases",
             "aimd_increases",
         }
@@ -360,8 +336,8 @@ class TestBodyMemo:
         extractor = FeatureExtractor()
         guard.start_round(2, 5)
         for ip in (7, 8, 9):
-            run(guard.extract_features(
-                extractor, _at(ip, page(self.TITLE_BOMB))))
+            guard.extract_features(
+                extractor, _at(ip, page(self.TITLE_BOMB)))
         entries = guard.drain_quarantine()
         assert [e.ip for e in entries] == [7, 8, 9]
         assert {e.verdict for e in entries} == {GuardVerdict.TITLE_BOMB.value}
@@ -377,27 +353,17 @@ class TestBodyMemo:
         assert guard.inspect(page(body, bomb)) is GuardVerdict.HEADER_BOMB
 
     def test_memo_hit_never_goes_to_the_executor(self):
+        """No page leaves the calling thread: a suspect body and its
+        memo hit alike run inline."""
         import threading
 
         guard = Supervisor()
         extractor = _ThreadNotingExtractor()
-        first = run(guard.extract_features(extractor, page(self.TITLE_BOMB)))
-        second = run(guard.extract_features(extractor, page(self.TITLE_BOMB)))
+        first = guard.extract_features(extractor, page(self.TITLE_BOMB))
+        second = guard.extract_features(extractor, page(self.TITLE_BOMB))
         assert first == second
         main = threading.current_thread().name
-        assert extractor.threads[0] != main      # suspect: the thread
-        assert extractor.threads[1] == main      # memoised: inline
-
-    def test_deadline_kill_is_never_memoised(self):
-        config = GuardConfig(extract_deadline=0.1, extract_inline_max_bytes=4)
-        guard = Supervisor(config)
-        extractor = _SleepyExtractor(0.3)
-        body = "<html>slow page</html>"
-        run(guard.extract_features(extractor, page(body)))
-        time.sleep(0.5)             # the abandoned thread has finished
-        assert not extractor.knows(page(body))
-        run(guard.extract_features(extractor, page(body)))
-        assert guard.deadline_kills[Supervisor.EXTRACT] == 2
+        assert extractor.threads == [main, main]
 
     def test_trapped_exception_is_never_memoised(self, monkeypatch):
         import repro.core.features as features_module
@@ -415,12 +381,13 @@ class TestBodyMemo:
         guard = Supervisor()
         extractor = FeatureExtractor()
         body = "<html><title>flaky</title></html>"
-        sentinel = run(guard.extract_features(extractor, page(body)))
+        sentinel = guard.extract_features(extractor, page(body))
         assert sentinel.title == UNKNOWN
-        assert not extractor.knows(page(body))
-        features = run(guard.extract_features(extractor, page(body)))
+        features = guard.extract_features(extractor, page(body))
         assert features.title == "flaky"
-        assert extractor.knows(page(body))
+        assert len(calls) == 2          # the failure stored nothing
+        assert guard.extract_features(extractor, page(body)) == features
+        assert len(calls) == 2          # the success was stored
         assert guard.trapped[Supervisor.EXTRACT] == 1
 
 

@@ -10,6 +10,7 @@ from repro.analysis.patterns import (
     PatternAnalyzer,
     merge_repeats,
     paa_reduce,
+    pattern_label,
     size_change_pattern,
     tendency_vector,
 )
@@ -144,5 +145,8 @@ class TestPatternAnalyzer:
     def test_pattern_of_specific_cluster(self, ec2_dataset, ec2_clustering):
         analyzer = PatternAnalyzer(ec2_dataset, ec2_clustering)
         cid = next(iter(ec2_clustering.clusters))
-        pattern = analyzer.pattern_of(cid)
+        sizes, timestamps = analyzer.cluster_size_series(cid)
+        pattern = size_change_pattern(
+            [float(v) for v in sizes], timestamps, analyzer.window_days)
         assert all(v in (-1, 0, 1) for v in pattern)
+        assert pattern_label(pattern) in analyzer.breakdown().counts
