@@ -124,7 +124,6 @@ class PatternAnalyzer:
         ephemeral = 0
         stable = 0
         always_same = 0
-        round_count = self.dataset.round_count
         for cid in self.clustering.clusters:
             sizes, timestamps = self.cluster_size_series(cid)
             pattern = size_change_pattern(
@@ -139,7 +138,6 @@ class PatternAnalyzer:
                     if all(size == sizes[0] for size in sizes) and sizes[0] > 0:
                         always_same += 1
         total = len(self.clustering.clusters)
-        _ = round_count
         return PatternBreakdown(
             counts=dict(counts),
             total_clusters=total,

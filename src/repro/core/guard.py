@@ -98,7 +98,6 @@ _CONTENT_VERDICTS = frozenset({
 _TITLE_OPEN_RE = re.compile(r"<title", re.IGNORECASE)
 _TITLE_CLOSE_RE = re.compile(r"</title", re.IGNORECASE)
 _OPEN_TAG_RE = re.compile(r"<[A-Za-z]")
-_CLOSE_TAG_RE = re.compile(r"</")
 
 #: ``<title>`` content longer than this (bytes of text, terminated or
 #: not) is quarantined as a title bomb.
@@ -442,8 +441,9 @@ class Supervisor:
             return GuardVerdict.BINARY_GARBAGE
         if self._title_length(body) > _MAX_TITLE_BYTES:
             return GuardVerdict.TITLE_BOMB
-        opens = sum(1 for _ in _OPEN_TAG_RE.finditer(body))
-        closes = sum(1 for _ in _CLOSE_TAG_RE.finditer(body))
+        # "</" cannot overlap itself, so str.count is the exact count.
+        opens = len(_OPEN_TAG_RE.findall(body))
+        closes = body.count("</")
         if opens - closes > _MAX_UNCLOSED_TAGS:
             return GuardVerdict.MARKUP_BOMB
         return GuardVerdict.OK

@@ -21,6 +21,7 @@ __all__ = [
     "FetchResult",
     "PageFeatures",
     "RoundRecord",
+    "ROW_FIELDS",
     "QuarantineRecord",
     "StageStats",
     "PipelineStats",
@@ -445,6 +446,20 @@ class PipelineStats:
         return cls(**payload)
 
 
+#: A :class:`RoundRecord`'s flat columns, in stored order (the store's
+#: schema types them: :data:`repro.core.store.base.COLUMNS`).
+ROW_FIELDS = (
+    "ip", "round_id", "timestamp", "probe_status", "open_ports",
+    "fetch_status", "url", "status_code", "content_type", "headers",
+    "body", "error", "error_class", "probe_error_class", "powered_by",
+    "description", "header_string", "html_length", "title", "template",
+    "server", "keywords", "analytics_id", "simhash", "ssh_banner",
+)
+
+#: What a record without features persists in the feature columns.
+_NO_FEATURES = PageFeatures()
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     """One fully-processed row: one IP in one round of scanning."""
@@ -466,38 +481,54 @@ class RoundRecord:
     def available(self) -> bool:
         return self.fetch.available
 
+    def _flat(self, body) -> tuple:
+        """The record's columns in :data:`ROW_FIELDS` order, *body* in
+        the body slot: the one flattening both row shapes share."""
+        probe, fetch = self.probe, self.fetch
+        features = self.features or _NO_FEATURES
+        headers = fetch.headers
+        # ``_value_`` is what the ``value`` property returns, minus two
+        # Python calls per enum per row.
+        return (
+            self.ip,
+            self.round_id,
+            self.timestamp,
+            probe.status._value_,
+            ",".join(map(str, sorted(probe.open_ports))),
+            fetch.status._value_,
+            fetch.url,
+            fetch.status_code,
+            fetch.content_type,
+            "\n".join(map("{}: {}".format, headers.keys(), headers.values())),
+            body,
+            fetch.error,
+            fetch.error_class,
+            probe.error_class,
+            features.powered_by,
+            features.description,
+            features.header_string,
+            features.html_length,
+            features.title,
+            features.template,
+            features.server,
+            features.keywords,
+            features.analytics_id,
+            f"{features.simhash:024x}",
+            self.ssh_banner,
+        )
+
+    def row(self) -> tuple:
+        """The stored encoding: the :data:`ROW_FIELDS` columns with the
+        body's :attr:`~FetchResult.body_digest` (None without a body) in
+        the body slot.  Built once per record; the store inserts,
+        checksums and folds this same tuple."""
+        fetch = self.fetch
+        return self._flat(None if fetch.body is None else fetch.body_digest)
+
     def to_row(self) -> dict:
-        """Flatten into primitive columns for persistence."""
-        features = self.features or PageFeatures()
-        return {
-            "ip": self.ip,
-            "round_id": self.round_id,
-            "timestamp": self.timestamp,
-            "probe_status": self.probe.status.value,
-            "open_ports": ",".join(str(p) for p in sorted(self.probe.open_ports)),
-            "fetch_status": self.fetch.status.value,
-            "url": self.fetch.url,
-            "status_code": self.fetch.status_code,
-            "content_type": self.fetch.content_type,
-            "headers": "\n".join(
-                f"{k}: {v}" for k, v in self.fetch.headers.items()
-            ),
-            "body": self.fetch.body,
-            "error": self.fetch.error,
-            "error_class": self.fetch.error_class,
-            "probe_error_class": self.probe.error_class,
-            "powered_by": features.powered_by,
-            "description": features.description,
-            "header_string": features.header_string,
-            "html_length": features.html_length,
-            "title": features.title,
-            "template": features.template,
-            "server": features.server,
-            "keywords": features.keywords,
-            "analytics_id": features.analytics_id,
-            "simhash": f"{features.simhash:024x}",
-            "ssh_banner": self.ssh_banner,
-        }
+        """The decoded row: :data:`ROW_FIELDS` to values, body text
+        included — the shape :meth:`from_row` reads."""
+        return dict(zip(ROW_FIELDS, self._flat(self.fetch.body)))
 
     @classmethod
     def from_row(cls, row: Mapping) -> "RoundRecord":

@@ -25,11 +25,13 @@ from .base import (
     ShardJournalEntry,
     ShardPayload,
     StoreBackend,
+    UnsupportedStoreFormat,
+    bad_bodies,
     is_interrupted,
     shard_checksum,
 )
 from .columnar import MANIFEST_NAME, ColumnarStore
-from .sqlite import MeasurementStore, UnsupportedStoreFormat
+from .sqlite import MeasurementStore
 
 __all__ = [
     "ROUND_IN_PROGRESS",
@@ -46,6 +48,7 @@ __all__ = [
     "UnsupportedStoreFormat",
     "ColumnarStore",
     "shard_checksum",
+    "bad_bodies",
     "is_interrupted",
     "default_backend",
     "detect_backend",
@@ -100,8 +103,8 @@ def open_store(
     :func:`default_backend`.  Read-only opens never create files and
     raise the engine's missing-store error (sqlite:
     ``sqlite3.OperationalError``; columnar: ``FileNotFoundError``).  A
-    sqlite file written before the read models existed raises
-    :class:`UnsupportedStoreFormat` (a ``ValueError``) in either mode."""
+    store in an older format raises :class:`UnsupportedStoreFormat` (a
+    ``ValueError``) in either mode."""
     resolved = backend or detect_backend(path) or default_backend()
     engine = BACKENDS.get(resolved)
     if engine is None:

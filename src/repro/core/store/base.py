@@ -18,8 +18,9 @@ Protocol invariants every backend must honour
   entries + journal entry) **atomically and idempotently**: a shard
   index that already committed is skipped, so a crashed-and-resumed
   process can blindly replay its shard sequence.
-* Every committed shard journals a :func:`shard_checksum` digest;
-  :meth:`StoreBackend.verify_round` recomputes them offline.
+* Every committed shard journals a :func:`shard_checksum` digest of
+  its stored row tuples; :meth:`StoreBackend.verify_round` recomputes
+  them offline and re-hashes every body the round references.
 * **Materialized read models** (per-IP history, round summary, cluster
   aggregates) are folded in by the same commit that lands the shard —
   the fold and the shard are one atomic unit, so the views can never
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..records import (
+    ROW_FIELDS,
     PageFeatures,
     QuarantineRecord,
     RoundRecord,
@@ -58,9 +60,17 @@ __all__ = [
     "ShardJournalEntry",
     "RoundVerification",
     "StoreBackend",
+    "UnsupportedStoreFormat",
+    "bad_bodies",
+    "encode_shard",
     "shard_checksum",
     "is_interrupted",
 ]
+
+
+class UnsupportedStoreFormat(ValueError):
+    """The store was written in an older format, which this version
+    refuses rather than migrates (each engine names the difference)."""
 
 
 def is_interrupted(exc: BaseException) -> bool:
@@ -88,35 +98,36 @@ AGGREGATE_COLUMNS = frozenset(
 #: The materialized read models every backend maintains incrementally.
 VIEW_NAMES = ("ip_history", "round_summary", "cluster_agg")
 
-#: The flat persistence schema of :meth:`RoundRecord.to_row`, shared by
-#: every backend so checksums and row-equivalence are backend-agnostic.
-COLUMNS: tuple[tuple[str, str], ...] = (
-    ("ip", "INTEGER NOT NULL"),
-    ("round_id", "INTEGER NOT NULL"),
-    ("timestamp", "INTEGER NOT NULL"),
-    ("probe_status", "TEXT NOT NULL"),
-    ("open_ports", "TEXT NOT NULL"),
-    ("fetch_status", "TEXT NOT NULL"),
-    ("url", "TEXT"),
-    ("status_code", "INTEGER"),
-    ("content_type", "TEXT"),
-    ("headers", "TEXT"),
-    ("body", "TEXT"),
-    ("error", "TEXT"),
-    ("error_class", "TEXT"),
-    ("probe_error_class", "TEXT"),
-    ("powered_by", "TEXT"),
-    ("description", "TEXT"),
-    ("header_string", "TEXT"),
-    ("html_length", "INTEGER"),
-    ("title", "TEXT"),
-    ("template", "TEXT"),
-    ("server", "TEXT"),
-    ("keywords", "TEXT"),
-    ("analytics_id", "TEXT"),
-    ("simhash", "TEXT"),
-    ("ssh_banner", "TEXT"),
-)
+#: The flat persistence schema of a record's row
+#: (:data:`~repro.core.records.ROW_FIELDS`, typed), shared by every
+#: backend so checksums and row-equivalence are backend-agnostic.
+COLUMNS: tuple[tuple[str, str], ...] = tuple(zip(ROW_FIELDS, (
+    "INTEGER NOT NULL",     # ip
+    "INTEGER NOT NULL",     # round_id
+    "INTEGER NOT NULL",     # timestamp
+    "TEXT NOT NULL",        # probe_status
+    "TEXT NOT NULL",        # open_ports
+    "TEXT NOT NULL",        # fetch_status
+    "TEXT",                 # url
+    "INTEGER",              # status_code
+    "TEXT",                 # content_type
+    "TEXT",                 # headers
+    "TEXT",                 # body
+    "TEXT",                 # error
+    "TEXT",                 # error_class
+    "TEXT",                 # probe_error_class
+    "TEXT",                 # powered_by
+    "TEXT",                 # description
+    "TEXT",                 # header_string
+    "INTEGER",              # html_length
+    "TEXT",                 # title
+    "TEXT",                 # template
+    "TEXT",                 # server
+    "TEXT",                 # keywords
+    "TEXT",                 # analytics_id
+    "TEXT",                 # simhash
+    "TEXT",                 # ssh_banner
+), strict=True))
 
 COLUMN_NAMES = tuple(name for name, _ in COLUMNS)
 
@@ -150,21 +161,40 @@ IP_HISTORY_COLUMNS = (
 )
 
 
-def shard_checksum(rows: Iterable[Mapping]) -> str:
-    """Digest of one shard's rows (insertion order): blake2b over each
-    row's canonical JSON (:meth:`RoundRecord.to_row` dicts with sorted
-    keys).  Journaled at commit time and recomputed by
-    :meth:`StoreBackend.verify_round` and the partition-journal merge."""
-    digest = hashlib.blake2b(digest_size=16)
-    for row in rows:
-        digest.update(
-            json.dumps(
-                dict(row), sort_keys=True, separators=(",", ":"),
-                ensure_ascii=False,
-            ).encode("utf-8")
-        )
-        digest.update(b"\x00")
-    return digest.hexdigest()
+def shard_checksum(rows: Iterable[Sequence]) -> str:
+    """Digest of one shard's rows in insertion order: blake2b over one
+    JSON encoding of the whole list.  The rows are the stored tuples
+    (:meth:`RoundRecord.row`), whose body slot holds the body's digest
+    (hex here), so no body text is hashed: body integrity is
+    :meth:`StoreBackend.verify_round`'s re-hash of each body against
+    its digest.  Journaled at commit time and recomputed by
+    ``verify_round`` and the partition-journal merge."""
+    blob = json.dumps(list(rows), separators=(",", ":"), default=bytes.hex)
+    return hashlib.blake2b(blob.encode("ascii"), digest_size=16).hexdigest()
+
+
+def encode_shard(
+    records: Iterable[RoundRecord],
+) -> tuple[list[tuple], dict[bytes, str]]:
+    """One shard's stored rows (:meth:`RoundRecord.row`, built once per
+    record) and the distinct bodies they reference, by digest."""
+    rows = []
+    bodies = {}
+    for record in records:
+        rows.append(record.row())
+        body = record.fetch.body
+        if body is not None:
+            bodies[record.fetch.body_digest] = body
+    return rows, bodies
+
+
+def bad_bodies(bodies: Mapping[bytes, str | None]) -> set[bytes]:
+    """The digests of *bodies* whose text is missing (None) or no
+    longer hashes to its digest."""
+    return {
+        digest for digest, body in bodies.items()
+        if body is None or digest_of(body) != digest
+    }
 
 
 def rows_checksum(rows: Iterable[Mapping]) -> str:
@@ -274,6 +304,9 @@ class RoundVerification:
     #: Rows whose body digest names no stored body (engines that store
     #: bodies apart from rows); their shards read back corrupt too.
     missing_bodies: int = 0
+    #: Stored bodies the round references whose text no longer hashes
+    #: to their digest; the shards referencing them read back corrupt.
+    corrupt_bodies: int = 0
 
     @property
     def ok(self) -> bool:
@@ -281,6 +314,7 @@ class RoundVerification:
             not self.missing and not self.corrupt
             and self.orphan_rows == 0 and self.orphan_quarantine == 0
             and not self.view_issues and self.missing_bodies == 0
+            and self.corrupt_bodies == 0
         )
 
     def describe(self) -> str:
@@ -292,6 +326,8 @@ class RoundVerification:
             parts.append(f"CORRUPT shards {self.corrupt}")
         if self.missing_bodies:
             parts.append(f"{self.missing_bodies} rows with a MISSING body")
+        if self.corrupt_bodies:
+            parts.append(f"{self.corrupt_bodies} CORRUPT bodies")
         if self.orphan_rows:
             parts.append(f"{self.orphan_rows} orphan rows")
         if self.orphan_quarantine:
@@ -433,7 +469,6 @@ class StoreBackend(ABC):
         one is a :class:`ValueError`, and so is a *timestamp* that
         already belongs to a different round."""
 
-    @abstractmethod
     def write_shard(
         self,
         round_id: int,
@@ -445,7 +480,29 @@ class StoreBackend(ABC):
         quarantine: Iterable[QuarantineRecord] = (),
     ) -> bool:
         """Commit one shard atomically and idempotently (False for an
-        already-committed shard index).  The rows, the shard's
+        already-committed shard index): :func:`encode_shard`, then
+        :meth:`write_rows`."""
+        rows, bodies = encode_shard(records)
+        return self.write_rows(
+            round_id, shard_index, rows, bodies,
+            errors=errors, operations=operations, quarantine=quarantine,
+        )
+
+    @abstractmethod
+    def write_rows(
+        self,
+        round_id: int,
+        shard_index: int,
+        rows: Sequence[tuple],
+        bodies: Mapping[bytes, str],
+        *,
+        errors: int = 0,
+        operations: int = 0,
+        quarantine: Iterable[QuarantineRecord] = (),
+    ) -> bool:
+        """:meth:`write_shard` for a shard already encoded: its stored
+        row tuples and the bodies they reference by digest (what the
+        partition-journal merge reads back).  The rows, the shard's
         quarantine entries, the journal entry, and the read-model fold
         land as one atomic unit."""
 
@@ -501,9 +558,8 @@ class StoreBackend(ABC):
     def shard_records(
         self, round_id: int, shard_index: int
     ) -> list[RoundRecord]:
-        """One committed shard's rows in insertion order (works on
-        rounds of any status — the merge path reads partition journals
-        that are still ``in_progress``)."""
+        """One committed shard's records in insertion order (works on
+        rounds of any status, ``in_progress`` included)."""
 
     @abstractmethod
     def shard_quarantine(

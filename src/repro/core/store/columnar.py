@@ -46,7 +46,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..records import PageFeatures, QuarantineRecord, RoundRecord
 from .base import (
@@ -59,6 +59,7 @@ from .base import (
     RoundVerification,
     ShardJournalEntry,
     StoreBackend,
+    UnsupportedStoreFormat,
     body_digest,
     check_column_names,
     light_row,
@@ -69,7 +70,10 @@ from .base import (
 __all__ = ["ColumnarStore", "MANIFEST_NAME"]
 
 MANIFEST_NAME = "manifest.json"
-_FORMAT_VERSION = 1
+#: 2 since shard checksums hash the row tuples (body digest for body).
+_FORMAT_VERSION = 2
+
+_BODY_INDEX = COLUMN_NAMES.index("body")
 
 #: Fields of one round's manifest entry (mirrors RoundInfo).
 _ROUND_FIELDS = (
@@ -137,6 +141,18 @@ def _rows_from_columns(columns: dict[str, list]) -> list[dict]:
     ]
 
 
+def _row_tuples(row_dicts: list[dict]) -> list[tuple]:
+    """The stored-row tuples :func:`shard_checksum` hashes: each row's
+    :data:`COLUMN_NAMES` values, the inline body's digest for the body."""
+    return [
+        tuple(
+            body_digest(row[name]) if name == "body" else row[name]
+            for name in COLUMN_NAMES
+        )
+        for row in row_dicts
+    ]
+
+
 def _column(columns: dict[str, list], name: str) -> list:
     """One projected column of a decoded shard; ``body_digest`` is
     derived from the inline bodies."""
@@ -187,6 +203,16 @@ class ColumnarStore(StoreBackend):
                 f"{path!r} is not a columnar store "
                 f"(backend={manifest.get('backend')!r})"
             )
+        if manifest.get("version") != _FORMAT_VERSION:
+            if manifest["rounds"]:
+                raise UnsupportedStoreFormat(
+                    f"unsupported store format {manifest.get('version')}: "
+                    "this version opens only columnar format "
+                    f"{_FORMAT_VERSION} stores — re-run the campaign to "
+                    "rebuild it"
+                )
+            if not readonly:
+                self._write_manifest(dict(manifest, version=_FORMAT_VERSION))
         self._next_quarantine_id = self._scan_max_quarantine_id() + 1
 
     @classmethod
@@ -364,11 +390,12 @@ class ColumnarStore(StoreBackend):
             self._write_manifest(manifest)
             return self._any_round(round_id)
 
-    def write_shard(
+    def write_rows(
         self,
         round_id: int,
         shard_index: int,
-        records: Iterable[RoundRecord],
+        rows: Sequence[tuple],
+        bodies: Mapping[bytes, str],
         *,
         errors: int = 0,
         operations: int = 0,
@@ -380,8 +407,13 @@ class ColumnarStore(StoreBackend):
             if shard_index in self.completed_shards(round_id):
                 return False
             started = time.perf_counter()
-            row_dicts = [record.to_row() for record in records]
-            checksum = shard_checksum(row_dicts)
+            checksum = shard_checksum(rows)
+            row_dicts = []
+            for row in rows:
+                row_dict = dict(zip(COLUMN_NAMES, row))
+                digest = row[_BODY_INDEX]
+                row_dict["body"] = None if digest is None else bodies[digest]
+                row_dicts.append(row_dict)
             entries = list(quarantine)
             quarantine_rows = []
             for entry in entries:
@@ -576,7 +608,7 @@ class ColumnarStore(StoreBackend):
                 )
                 if (
                     len(rows) != entry.record_count
-                    or shard_checksum(rows) != entry.checksum
+                    or shard_checksum(_row_tuples(rows)) != entry.checksum
                 ):
                     report.corrupt.append(entry.shard_index)
                 else:
@@ -735,7 +767,8 @@ class ColumnarStore(StoreBackend):
                 self._invalidate(shard_path)
                 rows = _rows_from_columns(columns)
                 self._rewrite_journal_checksum(
-                    round_id, entry.shard_index, shard_checksum(rows)
+                    round_id, entry.shard_index,
+                    shard_checksum(_row_tuples(rows)),
                 )
                 new_row = {
                     name: columns[name][index] for name in COLUMN_NAMES

@@ -23,10 +23,12 @@ surfaces and :meth:`completed_shards` describes.
 
 Shard integrity
 ---------------
-Every committed shard journals a **checksum** (see
-:func:`~repro.core.store.base.shard_checksum`); each row carries the
-``shard_index`` it was committed under, so rows can be attributed to
-their journal entry regardless of the order shards landed in.
+Every committed shard journals a **checksum** of its stored row tuples
+(see :func:`~repro.core.store.base.shard_checksum`), where each body is
+represented by its digest; :meth:`MeasurementStore.verify_round`
+re-hashes the bodies.  Each row carries the ``shard_index`` it was
+committed under, so rows can be attributed to their journal entry
+regardless of the order shards landed in.
 
 Materialized read models
 ------------------------
@@ -44,11 +46,9 @@ across a crash:
   every :data:`~repro.core.store.base.AGGREGATE_COLUMNS` column
   (``/clusters/<id>``), replacing per-request GROUP-BY scans.
 
-One fold defines all three (:func:`_fold`, over
-:func:`~repro.core.store.base.light_row` and
-:func:`~repro.core.store.base.summarize_rows`).  The write path stages
-it per shard; :meth:`verify_round` accumulates it over the rows it
-decodes for the shard checksums and compares the stored views;
+One fold over the stored row tuples defines all three (:func:`_fold`).
+The write path stages it per shard; :meth:`verify_round` accumulates
+it over the tuples it checksums and compares the stored views;
 ``rebuild_views()`` (the ``repro rebuild-views`` repair) replays it
 over every round's shard journal; ``update_features`` retracts the old
 row's fold and applies the new one's.
@@ -62,8 +62,8 @@ a 16-byte BLOB; NULL for a row without a body).  One ``bodies(digest,
 body)`` table holds each distinct body once for the whole campaign: a
 shard inserts its new bodies (``INSERT OR IGNORE``) in its own
 transaction, and every full-row read joins them back (:func:`_rows_sql`).
-Rows, checksums and folds are over the decoded rows, body text
-included, so the layout is invisible above this module.  Most pages
+Checksums and folds are over the stored tuples (:meth:`RoundRecord.row`,
+digest for body), the same ones the writer inserts.  Most pages
 repeat from round to round, so a round table costs a few hundred bytes
 a row and the bodies grow with the distinct pages, not with the rounds.
 
@@ -72,13 +72,16 @@ only: a round with no summary row reads as zero or empty.  Older
 layouts are refused with :class:`UnsupportedStoreFormat` before any DDL
 runs — there are no migrations: a database whose ``rounds`` table holds
 rows but which has no ``view_round_summary`` table (written before the
-materialized read models), and one whose round tables still carry a
-``body`` column (written before bodies were stored once).
+materialized read models), one whose round tables still carry a
+``body`` column (written before bodies were stored once), and one with
+rounds whose ``PRAGMA user_version`` is below :data:`STORE_FORMAT`
+(checksums over decoded rows, body text included).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sqlite3
 import threading
@@ -88,7 +91,12 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..backoff import backoff_delay
-from ..records import PageFeatures, QuarantineRecord, RoundRecord
+from ..records import (
+    PageFeatures,
+    QuarantineRecord,
+    RoundRecord,
+    is_available,
+)
 from . import base as _base
 from .base import (
     AGGREGATE_COLUMNS,
@@ -103,6 +111,9 @@ from .base import (
     ShardJournalEntry,
     ShardPayload,
     StoreBackend,
+    UnsupportedStoreFormat,
+    bad_bodies,
+    encode_shard,
     shard_checksum,
 )
 
@@ -124,12 +135,30 @@ _ROW_COLUMNS = tuple(
     for name, sql in COLUMNS
 )
 
+#: The select list that reads a round table's rows back as the tuples
+#: :meth:`RoundRecord.row` built.
+_ROW_SELECT = ", ".join(name for name, _ in _ROW_COLUMNS)
 
-class UnsupportedStoreFormat(ValueError):
-    """The database was written in an older layout: before the
-    materialized read models were added (no ``view_round_summary``
-    table), or before page bodies were stored once (round tables with a
-    ``body`` column).  Such files are refused, not migrated."""
+#: The store format, kept in sqlite's ``PRAGMA user_version``: 1 since
+#: shard checksums hash the row tuples (files from before say 0).
+STORE_FORMAT = 1
+
+#: Tuple positions the fold reads.
+_IP = COLUMN_NAMES.index("ip")
+_status_of = operator.itemgetter(
+    COLUMN_NAMES.index("fetch_status"), COLUMN_NAMES.index("status_code")
+)
+_AGG_INDICES = tuple(
+    (column, COLUMN_NAMES.index(column)) for column in _AGG_COLUMNS
+)
+_history_of = operator.itemgetter(
+    *(COLUMN_NAMES.index(name) for name in IP_HISTORY_COLUMNS)
+)
+#: ``view_ip_history`` columns a bodyless row keeps: the ones before
+#: server, title and template, which :func:`~repro.core.store.base.
+#: light_row` nulls out.
+_BODYLESS_KEPT = IP_HISTORY_COLUMNS.index("server")
+_BODYLESS_TAIL = (None,) * (len(IP_HISTORY_COLUMNS) - _BODYLESS_KEPT)
 
 
 def _is_round_table(name: str) -> bool:
@@ -137,19 +166,20 @@ def _is_round_table(name: str) -> bool:
 
 
 def _check_format(conn: sqlite3.Connection) -> None:
-    """Refuse a database with rounds but no read models, or whose round
-    tables store bodies inline (one round table is inspected).  A file
-    with some tables and no rounds — a partition journal torn while it
-    was being created — passes, and a writer completes its schema."""
+    """Refuse a database with rounds but no read models, whose round
+    tables store bodies inline (one round table is inspected), or whose
+    ``user_version`` predates :data:`STORE_FORMAT`.  A file with some
+    tables and no rounds — a partition journal torn while it was being
+    created — passes, and a writer completes its schema."""
     tables = [
         row[0] for row in conn.execute(
             "SELECT name FROM sqlite_master WHERE type = 'table'"
         )
     ]
-    if (
-        "rounds" in tables and "view_round_summary" not in tables
-        and conn.execute("SELECT 1 FROM rounds LIMIT 1").fetchone()
-    ):
+    has_rounds = "rounds" in tables and conn.execute(
+        "SELECT 1 FROM rounds LIMIT 1"
+    ).fetchone() is not None
+    if has_rounds and "view_round_summary" not in tables:
         raise UnsupportedStoreFormat(
             "unsupported store format: its rounds were written before the "
             "materialized read models were added (no view_round_summary "
@@ -166,6 +196,15 @@ def _check_format(conn: sqlite3.Connection) -> None:
             "kept once in a bodies table; this version opens only stores "
             "with the bodies table — re-run the campaign to rebuild it"
         )
+    version = conn.execute("PRAGMA user_version").fetchone()[0]
+    if has_rounds and version < STORE_FORMAT:
+        raise UnsupportedStoreFormat(
+            f"unsupported store format {version}: its shard checksums "
+            "hash decoded rows with their body text, as stores did before "
+            f"format {STORE_FORMAT} hashed the stored row tuples; this "
+            "version opens only that format — re-run the campaign to "
+            "rebuild it"
+        )
 
 
 #: How a read of round table ``t`` gets its rows' bodies, as ``b.body``.
@@ -181,25 +220,39 @@ def _rows_sql(table: str, tail: str = "") -> str:
 
 
 def _fold(
-    row_dicts: Sequence[Mapping],
+    rows: Sequence[tuple],
 ) -> tuple[dict[int, tuple], dict[str, int], Counter]:
-    """What a batch of record rows contributes to the read models — the
-    only definition of their contents: ``view_ip_history`` rows by ip,
+    """What a batch of stored row tuples contributes to the read models
+    — the only definition of their contents: ``view_ip_history`` rows
+    by ip (:func:`~repro.core.store.base.light_row`'s projection),
     ``view_round_summary`` increments (bar ``quarantined``, which the
     shard journal counts) and ``view_cluster_agg`` counts by
     ``(column, value)``.  Each part adds up across batches."""
-    # One projection per row; its keys are IP_HISTORY_COLUMNS, in order.
-    history = {
-        row["ip"]: tuple(_base.light_row(row).values())
-        for row in row_dicts
+    history = {}
+    for row in rows:
+        light = _history_of(row)
+        if row[_BODY_INDEX] is None:
+            light = light[:_BODYLESS_KEPT] + _BODYLESS_TAIL
+        history[row[_IP]] = light
+    # Counted in C per distinct value; Python sees only the distinct ones.
+    statuses = Counter(map(_status_of, rows))
+    counts = {
+        "responsive": len(rows),
+        "available": sum(
+            n for (fetch_status, status_code), n in statuses.items()
+            if is_available(fetch_status, status_code)
+        ),
+        "fetched": sum(
+            n for (fetch_status, _), n in statuses.items()
+            if fetch_status != "not-attempted"
+        ),
     }
-    tallies = Counter(
-        (column, row[column])
-        for column in _AGG_COLUMNS
-        for row in row_dicts
-        if row[column] is not None
-    )
-    return history, _base.summarize_rows(row_dicts), tallies
+    tallies: Counter = Counter()
+    for column, index in _AGG_INDICES:
+        for value, n in Counter(map(operator.itemgetter(index), rows)).items():
+            if value is not None:
+                tallies[column, value] = n
+    return history, counts, tallies
 
 
 def _connect(
@@ -382,6 +435,9 @@ class MeasurementStore(StoreBackend):
             "  PRIMARY KEY (round_id, column_name, value)"
             ") WITHOUT ROWID"
         )
+        # _check_format let this file through, so it has no rounds or
+        # is already in this format.
+        self._conn.execute(f"PRAGMA user_version = {STORE_FORMAT}")
         self._commit()
 
     @classmethod
@@ -490,17 +546,18 @@ class MeasurementStore(StoreBackend):
             self._commit()
             return self._any_round(round_id)
 
-    def write_shard(
+    def write_rows(
         self,
         round_id: int,
         shard_index: int,
-        records: Iterable[RoundRecord],
+        rows: Sequence[tuple],
+        bodies: Mapping[bytes, str],
         *,
         errors: int = 0,
         operations: int = 0,
         quarantine: Iterable[QuarantineRecord] = (),
     ) -> bool:
-        """Commit one shard of a round atomically.
+        """Commit one encoded shard of a round atomically.
 
         Idempotent: a shard index that already committed is skipped
         (returns False).  The rows, the shard's *quarantine* entries,
@@ -508,22 +565,9 @@ class MeasurementStore(StoreBackend):
         transaction — a crash mid-write rolls the whole shard back,
         and the committed-shard skip covers quarantine entries and the
         fold too (no duplicates on resume)."""
-        with self._lock:
-            info = self._open_round(round_id)
-            started = time.perf_counter()
-            try:
-                committed = self._insert_shard(
-                    info, shard_index, records,
-                    errors=errors, operations=operations,
-                    quarantine=quarantine,
-                )
-                self._commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
-            if committed:
-                self._note_flush(1, time.perf_counter() - started)
-            return committed
+        return bool(self._write(round_id, [
+            (shard_index, rows, bodies, errors, operations, quarantine)
+        ]))
 
     def write_shards(
         self, round_id: int, shards: Sequence[ShardPayload]
@@ -537,17 +581,22 @@ class MeasurementStore(StoreBackend):
         :meth:`write_shard` — and an error rolls the whole batch back,
         so a crash mid-batch loses at most the batch, never half a
         shard.  Returns the number of shards actually committed."""
+        return self._write(round_id, (
+            (shard.shard_index, *encode_shard(shard.records),
+             shard.errors, shard.operations, shard.quarantine)
+            for shard in shards
+        ))
+
+    def _write(self, round_id: int, shards: Iterable[tuple]) -> int:
+        """Stage each encoded shard (:meth:`_insert_rows`' arguments)
+        and commit them as one transaction; an error rolls all back."""
         with self._lock:
             info = self._open_round(round_id)
             started = time.perf_counter()
             committed = 0
             try:
                 for shard in shards:
-                    committed += self._insert_shard(
-                        info, shard.shard_index, shard.records,
-                        errors=shard.errors, operations=shard.operations,
-                        quarantine=shard.quarantine,
-                    )
+                    committed += self._insert_rows(info, *shard)
                 self._commit()
             except BaseException:
                 self._conn.rollback()
@@ -556,50 +605,37 @@ class MeasurementStore(StoreBackend):
                 self._note_flush(committed, time.perf_counter() - started)
             return committed
 
-    def _insert_shard(
+    def _insert_rows(
         self,
         info: RoundInfo,
         shard_index: int,
-        records: Iterable[RoundRecord],
-        *,
+        rows: Sequence[tuple],
+        bodies: Mapping[bytes, str],
         errors: int,
         operations: int,
         quarantine: Iterable[QuarantineRecord],
     ) -> bool:
         """Stage one shard's inserts on the open transaction (no
-        commit); returns False for an already-committed shard index."""
+        commit); returns False for an already-committed shard index.
+        The same row tuples are inserted, checksummed and folded."""
         already = self._conn.execute(
             "SELECT 1 FROM round_shards WHERE round_id = ? AND shard_index = ?",
             (info.round_id, shard_index),
         ).fetchone()
         if already is not None:
             return False
-        row_dicts = []
-        values = []
-        bodies: dict[bytes, str] = {}
-        for record in records:
-            row = record.to_row()
-            row_dicts.append(row)
-            # Each row carries the shard index it was committed under so
-            # verification/merge can attribute rows to journal entries
-            # in any landing order (resume, partition merge, salvage).
-            value = [row[name] for name in COLUMN_NAMES]
-            value.append(shard_index)
-            if value[_BODY_INDEX] is not None:
-                digest = record.fetch.body_digest
-                bodies[digest] = value[_BODY_INDEX]
-                value[_BODY_INDEX] = digest
-            values.append(value)
-        checksum = shard_checksum(row_dicts)
         entries = list(quarantine)
         self._conn.executemany(
             "INSERT OR IGNORE INTO bodies VALUES (?, ?)", bodies.items()
         )
+        # Each row carries the shard index it was committed under so
+        # verification/merge can attribute rows to journal entries in
+        # any landing order (resume, partition merge, salvage).
         self._conn.executemany(
-            f"INSERT INTO {info.table_name} "
-            f"({', '.join(name for name, _ in _ROW_COLUMNS)}, shard_index) "
-            f"VALUES ({', '.join('?' for _ in _ROW_COLUMNS)}, ?)",
-            values,
+            f"INSERT INTO {info.table_name} ({_ROW_SELECT}, shard_index) "
+            f"VALUES ({', '.join('?' for _ in _ROW_COLUMNS)}, "
+            f"{int(shard_index)})",
+            rows,
         )
         self._conn.executemany(
             "INSERT INTO quarantine "
@@ -615,26 +651,26 @@ class MeasurementStore(StoreBackend):
         )
         self._conn.execute(
             "INSERT INTO round_shards VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (info.round_id, shard_index, len(row_dicts), errors, operations,
-             checksum, len(entries)),
+            (info.round_id, shard_index, len(rows), errors, operations,
+             shard_checksum(rows), len(entries)),
         )
-        self._fold_rows(info.round_id, row_dicts, len(entries))
+        self._fold_rows(info.round_id, rows, len(entries))
         self._note_view_fold()
         return True
 
     def _fold_rows(
         self,
         round_id: int,
-        row_dicts: Sequence[Mapping],
+        rows: Sequence[tuple],
         quarantined: int,
         *,
         sign: int = 1,
     ) -> None:
-        """Stage :func:`_fold` of *row_dicts* into the three read
-        models on the open transaction (a shard and its fold are one
-        atomic unit).  ``sign=-1`` retracts rows folded earlier.  The
-        summary is upserted even for an empty shard."""
-        history, counts, tallies = _fold(row_dicts)
+        """Stage :func:`_fold` of *rows* into the three read models on
+        the open transaction (a shard and its fold are one atomic
+        unit).  ``sign=-1`` retracts rows folded earlier.  The summary
+        is upserted even for an empty shard."""
+        history, counts, tallies = _fold(rows)
         if sign > 0:
             self._conn.executemany(
                 "INSERT OR REPLACE INTO view_ip_history "
@@ -781,23 +817,52 @@ class MeasurementStore(StoreBackend):
     def shard_records(
         self, round_id: int, shard_index: int
     ) -> list[RoundRecord]:
-        return list(map(
-            RoundRecord.from_row, self._shard_rows(round_id, shard_index)
-        ))
-
-    def _shard_rows(
-        self, round_id: int, shard_index: int
-    ) -> list[sqlite3.Row]:
-        """One shard's stored rows with their bodies joined back in,
-        insertion order."""
         info = self._any_round(round_id)
-        return self._conn.execute(
+        cursor = self._conn.execute(
             _rows_sql(
                 info.table_name,
                 "WHERE t.shard_index = ? ORDER BY t.rowid",
             ),
             (shard_index,),
+        )
+        return list(map(RoundRecord.from_row, cursor))
+
+    def shard_rows(
+        self, round_id: int, shard_index: int
+    ) -> tuple[list[tuple], dict[bytes, str | None]]:
+        """One committed shard as it is stored: its row tuples in
+        insertion order, and the bodies they reference by digest (None
+        for a digest with no stored body) — what the partition-journal
+        merge checks and hands to :meth:`write_rows`."""
+        table = self._any_round(round_id).table_name
+        return (
+            self._stored_rows(table, shard_index),
+            self._referenced_bodies(table, shard_index),
+        )
+
+    def _stored_rows(self, table: str, shard_index: int) -> list[tuple]:
+        """One shard's stored row tuples, insertion order."""
+        cursor = self._conn.cursor()
+        cursor.row_factory = None
+        return cursor.execute(
+            f"SELECT {_ROW_SELECT} FROM {table} "
+            "WHERE shard_index = ? ORDER BY rowid",
+            (shard_index,),
         ).fetchall()
+
+    def _referenced_bodies(
+        self, table: str, shard_index: int | None = None
+    ) -> dict[bytes, str | None]:
+        """The bodies round table *table* (or one of its shards)
+        references, by digest; None where no body is stored."""
+        where = "" if shard_index is None else "AND shard_index = ?"
+        params = () if shard_index is None else (shard_index,)
+        return dict(self._conn.execute(
+            "SELECT d.body_digest, b.body FROM (SELECT DISTINCT body_digest"
+            f" FROM {table} WHERE body_digest IS NOT NULL {where}) d"
+            " LEFT JOIN bodies b ON b.digest = d.body_digest",
+            params,
+        ).fetchall())
 
     def shard_quarantine(
         self, round_id: int, shard_index: int
@@ -811,12 +876,13 @@ class MeasurementStore(StoreBackend):
 
     def verify_round(self, round_id: int) -> RoundVerification:
         """Walk one round's shard journal and recompute every shard's
-        checksum: reports missing shards (journal gaps in a finalized
-        round), corrupt shards (digest or row-count mismatch),
-        orphaned rows/quarantine entries not attributed to any journaled
-        shard, rows whose body digest names no stored body (their
-        shards are corrupt too), and read models whose contents differ
-        from the fold of the rows it decoded for the checksums."""
+        checksum from its stored row tuples: reports missing shards
+        (journal gaps in a finalized round), corrupt shards (digest or
+        row-count mismatch, or a referenced body missing or no longer
+        hashing to its digest), the rows with a missing body, the
+        corrupt bodies, orphaned rows/quarantine entries not attributed
+        to any journaled shard, and read models whose contents differ
+        from the fold of the same tuples."""
         with self._lock:
             info = self._any_round(round_id)
             entries = self.shard_journal(round_id)
@@ -833,18 +899,21 @@ class MeasurementStore(StoreBackend):
                     report.missing = sorted(set(range(expected)) - present)
                 elif entries and 0 not in present:
                     report.missing = [0]
+            bodies = self._referenced_bodies(info.table_name)
+            bad = bad_bodies(bodies)
+            missing = {digest for digest in bad if bodies[digest] is None}
+            report.corrupt_bodies = len(bad) - len(missing)
             attributed_rows = 0
             attributed_quarantine = 0
             history: dict[int, tuple] = {}
             summary: Counter = Counter()
             agg: Counter = Counter()
             for entry in entries:
-                stored = self._shard_rows(round_id, entry.shard_index)
+                rows = self._stored_rows(info.table_name, entry.shard_index)
+                damaged = sum(1 for row in rows if row[_BODY_INDEX] in bad)
                 report.missing_bodies += sum(
-                    1 for row in stored
-                    if row["body"] is None and row["body_digest"] is not None
+                    1 for row in rows if row[_BODY_INDEX] in missing
                 )
-                rows = [RoundRecord.from_row(row).to_row() for row in stored]
                 attributed_rows += len(rows)
                 attributed_quarantine += self._conn.execute(
                     "SELECT COUNT(*) FROM quarantine "
@@ -852,7 +921,8 @@ class MeasurementStore(StoreBackend):
                     (round_id, entry.shard_index),
                 ).fetchone()[0]
                 if (
-                    len(rows) != entry.record_count
+                    damaged
+                    or len(rows) != entry.record_count
                     or shard_checksum(rows) != entry.checksum
                 ):
                     report.corrupt.append(entry.shard_index)
@@ -969,12 +1039,15 @@ class MeasurementStore(StoreBackend):
     ) -> bool:
         """Overwrite one row's feature columns, re-journal its shard's
         checksum, and refold the read models: the old row's fold is
-        retracted and the new row's applied, both over the decoded rows
-        :meth:`verify_round` and :meth:`rebuild_views` fold."""
+        retracted and the new row's applied, both over the stored
+        tuples :meth:`verify_round` and :meth:`rebuild_views` fold."""
         with self._lock:
             table = self._any_round(round_id).table_name
-            old = self._conn.execute(
-                _rows_sql(table, "WHERE t.ip = ?"), (ip,)
+            cursor = self._conn.cursor()
+            cursor.row_factory = None
+            old = cursor.execute(
+                f"SELECT {_ROW_SELECT}, shard_index FROM {table} WHERE ip = ?",
+                (ip,),
             ).fetchone()
             if old is None:
                 return False
@@ -989,21 +1062,16 @@ class MeasurementStore(StoreBackend):
                  features.template, features.server, features.keywords,
                  features.analytics_id, f"{features.simhash:024x}", ip),
             )
-            shard = old["shard_index"]
-            rows = [
-                record.to_row()
-                for record in self.shard_records(round_id, shard)
-            ]
+            shard = old[-1]
+            rows = self._stored_rows(table, shard)
             self._conn.execute(
                 "UPDATE round_shards SET checksum = ? "
                 "WHERE round_id = ? AND shard_index = ?",
                 (shard_checksum(rows), round_id, shard),
             )
+            self._fold_rows(round_id, [old[:-1]], 0, sign=-1)
             self._fold_rows(
-                round_id, [RoundRecord.from_row(old).to_row()], 0, sign=-1
-            )
-            self._fold_rows(
-                round_id, [row for row in rows if row["ip"] == ip], 0
+                round_id, [row for row in rows if row[_IP] == ip], 0
             )
             self._commit()
             return True
@@ -1189,15 +1257,12 @@ class MeasurementStore(StoreBackend):
                     ).fetchall()
                 ]
                 for round_id in round_ids:
+                    table = self._any_round(round_id).table_name
                     for entry in self.shard_journal(round_id):
-                        rows = [
-                            record.to_row()
-                            for record in self.shard_records(
-                                round_id, entry.shard_index
-                            )
-                        ]
                         self._fold_rows(
-                            round_id, rows, entry.quarantine_count
+                            round_id,
+                            self._stored_rows(table, entry.shard_index),
+                            entry.quarantine_count,
                         )
                         self._note_view_fold()
                 self._commit()

@@ -25,9 +25,10 @@ The coordinator's :class:`WorkerSupervisor` owns the failure domain
   last resort; the round is forced ``degraded`` through the existing
   error-budget path.
 * **Checksum-verified merge** — completed journals are verified
-  (every assigned shard present, every digest matching) and merged
-  into the canonical store through the same idempotent
-  :meth:`~repro.core.store.StoreBackend.write_shard` protocol, in
+  (every assigned shard present, every digest matching, every body
+  re-hashed) and their stored row tuples merged into the canonical
+  store through the same idempotent
+  :meth:`~repro.core.store.StoreBackend.write_rows` protocol, in
   ascending shard order (so the merge also folds the canonical
   store's materialized read models, whichever engine backs it;
   per-partition *journals* are always sqlite files).  Stale journals left by a crashed coordinator
@@ -60,7 +61,12 @@ from .config import PlatformConfig
 from .faults import ProcessChaosPlan, ProcFaultKind
 from .pipeline import ShardWork
 from .records import PipelineStats
-from .store import MeasurementStore, StoreBackend, shard_checksum
+from .store import (
+    MeasurementStore,
+    StoreBackend,
+    bad_bodies,
+    shard_checksum,
+)
 from . import telemetry as _telemetry
 
 __all__ = [
@@ -407,20 +413,20 @@ class WorkerSupervisor:
                         f"{sorted(set(expected) - present)}"
                     )
                 for entry in entries:
-                    records = journal.shard_records(
+                    rows, bodies = journal.shard_rows(
                         round_id, entry.shard_index
                     )
-                    rows = [record.to_row() for record in records]
                     if (
                         len(rows) != entry.record_count
                         or shard_checksum(rows) != entry.checksum
+                        or bad_bodies(bodies)
                     ):
                         raise _JournalRejected(
                             f"journal {path} shard {entry.shard_index} "
                             "failed checksum verification"
                         )
-                    committed = self.store.write_shard(
-                        round_id, entry.shard_index, records,
+                    committed = self.store.write_rows(
+                        round_id, entry.shard_index, rows, bodies,
                         errors=entry.errors, operations=entry.operations,
                         quarantine=journal.shard_quarantine(
                             round_id, entry.shard_index
@@ -428,7 +434,7 @@ class WorkerSupervisor:
                     )
                     if committed:
                         report.merged_shards += 1
-                        report.merged_records += len(records)
+                        report.merged_records += len(rows)
         except (sqlite3.Error, KeyError, ValueError) as exc:
             # Torn file, missing round row, or a round table sqlite can
             # no longer read — all equivalent to a lost partition.

@@ -126,10 +126,6 @@ class CampaignResult:
             self._clustering = WebpageClusterer().cluster(self.dataset)
         return self._clustering
 
-    @property
-    def round_count(self) -> int:
-        return len(self.summaries)
-
 
 class Campaign:
     """Runs a full measurement campaign over one scenario."""

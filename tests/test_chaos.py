@@ -83,7 +83,7 @@ def assert_chaos_invariants(result, faulty) -> None:
     """The invariants every fault storm must preserve."""
     store = result.store
     infos = store.rounds()
-    assert len(infos) == result.round_count
+    assert len(infos) == len(result.summaries)
 
     # Per-IP probe budget: once per round, at most 3 ports, no retries.
     for (round_id, ip), calls in faulty.probe_calls.items():

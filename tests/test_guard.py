@@ -5,8 +5,10 @@ inspection, and guarded feature extraction."""
 from __future__ import annotations
 
 import asyncio
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.config import FetchConfig, GuardConfig
 from repro.core.faults import FaultKind, FaultPlan, FaultyTransport, chaos_plan
@@ -239,6 +241,19 @@ class TestInspect:
 
     def test_empty_body_is_ok(self):
         assert self.guard.inspect(page("")) is GuardVerdict.OK
+
+    @given(st.text(alphabet="<</aZ9 >\u00e9", max_size=300))
+    def test_tag_counts_equal_one_match_at_a_time(self, body):
+        """The guard counts tags without a Python step per match; both
+        counts equal a ``finditer`` walk of the same patterns."""
+        from repro.core.guard import _OPEN_TAG_RE
+
+        assert len(_OPEN_TAG_RE.findall(body)) == sum(
+            1 for _ in _OPEN_TAG_RE.finditer(body)
+        )
+        assert body.count("</") == sum(
+            1 for _ in re.finditer("</", body)
+        )
 
 
 class _PoisonExtractor(FeatureExtractor):

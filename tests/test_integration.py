@@ -84,7 +84,7 @@ class TestPipeline:
         assert 0.4 * web_services < final < 2.0 * web_services
 
     def test_azure_campaign_runs(self, azure_campaign):
-        assert azure_campaign.round_count == len(
+        assert len(azure_campaign.summaries) == len(
             azure_campaign.scenario.scan_days
         )
         clustering = azure_campaign.clustering()

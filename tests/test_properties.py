@@ -16,7 +16,8 @@ from repro.core.records import (
     ProbeStatus,
     RoundRecord,
 )
-from repro.core.store import MeasurementStore
+from repro.core.store import MeasurementStore, bad_bodies, shard_checksum
+from repro.core.store.base import encode_shard
 from _fakes import write_round
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,56 @@ def round_records(draw):
         ssh_banner=draw(st.one_of(st.none(),
                                   st.just("SSH-2.0-OpenSSH_5.9"))),
     )
+
+
+# Any text sqlite stores: non-ASCII included (surrogates excluded).
+_any_text = st.text(max_size=30)
+
+
+@st.composite
+def stored_records(draw, ip):
+    """A record of round 1 with arbitrary text in every column: an
+    empty or absent body, a None status, no features, several headers."""
+    body = draw(st.one_of(st.none(), st.just(""), _any_text))
+    features = draw(st.one_of(st.none(), st.builds(
+        PageFeatures, title=_any_text, description=_any_text,
+        server=_any_text, simhash=st.integers(0, 2**96 - 1),
+        html_length=st.integers(0, 2**31),
+    )))
+    return RoundRecord(
+        ip=ip, round_id=1, timestamp=0,
+        probe=ProbeOutcome(ip=ip, status=ProbeStatus.RESPONSIVE,
+                           open_ports=draw(_ports)),
+        fetch=FetchResult(
+            ip=ip,
+            status=draw(st.sampled_from(list(FetchStatus))),
+            url=draw(_any_text),
+            status_code=draw(st.sampled_from([200, 404, None])),
+            headers=draw(st.dictionaries(_any_text, _any_text, max_size=4)),
+            body=body,
+            error=draw(st.one_of(st.none(), _any_text)),
+        ),
+        features=features,
+        ssh_banner=draw(st.one_of(st.none(), _any_text)),
+    )
+
+
+class TestTupleChecksum:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=6,
+                    unique=True).flatmap(
+        lambda ips: st.tuples(*(stored_records(ip) for ip in ips))))
+    def test_written_and_read_back_tuples_hash_alike(self, records):
+        rows, bodies = encode_shard(records)
+        store = MeasurementStore()
+        store.begin_round(1, 0, len(records))
+        store.write_shard(1, 0, records)
+        stored, stored_bodies = store.shard_rows(1, 0)
+        assert shard_checksum(stored) == shard_checksum(rows) \
+            == store.shard_journal(1)[0].checksum
+        assert stored_bodies == bodies and not bad_bodies(stored_bodies)
+        store.finalize_round(1)
+        assert store.verify_round(1).ok
 
 
 class TestRecordRoundTrip:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -22,7 +24,7 @@ from repro.core.store import (
     open_store,
 )
 from repro.core.store.base import COLUMN_NAMES, COLUMNS
-from _fakes import write_round
+from _fakes import python_calls, write_round
 
 
 def record(ip: int, round_id: int, timestamp: int, title: str = "t") -> RoundRecord:
@@ -347,6 +349,183 @@ class TestStoreFormat:
         assert len(err.strip().splitlines()) == 1
 
 
+def current_store_marked_old(tmp_path) -> str:
+    """A store in today's layout whose ``user_version`` says it was
+    written before the tuple checksum (format 0, as older files read)."""
+    path = str(tmp_path / "old_version.sqlite")
+    store = MeasurementStore(path)
+    write_round(store, 1, 0, 10, [record(1, 1, 0), record(2, 1, 0)])
+    store.close()
+    conn = sqlite3.connect(path)
+    conn.execute("PRAGMA user_version = 0")
+    conn.close()
+    return path
+
+
+def file_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+VERSION_REFUSAL = "unsupported store format 0"
+
+
+class TestStoreFormatVersion:
+    """``PRAGMA user_version`` names the checksum definition: a file
+    with rounds and an older version is refused before any DDL."""
+
+    def test_new_store_records_its_format(self, tmp_path):
+        from repro.core.store.sqlite import STORE_FORMAT
+
+        path = str(tmp_path / "new.sqlite")
+        MeasurementStore(path).close()
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA user_version").fetchone()[0] \
+            == STORE_FORMAT
+        conn.close()
+
+    @pytest.mark.parametrize("opener", ["writer", "readonly", "open_store"])
+    def test_old_version_is_refused_and_left_unchanged(self, tmp_path,
+                                                       opener):
+        path = current_store_marked_old(tmp_path)
+        before = file_bytes(path)
+        open_with = {
+            "writer": MeasurementStore,
+            "readonly": MeasurementStore.open_readonly,
+            "open_store": lambda p: open_store(p, readonly=True),
+        }[opener]
+        with pytest.raises(UnsupportedStoreFormat, match=VERSION_REFUSAL):
+            open_with(path)
+        assert file_bytes(path) == before
+
+    @pytest.mark.parametrize(
+        "command", ["serve", "verify", "report", "resume", "rebuild-views",
+                    "lookup", "aggregate"]
+    )
+    def test_cli_refuses_old_version_in_one_line(self, tmp_path, capsys,
+                                                 command):
+        path = current_store_marked_old(tmp_path)
+        before = file_bytes(path)
+        TestStoreFormat.assert_cli_refuses(
+            path, command, VERSION_REFUSAL, capsys
+        )
+        assert file_bytes(path) == before
+
+
+def flip(value):
+    """*value* with one byte (bytes) or one character (str) changed."""
+    if isinstance(value, bytes):
+        return bytes([value[0] ^ 1]) + value[1:]
+    return chr(ord(value[0]) ^ 1) + value[1:]
+
+
+class TestVerifyNamesEveryMutation:
+    """One changed byte anywhere the checksum or the body re-hash
+    covers makes ``repro verify`` exit 1 and name the round."""
+
+    def _campaign(self, tmp_path) -> str:
+        path = str(tmp_path / "mutated.sqlite")
+        store = MeasurementStore(path)
+        write_round(store, 1, 0, 10, [record(1, 1, 0, "a"),
+                                     record(2, 1, 0, "b")])
+        write_round(store, 2, 1, 10, [record(1, 2, 1, "c"),
+                                     record(2, 2, 1, "d")])
+        store.close()
+        return path
+
+    @pytest.mark.parametrize("target", [
+        "row column", "bodies.body", "body_digest", "journaled checksum",
+    ])
+    def test_mutation_fails_verify_and_names_round_2(self, tmp_path,
+                                                      capsys, target):
+        path = self._campaign(tmp_path)
+        assert main(["verify", path]) == 0
+        capsys.readouterr()
+        conn = sqlite3.connect(path)
+        table, column, key, where = {
+            "row column": ("round_00001", "title", "ip", 2),
+            "bodies.body": ("bodies", "body", "digest",
+                            digest_of("<title>d</title>")),
+            "body_digest": ("round_00001", "body_digest", "ip", 2),
+            "journaled checksum": ("round_shards", "checksum", "round_id", 2),
+        }[target]
+        (value,) = conn.execute(
+            f"SELECT {column} FROM {table} WHERE {key} = ?", (where,)
+        ).fetchone()
+        conn.execute(
+            f"UPDATE {table} SET {column} = ? WHERE {key} = ?",
+            (flip(value), where),
+        )
+        conn.commit()
+        conn.close()
+        assert main(["verify", path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines
+                if line.startswith("round ") and "FAIL" in line] \
+            == ["round 2 (day 1, complete)"]
+        assert any(line.startswith("round 1 ") and ": ok" in line
+                   for line in lines)
+
+    def test_corrupt_body_is_counted_and_described(self):
+        store = MeasurementStore()
+        write_round(store, 1, 0, 10, [record(1, 1, 0, "a")])
+        store._conn.execute(
+            "UPDATE bodies SET body = 'evil' WHERE digest = ?",
+            (digest_of("<title>a</title>"),),
+        )
+        report = store.verify_round(1)
+        assert report.corrupt_bodies == 1 and report.missing_bodies == 0
+        assert report.corrupt == [0] and not report.ok
+        assert "1 CORRUPT bodies" in report.describe()
+
+
+def seeded_shard(count: int, seed: int) -> list[RoundRecord]:
+    """*count* fresh records of round 1: four in five with a page (one
+    of 200 bodies, so bodies repeat), the rest bodyless."""
+    rng = random.Random(seed)
+    records = []
+    for ip in range(1, count + 1):
+        if rng.random() < 0.2:
+            records.append(bare_record(ip, 1, 0))
+            continue
+        title = f"site {rng.randrange(200)}"
+        records.append(RoundRecord(
+            ip=ip, round_id=1, timestamp=0,
+            probe=ProbeOutcome(ip=ip, status=ProbeStatus.RESPONSIVE,
+                               open_ports=frozenset({80, 443})),
+            fetch=FetchResult(
+                ip=ip, status=FetchStatus.OK, url=f"http://{ip}/",
+                status_code=rng.choice([200, 404, 500]),
+                headers={"Content-Type": "text/html",
+                         "Server": rng.choice(["nginx", "Apache"])},
+                body=f"<html><title>{title}</title></html>",
+            ),
+            features=PageFeatures(title=title, server="nginx",
+                                  simhash=rng.getrandbits(96)),
+        ))
+    return records
+
+
+class TestPythonCallsPerRow:
+    """The writer's work budget: Python calls per committed row for one
+    ``write_shard`` of a seeded 1 024-record shard — encode, checksum,
+    insert and fold included.  A noise-free gate on the hot path's
+    weight, not a speed claim (time spent in C is invisible to it)."""
+
+    #: Reads 5.70; the bound is the reading plus 10 %.
+    BUDGET = 6.27
+
+    def test_write_shard_calls_per_row(self):
+        records = seeded_shard(1024, seed=7)
+        store = MeasurementStore()
+        store.begin_round(1, 0, len(records))
+        calls, committed = python_calls(
+            lambda: store.write_shard(1, 0, records)
+        )
+        assert committed
+        assert calls / len(records) <= self.BUDGET
+
+
 class TestReadonlyStore:
     """`open_readonly`: the query tools' connection can never write."""
 
@@ -527,27 +706,29 @@ class TestConnectHelper:
             conn.close()
 
 
-class TestFoldProjectsEachRowOnce:
-    def test_light_row_called_once_per_row(self, monkeypatch):
+class TestTupleFold:
+    def test_fold_of_tuples_is_light_row_of_decoded_rows(self):
+        """The writer folds stored tuples by position; the views must
+        hold what ``light_row`` projects from the decoded rows."""
         from repro.core.store import base as store_base
         from repro.core.store import sqlite as store_sqlite
 
-        rows = [record(ip, 1, 0).to_row() for ip in range(1, 8)]
-        rows[3]["body"] = None          # a row the projection nulls out
-        expected = {
-            row["ip"]: tuple(
-                store_base.light_row(row)[name]
-                for name in store_base.IP_HISTORY_COLUMNS)
+        records = [record(ip, 1, 0) for ip in range(1, 8)]
+        records[3] = bare_record(4, 1, 0)   # a row the projection nulls
+        history, counts, tallies = store_sqlite._fold(
+            [rec.row() for rec in records]
+        )
+        rows = [rec.to_row() for rec in records]
+        assert history == {
+            row["ip"]: tuple(store_base.light_row(row).values())
             for row in rows
         }
-        calls = []
-        real = store_base.light_row
-        monkeypatch.setattr(
-            store_base, "light_row",
-            lambda row: calls.append(row["ip"]) or real(row))
-        history, _, _ = store_sqlite._fold(rows)
-        assert calls == [row["ip"] for row in rows]
-        assert history == expected
+        assert counts == store_base.summarize_rows(rows)
+        assert tallies == Counter(
+            (column, row[column])
+            for column in sorted(store_base.AGGREGATE_COLUMNS)
+            for row in rows if row[column] is not None
+        )
 
 
 def bare_record(ip: int, round_id: int, timestamp: int) -> RoundRecord:

@@ -28,6 +28,7 @@ from repro.core.store import (
     MeasurementStore,
     shard_checksum,
 )
+from repro.core.store.base import COLUMN_NAMES
 from repro.core.workers import (
     WorkerRoundReport,
     WorkerSupervisor,
@@ -174,10 +175,11 @@ class TestProcessChaosPlan:
 
 class TestShardChecksums:
     def test_checksum_is_content_and_order_sensitive(self):
-        rows = [record(1, 1, 0).to_row(), record(2, 1, 0).to_row()]
+        rows = [record(1, 1, 0).row(), record(2, 1, 0).row()]
         assert shard_checksum(rows) == shard_checksum(list(rows))
         assert shard_checksum(rows) != shard_checksum(rows[::-1])
-        tampered = [dict(rows[0], title="x"), rows[1]]
+        title = COLUMN_NAMES.index("title")
+        tampered = [rows[0][:title] + ("x",) + rows[0][title + 1:], rows[1]]
         assert shard_checksum(rows) != shard_checksum(tampered)
 
     def _round_db(self, tmp_path):

@@ -75,7 +75,7 @@ class TestScenarios:
 
 class TestCampaign:
     def test_round_count_and_summaries(self, ec2_campaign):
-        assert ec2_campaign.round_count == len(
+        assert len(ec2_campaign.summaries) == len(
             ec2_campaign.scenario.scan_days
         )
         for summary in ec2_campaign.summaries:
@@ -99,7 +99,7 @@ class TestCampaign:
     def test_custom_scan_days(self):
         scenario = ec2_scenario(total_ips=512, seed=3, duration_days=10)
         result = Campaign(scenario).run(scan_days=[0, 5])
-        assert result.round_count == 2
+        assert len(result.summaries) == 2
 
     def test_simulation_config_fast(self):
         config = simulation_config()
@@ -110,7 +110,7 @@ class TestCampaign:
         """Politeness audit: at most 3 probes and 2 GETs per IP/round."""
         transport = ec2_campaign.scenario.transport
         targets = len(ec2_campaign.scenario.targets)
-        rounds = ec2_campaign.round_count
+        rounds = len(ec2_campaign.summaries)
         assert transport.probe_count <= targets * rounds * 3
         responsive_total = sum(s.responsive for s in ec2_campaign.summaries)
         assert transport.get_count <= responsive_total * 2
