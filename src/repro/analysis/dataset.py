@@ -180,9 +180,6 @@ class Dataset:
         for round_id in self.round_ids:
             yield from self.by_round[round_id]
 
-    def responsive_ips(self, round_id: int) -> set[int]:
-        return {o.ip for o in self.by_round[round_id]}
-
     def history(self, ip: int) -> list[Observation]:
         """All observations of one IP, in chronological order."""
         return self.by_ip.get(ip, [])

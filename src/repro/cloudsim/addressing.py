@@ -70,9 +70,6 @@ class Prefix:
     def last(self) -> int:
         return self.network + self.size - 1
 
-    def __contains__(self, address: int) -> bool:
-        return self.first <= address <= self.last
-
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.first, self.last + 1))
 
@@ -95,20 +92,9 @@ class Region:
     name: str
     prefixes: list[Prefix] = field(default_factory=list)
 
-    @classmethod
-    def from_cidrs(cls, name: str, cidrs: Iterable[str]) -> "Region":
-        return cls(name, sorted(Prefix.parse(c) for c in cidrs))
-
     @property
     def size(self) -> int:
         return sum(p.size for p in self.prefixes)
-
-    def addresses(self) -> Iterator[int]:
-        for prefix in sorted(self.prefixes):
-            yield from prefix
-
-    def __contains__(self, address: int) -> bool:
-        return any(address in p for p in self.prefixes)
 
 
 class AddressSpace:
@@ -140,9 +126,6 @@ class AddressSpace:
     def size(self) -> int:
         """Total number of advertised addresses."""
         return self._cumulative[-1]
-
-    def __len__(self) -> int:
-        return self.size
 
     def _row_for(self, address: int) -> tuple[int, int, Prefix, Region] | None:
         index = bisect_right(self._starts, address) - 1

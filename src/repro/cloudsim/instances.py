@@ -44,10 +44,6 @@ class IpPool:
             for address in addresses:
                 self._kind_of[address] = kind
 
-    def available(self, kind: str) -> int:
-        """Number of free addresses of the given kind."""
-        return len(self._free.get(kind, ()))
-
     def acquire(self, kind: str) -> int | None:
         """Take a random free address of *kind*; None if exhausted.
 

@@ -84,8 +84,8 @@ class ProviderTopology:
         if total_ips <= 0:
             raise ValueError("total_ips must be positive")
         self.spec = spec
-        self._prefix_length = spec.resolve_prefix_length(total_ips)
-        prefix_size = 1 << (32 - self._prefix_length)
+        prefix_length = spec.resolve_prefix_length(total_ips)
+        prefix_size = 1 << (32 - prefix_length)
         total_prefixes = max(len(spec.regions), total_ips // prefix_size)
         rng = random.Random(seed ^ 0x5EED)
 
@@ -98,7 +98,7 @@ class ProviderTopology:
             count = max(1, round(total_prefixes * region_spec.weight / weight_sum))
             prefixes = []
             for _ in range(count):
-                prefix = Prefix(cursor, self._prefix_length)
+                prefix = Prefix(cursor, prefix_length)
                 prefixes.append(prefix)
                 cursor += prefix_size
             vpc_count = (
@@ -111,28 +111,17 @@ class ProviderTopology:
             regions.append(Region(region_spec.name, prefixes))
         self.space = AddressSpace(regions)
 
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def prefix_length(self) -> int:
-        return self._prefix_length
-
-    def kind_of_prefix(self, prefix: Prefix) -> str:
-        return self._kind_by_prefix[prefix]
-
     def kind_of(self, address: int) -> str:
         """Networking kind (classic/vpc) of an address."""
         prefix = self.space.prefix_of(address)
         if prefix is None:
-            raise KeyError(f"address not in {self.name} space")
+            raise KeyError(f"address not in {self.spec.name} space")
         return self._kind_by_prefix[prefix]
 
     def region_of(self, address: int) -> str:
         region = self.space.region_of(address)
         if region is None:
-            raise KeyError(f"address not in {self.name} space")
+            raise KeyError(f"address not in {self.spec.name} space")
         return region.name
 
     def addresses_by_kind(self, region_name: str) -> dict[str, list[int]]:

@@ -1,23 +1,16 @@
 """Shared jittered exponential backoff.
 
-Three subsystems grew their own copy of the same pattern — the fetcher's
-retry delay, the store's SQLITE_BUSY commit retry, and the worker
-supervisor's partition-reassignment hold — and the serving layer's
-``Retry-After`` hint makes a fourth.  This module is the single
-implementation: capped exponential growth with multiplicative jitter,
-where the jitter source is either a **seeded key** (deterministic per
-logical retry, so campaign output never depends on wall-clock luck) or
-a caller-owned :class:`random.Random` (for timing-only jitter like the
-store's busy retry, which never touches data).
+The store's SQLITE_BUSY commit retry and the worker supervisor's
+partition-reassignment hold wait by the same rule, and the serving
+layer's ``Retry-After`` hint uses it too: capped exponential growth
+scaled by a jitter multiplier in ``[0.5, 1.5)``, where the jitter
+source is either a **seeded key** (deterministic per logical retry, so
+campaign output never depends on wall-clock luck) or a caller-owned
+:class:`random.Random` (for timing-only jitter like the store's busy
+retry, which never touches data).  The call sites:
 
-The jitter band is expressed as ``(jitter_min, jitter_max)`` multipliers
-of the capped exponential delay; the historical call sites pin their
-exact bands so extraction changed no observable delay:
-
-* fetcher retry: ``(0.5, 1.0)``, key ``fetch-retry:{ip}:{attempt}``
-* worker reassignment: ``(0.5, 1.5)``, key
-  ``backoff:{round_id}:{partition}:{attempt}``
-* store busy retry: ``(0.5, 1.5)``, caller-owned unseeded RNG
+* worker reassignment: key ``backoff:{round_id}:{partition}:{attempt}``
+* store busy retry: caller-owned unseeded RNG
 """
 
 from __future__ import annotations
@@ -35,14 +28,12 @@ def backoff_delay(
     cap: float,
     key: str | None = None,
     rng: random.Random | None = None,
-    jitter_min: float = 0.5,
-    jitter_max: float = 1.5,
 ) -> float:
     """Delay in seconds before retry *attempt* (0-based).
 
     The undithered delay is ``min(base * 2**attempt, cap)``; the
     returned value is that delay scaled by a uniform draw from
-    ``[jitter_min, jitter_max)``.  Exactly one jitter source applies:
+    ``[0.5, 1.5)``.  Exactly one jitter source applies:
     *key* seeds a throwaway :class:`random.Random` (same key, same
     delay — deterministic across processes and runs), *rng* draws from
     a caller-owned generator, and with neither the module-level RNG is
@@ -52,8 +43,6 @@ def backoff_delay(
         raise ValueError("attempt must be non-negative")
     if base < 0 or cap < 0:
         raise ValueError("base and cap must be non-negative")
-    if jitter_max < jitter_min:
-        raise ValueError("jitter_max must be >= jitter_min")
     delay = min(base * (2 ** attempt), cap)
     if key is not None:
         draw = random.Random(key).random()
@@ -61,7 +50,7 @@ def backoff_delay(
         draw = rng.random()
     else:
         draw = random.random()
-    return delay * (jitter_min + (jitter_max - jitter_min) * draw)
+    return delay * (0.5 + draw)
 
 
 def retry_after_seconds(

@@ -39,13 +39,6 @@ class ScanConfig:
     retries: int = 0
     #: Maximum concurrent in-flight probes.
     concurrency: int = 256
-    #: Per-/24-subnet circuit breaker: after this many *consecutive*
-    #: classified probe failures inside one subnet in a round, the rest
-    #: of the subnet is skipped with
-    #: :attr:`~repro.core.records.ProbeStatus.CIRCUIT_OPEN` instead of
-    #: burning a full probe timeout per address.  The breaker resets at
-    #: the start of every round.  0 (the default) disables it.
-    subnet_error_threshold: int = 0
 
     def __post_init__(self) -> None:
         if self.probe_timeout <= 0:
@@ -54,8 +47,6 @@ class ScanConfig:
             raise ValueError("probes_per_second must be positive")
         if self.concurrency <= 0:
             raise ValueError("concurrency must be positive")
-        if self.subnet_error_threshold < 0:
-            raise ValueError("subnet_error_threshold must be non-negative")
 
 
 #: Content-type prefixes that are never downloaded (§4).
@@ -87,15 +78,6 @@ class FetchConfig:
     )
     #: Honour robots.txt disallow rules for the top-level page (§7).
     respect_robots: bool = True
-    #: Bounded retry-with-jitter for page fetches.  0 preserves the
-    #: paper's semantics (a failed fetch is recorded, never retried);
-    #: setting it >0 makes the fetcher retry transport errors with
-    #: exponential backoff and deterministic jitter.
-    retries: int = 0
-    #: First backoff delay in seconds; doubles per retry attempt.
-    retry_base_delay: float = 0.05
-    #: Ceiling on any single backoff delay in seconds.
-    retry_max_delay: float = 1.0
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -104,10 +86,6 @@ class FetchConfig:
             raise ValueError("timeout must be positive")
         if self.max_body_bytes <= 0:
             raise ValueError("max_body_bytes must be positive")
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
-        if self.retry_base_delay < 0 or self.retry_max_delay < 0:
-            raise ValueError("retry delays must be non-negative")
 
     def should_download(self, content_type: str) -> bool:
         """Return True if a body with this content type may be stored."""
@@ -131,7 +109,7 @@ class GuardConfig:
     """
 
     #: Wall-clock ceiling in seconds for one IP's whole fetch task
-    #: (robots.txt + page GET + retries).  A task that blows it is
+    #: (robots.txt + page GET).  A task that blows it is
     #: cancelled, recorded as a ``stage-deadline`` fetch error, and
     #: quarantined.  0 disables the deadline.  It guards the pooled
     #: fetch only: a ``BatchGet`` transport never suspends, so its

@@ -10,10 +10,10 @@ Links are never followed and active content is never executed.
 
 A shard's IPs are fetched one of two ways.  A transport with
 ``get_many`` (:class:`~repro.core.transport.BatchGet`) gets the shard's
-robots.txt GETs in one call and its page GETs in another, plus one more
-per retry pass.  Any other transport is driven through the supervised
-pool, one deadline-guarded task per IP.  Both give each IP the same
-result, counters and quarantine records.
+robots.txt GETs in one call and its page GETs in another.  Any other
+transport is driven through the supervised pool, one deadline-guarded
+task per IP.  Both give each IP the same result, counters and
+quarantine records.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import asyncio
 import re
 from typing import Sequence
 
-from .backoff import backoff_delay
 from .config import FetchConfig
 from .guard import GuardVerdict, StageDeadlineExceeded, Supervisor
 from .records import FetchResult, FetchStatus, ProbeOutcome
@@ -138,10 +137,9 @@ class Fetcher:
         self.config = config or FetchConfig()
         self.guard = guard or Supervisor(concurrency=self.config.workers)
         #: GET counter across the fetcher's lifetime (ethics audit: at
-        #: most two GETs per IP per round — plus explicitly configured
-        #: retries, which are off by default to keep paper semantics).
+        #: most two GETs per IP per round).
         self.gets_sent = 0
-        #: Page fetches that ended in a transport error (after retries).
+        #: Page fetches that ended in a transport error.
         self.fetch_errors = 0
 
     async def fetch_ip(self, outcome: ProbeOutcome) -> FetchResult:
@@ -154,7 +152,7 @@ class Fetcher:
             if not allowed:
                 return self._disallowed(outcome)
         try:
-            response = await self._get_with_retries(outcome.ip, scheme, "/")
+            response = await self._get(outcome.ip, scheme, "/")
         except TransportError as exc:
             return self._error(outcome, exc)
         return self._page(outcome, response)
@@ -207,9 +205,8 @@ class Fetcher:
     ) -> list[FetchResult]:
         """:meth:`fetch_ip` for a whole shard, a pass at a time: every
         robots.txt GET in one ``get_many`` call, then every allowed page
-        GET in one more, then one per retry pass for the page GETs that
-        failed, after the longest of their backoff delays.  An exception
-        in an IP's slot is trapped into *fallback*, as the pool would."""
+        GET in one more.  An exception in an IP's slot is trapped into
+        *fallback*, as the pool would."""
         config = self.config
         results: list = [None] * len(outcomes)
         todo = []
@@ -253,27 +250,16 @@ class Fetcher:
                 except Exception as exc:  # poison-proof by design
                     trap(index, exc)
             todo = allowed
-        for attempt in range(1 + config.retries):
-            if not todo:
-                break
-            if attempt:
-                await asyncio.sleep(max(
-                    self._backoff_delay(outcomes[index].ip, attempt - 1)
-                    for index in todo
-                ))
-            failed = []
+        if todo:
             for index, answer in zip(todo, await send("/")):
                 try:
-                    if not isinstance(answer, TransportError):
+                    if isinstance(answer, TransportError):
+                        results[index] = self._error(outcomes[index], answer)
+                    else:
                         results[index] = self._page(
                             outcomes[index], _response(answer))
-                    elif attempt < config.retries:
-                        failed.append(index)
-                    else:
-                        results[index] = self._error(outcomes[index], answer)
                 except Exception as exc:  # poison-proof by design
                     trap(index, exc)
-            todo = failed
         return results
 
     def fetch_sync(self, outcomes: Sequence[ProbeOutcome]) -> list[FetchResult]:
@@ -348,33 +334,6 @@ class Fetcher:
             timeout=self.config.timeout,
             max_body=self.config.max_body_bytes,
             headers={"User-Agent": self.config.user_agent},
-        )
-
-    async def _get_with_retries(
-        self, ip: int, scheme: str, path: str
-    ) -> HttpResponse:
-        """The page GET, with the optional bounded retry-with-jitter
-        policy (``FetchConfig.retries``, 0 by default — the paper never
-        retries).  Backoff is deterministic per (ip, attempt) so chaos
-        runs replay exactly."""
-        attempts = 1 + max(0, self.config.retries)
-        for attempt in range(attempts):
-            try:
-                return await self._get(ip, scheme, path)
-            except TransportError:
-                if attempt + 1 >= attempts:
-                    raise
-                await asyncio.sleep(self._backoff_delay(ip, attempt))
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _backoff_delay(self, ip: int, attempt: int) -> float:
-        return backoff_delay(
-            attempt,
-            base=self.config.retry_base_delay,
-            cap=self.config.retry_max_delay,
-            key=f"fetch-retry:{ip}:{attempt}",
-            jitter_min=0.5,
-            jitter_max=1.0,
         )
 
     def _body_text(self, response: HttpResponse) -> str | None:

@@ -84,8 +84,6 @@ class RoundSummary:
     fetched: int
     #: Classified transport errors observed this round (probes + GETs).
     errors: int = 0
-    #: Targets skipped because their /24's circuit breaker was open.
-    circuit_open: int = 0
     #: Dead-letter entries the supervision layer wrote this round.
     quarantined: int = 0
     #: Per-stage pipeline telemetry for the run that produced the
@@ -118,7 +116,6 @@ class _OpenRound:
     shards_total: int
     #: ``(shard_index, targets)`` of every shard not yet committed.
     remaining: list[tuple[int, Sequence[int]]]
-    circuit_before: int     # scanner.circuit_open_skips at begin
 
 
 class WhoWas:
@@ -257,17 +254,15 @@ class WhoWas:
                 (index, shard) for index, shard in enumerate(shards)
                 if index not in done
             ],
-            circuit_before=self.scanner.circuit_open_skips,
         )
 
     def _start_round(self, round_id: int, timestamp: int) -> None:
-        """Point this process's transport, breaker, guard and extractor
-        memo at the round (runs wherever shards execute: here, or in
-        each worker)."""
+        """Point this process's transport, guard and extractor memo at
+        the round (runs wherever shards execute: here, or in each
+        worker)."""
         round_hook = getattr(self.transport, "on_round_start", None)
         if callable(round_hook):
             round_hook(round_id)
-        self.scanner.breaker.reset()
         self.guard.start_round(round_id, timestamp)
         self.features.new_round()
 
@@ -314,9 +309,6 @@ class WhoWas:
             available=round_stats["available"],
             fetched=round_stats["fetched"],
             errors=errors,
-            circuit_open=(
-                self.scanner.circuit_open_skips - opened.circuit_before
-            ),
             quarantined=self.store.quarantine_count(round_id),
             pipeline=stats,
         )

@@ -86,9 +86,6 @@ class ProbeStatus(enum.Enum):
     UNRESPONSIVE = "unresponsive"
     #: IP was on the do-not-scan blacklist and was never probed.
     SKIPPED = "skipped"
-    #: IP's /24 subnet tripped the scanner's circuit breaker this round
-    #: (too many consecutive classified errors) and was never probed.
-    CIRCUIT_OPEN = "circuit-open"
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .config import ScanConfig
 from .records import ProbeOutcome, ProbeStatus
 from .transport import Transport, TransportError
 
-__all__ = ["RateLimiter", "SubnetCircuitBreaker", "Scanner"]
+__all__ = ["RateLimiter", "Scanner"]
 
 #: Ports probed, in order: 80 then 443, and 22 only if both failed.
 WEB_PORTS = (80, 443)
@@ -46,61 +46,8 @@ FALLBACK_PORTS = (22,)
 Job = tuple[int, int, int]
 #: What one probe came back with: open or not, or a classified failure.
 ProbeResult = bool | TransportError
-#: Folds finished jobs and their results into a chunk's state.
+#: Folds finished jobs and their results into a shard's state.
 Settle = Callable[[Sequence[Job], Sequence[ProbeResult]], None]
-
-
-class SubnetCircuitBreaker:
-    """Per-/24-subnet breaker guarding the probe budget.
-
-    Pathological subnets (null-routed, fully firewalled) make every
-    probe burn the full timeout.  The breaker counts *consecutive*
-    per-IP classified probe failures within each /24; once a subnet
-    accumulates ``threshold`` of them, the rest of its addresses are
-    skipped for the round with :attr:`ProbeStatus.CIRCUIT_OPEN`.  Any
-    clean outcome (responsive, or unresponsive without a classified
-    error) resets the subnet's streak.  ``threshold <= 0`` disables
-    the breaker entirely; the platform resets it every round.
-    """
-
-    def __init__(self, threshold: int = 0):
-        self.threshold = threshold
-        self._streak: dict[int, int] = {}
-        self._open: set[int] = set()
-
-    @staticmethod
-    def subnet(ip: int) -> int:
-        return ip >> 8
-
-    def is_open(self, ip: int) -> bool:
-        return self.threshold > 0 and (ip >> 8) in self._open
-
-    def headroom(self, ip: int) -> int:
-        """Classified failures in a row *ip*'s closed subnet can still
-        take before it trips (at least 1)."""
-        return self.threshold - self._streak.get(ip >> 8, 0)
-
-    def record(self, ip: int, errored: bool) -> None:
-        """Feed one finished probe outcome into the breaker."""
-        if self.threshold <= 0:
-            return
-        net = ip >> 8
-        if not errored:
-            self._streak[net] = 0
-            return
-        streak = self._streak.get(net, 0) + 1
-        self._streak[net] = streak
-        if streak >= self.threshold:
-            self._open.add(net)
-
-    def reset(self) -> None:
-        """Close every breaker (called at the start of each round)."""
-        self._streak.clear()
-        self._open.clear()
-
-    @property
-    def open_subnets(self) -> frozenset[int]:
-        return frozenset(self._open)
 
 
 class RateLimiter:
@@ -174,16 +121,11 @@ class Scanner:
         self.config = config or ScanConfig()
         self.blacklist = frozenset(blacklist)
         self._limiter = RateLimiter(self.config.probes_per_second)
-        #: Per-/24 circuit breaker (disabled unless
-        #: :attr:`ScanConfig.subnet_error_threshold` is set).
-        self.breaker = SubnetCircuitBreaker(self.config.subnet_error_threshold)
         #: Total probes sent across the scanner's lifetime (ethics audit).
         self.probes_sent = 0
         #: Probes that failed with a *classified* transport error across
         #: the scanner's lifetime (feeds the platform's error budget).
         self.probe_errors = 0
-        #: Targets skipped because their subnet's breaker was open.
-        self.circuit_open_skips = 0
         #: Wall-clock seconds spent inside :meth:`scan` calls (feeds
         #: the pipeline's per-stage throughput telemetry).
         self.scan_busy_seconds = 0.0
@@ -195,9 +137,7 @@ class Scanner:
         Each IP is treated exactly once per call — the platform invokes
         one call per shard per round, matching the "at most three probes
         per IP per day" budget.  Blacklisted IPs are ``SKIPPED`` without
-        a probe.  With the per-/24 breaker on, targets are admitted in
-        chunks (:meth:`_admit`) and each chunk's outcomes are fed to the
-        breaker in input order before the next chunk is admitted.
+        a probe; every other target is probed.
         """
         started = time.perf_counter()
         try:
@@ -209,14 +149,7 @@ class Scanner:
                         ip=ip, status=ProbeStatus.SKIPPED)
                 else:
                     pending.append(index)
-            breaker = self.breaker
-            while pending:
-                chunk, pending = self._admit(ips, pending, outcomes)
-                await self._probe_chunk(ips, chunk, outcomes)
-                if breaker.threshold > 0:
-                    for index in chunk:
-                        breaker.record(
-                            ips[index], outcomes[index].error_class is not None)
+            await self._probe_targets(ips, pending, outcomes)
             return outcomes
         finally:
             self.scan_busy_seconds += time.perf_counter() - started
@@ -231,58 +164,19 @@ class Scanner:
         return {
             "probes_sent": self.probes_sent,
             "probe_errors": self.probe_errors,
-            "circuit_open_skips": self.circuit_open_skips,
         }
 
-    def _admit(
+    async def _probe_targets(
         self, ips: Sequence[int], pending: list[int], outcomes: list
-    ) -> tuple[list[int], list[int]]:
-        """Split *pending* (input indices, ascending) into the next
-        admission chunk and the targets left for a later one.
-
-        With the breaker off the whole shard is one chunk.  Otherwise a
-        target of an open subnet becomes ``CIRCUIT_OPEN`` on the spot,
-        and a closed subnet admits at most :meth:`~SubnetCircuitBreaker.
-        headroom` targets: even if every one of them fails, the subnet
-        trips on the last, so nothing in the chunk is probed that a
-        one-at-a-time scan would have skipped.  Its further targets wait
-        for a chunk that sees these outcomes.
-        """
-        breaker = self.breaker
-        if breaker.threshold <= 0:
-            return pending, []
-        chunk: list[int] = []
-        later: list[int] = []
-        room: dict[int, int] = {}
-        for index in pending:
-            ip = ips[index]
-            net = breaker.subnet(ip)
-            left = room.get(net)
-            if left is None:
-                if breaker.is_open(ip):
-                    self.circuit_open_skips += 1
-                    outcomes[index] = ProbeOutcome(
-                        ip=ip, status=ProbeStatus.CIRCUIT_OPEN)
-                    continue
-                left = breaker.headroom(ip)
-            if left:
-                room[net] = left - 1
-                chunk.append(index)
-            else:
-                later.append(index)
-        return chunk, later
-
-    async def _probe_chunk(
-        self, ips: Sequence[int], chunk: list[int], outcomes: list
     ) -> None:
-        """Run one admission chunk's job queue to empty, then write each
-        target's outcome: its open ports, or — when nothing opened — the
-        last classified error in port order."""
+        """Run the job queue of the *pending* targets to empty, then
+        write each target's outcome: its open ports, or — when nothing
+        opened — the last classified error in port order."""
         web, fallback = WEB_PORTS, FALLBACK_PORTS
         retries = self.config.retries
         jobs: deque[Job] = deque(
-            [(index, port, 0) for index in chunk for port in web])
-        web_left = dict.fromkeys(chunk, len(web))
+            [(index, port, 0) for index in pending for port in web])
+        web_left = dict.fromkeys(pending, len(web))
         opened: dict[int, list[int]] = {}
         errors: dict[tuple[int, int], str] = {}
 
@@ -312,7 +206,7 @@ class Scanner:
             await self._drain_batches(probe_many, ips, jobs, settle)
 
         order = web + fallback
-        for index in chunk:
+        for index in pending:
             ip = ips[index]
             found = opened.get(index)
             if found:
@@ -373,7 +267,7 @@ class Scanner:
                         result = exc
                     settle((job,), (result,))
             except BaseException:
-                # A crash ends the chunk: empty the queue so no worker
+                # A crash ends the shard: empty the queue so no worker
                 # is started on, or takes, the rest of it.
                 jobs.clear()
                 raise

@@ -4,9 +4,8 @@ Everything here exists to keep ``repro serve`` *degrading* instead of
 *collapsing* when offered load exceeds capacity or the store turns
 sick: a token-bucket :class:`AdmissionController` with a bounded wait
 queue (explicit ``429`` shedding beyond it), a per-endpoint
-:class:`CircuitBreaker` (the time-based sibling of the scanner's
-``SubnetCircuitBreaker``), and a :class:`ReadPool` bounding concurrent
-read-only store connections.  All clocks are injectable so the chaos
+time-based :class:`CircuitBreaker`, and a :class:`ReadPool` bounding
+concurrent read-only store connections.  All clocks are injectable so the chaos
 tests drive these deterministically.
 """
 
@@ -171,10 +170,8 @@ class BreakerState:
 class CircuitBreaker:
     """Per-endpoint breaker: fail fast while the store is sick.
 
-    The scanner's ``SubnetCircuitBreaker`` counts consecutive failures
-    and opens for the rest of a round; a serving breaker must instead
-    *recover on its own*, so this one adds the classic time-based state
-    machine: ``closed`` → (``threshold`` consecutive failures) →
+    A serving breaker must *recover on its own*, so this one is the
+    classic time-based state machine: ``closed`` → (``threshold`` consecutive failures) →
     ``open`` (shed instantly) → after ``cooldown`` → ``half-open`` (one
     probe request allowed through) → back to ``closed`` on success, or
     straight back to ``open`` on failure.  ``threshold <= 0`` disables

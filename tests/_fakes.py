@@ -86,8 +86,6 @@ class ReferenceScan:
     outcomes: list[ProbeOutcome]
     probes_sent: int = 0
     probe_errors: int = 0
-    circuit_open_skips: int = 0
-    open_subnets: frozenset[int] = frozenset()
 
 
 def reference_scan(transport, config, ips, blacklist=()) -> ReferenceScan:
@@ -95,12 +93,8 @@ def reference_scan(transport, config, ips, blacklist=()) -> ReferenceScan:
     target at a time in input order.  Web ports 80 and 443 first (each
     retried while it fails, up to ``config.retries`` times), port 22
     only when no web port opened, the last classified error carried
-    across ports, and the per-/24 breaker fed as each target finishes.
-    Imports nothing from ``scanner.py``."""
+    across ports.  Imports nothing from ``scanner.py``."""
     seen = ReferenceScan(outcomes=[])
-    threshold = config.subnet_error_threshold
-    streak: dict[int, int] = {}
-    tripped: set[int] = set()
 
     async def probe(ip, port, error_class):
         for _ in range(1 + config.retries):
@@ -116,9 +110,6 @@ def reference_scan(transport, config, ips, blacklist=()) -> ReferenceScan:
     async def scan_one(ip):
         if ip in blacklist:
             return ProbeOutcome(ip=ip, status=ProbeStatus.SKIPPED)
-        if threshold > 0 and ip >> 8 in tripped:
-            seen.circuit_open_skips += 1
-            return ProbeOutcome(ip=ip, status=ProbeStatus.CIRCUIT_OPEN)
         open_ports: set[int] = set()
         error_class = None
         for port in (80, 443):
@@ -129,13 +120,6 @@ def reference_scan(transport, config, ips, blacklist=()) -> ReferenceScan:
             opened, error_class = await probe(ip, 22, error_class)
             if opened:
                 open_ports.add(22)
-        if threshold > 0:
-            if open_ports or error_class is None:
-                streak[ip >> 8] = 0
-            else:
-                streak[ip >> 8] = streak.get(ip >> 8, 0) + 1
-                if streak[ip >> 8] >= threshold:
-                    tripped.add(ip >> 8)
         if open_ports:
             return ProbeOutcome(ip=ip, status=ProbeStatus.RESPONSIVE,
                                 open_ports=frozenset(open_ports))
@@ -147,7 +131,6 @@ def reference_scan(transport, config, ips, blacklist=()) -> ReferenceScan:
             seen.outcomes.append(await scan_one(ip))
 
     asyncio.run(run())
-    seen.open_subnets = frozenset(tripped)
     return seen
 
 
@@ -168,8 +151,7 @@ def reference_fetch(transport, config, outcomes, *, ssh_timeout=2.0,
                     round_id=0, timestamp=0) -> ReferenceFetch:
     """Oracle for a shard's fetch stage (``Fetcher.fetch`` plus the SSH
     banner grab): one responsive IP at a time, in input order —
-    robots.txt, then the page (retried up to ``config.retries`` times),
-    then the banner.  An exception that is not a classified transport
+    robots.txt, then the page, then the banner.  An exception that is not a classified transport
     error costs the IP its result and writes a ``task-error`` quarantine
     record.  Handles the robots.txt bodies and charset-free content
     types the tests serve; imports nothing from ``fetcher.py``."""
@@ -182,15 +164,6 @@ def reference_fetch(transport, config, outcomes, *, ssh_timeout=2.0,
             ip=ip, round_id=round_id, timestamp=timestamp, stage=stage,
             verdict="task-error", error_class=type(exc).__name__,
             error=str(exc)[:200], payload=""))
-
-    async def page(ip, scheme):
-        for attempt in range(1 + config.retries):
-            seen.gets_sent += 1
-            try:
-                return await transport.get(ip, scheme, "/", **kwargs), None
-            except TransportError as exc:
-                error = exc
-        return None, error
 
     async def fetch_one(outcome):
         ip, scheme = outcome.ip, outcome.scheme
@@ -210,8 +183,10 @@ def reference_fetch(transport, config, outcomes, *, ssh_timeout=2.0,
                         and "Disallow: /" in robots.body.decode().split("\n")):
                     return FetchResult(
                         ip=ip, status=FetchStatus.ROBOTS_DISALLOWED, url=url)
-            response, error = await page(ip, scheme)
-            if response is None:
+            seen.gets_sent += 1
+            try:
+                response = await transport.get(ip, scheme, "/", **kwargs)
+            except TransportError as error:
                 seen.fetch_errors += 1
                 return FetchResult(ip=ip, status=FetchStatus.ERROR, url=url,
                                    error=str(error), error_class=error.kind)

@@ -15,6 +15,10 @@ from repro.cloudsim.addressing import (
 )
 
 
+def region(name: str, *cidrs: str) -> Region:
+    return Region(name, sorted(Prefix.parse(cidr) for cidr in cidrs))
+
+
 class TestConversions:
     def test_round_trip(self):
         assert int_to_ip(ip_to_int("54.12.0.255")) == "54.12.0.255"
@@ -33,8 +37,9 @@ class TestPrefix:
 
     def test_contains(self):
         prefix = Prefix.parse("192.168.1.0/24")
-        assert ip_to_int("192.168.1.77") in prefix
-        assert ip_to_int("192.168.2.1") not in prefix
+        space = AddressSpace([region("r", "192.168.1.0/24")])
+        assert space.prefix_of(ip_to_int("192.168.1.77")) == prefix
+        assert space.prefix_of(ip_to_int("192.168.2.1")) is None
 
     def test_unaligned_rejected(self):
         with pytest.raises(ValueError):
@@ -67,8 +72,8 @@ class TestPrefix:
 def make_space() -> AddressSpace:
     return AddressSpace(
         [
-            Region.from_cidrs("east", ["54.0.0.0/24", "54.0.2.0/24"]),
-            Region.from_cidrs("west", ["54.1.0.0/24"]),
+            region("east", "54.0.0.0/24", "54.0.2.0/24"),
+            region("west", "54.1.0.0/24"),
         ]
     )
 
@@ -99,8 +104,8 @@ class TestAddressSpace:
         with pytest.raises(ValueError):
             AddressSpace(
                 [
-                    Region.from_cidrs("a", ["10.0.0.0/23"]),
-                    Region.from_cidrs("b", ["10.0.1.0/24"]),
+                    region("a", "10.0.0.0/23"),
+                    region("b", "10.0.1.0/24"),
                 ]
             )
 

@@ -1,11 +1,10 @@
 """Behavior pins for the shared jittered-backoff helper.
 
-``core/backoff.py`` consolidated three formerly independent
-implementations (fetch retry, store busy-retry, worker partition
-reassignment).  These tests re-state each call site's *original*
-formula literally and assert the shared helper (and the call site
-through its public seam) still produces the exact same delays — the
-refactor must not shift a single retry schedule.
+``core/backoff.py`` replaced independent implementations in the store's
+busy-retry and the worker supervisor's partition reassignment.  These
+tests re-state each call site's *original* formula literally and assert
+the shared helper still produces the exact same delays — it must not
+shift a single retry schedule.
 """
 
 from __future__ import annotations
@@ -15,15 +14,19 @@ import random
 import pytest
 
 from repro.core.backoff import backoff_delay, retry_after_seconds
-from repro.core.config import FetchConfig
-from repro.core.fetcher import Fetcher
+
+
+class MidBand(random.Random):
+    """Draws 0.5 every time: the jitter multiplier is exactly 1."""
+
+    def random(self):
+        return 0.5
 
 
 class TestBackoffDelay:
     def test_exponential_growth_and_cap(self):
         delays = [
-            backoff_delay(a, base=0.1, cap=2.0, jitter_min=1.0,
-                          jitter_max=1.0)
+            backoff_delay(a, base=0.1, cap=2.0, rng=MidBand())
             for a in range(8)
         ]
         assert delays[:5] == [
@@ -43,8 +46,7 @@ class TestBackoffDelay:
         for attempt in range(6):
             for key in ("x", "y", "z"):
                 raw = min(0.5 * 2 ** attempt, 8.0)
-                delay = backoff_delay(attempt, base=0.5, cap=8.0, key=key,
-                                      jitter_min=0.5, jitter_max=1.5)
+                delay = backoff_delay(attempt, base=0.5, cap=8.0, key=key)
                 assert 0.5 * raw <= delay <= 1.5 * raw
 
     def test_caller_rng_draws_from_that_rng(self):
@@ -60,29 +62,10 @@ class TestBackoffDelay:
             backoff_delay(-1, base=0.1, cap=1.0)
         with pytest.raises(ValueError):
             backoff_delay(0, base=-0.1, cap=1.0)
-        with pytest.raises(ValueError):
-            backoff_delay(0, base=0.1, cap=1.0, jitter_min=2.0,
-                          jitter_max=1.0)
 
 
 class TestCallSitePins:
     """Each former implementation, restated literally, must match."""
-
-    def test_fetcher_formula_unchanged(self):
-        config = FetchConfig()
-        fetcher = Fetcher(transport=None, config=config)
-        for ip in (0, 167772161, 4294967295):
-            for attempt in range(5):
-                # Original Fetcher._backoff_delay, verbatim:
-                base = config.retry_base_delay * (2 ** attempt)
-                base = min(base, config.retry_max_delay)
-                jitter = random.Random(
-                    f"fetch-retry:{ip}:{attempt}"
-                ).random()
-                legacy = base * (0.5 + 0.5 * jitter)
-                assert fetcher._backoff_delay(ip, attempt) == pytest.approx(
-                    legacy, rel=0, abs=0
-                )
 
     def test_worker_formula_unchanged(self):
         for round_id, partition, attempt in [

@@ -37,14 +37,14 @@ class TestCartographer:
         cartographer = Cartographer(topology, dns)
         measured = cartographer.map_prefixes()
         for prefix, kind in measured.prefix_kinds.items():
-            assert kind == topology.kind_of_prefix(prefix)
+            assert kind == topology.kind_of(prefix.first)
 
     def test_sampled_sweep_matches_too(self, world):
         topology, _, dns = world
         cartographer = Cartographer(topology, dns)
         measured = cartographer.map_prefixes(sample_per_prefix=4)
         for prefix, kind in measured.prefix_kinds.items():
-            assert kind == topology.kind_of_prefix(prefix)
+            assert kind == topology.kind_of(prefix.first)
 
     def test_sampling_reduces_queries(self, world):
         topology, sim, _ = world

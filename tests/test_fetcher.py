@@ -327,65 +327,6 @@ class TestErrorClassAndRetries:
         assert result.status is FetchStatus.ERROR
         assert calls["page"] == 1
 
-    def test_retry_policy_recovers_transient_failure(self):
-        from repro.core.transport import ConnectionRefused
-
-        calls = {"page": 0}
-
-        class FlakyTransport(FakeTransport):
-            async def get(self, ip, scheme, path, *, timeout, max_body,
-                          headers=None):
-                if path == "/":
-                    calls["page"] += 1
-                    if calls["page"] <= 2:
-                        raise ConnectionRefused("transient")
-                return await super().get(
-                    ip, scheme, path, timeout=timeout, max_body=max_body
-                )
-
-        transport = FlakyTransport()
-        transport.add_host(1, {80})
-        fetcher = Fetcher(
-            transport, FetchConfig(retries=2, retry_base_delay=0.0)
-        )
-        result = asyncio.run(fetcher.fetch_ip(outcome(1, {80})))
-        assert result.status is FetchStatus.OK
-        assert calls["page"] == 3
-
-    def test_retries_are_bounded(self):
-        from repro.core.transport import ConnectionRefused
-
-        calls = {"page": 0}
-
-        class DeadTransport(FakeTransport):
-            async def get(self, ip, scheme, path, *, timeout, max_body,
-                          headers=None):
-                if path == "/":
-                    calls["page"] += 1
-                raise ConnectionRefused("always")
-
-        transport = DeadTransport()
-        transport.open_ports[1] = {80}
-        fetcher = Fetcher(
-            transport,
-            FetchConfig(retries=2, retry_base_delay=0.0,
-                        respect_robots=False),
-        )
-        result = asyncio.run(fetcher.fetch_ip(outcome(1, {80})))
-        assert result.status is FetchStatus.ERROR
-        assert result.error_class == "connection-refused"
-        assert calls["page"] == 3
-
-    def test_backoff_delay_deterministic_and_capped(self):
-        fetcher = Fetcher(
-            FakeTransport(),
-            FetchConfig(retries=5, retry_base_delay=0.1, retry_max_delay=0.3),
-        )
-        delays = [fetcher._backoff_delay(7, attempt) for attempt in range(5)]
-        assert delays == [fetcher._backoff_delay(7, a) for a in range(5)]
-        assert all(d <= 0.3 for d in delays)
-        assert all(d >= 0 for d in delays)
-
 
 class TestRobotsErrorPaths:
     def test_unreachable_robots_allows_fetch(self):
@@ -542,7 +483,6 @@ def fetch_cases(draw):
         "banners": draw(st.dictionaries(some, st.sampled_from(
             ["SSH-2.0-OpenSSH_5.9", ""]))),
         "banner_raises": draw(st.frozensets(some)),
-        "retries": draw(st.integers(0, 2)),
         "respect_robots": draw(st.booleans()),
         "flavour": draw(st.sampled_from(["pooled", "batch"])),
     }
@@ -571,9 +511,10 @@ class TestBatchDrainEqualsOracle:
     @given(fetch_cases())
     @settings(max_examples=200, deadline=None)
     def test_results_counters_and_quarantine(self, case):
-        """Either drain, robots on or off, retries 0-2, classified and
-        unclassified failures anywhere: a shard's fetch stage reports
-        what the per-IP loop reports, and sends the same GETs."""
+        """Either drain, robots on or off, classified and unclassified
+        failures anywhere: a shard's fetch stage reports what the
+        per-IP loop reports, and sends the same GETs — at most two an
+        IP (§7)."""
         from collections import Counter
 
         from repro.core.config import PlatformConfig
@@ -581,9 +522,7 @@ class TestBatchDrainEqualsOracle:
         from repro.core.platform import WhoWas
         from repro.core.store import MeasurementStore
 
-        config = FetchConfig(
-            retries=case["retries"], retry_base_delay=0.0,
-            respect_robots=case["respect_robots"])
+        config = FetchConfig(respect_robots=case["respect_robots"])
         outcomes = [
             ProbeOutcome(
                 ip=ip,
@@ -617,7 +556,7 @@ class TestBatchDrainEqualsOracle:
         assert Counter(transport.banner_calls) == Counter(
             oracle_transport.banner_calls)
         per_ip = Counter(ip for ip, _, _ in transport.get_calls)
-        assert max(per_ip.values(), default=0) <= 2 + case["retries"]
+        assert max(per_ip.values(), default=0) <= 2
 
     def test_three_calls_per_shard(self):
         """robots.txt, pages, banners: one call each, whatever the

@@ -49,7 +49,7 @@ class TestPipeline:
         last_round = dataset.round_ids[-1]
         last_day = dataset.timestamp_of(last_round)
         assert simulation.day == last_day
-        observed = dataset.responsive_ips(last_round)
+        observed = {o.ip for o in dataset.by_round[last_round]}
         truly_live = set(simulation.assignments())
         # No false positives: every observed IP was truly live.
         assert observed <= truly_live
@@ -120,7 +120,8 @@ class TestEthicsInvariants:
         )
         result = campaign.run(scan_days=[0, 3])
         for rid in result.dataset.round_ids:
-            assert not (result.dataset.responsive_ips(rid) & excluded)
+            assert not ({o.ip for o in result.dataset.by_round[rid]}
+                        & excluded)
 
     def test_fetch_errors_do_not_abort_round(self, ec2_campaign):
         """Some fetches fail every round; rounds still complete."""

@@ -473,7 +473,6 @@ def lifecycle_reading(summary, store) -> dict:
         "summary": (
             summary.responsive, summary.available, summary.fetched,
             summary.errors, summary.quarantined, summary.degraded,
-            summary.circuit_open,
         ),
         "stats": tuple(persisted[key] for key in (
             "mode", "records_written", "shards_written", "writer_flushes",
@@ -525,7 +524,7 @@ class TestRoundLifecycle:
                 list(scenario.targets), timestamp=0, resume_round_id=1
             )
         assert lifecycle_reading(summary, store) == {
-            "summary": (54, 28, 41, 207, 12, True, 0),
+            "summary": (54, 28, 41, 207, 12, True),
             # Only the two shards the resume executed.
             "stats": ("overlapped", 43, 2, 2, 1, 0, 0),
             "stage_items": {
@@ -550,7 +549,7 @@ class TestRoundLifecycle:
         ) as platform:
             summary = platform.run_round(scenario.targets, timestamp=0)
         assert lifecycle_reading(summary, store) == {
-            "summary": (42, 11, 30, 371, 0, True, 0),
+            "summary": (42, 11, 30, 371, 0, True),
             "stats": ("multiprocess", 42, 4, 4, 1, 2, 2),
             "stage_items": {"scan": 256, "fetch": 30, "extract": 42},
         }

@@ -19,6 +19,7 @@ from repro.core.records import (
 from repro.core.store import MeasurementStore, bad_bodies, shard_checksum
 from repro.core.store.base import encode_shard
 from _fakes import write_round
+from test_providers import free_addresses
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -177,7 +178,7 @@ class TestIpPoolProperties:
             elif held:
                 address = held.pop()
                 pool.release(address)
-            assert pool.available("classic") == len(addresses) - len(held)
+            assert free_addresses(pool, "classic") == set(addresses) - held
 
     @settings(max_examples=20)
     @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20,
@@ -189,4 +190,4 @@ class TestIpPoolProperties:
         assert pool.acquire("classic") is None
         for address in taken:
             pool.release(address)
-        assert pool.available("classic") == len(addresses)
+        assert free_addresses(pool, "classic") == set(addresses)

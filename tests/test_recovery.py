@@ -1,4 +1,4 @@
-"""Crash recovery: journaled rounds, resumable campaigns, breakers.
+"""Crash recovery: journaled rounds, resumable campaigns.
 
 The paper's campaigns run for months; these tests assert that a
 process killed mid-round (simulated crash), or stopped cooperatively
@@ -28,8 +28,6 @@ from repro.core.faults import (
     chaos_plan,
 )
 from repro.core.platform import RoundInterrupted, WhoWas
-from repro.core.records import ProbeStatus
-from repro.core.scanner import Scanner, SubnetCircuitBreaker
 from repro.core.store import (
     ROUND_COMPLETE,
     ROUND_IN_PROGRESS,
@@ -124,11 +122,7 @@ class AbortTrigger:
 class DeadTransport:
     """Every probe is actively refused (classified error)."""
 
-    def __init__(self):
-        self.probes = 0
-
     async def probe(self, ip, port, timeout):
-        self.probes += 1
         raise ConnectionRefused("refused")
 
     async def banner(self, ip, port, timeout):
@@ -260,79 +254,6 @@ class TestJournaledStore:
         assert reopened.get_meta("scenario") == "Azure"
         assert reopened.get_meta("completed_days") == "[0, 3]"
         reopened.close()
-
-
-# ----------------------------------------------------------------------
-# scanner: per-/24 circuit breaker
-
-
-class TestCircuitBreaker:
-    def test_trips_after_threshold_and_skips_subnet(self):
-        config = ScanConfig(
-            probes_per_second=1e12, concurrency=1, subnet_error_threshold=3
-        )
-        transport = DeadTransport()
-        scanner = Scanner(transport, config)
-        subnet = [(10 << 24) | i for i in range(8)]
-        outcomes = scanner.scan_sync(subnet)
-        assert [o.status for o in outcomes[:3]] == [
-            ProbeStatus.UNRESPONSIVE] * 3
-        assert all(
-            o.status is ProbeStatus.CIRCUIT_OPEN for o in outcomes[3:]
-        )
-        # 3 IPs x 3 ports actually probed; the other 5 never touched.
-        assert transport.probes == 9
-        assert scanner.circuit_open_skips == 5
-        assert scanner.breaker.open_subnets == {10 << 24 >> 8}
-
-    def test_breaker_is_scoped_per_subnet(self):
-        config = ScanConfig(
-            probes_per_second=1e12, concurrency=1, subnet_error_threshold=2
-        )
-        scanner = Scanner(DeadTransport(), config)
-        bad = [(10 << 24) | i for i in range(4)]
-        other = [(11 << 24) | i for i in range(2)]
-        outcomes = scanner.scan_sync(bad + other)
-        assert [o.status for o in outcomes[2:4]] == [
-            ProbeStatus.CIRCUIT_OPEN] * 2
-        # The neighbouring /24 starts with a closed breaker.
-        assert [o.status for o in outcomes[4:]] == [
-            ProbeStatus.UNRESPONSIVE] * 2
-
-    def test_clean_outcome_resets_streak(self):
-        breaker = SubnetCircuitBreaker(threshold=3)
-        ip = (10 << 24) | 1
-        breaker.record(ip, True)
-        breaker.record(ip, True)
-        breaker.record(ip, False)          # responsive host: streak resets
-        breaker.record(ip, True)
-        breaker.record(ip, True)
-        assert not breaker.is_open(ip)
-        breaker.record(ip, True)
-        assert breaker.is_open(ip)
-
-    def test_disabled_by_default(self):
-        scanner = Scanner(DeadTransport(), ScanConfig(probes_per_second=1e12))
-        outcomes = scanner.scan_sync([(10 << 24) | i for i in range(6)])
-        assert all(o.status is ProbeStatus.UNRESPONSIVE for o in outcomes)
-        assert scanner.circuit_open_skips == 0
-
-    def test_platform_resets_breaker_each_round(self):
-        config = PlatformConfig(
-            scan=ScanConfig(
-                probes_per_second=1e12, concurrency=1,
-                subnet_error_threshold=2,
-            ),
-            round_error_budget=1.0,
-        )
-        platform = WhoWas(DeadTransport(), config=config)
-        targets = [(10 << 24) | i for i in range(6)]
-        first = platform.run_round(targets, timestamp=0)
-        assert first.circuit_open == 4
-        # Next round the breaker is re-armed: the subnet is probed
-        # again (and trips again).
-        second = platform.run_round(targets, timestamp=1)
-        assert second.circuit_open == 4
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,22 @@ class TestScanIp:
         assert outcome.status is ProbeStatus.UNRESPONSIVE
         assert len(transport.probe_calls) == 3
 
+    def test_dead_subnet_is_probed_in_full(self):
+        """§4: no address is skipped — a /24 where every probe fails
+        classified still gets all three probes per IP, every round."""
+        transport = FakeTransport()
+        subnet = [(10 << 24) | host for host in range(6)]
+        for ip in subnet:
+            for port in (80, 443, 22):
+                transport.probe_raises[(ip, port)] = ConnectionRefused("x")
+        scanner = Scanner(transport, fast_config(concurrency=1))
+        for _ in range(2):
+            outcomes = scanner.scan_sync(subnet)
+            assert [o.error_class for o in outcomes] == [
+                "connection-refused"] * 6
+        assert Counter(transport.probe_calls) == {
+            (ip, port): 2 for ip in subnet for port in (80, 443, 22)}
+
     def test_retries_recover_flaky_hosts(self):
         transport = FakeTransport()
         transport.add_host(3, {80})
@@ -171,8 +187,7 @@ class TestScanMany:
 # the job queue equals the one-at-a-time oracle
 
 
-#: Three /24s, eight hosts each: enough for a breaker to need several
-#: admission chunks in one subnet while a neighbour stays clean.
+#: Three /24s, eight hosts each.
 SUBNETS = (0x0A0000, 0x0A0001, 0x0B0000)
 POOL = [(net << 8) | host for net in SUBNETS for host in range(8)]
 PORTS = (80, 443, 22)
@@ -200,11 +215,10 @@ def scan_cases(draw):
         "hosts": draw(st.dictionaries(
             st.sampled_from(ips), st.frozensets(st.sampled_from(PORTS)))),
         "raises": draw(st.dictionaries(keys, st.sampled_from(FAILURES))),
-        # Hosts where every probe fails classified: breaker fodder.
+        # Hosts where every probe fails classified.
         "dead": draw(st.frozensets(st.sampled_from(ips))),
         "fail_first": draw(st.dictionaries(keys, st.integers(1, 2))),
         "blacklist": draw(st.frozensets(st.sampled_from(ips))),
-        "threshold": draw(st.integers(0, 4)),
         "retries": draw(st.integers(0, 2)),
         "concurrency": draw(st.integers(1, 8)),
         "flavour": draw(st.sampled_from(["probe", "batch", "shuffled"])),
@@ -231,13 +245,11 @@ class TestJobQueueEqualsOracle:
     @settings(max_examples=300, deadline=None)
     def test_outcomes_counters_and_attempts(self, case):
         """Either drain, any concurrency, any completion order, the
-        breaker on or off, the shard cut anywhere: what the scanner
-        reports — and what it sent to each (ip, port) — is what the
-        one-at-a-time loop over the same targets reports."""
+        shard cut anywhere: what the scanner reports — and what it sent
+        to each (ip, port) — is what the one-at-a-time loop over the
+        same targets reports."""
         config = fast_config(
-            subnet_error_threshold=case["threshold"],
-            retries=case["retries"], concurrency=case["concurrency"],
-        )
+            retries=case["retries"], concurrency=case["concurrency"])
         ips, blacklist = case["ips"], case["blacklist"]
         oracle_transport = scripted_fake(case, "probe")
         expected = reference_scan(oracle_transport, config, ips, blacklist)
@@ -250,8 +262,6 @@ class TestJobQueueEqualsOracle:
         assert outcomes == expected.outcomes
         assert scanner.probes_sent == expected.probes_sent
         assert scanner.probe_errors == expected.probe_errors
-        assert scanner.circuit_open_skips == expected.circuit_open_skips
-        assert scanner.breaker.open_subnets == expected.open_subnets
         assert Counter(transport.probe_calls) == Counter(
             oracle_transport.probe_calls)
 
