@@ -14,8 +14,9 @@ the first time one of them asks for it, once per distinct body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import partial
+from operator import attrgetter
+from typing import Iterator, Mapping, NamedTuple
 
 from ..core.features import extract_domains, extract_links
 from ..core.records import (
@@ -46,9 +47,11 @@ _OBSERVATION_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One responsive ``<IP, round>`` pair, with extracted features."""
+class Observation(NamedTuple):
+    """One responsive ``<IP, round>`` pair, with extracted features.
+
+    A named tuple: immutable, equal and hashed by value, and without a
+    per-instance ``__dict__`` -- a campaign loads one per stored row."""
 
     ip: int
     round_id: int
@@ -71,6 +74,11 @@ class Observation:
         return (self.ip, self.round_id)
 
 
+#: ``Observation`` from a tuple of all its fields, as
+#: ``Observation._make`` builds it but without a Python frame per row.
+_observation_of = partial(tuple.__new__, Observation)
+
+
 class Dataset:
     """All rounds of one campaign, indexed for analysis."""
 
@@ -91,22 +99,30 @@ class Dataset:
         for obs in observations:
             self.by_round[obs.round_id].append(obs)
             self.by_ip.setdefault(obs.ip, []).append(obs)
+        by_time = attrgetter("timestamp")
         for history in self.by_ip.values():
-            history.sort(key=lambda o: o.timestamp)
+            history.sort(key=by_time)
 
     @classmethod
     def from_store(cls, store: StoreBackend) -> "Dataset":
+        """Load every round of *store*.  Within the load each distinct
+        value is built once and shared by every row that repeats it:
+        rows whose ten feature columns are all equal share one
+        :class:`PageFeatures` (the key is the whole feature tuple, never
+        the body digest, so a quarantined row's sentinel features stay
+        apart from a clean row with the same body), and every label
+        string is one object per distinct value."""
         rounds = store.rounds()
         profiles: dict[str, str] = {}          # open_ports column -> label
         classes: dict[int | None, str] = {}    # status code -> label
+        availability: dict[tuple[str, int | None], bool] = {}
+        labels: dict[str | None, str | None] = {}
+        pages: dict[tuple, PageFeatures] = {}  # feature columns -> features
         observations = []
         for info in rounds:
-            for (ip, round_id, timestamp, open_ports, fetch_status,
-                 status_code, content_type, ssh_banner, digest,
-                 powered_by, description, header_string, html_length,
-                 title, template, server, keywords, analytics_id,
-                 simhash) in store.columns(info.round_id,
-                                           _OBSERVATION_COLUMNS):
+            for row in store.columns(info.round_id, _OBSERVATION_COLUMNS):
+                (ip, round_id, timestamp, open_ports, fetch_status,
+                 status_code, content_type, ssh_banner, digest) = row[:9]
                 port_profile = profiles.get(open_ports)
                 if port_profile is None:
                     port_profile = profiles[open_ports] = port_profile_of(
@@ -117,19 +133,27 @@ class Dataset:
                     status_class = classes[status_code] = status_class_of(
                         status_code
                     )
+                available = availability.get((fetch_status, status_code))
+                if available is None:
+                    available = availability[fetch_status, status_code] = (
+                        is_available(fetch_status, status_code)
+                    )
                 features = None
                 if digest is not None:
-                    features = PageFeatures(
-                        powered_by, description, header_string, html_length,
-                        title, template, server, keywords, analytics_id,
-                        int(simhash, 16),
-                    )
-                observations.append(Observation(
-                    ip, round_id, timestamp, port_profile,
-                    is_available(fetch_status, status_code), status_code,
-                    status_class, content_type, fetch_status, features,
-                    ssh_banner,
-                ))
+                    key = row[9:]
+                    features = pages.get(key)
+                    if features is None:
+                        *columns, simhash = key
+                        features = pages[key] = PageFeatures(
+                            *columns, int(simhash, 16)
+                        )
+                observations.append(_observation_of((
+                    ip, round_id, timestamp, port_profile, available,
+                    status_code, status_class,
+                    labels.setdefault(content_type, content_type),
+                    labels.setdefault(fetch_status, fetch_status),
+                    features, labels.setdefault(ssh_banner, ssh_banner),
+                )))
         dataset = cls(rounds, observations)
         dataset._store = store
         return dataset

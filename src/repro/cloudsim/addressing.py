@@ -51,12 +51,6 @@ class Prefix:
                 f"network {int_to_ip(self.network)} not aligned to /{self.length}"
             )
 
-    @classmethod
-    def parse(cls, cidr: str) -> "Prefix":
-        """Parse ``"a.b.c.d/len"`` notation."""
-        network = ipaddress.IPv4Network(cidr, strict=True)
-        return cls(int(network.network_address), network.prefixlen)
-
     @property
     def size(self) -> int:
         """Number of addresses covered by the prefix."""
@@ -72,17 +66,6 @@ class Prefix:
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.first, self.last + 1))
-
-    def subprefixes(self, length: int) -> Iterator["Prefix"]:
-        """Yield the aligned sub-prefixes of the given (longer) length."""
-        if length < self.length:
-            raise ValueError(f"/{length} is shorter than /{self.length}")
-        step = 1 << (32 - length)
-        for base in range(self.first, self.last + 1, step):
-            yield Prefix(base, length)
-
-    def __str__(self) -> str:
-        return f"{int_to_ip(self.network)}/{self.length}"
 
 
 @dataclass
@@ -100,9 +83,8 @@ class Region:
 class AddressSpace:
     """The full advertised address space of a provider.
 
-    Supports O(log n) membership/region/prefix lookup and O(1) indexed
-    access (the *k*-th address of the space), which the simulator uses to
-    draw uniform addresses without materialising millions of integers.
+    Supports O(log n) membership/region/prefix lookup and ascending
+    enumeration without materialising millions of integers.
     """
 
     def __init__(self, regions: Iterable[Region]):
@@ -114,18 +96,15 @@ class AddressSpace:
         rows.sort(key=lambda row: row[0])
         for (_, last, prefix, _), (first, _, other, _) in zip(rows, rows[1:]):
             if first <= last:
-                raise ValueError(f"overlapping prefixes: {prefix} and {other}")
+                raise ValueError(
+                    f"overlapping prefixes: {int_to_ip(prefix.first)}"
+                    f"/{prefix.length} and {int_to_ip(other.first)}"
+                    f"/{other.length}"
+                )
         self._rows = rows
         self._starts = [row[0] for row in rows]
-        # cumulative[i] = number of addresses in rows[:i]
-        self._cumulative = [0]
-        for first, last, _, _ in rows:
-            self._cumulative.append(self._cumulative[-1] + (last - first + 1))
-
-    @property
-    def size(self) -> int:
-        """Total number of advertised addresses."""
-        return self._cumulative[-1]
+        #: Total number of advertised addresses.
+        self.size = sum(prefix.size for _, _, prefix, _ in rows)
 
     def _row_for(self, address: int) -> tuple[int, int, Prefix, Region] | None:
         index = bisect_right(self._starts, address) - 1
@@ -148,21 +127,6 @@ class AddressSpace:
         """Return the advertised prefix containing *address*, or None."""
         row = self._row_for(address)
         return row[2] if row else None
-
-    def address_at(self, index: int) -> int:
-        """Return the *index*-th address in ascending order."""
-        if not 0 <= index < self.size:
-            raise IndexError(f"address index {index} out of range")
-        row_index = bisect_right(self._cumulative, index) - 1
-        first, _, _, _ = self._rows[row_index]
-        return first + (index - self._cumulative[row_index])
-
-    def index_of(self, address: int) -> int:
-        """Inverse of :meth:`address_at`; raises KeyError if absent."""
-        index = bisect_right(self._starts, address) - 1
-        if index < 0 or address > self._rows[index][1]:
-            raise KeyError(int_to_ip(address))
-        return self._cumulative[index] + (address - self._rows[index][0])
 
     def addresses(self) -> Iterator[int]:
         """Yield every advertised address in ascending order."""

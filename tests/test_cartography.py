@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.cartography import Cartographer, CartographyMap, VpcUsageAnalyzer
 from repro.analysis.clustering import WebpageClusterer
-from repro.cloudsim.addressing import Prefix
+from repro.cloudsim.addressing import Prefix, ip_to_int
 from repro.cloudsim.dns import CloudDns
 from repro.cloudsim.population import WorkloadSpec
 from repro.cloudsim.providers import EC2_SPEC, NetKind
@@ -70,8 +70,8 @@ class TestCartographyMap:
     def test_lookup(self):
         mapping = CartographyMap(
             {
-                Prefix.parse("10.0.0.0/24"): NetKind.VPC,
-                Prefix.parse("10.0.1.0/24"): NetKind.CLASSIC,
+                Prefix(ip_to_int("10.0.0.0"), 24): NetKind.VPC,
+                Prefix(ip_to_int("10.0.1.0"), 24): NetKind.CLASSIC,
             }
         )
         assert mapping.kind_of((10 << 24) | 5) == NetKind.VPC
@@ -84,8 +84,8 @@ class TestCartographyMap:
         with pytest.raises(ValueError):
             CartographyMap(
                 {
-                    Prefix.parse("10.0.0.0/24"): NetKind.VPC,
-                    Prefix.parse("11.0.0.0/22"): NetKind.CLASSIC,
+                    Prefix(ip_to_int("10.0.0.0"), 24): NetKind.VPC,
+                    Prefix(ip_to_int("11.0.0.0"), 22): NetKind.CLASSIC,
                 }
             )
 
@@ -94,8 +94,8 @@ class TestVpcUsageAnalyzer:
     def mapping(self) -> CartographyMap:
         return CartographyMap(
             {
-                Prefix.parse("10.0.0.0/24"): NetKind.CLASSIC,
-                Prefix.parse("10.0.1.0/24"): NetKind.VPC,
+                Prefix(ip_to_int("10.0.0.0"), 24): NetKind.CLASSIC,
+                Prefix(ip_to_int("10.0.1.0"), 24): NetKind.VPC,
             }
         )
 

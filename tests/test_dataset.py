@@ -12,6 +12,7 @@ the same observations in the same order, and the lazily computed
 
 from __future__ import annotations
 
+import dataclasses
 import sqlite3
 
 import pytest
@@ -21,13 +22,19 @@ from repro.analysis.dataset import Observation, PageText
 from repro.analysis.trackers import TrackerAnalyzer
 from repro.cli import main
 from repro.core.features import extract_domains, extract_links
-from repro.core.records import RoundRecord, digest_of
+from repro.core.records import PageFeatures, RoundRecord, digest_of
 from repro.core.store import MeasurementStore, open_store
 from _fakes import write_round
+from _obs import obs
 
 from test_hostile import hostile_campaign
 from test_store import record
-from test_store_backends import ALL_BACKENDS, run_campaign, store_path
+from test_store_backends import (
+    ALL_BACKENDS,
+    make_store,
+    run_campaign,
+    store_path,
+)
 from test_workers import mp_config
 
 
@@ -272,3 +279,92 @@ class TestPageTextSource:
         assert Dataset([], []).page_text == {}
         text = {(1, 0): (("http://a.example/",), ("a.example.com",))}
         assert Dataset([], [], text).page_text == text
+
+
+SHARED_BODY = "<title>shared</title>"
+
+
+def page_row(ip: int, round_id: int, features: PageFeatures) -> RoundRecord:
+    """A page row whose body is SHARED_BODY, whatever its features."""
+    base = record(ip, round_id, round_id)
+    return dataclasses.replace(
+        base, fetch=dataclasses.replace(base.fetch, body=SHARED_BODY),
+        features=features,
+    )
+
+
+class TestFeatureInterning:
+    """``from_store`` builds one ``PageFeatures`` per distinct tuple of
+    the ten feature columns -- never per body digest."""
+
+    CLEAN = PageFeatures(title="shared", server="nginx",
+                         html_length=len(SHARED_BODY), simhash=0xABC)
+    #: What the guard stores for a page it quarantined.
+    SENTINEL = PageFeatures(html_length=len(SHARED_BODY))
+
+    @pytest.fixture(params=ALL_BACKENDS)
+    def store(self, request, tmp_path):
+        store = make_store(request.param, tmp_path)
+        yield store
+        store.close()
+
+    def test_rows_sharing_a_body_keep_their_own_features(self, store):
+        apache = dataclasses.replace(self.CLEAN, server="Apache")
+        written = {1: self.SENTINEL, 2: self.CLEAN, 3: apache, 4: self.CLEAN}
+        write_round(store, 1, 1, 10, [
+            page_row(ip, 1, features) for ip, features in written.items()
+        ])
+        assert set(store.columns(1, ("body_digest",))) == {
+            (digest_of(SHARED_BODY),)
+        }
+        loaded = {o.ip: o.features for o in Dataset.from_store(store).by_round[1]}
+        assert loaded == written
+        assert loaded[1] is not loaded[2]
+        assert loaded[2] is not loaded[3]
+        assert loaded[2] is loaded[4]
+
+    def test_equal_features_in_different_rounds_are_one_object(self, store):
+        write_round(store, 1, 1, 10, [page_row(1, 1, self.CLEAN)])
+        write_round(store, 2, 2, 10, [page_row(1, 2, self.CLEAN),
+                                      page_row(2, 2, self.CLEAN)])
+        pages = [o.features for o in Dataset.from_store(store).observations()]
+        assert pages == [self.CLEAN] * 3
+        assert pages[0] is pages[1] is pages[2]
+
+    def test_loads_share_nothing(self, store):
+        write_round(store, 1, 1, 10, [page_row(1, 1, self.CLEAN)])
+        first, second = (
+            next(Dataset.from_store(store).observations()).features
+            for _ in range(2)
+        )
+        assert first == second and first is not second
+
+
+class TestObservationRecord:
+    """``Observation`` is an immutable record without a ``__dict__``."""
+
+    def test_fields_cannot_be_assigned(self):
+        observation = obs(1, 2)
+        with pytest.raises(AttributeError):
+            observation.ip = 3
+        assert not hasattr(observation, "__dict__")
+
+    def test_keyword_construction(self):
+        observation = obs(7, 2, 40, title="t", ssh_banner="SSH-2.0-x")
+        assert observation.key() == (7, 2)
+        assert observation.timestamp == 40
+        assert observation.features.title == "t"
+        assert observation.ssh_banner == "SSH-2.0-x"
+        assert obs(7, 2, has_page=False).has_page is False
+
+    def test_positional_construction_defaults_the_banner(self):
+        observation = Observation(1, 2, 2, "80-only", True, 200, "200",
+                                  "text/html", "ok", None)
+        assert observation.ssh_banner is None
+        assert observation == obs(1, 2, has_page=False)
+
+    def test_equal_and_hashed_by_value(self):
+        assert obs(1, 2, title="a") == obs(1, 2, title="a")
+        assert obs(1, 2, title="a") != obs(1, 2, title="b")
+        assert len({obs(1, 2, title="a"), obs(1, 2, title="a"),
+                    obs(1, 2, title="b")}) == 2

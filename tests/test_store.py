@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sqlite3
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from repro.analysis import Dataset
 from repro.cli import main
 from repro.core.records import (
     FetchResult,
@@ -24,6 +27,7 @@ from repro.core.store import (
     open_store,
 )
 from repro.core.store.base import COLUMN_NAMES, COLUMNS
+from repro.workloads import Campaign, ec2_scenario
 from _fakes import python_calls, write_round
 
 
@@ -524,6 +528,44 @@ class TestPythonCallsPerRow:
         )
         assert committed
         assert calls / len(records) <= self.BUDGET
+
+
+class TestDatasetLoadBudget:
+    """The analysis read's budget per loaded row: Python calls and bytes
+    retained by ``Dataset.from_store`` over one seeded 4-round campaign
+    (4 096 IPs, 4 126 rows, 2 890 pages holding 260 distinct feature
+    tuples).  Noise-free gates on the load's weight, like
+    :class:`TestPythonCallsPerRow`: a loader that builds an object per
+    row again (a ``PageFeatures``, an ``__init__`` frame) fails here."""
+
+    #: Read 0.121 and 281; each bound is its reading plus 10 %.  The
+    #: per-row loader before interning read 3.756 and 952.
+    CALLS_BUDGET = 0.133
+    BYTES_BUDGET = 309
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        store = Campaign(ec2_scenario(4096, seed=7, duration_days=10)).run().store
+        yield store
+        store.close()
+
+    def test_calls_per_loaded_row(self, store):
+        calls, dataset = python_calls(lambda: Dataset.from_store(store))
+        rows = sum(1 for _ in dataset.observations())
+        assert rows == 4126
+        assert calls / rows <= self.CALLS_BUDGET
+
+    def test_bytes_retained_per_loaded_row(self, store):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dataset = Dataset.from_store(store)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = sum(1 for _ in dataset.observations())
+        assert retained / rows <= self.BYTES_BUDGET
 
 
 class TestReadonlyStore:
