@@ -17,6 +17,17 @@ confirmed with an exact (vectorized) Hamming check, so the resulting
 clustering is byte-identical to the brute-force path — the banding only
 ever adds false *candidates*, never loses true pairs.
 
+**Bucket work.**  Bands run in turn against running component labels,
+so a bucket's cost follows its components, not its pairs.  A bucket
+whose members already share one label costs nothing.  The rest check
+each of their *s* members against the first in s − 1 checks, and pair
+only the members still outside that first member's component, in
+blocks of :data:`_PAIR_BLOCK`: a run of near-duplicate revisions is
+one linear pass, and only a bucket whose members stay apart costs up
+to s²/2 checks, in bounded memory.  A label is its component's
+smallest index, so any edge set that connects the same components
+gives the same labels.
+
 Precision degrades as ``threshold`` grows (narrower bands mean more
 accidental collisions), which is fine in WhoWas's regime: the paper
 merges at 3 bits and the tuned second-level thresholds stay in the
@@ -47,6 +58,11 @@ __all__ = [
 #: ``cluster_by_threshold``'s auto mode switches paths here.
 DEFAULT_EXACT_CUTOFF = 256
 
+#: Candidate pairs generated and checked per numpy call: bounds the
+#: temporaries of a bucket with many components to a few MB however
+#: large the bucket is.
+_PAIR_BLOCK = 1 << 16
+
 
 def band_layout(threshold: int, *, bits: int = HASH_BITS,
                 bands: int | None = None) -> list[tuple[int, int]]:
@@ -55,7 +71,7 @@ def band_layout(threshold: int, *, bits: int = HASH_BITS,
     Defaults to the minimal exact-recall layout of ``threshold + 1``
     bands (at least ``ceil(bits / 64)`` so every band key fits one
     machine word); *bands* may request more (narrower bands trade
-    precision for cheaper keys) but never fewer than ``threshold + 1``,
+    precision for cheaper keys) but never fewer than either minimum,
     and never more than *bits*.  Extra bands never lose recall — the
     pigeonhole argument only needs *at least* ``threshold + 1``.
     """
@@ -67,12 +83,18 @@ def band_layout(threshold: int, *, bits: int = HASH_BITS,
             "index callers must shortcut that case"
         )
     required = threshold + 1
+    word_bands = (bits + 63) // 64
     if bands is None:
-        bands = max(required, (bits + 63) // 64)
+        bands = max(required, word_bands)
     if bands < required:
         raise ValueError(
             f"{bands} bands cannot guarantee recall at distance "
             f"{threshold}; need at least {required}"
+        )
+    if bands < word_bands:
+        raise ValueError(
+            f"{bands} bands leave a band wider than 64 bits; "
+            f"need at least {word_bands}"
         )
     if bands > bits:
         raise ValueError(f"cannot cut {bits} bits into {bands} bands")
@@ -93,10 +115,9 @@ class SimhashIndex:
     :meth:`labels` for the single-linkage partition at that bound —
     exactly the partition brute force finds.
 
-    A bucket of *s* fingerprints is s²/2 candidates, identical ones
-    included: :func:`~repro.analysis.gap_statistic.cluster_by_threshold`
-    collapses duplicates before it builds an index, and so should any
-    other caller whose population repeats itself.
+    A bucket of *s* fingerprints that form one component, identical
+    ones included, costs s − 1 checks; only one whose members stay
+    apart costs up to s²/2, in blocks of :data:`_PAIR_BLOCK` pairs.
     """
 
     def __init__(self, hashes: Sequence[int], threshold: int, *,
@@ -123,29 +144,62 @@ class SimhashIndex:
             )
         return keys & mask
 
-    @staticmethod
-    def _candidate_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(i_array, j_array) of bucket-mate index pairs for one band.
+    def _confirm(self, labels: np.ndarray, left: np.ndarray,
+                 right: np.ndarray) -> None:
+        """Union the candidate pairs ``(left[k], right[k])`` that are
+        within the threshold; a pair whose ends already share a label is
+        dropped before the Hamming check."""
+        apart = labels[left] != labels[right]
+        left, right = left[apart], right[apart]
+        packed = self._packed
+        near = hamming_rows(packed[left], packed[right]) <= self.threshold
+        union_edges(labels, left[near], right[near])
 
-        Buckets are runs of equal keys in argsort order; same-size runs
-        are gathered into one (runs, size) matrix so ``triu_indices``
-        runs once per distinct bucket size, not once per bucket.
+    def _join_band(self, labels: np.ndarray, keys: np.ndarray) -> None:
+        """Union every within-threshold pair whose band *keys* agree.
+
+        Buckets are runs of equal keys in a stable ``argsort``.  A bucket
+        whose members already carry one label is skipped whole.  In the
+        rest each member is checked against the bucket's first member,
+        its *leader*.  Then the other members still outside the leader's
+        label are moved to the front of their bucket, and each is paired
+        with every non-leader after it: every pair with an outsider and
+        without the leader comes up once, and no pair of insiders does.
         """
         order = np.argsort(keys, kind="stable")
         ordered = keys[order]
-        boundaries = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        sizes = np.diff(np.concatenate((starts, [order.shape[0]])))
-        lefts = [np.empty(0, dtype=order.dtype)]
-        rights = [np.empty(0, dtype=order.dtype)]
-        for size in np.unique(sizes):
-            if size < 2:
-                continue
-            block = order[starts[sizes == size][:, None] + np.arange(size)]
-            local_i, local_j = np.triu_indices(int(size), k=1)
-            lefts.append(block[:, local_i].ravel())
-            rights.append(block[:, local_j].ravel())
-        return np.concatenate(lefts), np.concatenate(rights)
+        starts = np.flatnonzero(
+            np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        sizes = np.diff(np.append(starts, order.shape[0]))
+        ranked = labels[order]
+        mixed = (np.minimum.reduceat(ranked, starts)
+                 != np.maximum.reduceat(ranked, starts))
+        if not mixed.any():
+            return
+        members = order[np.repeat(mixed, sizes)]
+        sizes = sizes[mixed]
+        leaders = order[np.repeat(starts[mixed], sizes)]
+        follows = members != leaders
+        members, leaders, sizes = members[follows], leaders[follows], sizes - 1
+        self._confirm(labels, members, leaders)
+
+        outside = labels[members] != labels[leaders]
+        if not outside.any():
+            return
+        bucket = np.repeat(np.arange(sizes.shape[0]), sizes)
+        lineup = np.lexsort((~outside, bucket))
+        members, outside = members[lineup], outside[lineup]
+        ends = np.repeat(np.cumsum(sizes), sizes)
+        outsiders = np.flatnonzero(outside)
+        counts = ends[outsiders] - outsiders - 1
+        reach = np.cumsum(counts)
+        total = int(reach[-1])
+        for low in range(0, total, _PAIR_BLOCK):
+            step = np.arange(low, min(low + _PAIR_BLOCK, total))
+            owner = np.searchsorted(reach, step, side="right")
+            source = outsiders[owner]
+            partner = source + 1 + step - (reach[owner] - counts[owner])
+            self._confirm(labels, members[source], members[partner])
 
     # ------------------------------------------------------------------
     # public API
@@ -154,17 +208,11 @@ class SimhashIndex:
         """Component label of every fingerprint at the index's
         threshold: the smallest index of its single-linkage cluster.
 
-        Works band by band on running labels: a candidate pair whose
-        ends already share a label is dropped before the Hamming check
-        (most of the later bands' candidates), the rest are confirmed
-        and unioned in.
+        Works band by band on running labels, so a bucket that earlier
+        bands already joined into one component is skipped whole.
         """
-        packed = self._packed
         labels = np.arange(len(self.hashes))
-        for start, width in self.spans:
-            left, right = self._candidate_pairs(self._band_keys(start, width))
-            apart = labels[left] != labels[right]
-            left, right = left[apart], right[apart]
-            near = hamming_rows(packed[left], packed[right]) <= self.threshold
-            union_edges(labels, left[near], right[near])
+        if labels.shape[0] > 1:
+            for start, width in self.spans:
+                self._join_band(labels, self._band_keys(start, width))
         return labels

@@ -48,8 +48,6 @@ HASH_WORDS = (HASH_BITS + 63) // 64
 
 _HASH_MASK = (1 << HASH_BITS) - 1
 
-_WORD_MASK = (1 << 64) - 1
-
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
 _TAG_RE = re.compile(r"<[^>]*>")
@@ -145,18 +143,12 @@ def pack_hashes(hashes: Sequence[int]) -> numpy.ndarray:
     """Pack fingerprints into an ``(n, HASH_WORDS)`` uint64 matrix.
 
     Row *i* holds ``hashes[i]`` split into little-endian 64-bit words:
-    column 0 is bits 0..63, column 1 is bits 64..95.
+    column 0 is bits 0..63, column 1 is bits 64..95.  The matrix is a
+    read-only view of one ``bytes`` join.
     """
-    count = len(hashes)
-    packed = numpy.empty((count, HASH_WORDS), dtype=numpy.uint64)
-    for word in range(HASH_WORDS):
-        shift = 64 * word
-        packed[:, word] = numpy.fromiter(
-            ((value >> shift) & _WORD_MASK for value in hashes),
-            dtype=numpy.uint64,
-            count=count,
-        )
-    return packed
+    words = b"".join([value.to_bytes(8 * HASH_WORDS, "little")
+                      for value in hashes])
+    return numpy.frombuffer(words, "<u8").reshape(-1, HASH_WORDS)
 
 
 def hamming_rows(packed_a: numpy.ndarray,

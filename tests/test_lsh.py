@@ -26,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import lsh
 from repro.analysis.clustering import WebpageClusterer
 from repro.analysis.components import groups_by_label
 from repro.analysis.gap_statistic import cluster_by_threshold
@@ -160,6 +161,15 @@ class TestBandLayout:
     def test_too_few_bands_rejected(self):
         with pytest.raises(ValueError):
             band_layout(5, bands=4)
+
+    def test_band_wider_than_a_word_rejected(self):
+        """One band of 96 bits has no 64-bit key: refused up front, not
+        an ``OverflowError`` out of the key shift."""
+        with pytest.raises(ValueError, match="need at least 2"):
+            band_layout(0, bands=1)
+        with pytest.raises(ValueError, match="wider than 64 bits"):
+            SimhashIndex([1, 2, 3], 0, bands=1)
+        assert len(band_layout(0, bands=2)) == 2
 
     def test_degenerate_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -336,6 +346,18 @@ class TestOracleEquivalence:
             ) == expected
 
 
+def traced_peak(fn):
+    """The most memory *fn* held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
 class TestIdenticalFingerprints:
     """Default server pages: thousands of copies of one fingerprint.
     One bucket of 8 000 was 32 M candidate pairs in every band."""
@@ -356,14 +378,56 @@ class TestIdenticalFingerprints:
         assert clusters[0] == [repeated] * 8000
         assert [c[0] for c in clusters[1:]] == hashes[8000:]
         assert elapsed < 1.0
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            cluster_by_threshold(hashes, 4, exact=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 32 * 1024 * 1024
+        peak = traced_peak(
+            lambda: cluster_by_threshold(hashes, 4, exact=False))
+        assert peak < 32 * 1024 * 1024
+
+
+class TestAdversarialBuckets:
+    """Distinct fingerprints that crowd one bucket, which the collapse
+    cannot thin out.  The pair-level index spent s²/2 candidates on a
+    bucket of s: 3 000 near revisions took 0.66 s and 109 MB, 3 000
+    far-apart band-mates 0.66–0.69 s and 288 MB."""
+
+    def test_near_revisions_join_in_one_pass(self):
+        """8 000 revisions, each three bits from one base page, so
+        pairwise within 6 bits: 32 M pairs, now one leader pass."""
+        rng = random.Random(13)
+        base = rng.getrandbits(HASH_BITS)
+        revisions = {}
+        while len(revisions) < 8000:
+            value = base
+            for position in rng.sample(range(HASH_BITS), 3):
+                value ^= 1 << position
+            revisions[value] = None
+        hashes = list(revisions)
+        started = time.perf_counter()
+        clusters = cluster_by_threshold(hashes, 6, exact=False)
+        elapsed = time.perf_counter() - started
+        assert clusters == [hashes]
+        assert elapsed < 0.5
+        peak = traced_peak(
+            lambda: cluster_by_threshold(hashes, 6, exact=False))
+        assert peak < 16 * 1024 * 1024
+
+    def test_far_band_mates_stay_apart_in_bounded_memory(self):
+        """3 000 fingerprints equal on the first band and random on the
+        rest: no pair is within the threshold, so every pair is checked,
+        but in blocks of ``_PAIR_BLOCK``."""
+        rng = random.Random(17)
+        start, width = band_layout(4)[0]
+        mask = ((1 << width) - 1) << start
+        shared = rng.getrandbits(HASH_BITS) & mask
+        hashes = [(rng.getrandbits(HASH_BITS) & ~mask) | shared
+                  for _ in range(3000)]
+        started = time.perf_counter()
+        clusters = cluster_by_threshold(hashes, 4, exact=False)
+        elapsed = time.perf_counter() - started
+        assert clusters == [[value] for value in hashes]
+        assert elapsed < 2.0
+        peak = traced_peak(
+            lambda: cluster_by_threshold(hashes, 4, exact=False))
+        assert peak < 32 * 1024 * 1024
 
 
 class TestNegativeThreshold:
@@ -379,15 +443,43 @@ class TestNegativeThreshold:
 class TestPythonCallsPerFingerprint:
     """A work proxy this host's timing noise cannot blur: the union used
     to be two Python ``find`` calls per matching pair (39 calls per
-    fingerprint on this corpus).  What is left is ``pack_hashes``' two
-    generator passes over the distinct fingerprints and a constant."""
+    fingerprint on this corpus), then ``pack_hashes``' two generator
+    passes over the distinct fingerprints (1.8).  What is left is a
+    constant per band and per pair block: 413 calls on this corpus."""
 
     def test_no_python_loop_per_pair(self):
         hashes = synthetic_corpus(20_000, seed=7)
         calls, clusters = python_calls(
             lambda: cluster_by_threshold(hashes, 4, exact=False))
         assert sum(map(len, clusters)) == len(hashes)
-        assert calls < 5 * len(hashes)
+        assert calls < 0.023 * len(hashes)
+
+
+class TestWorkPerFingerprint:
+    """The index's work on the ``analyze`` corpus, counted, not timed.
+    Enumerating every pair of every bucket generated 26.5 candidate
+    pairs and Hamming-checked 9.19 rows per fingerprint; the bucket
+    prune and the leader pass read 3.42 and 2.80."""
+
+    def test_bucket_prune_bounds_pairs_and_checks(self, monkeypatch):
+        hashes = synthetic_corpus(20_000, seed=7)
+        work = {"pairs": 0, "rows": 0}
+        confirm, rows = SimhashIndex._confirm, lsh.hamming_rows
+
+        def counted_confirm(self, labels, left, right):
+            work["pairs"] += len(left)
+            confirm(self, labels, left, right)
+
+        def counted_rows(packed_a, packed_b):
+            work["rows"] += len(packed_a)
+            return rows(packed_a, packed_b)
+
+        monkeypatch.setattr(SimhashIndex, "_confirm", counted_confirm)
+        monkeypatch.setattr(lsh, "hamming_rows", counted_rows)
+        clusters = cluster_by_threshold(hashes, 4, exact=False)
+        assert sum(map(len, clusters)) == len(hashes)
+        assert work["pairs"] < 3.77 * len(hashes)
+        assert work["rows"] < 3.08 * len(hashes)
 
 
 @pytest.mark.slow
