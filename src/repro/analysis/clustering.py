@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from ..core import telemetry as _telemetry
-from ..core.config import ClusteringConfig
 from ..core.records import UNKNOWN, PageFeatures
 from ..core.simhash import hamming_distance, hamming_rows, pack_hashes
 from .components import DisjointSets
@@ -193,19 +192,6 @@ class WebpageClusterer:
                     f"choose from {self.FEATURE_NAMES}"
                 )
         self.feature_subset = feature_subset
-
-    @classmethod
-    def from_config(cls, config: ClusteringConfig,
-                    **overrides) -> "WebpageClusterer":
-        """Build a clusterer from a :class:`ClusteringConfig` (the knob
-        set threaded through :class:`~repro.core.config.PlatformConfig`)."""
-        kwargs = dict(
-            level2_threshold=config.level2_threshold,
-            merge_threshold=config.merge_threshold,
-            clean_min_daily_ips=config.clean_min_daily_ips,
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     def _level1_key(self, features: PageFeatures) -> tuple:
         full = features.level1_key()

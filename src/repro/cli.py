@@ -34,7 +34,7 @@ import sys
 from typing import Sequence
 
 from .cloudsim.addressing import int_to_ip, ip_to_int
-from .core.config import ClusteringConfig, StoreConfig
+from .core.config import StoreConfig
 from .core.store import BACKENDS, default_backend, open_store
 
 __all__ = ["main", "build_parser"]
@@ -514,8 +514,7 @@ def _cmd_report(args) -> int:
         return 1
     clustering = None
     if not args.no_cluster:
-        clustering = WebpageClusterer.from_config(
-            ClusteringConfig()).cluster(dataset)
+        clustering = WebpageClusterer().cluster(dataset)
     dynamics = DynamicsAnalyzer(dataset, clustering)
     print(f"rounds: {dataset.round_count}, "
           f"targets probed: {dynamics.space_size()}")
@@ -588,8 +587,7 @@ def _cmd_aggregate(args) -> int:
     if store is None:
         return 1
     dataset = Dataset.from_store(store)
-    clustering = WebpageClusterer.from_config(
-        ClusteringConfig()).cluster(dataset)
+    clustering = WebpageClusterer().cluster(dataset)
     report = build_aggregate_report(args.cloud, dataset, clustering)
     report.assert_private()
     print(report.to_json())

@@ -23,7 +23,12 @@ import re
 from typing import Sequence
 
 from .config import FetchConfig
-from .guard import GuardVerdict, StageDeadlineExceeded, Supervisor
+from .guard import (
+    FETCH_DEADLINE,
+    GuardVerdict,
+    StageDeadlineExceeded,
+    Supervisor,
+)
 from .records import FetchResult, FetchStatus, ProbeOutcome
 from .transport import (
     HttpResponse,
@@ -34,6 +39,10 @@ from .transport import (
 )
 
 __all__ = ["parse_robots", "decode_body", "Fetcher"]
+
+#: Only the first this-many bytes of a text body are stored (512 KB,
+#: §4); the cap also bounds what a hostile server can make us hold.
+MAX_BODY_BYTES = 512 * 1024
 
 
 def parse_robots(body: str, user_agent: str = "*") -> bool:
@@ -147,10 +156,8 @@ class Fetcher:
         scheme = outcome.scheme
         if scheme is None:
             return FetchResult(ip=outcome.ip, status=FetchStatus.NOT_ATTEMPTED)
-        if self.config.respect_robots:
-            allowed = await self._robots_allows(outcome.ip, scheme)
-            if not allowed:
-                return self._disallowed(outcome)
+        if not await self._robots_allows(outcome.ip, scheme):
+            return self._disallowed(outcome)
         try:
             response = await self._get(outcome.ip, scheme, "/")
         except TransportError as exc:
@@ -167,7 +174,7 @@ class Fetcher:
 
         An exception that escapes one IP's fetch becomes an ERROR result
         plus a quarantine record instead of a crashed round, and on the
-        pooled path so does a blown ``GuardConfig.fetch_deadline``.
+        pooled path so does a blown :data:`~repro.core.guard.FETCH_DEADLINE`.
         With *quarantine*, dead letters land in that per-shard sink
         (pipeline shard attribution) instead of the supervisor-wide
         buffer.
@@ -195,7 +202,7 @@ class Fetcher:
             outcomes,
             self.fetch_ip,
             stage=Supervisor.FETCH,
-            deadline=self.guard.config.fetch_deadline,
+            deadline=FETCH_DEADLINE,
             is_failure=lambda result: result.status is FetchStatus.ERROR,
             fallback=fallback,
         ))
@@ -226,7 +233,7 @@ class Fetcher:
             try:
                 return await get_many(
                     requests, timeout=config.timeout,
-                    max_body=config.max_body_bytes,
+                    max_body=MAX_BODY_BYTES,
                     headers={"User-Agent": config.user_agent},
                 )
             except Exception as exc:  # the whole call failed: every slot
@@ -236,7 +243,7 @@ class Fetcher:
             results[index] = self.guard.trap(
                 Supervisor.FETCH, outcomes[index], exc, fallback)
 
-        if todo and config.respect_robots:
+        if todo:
             allowed = []
             for index, answer in zip(todo, await send("/robots.txt")):
                 try:
@@ -332,12 +339,12 @@ class Fetcher:
             scheme,
             path,
             timeout=self.config.timeout,
-            max_body=self.config.max_body_bytes,
+            max_body=MAX_BODY_BYTES,
             headers={"User-Agent": self.config.user_agent},
         )
 
     def _body_text(self, response: HttpResponse) -> str | None:
         if not self.config.should_download(response.content_type):
             return None
-        raw = response.body[: self.config.max_body_bytes]
+        raw = response.body[:MAX_BODY_BYTES]
         return decode_body(raw, response.header("content-type"))

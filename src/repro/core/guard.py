@@ -23,8 +23,8 @@ cost its own record, never a round.
   so a 4.7M-IP round holds thousands, not millions, of task objects.
 * **AIMD backpressure** — :class:`AimdController` halves the fetch
   concurrency limit when the rolling timeout/error rate crosses
-  ``GuardConfig.aimd_error_threshold`` and recovers additively once the
-  storm passes.
+  :data:`AIMD_ERROR_THRESHOLD` and recovers additively once the storm
+  passes.
 * **Dead-letter quarantine** — any exception trapped in the fetch or
   extract stage, any blown deadline, and any hostile-content verdict
   produces a :class:`~repro.core.records.QuarantineRecord`; the store
@@ -45,7 +45,6 @@ import re
 from collections import Counter, deque
 from typing import Awaitable, Callable, Sequence, TypeVar
 
-from .config import GuardConfig
 from .features import FeatureExtractor, RoundMemo
 from .records import FetchResult, PageFeatures, QuarantineRecord
 from .transport import TransportError
@@ -99,6 +98,22 @@ _TITLE_OPEN_RE = re.compile(r"<title", re.IGNORECASE)
 _TITLE_CLOSE_RE = re.compile(r"</title", re.IGNORECASE)
 _OPEN_TAG_RE = re.compile(r"<[A-Za-z]")
 
+#: Wall-clock ceiling in seconds for one IP's whole pooled fetch task
+#: (robots.txt + page GET).  A task that blows it is cancelled, recorded
+#: as a ``stage-deadline`` fetch error, and quarantined.  A ``BatchGet``
+#: transport never suspends, so its batch calls have nothing to cancel.
+FETCH_DEADLINE = 30.0
+#: AIMD backpressure: recent fetch outcomes evaluated between
+#: concurrency adjustments.
+AIMD_WINDOW = 64
+#: A windowed failure fraction above this halves the fetch concurrency
+#: limit; at or below it, the limit recovers by one per window.
+AIMD_ERROR_THRESHOLD = 0.5
+#: The fetch concurrency limit never drops below this floor.
+AIMD_MIN_CONCURRENCY = 8
+#: Responses with more headers than this are quarantined as header
+#: bombs.
+MAX_RESPONSE_HEADERS = 256
 #: ``<title>`` content longer than this (bytes of text, terminated or
 #: not) is quarantined as a title bomb.
 _MAX_TITLE_BYTES = 100_000
@@ -143,8 +158,8 @@ class AimdController:
         limit: int,
         *,
         min_limit: int = 1,
-        window: int = 64,
-        error_threshold: float = 0.5,
+        window: int = AIMD_WINDOW,
+        error_threshold: float = AIMD_ERROR_THRESHOLD,
         increase_step: int = 1,
     ):
         if limit <= 0:
@@ -211,8 +226,6 @@ class AimdController:
     def record(self, ok: bool) -> None:
         """Feed one outcome to the AIMD window (``release`` does this
         for admitted work; the batch path calls it directly)."""
-        if self._threshold >= 1.0:
-            return  # controller disabled
         self._window.append(ok)
         self._since_eval += 1
         maxlen = self._window.maxlen or 1
@@ -249,15 +262,9 @@ class Supervisor:
     EXTRACT = "extract"
     BANNER = "banner"
 
-    def __init__(
-        self, config: GuardConfig | None = None, *, concurrency: int = 256
-    ):
-        self.config = config or GuardConfig()
+    def __init__(self, *, concurrency: int = 256):
         self.controller = AimdController(
-            concurrency,
-            min_limit=self.config.aimd_min_concurrency,
-            window=self.config.aimd_window,
-            error_threshold=self.config.aimd_error_threshold,
+            concurrency, min_limit=AIMD_MIN_CONCURRENCY
         )
         self.round_id = 0
         self.timestamp = 0
@@ -317,9 +324,9 @@ class Supervisor:
         """Run *worker* over *items* through the bounded work queue.
 
         Results come back in input order.  Each unit runs under
-        *deadline* seconds of wall clock (0 disables); a blown deadline
-        or any trapped exception is converted to ``fallback(item, exc)``
-        so the caller always receives one result per item.  *is_failure*
+        *deadline* seconds of wall clock; a blown deadline or any
+        trapped exception is converted to ``fallback(item, exc)`` so the
+        caller always receives one result per item.  *is_failure*
         classifies ordinary results for the AIMD window (e.g. a
         ``FetchResult`` that records a transport error).
         """
@@ -370,10 +377,7 @@ class Supervisor:
         self.tasks_run += 1
         ok = True
         try:
-            if deadline > 0:
-                result = await asyncio.wait_for(worker(item), deadline)
-            else:
-                result = await worker(item)
+            result = await asyncio.wait_for(worker(item), deadline)
             if is_failure is not None and is_failure(result):
                 ok = False
         except asyncio.TimeoutError:
@@ -425,7 +429,7 @@ class Supervisor:
         per fetch; the body's verdict is memoised under
         :attr:`FetchResult.body_digest`, like its features.
         """
-        if len(fetch.headers) > self.config.max_response_headers:
+        if len(fetch.headers) > MAX_RESPONSE_HEADERS:
             return GuardVerdict.HEADER_BOMB
         if not fetch.body:
             return GuardVerdict.OK

@@ -38,7 +38,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Iterable, Sequence
 
-from .config import PipelineConfig
 from .records import PipelineStats
 from . import telemetry as _telemetry
 
@@ -47,6 +46,12 @@ __all__ = ["ShardWork", "BoundedShardQueue", "RoundPipeline"]
 #: End-of-stream marker passed through every queue exactly once.
 _DONE = object()
 
+#: Max shards buffered between scan and fetch.  This is also the AIMD
+#: coupling point: the controller scales the *effective* depth by
+#: ``limit / max_limit`` (see :class:`BoundedShardQueue`).
+_SCAN_QUEUE_DEPTH = 2
+#: Max shards buffered between fetch and extract.
+_EXTRACT_QUEUE_DEPTH = 2
 #: Max completed shards buffered ahead of the store writer.
 _WRITE_QUEUE_DEPTH = 4
 
@@ -157,7 +162,6 @@ class RoundPipeline:
     def __init__(
         self,
         *,
-        config: PipelineConfig,
         scan: StageFn,
         fetch: StageFn,
         extract: StageFn,
@@ -184,11 +188,11 @@ class RoundPipeline:
         # the AIMD coupling point (see BoundedShardQueue.capacity).
         self._feed_q = BoundedShardQueue(1)
         self._fetch_q = BoundedShardQueue(
-            config.scan_queue_depth, limiter=controller,
+            _SCAN_QUEUE_DEPTH, limiter=controller,
             **self._queue_metrics("scan_fetch", "scan"),
         )
         self._extract_q = BoundedShardQueue(
-            config.extract_queue_depth,
+            _EXTRACT_QUEUE_DEPTH,
             **self._queue_metrics("fetch_extract", "fetch"),
         )
         self._write_q = BoundedShardQueue(

@@ -34,7 +34,12 @@ from typing import Iterable, Sequence
 from .config import PlatformConfig
 from .features import FeatureExtractor
 from .fetcher import Fetcher
-from .guard import GuardVerdict, StageDeadlineExceeded, Supervisor
+from .guard import (
+    FETCH_DEADLINE,
+    GuardVerdict,
+    StageDeadlineExceeded,
+    Supervisor,
+)
 from .pipeline import RoundPipeline, ShardWork
 from .records import (
     PIPELINE_STATS_META_PREFIX,
@@ -54,6 +59,13 @@ from .workers import WorkerSupervisor
 from . import telemetry as _telemetry
 
 __all__ = ["RoundSummary", "RoundInterrupted", "WhoWas"]
+
+#: Per-round error budget: a round whose share of network operations
+#: (probes + page GETs) failing with a *classified* transport error
+#: exceeds this is marked ``degraded`` in its
+#: :class:`~repro.core.store.RoundInfo`.  The round still completes and
+#: persists; analyses can discount it.
+ROUND_ERROR_BUDGET = 0.5
 
 
 class RoundInterrupted(Exception):
@@ -164,9 +176,7 @@ class WhoWas:
         )
         # One supervisor spans fetch and extract so both stages feed the
         # same AIMD controller and dead-letter quarantine.
-        self.guard = Supervisor(
-            self.config.guard, concurrency=self.config.fetch.workers
-        )
+        self.guard = Supervisor(concurrency=self.config.fetch.workers)
         self.fetcher = Fetcher(transport, self.config.fetch, guard=self.guard)
         self.features = FeatureExtractor()
         self._next_round_id = self.store.max_round_id() + 1
@@ -191,7 +201,7 @@ class WhoWas:
 
         The round always completes: classified transport failures are
         recorded on the per-IP records, and a round whose failure ratio
-        exceeds ``PlatformConfig.round_error_budget`` is marked
+        exceeds :data:`ROUND_ERROR_BUDGET` is marked
         *degraded* in its :class:`RoundInfo` instead of raising.
 
         Targets are processed in shards checkpointed as they commit.
@@ -285,11 +295,8 @@ class WhoWas:
                 opened.shards_total,
             )
         errors, operations = self.store.shard_stats(round_id)
-        budget = self.config.round_error_budget
         degraded = forced_degraded or (
-            budget < 1.0
-            and operations > 0
-            and errors / operations > budget
+            operations > 0 and errors / operations > ROUND_ERROR_BUDGET
         )
         info = self.store.finalize_round(
             round_id, degraded=degraded, error_count=errors,
@@ -367,7 +374,6 @@ class WhoWas:
             )
 
         pipeline = RoundPipeline(
-            config=self.config.pipeline,
             scan=self._scan_shard,
             fetch=self._fetch_shard,
             extract=self._extract_shard,
@@ -610,7 +616,7 @@ class WhoWas:
             targets,
             grab,
             stage=Supervisor.BANNER,
-            deadline=self.guard.config.fetch_deadline,
+            deadline=FETCH_DEADLINE,
             fallback=fallback,
         )
         return {ip: banner for ip, banner in results if banner}

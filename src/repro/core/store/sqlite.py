@@ -854,13 +854,17 @@ class MeasurementStore(StoreBackend):
         self, table: str, shard_index: int | None = None
     ) -> dict[bytes, str | None]:
         """The bodies round table *table* (or one of its shards)
-        references, by digest; None where no body is stored."""
+        references, by digest, in order of first reference (rowid) —
+        the order :func:`~repro.core.store.base.encode_shard` collects
+        them in; None where no body is stored."""
         where = "" if shard_index is None else "AND shard_index = ?"
         params = () if shard_index is None else (shard_index,)
         return dict(self._conn.execute(
-            "SELECT d.body_digest, b.body FROM (SELECT DISTINCT body_digest"
-            f" FROM {table} WHERE body_digest IS NOT NULL {where}) d"
-            " LEFT JOIN bodies b ON b.digest = d.body_digest",
+            "SELECT d.body_digest, b.body FROM (SELECT body_digest,"
+            f" MIN(rowid) AS first FROM {table}"
+            f" WHERE body_digest IS NOT NULL {where} GROUP BY body_digest) d"
+            " LEFT JOIN bodies b ON b.digest = d.body_digest"
+            " ORDER BY d.first",
             params,
         ).fetchall())
 

@@ -620,8 +620,7 @@ class Telemetry:
         self.enabled = self.config.enabled
         self.registry = MetricsRegistry()
         self.trace = TraceSink(
-            ring_size=self.config.ring_size,
-            path=self.config.trace_path if self.enabled else None,
+            path=self.config.trace_path if self.enabled else None
         )
         if self.enabled:
             self._span_seconds = self.registry.histogram(

@@ -14,8 +14,8 @@ The coordinator's :class:`WorkerSupervisor` owns the failure domain
 
 * **Heartbeats** — each worker beats on a queue from inside its event
   loop, so a wedged loop (not just a dead process) goes silent.  A
-  worker whose heartbeat age exceeds ``WorkerConfig.heartbeat_timeout``
-  is SIGKILLed.
+  worker whose heartbeat age exceeds :data:`HEARTBEAT_TIMEOUT` is
+  SIGKILLed.
 * **Reassignment** — a partition whose worker died, wedged, or left an
   incomplete/corrupt journal goes back on the queue with capped
   retry + jittered backoff.  A restarted partition reopens its journal
@@ -29,11 +29,14 @@ The coordinator's :class:`WorkerSupervisor` owns the failure domain
   re-hashed) and their stored row tuples merged into the canonical
   store through the same idempotent
   :meth:`~repro.core.store.StoreBackend.write_rows` protocol, in
-  ascending shard order (so the merge also folds the canonical
-  store's materialized read models, whichever engine backs it;
-  per-partition *journals* are always sqlite files).  Stale journals left by a crashed coordinator
-  are salvaged the same way before partitioning, so coordinator death
-  is exactly as recoverable as worker death.
+  ascending partition and shard order: a journal that verifies before
+  its predecessors waits on disk until they have merged, so rows,
+  bodies, shard journal and quarantine land in the order an in-process
+  round writes them (the merge also folds the canonical store's
+  materialized read models, whichever engine backs it; per-partition
+  *journals* are always sqlite files).  Stale journals left by a
+  crashed coordinator are salvaged the same way before partitioning,
+  so coordinator death is exactly as recoverable as worker death.
 
 Because the simulated cloud is a pure function of ``(seed, day)`` and
 all per-request mutable state is scoped per-IP, a round run with
@@ -85,6 +88,22 @@ __all__ = [
 #: state and break determinism) — the only way per-partition determinism
 #: holds identically on Linux and macOS.
 _START_METHOD = "spawn"
+
+#: Seconds between worker heartbeats (read inside spawned workers).
+HEARTBEAT_INTERVAL = 0.2
+#: A worker whose last heartbeat is older than this is presumed wedged:
+#: it is SIGKILLed and its partition reassigned.
+HEARTBEAT_TIMEOUT = 10.0
+#: How often the supervisor polls worker state, in seconds.
+POLL_INTERVAL = 0.1
+#: A partition that crashes or wedges is retried at most this many
+#: times; then the pool shrinks by one and the partition runs inline in
+#: the coordinator as a last resort, forcing the round ``degraded``.
+MAX_PARTITION_RETRIES = 3
+#: First reassignment backoff in seconds; doubles per attempt with
+#: deterministic jitter, capped at :data:`RETRY_BACKOFF_MAX`.
+RETRY_BACKOFF_BASE = 0.1
+RETRY_BACKOFF_MAX = 2.0
 
 
 @dataclass(frozen=True)
@@ -144,7 +163,6 @@ class WorkerTask:
     #: rebuilds the worker's network (e.g. the simulated cloud advanced
     #: to the round's day) from parameters alone.
     transport_factory: Callable
-    heartbeat_interval: float = 0.2
     #: Worker-side process chaos (KILL_MID_SHARD / FREEZE); None
     #: outside the chaos tier and always None for inline fallback runs.
     chaos: ProcessChaosPlan | None = None
@@ -215,7 +233,7 @@ async def _run_partition_async(task: WorkerTask, emit) -> PipelineStats:
                         "heartbeat", task.partition.index, task.attempt,
                         len(store.completed_shards(task.round_id)),
                     ))
-                    await asyncio.sleep(task.heartbeat_interval)
+                    await asyncio.sleep(HEARTBEAT_INTERVAL)
 
             beat_task = asyncio.create_task(beat())
             try:
@@ -307,7 +325,6 @@ class WorkerSupervisor:
     ):
         self.store = store
         self.config = config
-        self.workers = config.workers
         self.transport_factory = transport_factory
         self.chaos = chaos
         self._ctx = multiprocessing.get_context(_START_METHOD)
@@ -396,13 +413,15 @@ class WorkerSupervisor:
         report: WorkerRoundReport,
         *,
         expected: tuple[int, ...] | None = None,
+        merge: bool = True,
     ) -> None:
         """Verify and merge one partition journal into the canonical
         store, ascending shard order.  With *expected* set, every one of
         those shard indices must be present and every checksum must
         match, or :class:`_JournalRejected` is raised and nothing more
         is merged (shards merged before the bad one are idempotently
-        harmless).  Raises on unreadable/torn files too."""
+        harmless).  Raises on unreadable/torn files too.  With *merge*
+        false the journal is only verified."""
         try:
             with MeasurementStore(path) as journal:
                 entries = journal.shard_journal(round_id)
@@ -425,6 +444,8 @@ class WorkerSupervisor:
                             f"journal {path} shard {entry.shard_index} "
                             "failed checksum verification"
                         )
+                    if not merge:
+                        continue
                     committed = self.store.write_rows(
                         round_id, entry.shard_index, rows, bodies,
                         errors=entry.errors, operations=entry.operations,
@@ -439,8 +460,9 @@ class WorkerSupervisor:
             # Torn file, missing round row, or a round table sqlite can
             # no longer read — all equivalent to a lost partition.
             raise _JournalRejected(f"journal {path} unreadable: {exc}")
-        report.stats.partitions_merged += 1
-        self._m_events.labels(event="merge").inc()
+        if merge:
+            report.stats.partitions_merged += 1
+            self._m_events.labels(event="merge").inc()
 
     def _salvage_journals(
         self, directory: Path, round_id: int, report: WorkerRoundReport
@@ -448,7 +470,8 @@ class WorkerSupervisor:
         """Merge whatever shards stale journals (left by a crashed
         coordinator) committed, then clear them out; unreadable ones
         are set aside.  Runs before partitioning, so salvaged shards
-        are never re-scanned."""
+        are never re-scanned; zero-padded names sort in partition
+        order, the order of a live merge."""
         for path in sorted(directory.glob(f"r{round_id:05d}_p*.sqlite")):
             try:
                 self._merge_journal(str(path), round_id, report)
@@ -473,7 +496,6 @@ class WorkerSupervisor:
             partition=spec, attempt=attempt, round_id=round_id,
             timestamp=timestamp, journal_path=journal_path,
             config=self.config, transport_factory=self.transport_factory,
-            heartbeat_interval=self.workers.heartbeat_interval,
             chaos=self.chaos,
         )
         process = self._ctx.Process(
@@ -488,15 +510,13 @@ class WorkerSupervisor:
         )
 
     @staticmethod
-    def _backoff_delay(
-        workers, round_id: int, partition: int, attempt: int
-    ) -> float:
+    def _backoff_delay(round_id: int, partition: int, attempt: int) -> float:
         """Capped exponential backoff with deterministic jitter (the
         jitter only shapes timing, never data)."""
         return backoff_delay(
             attempt,
-            base=workers.retry_backoff_base,
-            cap=workers.retry_backoff_max,
+            base=RETRY_BACKOFF_BASE,
+            cap=RETRY_BACKOFF_MAX,
             key=f"backoff:{round_id}:{partition}:{attempt}",
         )
 
@@ -529,7 +549,6 @@ class WorkerSupervisor:
     ) -> WorkerRoundReport:
         """Drive one round's remaining shards through the worker pool;
         returns once every partition has merged (or the abort fired)."""
-        workers = self.workers
         stats = PipelineStats(mode="multiprocess")
         report = WorkerRoundReport(stats=stats)
         directory = self._journal_dir()
@@ -539,7 +558,7 @@ class WorkerSupervisor:
         self._salvage_journals(directory, round_id, report)
         done = self.store.completed_shards(round_id)
         remaining = [(i, t) for i, t in shards if i not in done]
-        specs = partition_shards(remaining, workers.count)
+        specs = partition_shards(remaining, self.config.workers.count)
         stats.worker_count = len(specs)
         if not specs:
             return report
@@ -550,27 +569,43 @@ class WorkerSupervisor:
             (spec, 0, 0.0) for spec in specs
         ]
         running: dict[int, _Running] = {}
-        verified: list[tuple[PartitionSpec, str]] = []
-        fallback: list[PartitionSpec] = []
+        # Verified journals waiting on disk for a predecessor to merge:
+        # partition index -> (journal path, attempt).
+        held: dict[int, tuple[str, int]] = {}
+        # The partition that merges next; a partition's index is its
+        # position in *specs*, and every one before it has merged.
+        next_merge = 0
         slots = len(specs)
+
+        def merge_held() -> None:
+            """Merge held journals in partition order, up to the first
+            partition whose journal has not verified yet."""
+            nonlocal next_merge
+            while next_merge in held:
+                path, _ = held.pop(next_merge)
+                self._merge_journal(
+                    path, round_id, report,
+                    expected=specs[next_merge].shard_indices,
+                )
+                self._remove_journal(path)
+                next_merge += 1
 
         def fail_partition(run: _Running, reason: str) -> None:
             nonlocal slots
             stats.worker_restarts += 1
             next_attempt = run.attempt + 1
-            if next_attempt > workers.max_partition_retries:
+            if next_attempt > MAX_PARTITION_RETRIES:
                 # Give up on process isolation for this partition:
-                # shrink the pool and queue the inline fallback.
+                # shrink the pool; it runs inline after the loop.
                 slots = max(1, slots - 1)
                 stats.partitions_failed += 1
                 report.forced_degraded = True
-                fallback.append(run.spec)
                 self._m_events.labels(event="fallback").inc()
             else:
                 stats.partition_reassignments += 1
                 self._m_events.labels(event="reassign").inc()
                 delay = self._backoff_delay(
-                    workers, round_id, run.spec.index, run.attempt
+                    round_id, run.spec.index, run.attempt
                 )
                 pending.append(
                     (run.spec, next_attempt, time.monotonic() + delay)
@@ -578,29 +613,36 @@ class WorkerSupervisor:
 
         def reap(run: _Running) -> None:
             """Handle one exited worker: verify its journal, then merge
-            or reassign."""
+            it (or hold it for its predecessors), or reassign."""
+            nonlocal next_merge
             pindex = run.spec.index
             exitcode = run.process.exitcode
             self._apply_journal_chaos(
                 run.journal_path, round_id, pindex, run.attempt
             )
-            if exitcode == 0:
-                try:
-                    self._merge_journal(
-                        run.journal_path, round_id, report,
-                        expected=run.spec.shard_indices,
-                    )
-                except _JournalRejected:
-                    self._quarantine_journal(run.journal_path, run.attempt)
-                    fail_partition(run, "journal rejected")
-                else:
-                    verified.append((run.spec, run.journal_path))
-                    if run.done_stats:
-                        self._aggregate_stats(
-                            stats, run.done_stats, partition=run.spec.index
-                        )
-            else:
+            if exitcode != 0:
                 fail_partition(run, run.failure or f"exit code {exitcode}")
+                return
+            merge_now = pindex == next_merge
+            try:
+                self._merge_journal(
+                    run.journal_path, round_id, report,
+                    expected=run.spec.shard_indices, merge=merge_now,
+                )
+            except _JournalRejected:
+                self._quarantine_journal(run.journal_path, run.attempt)
+                fail_partition(run, "journal rejected")
+                return
+            if run.done_stats:
+                self._aggregate_stats(
+                    stats, run.done_stats, partition=pindex
+                )
+            if merge_now:
+                self._remove_journal(run.journal_path)
+                next_merge += 1
+                merge_held()
+            else:
+                held[pindex] = (run.journal_path, run.attempt)
 
         try:
             while pending or running:
@@ -622,14 +664,14 @@ class WorkerSupervisor:
                         channel,
                     )
                 self._m_running.set(len(running))
-                self._drain_channel(channel, running, stats, workers)
+                self._drain_channel(channel, running, stats)
                 oldest_age = 0.0
                 for pindex, run in list(running.items()):
                     if run.process.exitcode is not None:
                         run.process.join()
                         # One more drain so the exiting worker's final
                         # done/failed message is in hand before reaping.
-                        self._drain_channel(channel, running, stats, workers)
+                        self._drain_channel(channel, running, stats)
                         del running[pindex]
                         reap(run)
                         continue
@@ -638,7 +680,7 @@ class WorkerSupervisor:
                     stats.max_heartbeat_age = max(
                         stats.max_heartbeat_age, age
                     )
-                    if age > workers.heartbeat_timeout:
+                    if age > HEARTBEAT_TIMEOUT:
                         # Wedged (frozen loop, livelock): SIGKILL and
                         # reassign; committed shards survive in the
                         # journal for the retry to skip.
@@ -653,64 +695,58 @@ class WorkerSupervisor:
                     run.process.terminate()
                 for run in running.values():
                     run.process.join()
-                # Merge whatever the interrupted workers committed so a
-                # resume re-scans as little as possible.
-                for run in running.values():
+                for pindex, run in running.items():
+                    held[pindex] = (run.journal_path, run.attempt)
+                # Merge whatever the held and interrupted journals
+                # committed, in partition order, so a resume re-scans
+                # as little as possible.
+                for pindex in sorted(held):
+                    path, attempt = held[pindex]
                     try:
-                        self._merge_journal(
-                            run.journal_path, round_id, report
-                        )
+                        self._merge_journal(path, round_id, report)
                     except _JournalRejected:
-                        self._quarantine_journal(
-                            run.journal_path, run.attempt
-                        )
+                        self._quarantine_journal(path, attempt)
                     else:
-                        self._remove_journal(run.journal_path)
-                running.clear()
+                        self._remove_journal(path)
                 self._prune_journal_dir(directory)
                 return report
         finally:
             channel.close()
             channel.join_thread()
 
-        # Last-resort inline execution of permanently-failed partitions
-        # (no chaos — the coordinator must not kill itself).
-        for spec in sorted(fallback, key=lambda s: s.index):
-            journal_path = self._journal_path(
-                directory, round_id, spec.index
-            )
-            task = WorkerTask(
-                partition=spec,
-                attempt=workers.max_partition_retries + 1,
-                round_id=round_id, timestamp=timestamp,
-                journal_path=journal_path, config=self.config,
-                transport_factory=self.transport_factory,
-                heartbeat_interval=workers.heartbeat_interval,
-                chaos=None,
-            )
-            inline_stats = run_partition(task)
-            self._merge_journal(
-                journal_path, round_id, report,
-                expected=spec.shard_indices,
-            )
-            verified.append((spec, journal_path))
-            self._aggregate_stats(
-                stats, inline_stats.to_dict(), partition=spec.index
-            )
+        # Partitions that exhausted their retries run inline, each in
+        # its place in partition order (no chaos — the coordinator must
+        # not kill itself).
+        while next_merge < len(specs):
+            if next_merge not in held:
+                spec = specs[next_merge]
+                journal_path = self._journal_path(
+                    directory, round_id, spec.index
+                )
+                task = WorkerTask(
+                    partition=spec, attempt=MAX_PARTITION_RETRIES + 1,
+                    round_id=round_id, timestamp=timestamp,
+                    journal_path=journal_path, config=self.config,
+                    transport_factory=self.transport_factory, chaos=None,
+                )
+                inline_stats = run_partition(task)
+                self._aggregate_stats(
+                    stats, inline_stats.to_dict(), partition=spec.index
+                )
+                held[next_merge] = (journal_path, task.attempt)
+            merge_held()
 
-        for _, journal_path in verified:
-            self._remove_journal(journal_path)
         self._prune_journal_dir(directory)
         stats.shards_written = report.merged_shards
         stats.records_written = report.merged_records
         return report
 
-    def _drain_channel(self, channel, running, stats, workers) -> None:
+    def _drain_channel(self, channel, running, stats) -> None:
         """Pull worker messages; the blocking first get is the loop's
         poll interval.  Messages from a superseded attempt (a killed
         worker's last gasps) are dropped."""
         try:
-            message = channel.get(timeout=workers.poll_interval)
+            message = channel.get(timeout=POLL_INTERVAL)
         except queue_module.Empty:
             return
         while True:

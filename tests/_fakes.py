@@ -156,7 +156,7 @@ def reference_fetch(transport, config, outcomes, *, ssh_timeout=2.0,
     record.  Handles the robots.txt bodies and charset-free content
     types the tests serve; imports nothing from ``fetcher.py``."""
     seen = ReferenceFetch(results=[], banners={}, quarantine=[])
-    kwargs = {"timeout": config.timeout, "max_body": config.max_body_bytes,
+    kwargs = {"timeout": config.timeout, "max_body": 512 * 1024,
               "headers": {"User-Agent": config.user_agent}}
 
     def trapped(ip, stage, exc):
@@ -172,17 +172,16 @@ def reference_fetch(transport, config, outcomes, *, ssh_timeout=2.0,
         dotted = ".".join(str(ip >> shift & 255) for shift in (24, 16, 8, 0))
         url = f"{scheme}://{dotted}/"
         try:
-            if config.respect_robots:
-                seen.gets_sent += 1
-                try:
-                    robots = await transport.get(
-                        ip, scheme, "/robots.txt", **kwargs)
-                except TransportError:
-                    robots = None
-                if (robots is not None and robots.status_code == 200
-                        and "Disallow: /" in robots.body.decode().split("\n")):
-                    return FetchResult(
-                        ip=ip, status=FetchStatus.ROBOTS_DISALLOWED, url=url)
+            seen.gets_sent += 1
+            try:
+                robots = await transport.get(
+                    ip, scheme, "/robots.txt", **kwargs)
+            except TransportError:
+                robots = None
+            if (robots is not None and robots.status_code == 200
+                    and "Disallow: /" in robots.body.decode().split("\n")):
+                return FetchResult(
+                    ip=ip, status=FetchStatus.ROBOTS_DISALLOWED, url=url)
             seen.gets_sent += 1
             try:
                 response = await transport.get(ip, scheme, "/", **kwargs)
@@ -193,7 +192,7 @@ def reference_fetch(transport, config, outcomes, *, ssh_timeout=2.0,
             content_type = response.headers.get("Content-Type", "")
             body = None
             if config.should_download(content_type.split(";")[0].lower()):
-                body = response.body[:config.max_body_bytes].decode(
+                body = response.body[:kwargs["max_body"]].decode(
                     "utf-8", errors="replace")
             return FetchResult(ip=ip, status=FetchStatus.OK, url=url,
                                status_code=response.status_code,

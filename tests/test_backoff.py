@@ -72,8 +72,8 @@ class TestCallSitePins:
             (1, 0, 0), (1, 3, 2), (12, 7, 5),
         ]:
             # Original WorkerSupervisor._backoff_delay, verbatim
-            # (retry_backoff_base=0.5, retry_backoff_max=8.0 defaults
-            # in WorkerConfig):
+            # (base 0.5 s and cap 8.0 s, the worker backoff defaults of
+            # that time):
             base = min(0.5 * (2 ** attempt), 8.0)
             jitter = random.Random(
                 f"backoff:{round_id}:{partition}:{attempt}"

@@ -17,7 +17,6 @@ behind ``-m chaos`` (see README: "running the chaos suite").
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -66,7 +65,6 @@ def storm_campaign(
     total_ips: int = 256,
     rounds: int = 3,
     seed: int = 11,
-    error_budget: float = 0.5,
 ):
     """Run a small simulated campaign behind a FaultyTransport."""
     scenario = ec2_scenario(
@@ -80,9 +78,7 @@ def storm_campaign(
     )
     faulty = GetCountingFaulty(scenario.transport, plan)
     scenario.transport = faulty
-    config = dataclasses.replace(
-        simulation_config(), round_error_budget=error_budget)
-    campaign = Campaign(scenario, config=config)
+    campaign = Campaign(scenario, config=simulation_config())
     result = campaign.run(scan_days=scenario.scan_days[:rounds])
     return result, faulty
 
@@ -162,12 +158,6 @@ class TestAcceptance:
         assert_chaos_invariants(result, faulty)
         degraded = [s.info.round_id for s in result.summaries if s.degraded]
         assert degraded == [2]
-
-    def test_budget_of_one_never_degrades(self):
-        plan = chaos_plan(seed=9, rate=0.9, delay=0.0)
-        result, _ = storm_campaign(plan=plan, rounds=2, error_budget=1.0)
-        assert not any(s.degraded for s in result.summaries)
-        assert all(s.errors > 0 for s in result.summaries)
 
 
 @pytest.mark.chaos

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FetchConfig
-from repro.core.fetcher import Fetcher, parse_robots
+from repro.core.fetcher import MAX_BODY_BYTES, Fetcher, parse_robots
 from repro.core.records import FetchStatus, ProbeOutcome, ProbeStatus
 
 from _fakes import FakeTransport, python_calls, reference_fetch
@@ -202,13 +202,6 @@ class TestFetchIp:
         # Only robots.txt was requested, never the page.
         assert transport.get_calls == [(1, "http", "/robots.txt")]
 
-    def test_robots_can_be_disabled(self):
-        transport = FakeTransport()
-        transport.add_host(1, {80}, robots_body="User-agent: *\nDisallow: /\n")
-        fetcher = Fetcher(transport, FetchConfig(respect_robots=False))
-        result = asyncio.run(fetcher.fetch_ip(outcome(1, {80})))
-        assert result.status is FetchStatus.OK
-
     def test_at_most_two_gets(self):
         """§4: at most two GETs per IP per round."""
         transport = FakeTransport()
@@ -246,10 +239,10 @@ class TestFetchIp:
 
     def test_body_truncated_to_cap(self):
         transport = FakeTransport()
-        transport.add_host(1, {80}, body="x" * 4096)
-        fetcher = Fetcher(transport, FetchConfig(max_body_bytes=1024))
+        transport.add_host(1, {80}, body="x" * (MAX_BODY_BYTES + 4096))
+        fetcher = Fetcher(transport)
         result = asyncio.run(fetcher.fetch_ip(outcome(1, {80})))
-        assert len(result.body or "") == 1024
+        assert len(result.body or "") == MAX_BODY_BYTES == 512 * 1024
 
     def test_fetch_many_preserves_order(self):
         transport = FakeTransport()
@@ -483,7 +476,6 @@ def fetch_cases(draw):
         "banners": draw(st.dictionaries(some, st.sampled_from(
             ["SSH-2.0-OpenSSH_5.9", ""]))),
         "banner_raises": draw(st.frozensets(some)),
-        "respect_robots": draw(st.booleans()),
         "flavour": draw(st.sampled_from(["pooled", "batch"])),
     }
 
@@ -511,7 +503,7 @@ class TestBatchDrainEqualsOracle:
     @given(fetch_cases())
     @settings(max_examples=200, deadline=None)
     def test_results_counters_and_quarantine(self, case):
-        """Either drain, robots on or off, classified and unclassified
+        """Either drain, classified and unclassified
         failures anywhere: a shard's fetch stage reports what the
         per-IP loop reports, and sends the same GETs — at most two an
         IP (§7)."""
@@ -522,7 +514,7 @@ class TestBatchDrainEqualsOracle:
         from repro.core.platform import WhoWas
         from repro.core.store import MeasurementStore
 
-        config = FetchConfig(respect_robots=case["respect_robots"])
+        config = FetchConfig()
         outcomes = [
             ProbeOutcome(
                 ip=ip,
@@ -601,7 +593,7 @@ class TestBatchDrainEqualsOracle:
         for ip in (1, 3):
             transport.add_host(ip, {80})
         transport.open_ports[2] = {80}       # no page: the GET fails
-        fetcher = Fetcher(transport, FetchConfig(respect_robots=False))
+        fetcher = Fetcher(transport)
         results = fetcher.fetch_sync([outcome(ip, {80}) for ip in (1, 2, 3)])
         assert [r.status for r in results] == [
             FetchStatus.OK, FetchStatus.ERROR, FetchStatus.OK]
@@ -615,7 +607,7 @@ class TestBatchDrainEqualsOracle:
             raise RuntimeError("batch exploded")
 
         transport.get_many = broken
-        fetcher = Fetcher(transport, FetchConfig(respect_robots=False))
+        fetcher = Fetcher(transport)
         results = fetcher.fetch_sync([outcome(ip, {80}) for ip in (1, 2)])
         assert [r.error for r in results] == ["batch exploded"] * 2
         assert fetcher.guard.trapped["fetch"] == 2
@@ -643,7 +635,7 @@ class WarmShard:
         scenario = build_sim_scenario({"cloud": "ec2", "ips": 4096, "seed": 7})
         config = simulation_config()
         scanner = Scanner(scenario.transport, config.scan)
-        self.guard = Supervisor(config.guard, concurrency=config.fetch.workers)
+        self.guard = Supervisor(concurrency=config.fetch.workers)
         self.fetcher = Fetcher(scenario.transport, config.fetch,
                                guard=self.guard)
         self.extractor = FeatureExtractor()

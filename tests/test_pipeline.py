@@ -18,7 +18,8 @@ import sqlite3
 import pytest
 
 from repro.cli import main
-from repro.core.config import PipelineConfig, WorkerConfig
+from repro.core import platform as platform_module
+from repro.core.config import WorkerConfig
 from repro.core.faults import (
     FaultKind,
     FaultPlan,
@@ -175,9 +176,8 @@ def _collecting_writer(committed: list, *, delay: float = 0.0):
 
 
 class TestRoundPipeline:
-    def _pipeline(self, committed, *, config=None, delay=0.0, **kwargs):
+    def _pipeline(self, committed, *, delay=0.0, **kwargs):
         return RoundPipeline(
-            config=config or PipelineConfig(),
             scan=kwargs.pop("scan", _noop_stage()),
             fetch=kwargs.pop("fetch", _noop_stage()),
             extract=kwargs.pop("extract", _noop_stage()),
@@ -255,11 +255,7 @@ class TestRoundPipeline:
             await asyncio.sleep(0.005)
             return 1
 
-        pipeline = self._pipeline(
-            committed,
-            extract=slow_extract,
-            config=PipelineConfig(scan_queue_depth=1, extract_queue_depth=1),
-        )
+        pipeline = self._pipeline(committed, extract=slow_extract)
         works = [ShardWork(index=i, targets=[i]) for i in range(8)]
         stats = asyncio.run(pipeline.run(iter(works)))
         # The fast upstream stages must have stalled on the slow
@@ -490,7 +486,10 @@ class TestRoundLifecycle:
     ``_begin_round`` / ``_finish_round``; the literals are what commit
     53095b2 (two copies of each) produced for the same seeds."""
 
-    BUDGET = dict(round_error_budget=0.01)     # the storms blow it
+    @pytest.fixture(autouse=True)
+    def tight_budget(self, monkeypatch):
+        """An error budget the storms blow."""
+        monkeypatch.setattr(platform_module, "ROUND_ERROR_BUDGET", 0.01)
 
     def stormy_scenario(self):
         scenario = hostile_scenario()
@@ -508,7 +507,7 @@ class TestRoundLifecycle:
         store = MeasurementStore(path)
         with WhoWas(
             CrashOnFault(scenario.transport, crash), store,
-            small_config(**self.BUDGET),
+            small_config(),
         ) as platform:
             with pytest.raises(RuntimeError, match="simulated crash"):
                 platform.run_round(list(scenario.targets), timestamp=0)
@@ -518,7 +517,7 @@ class TestRoundLifecycle:
         scenario = self.stormy_scenario()
         store = MeasurementStore(path)
         with WhoWas(
-            scenario.transport, store, small_config(**self.BUDGET)
+            scenario.transport, store, small_config()
         ) as platform:
             summary = platform.run_round(
                 list(scenario.targets), timestamp=0, resume_round_id=1
@@ -534,15 +533,13 @@ class TestRoundLifecycle:
         store.close()
 
     def test_two_worker_round_finishes_like_the_parent(self, tmp_path):
-        from test_workers import FAST_WORKERS, SIM_PARAMS
+        from test_workers import SIM_PARAMS
 
         scenario = ec2_scenario(**SCENARIO_PARAMS)
         store = MeasurementStore(str(tmp_path / "workers.sqlite"))
         with WhoWas(
             scenario.transport, store,
-            small_config(
-                workers=WorkerConfig(count=2, **FAST_WORKERS), **self.BUDGET
-            ),
+            small_config(workers=WorkerConfig(count=2)),
             transport_factory=SimTransportFactory(
                 dict(SIM_PARAMS, chaos_rate=0.2, chaos_seed=7)
             ),

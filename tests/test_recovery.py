@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import platform as platform_module
 from repro.core.config import (
     FetchConfig,
     PlatformConfig,
@@ -271,24 +272,24 @@ class TestPlatformRecovery:
         reopened = MeasurementStore(path)
         platform = WhoWas(
             DeadTransport(), reopened,
-            PlatformConfig(
-                scan=ScanConfig(probes_per_second=1e12),
-                round_error_budget=1.0,
-            ),
+            PlatformConfig(scan=ScanConfig(probes_per_second=1e12)),
         )
         summary = platform.run_round([1, 2, 3], timestamp=6)
         assert summary.round_id == 3
         reopened.close()
 
-    def test_abort_event_checkpoints_current_shard(self):
+    def test_abort_event_checkpoints_current_shard(self, monkeypatch):
         """With the event pre-set, no shard runs; mid-run, the current
         shard commits before RoundInterrupted surfaces."""
+        # Every operation fails on a dead network: only a budget of 1
+        # lets the resumed round finish ``complete``.
+        monkeypatch.setattr(platform_module, "ROUND_ERROR_BUDGET", 1.0)
         store = MeasurementStore()
         platform = WhoWas(
             DeadTransport(), store,
             PlatformConfig(
                 scan=ScanConfig(probes_per_second=1e12),
-                round_error_budget=1.0, shard_size=2,
+                shard_size=2,
             ),
         )
         event = asyncio.Event()

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.core import workers as workers_module
 from repro.core.config import PlatformConfig, WorkerConfig
 from repro.core.faults import ProcFaultKind, proc_chaos_plan
 from repro.core.platform import RoundInterrupted, WhoWas
@@ -49,20 +50,29 @@ SIM_PARAMS = dict(
     days=SCENARIO_PARAMS["duration_days"],
 )
 
-# Short heartbeats/backoffs so restart paths settle in test time.
-FAST_WORKERS = dict(
-    heartbeat_interval=0.05,
-    heartbeat_timeout=5.0,
-    poll_interval=0.02,
-    retry_backoff_base=0.01,
-    retry_backoff_max=0.05,
-)
+
+@pytest.fixture(autouse=True)
+def fast_workers(monkeypatch):
+    """Short polls, heartbeat deadline and backoffs so restart paths
+    settle in test time.  These are the coordinator's constants (the
+    heartbeat interval is read in spawned workers and stays); a test
+    that needs another value passes it to the returned setter."""
+
+    def set_constants(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(workers_module, name, value)
+
+    set_constants(
+        HEARTBEAT_TIMEOUT=5.0,
+        POLL_INTERVAL=0.02,
+        RETRY_BACKOFF_BASE=0.01,
+        RETRY_BACKOFF_MAX=0.05,
+    )
+    return set_constants
 
 
-def mp_config(count: int = 2, **worker_overrides) -> PlatformConfig:
-    kwargs = dict(FAST_WORKERS)
-    kwargs.update(worker_overrides)
-    return small_config(workers=WorkerConfig(count=count, **kwargs))
+def mp_config(count: int = 2) -> PlatformConfig:
+    return small_config(workers=WorkerConfig(count=count))
 
 
 def run_mp_campaign(path: str, *, config=None, chaos=None) -> None:
@@ -86,6 +96,25 @@ def build_platform(path: str, *, config=None, chaos=None, timestamp=0):
         proc_chaos=chaos,
     )
     return platform, store, scenario.targets
+
+
+def stored_order(path: str) -> dict[str, list[tuple]]:
+    """Every round table, ``bodies``, ``round_shards`` and
+    ``quarantine``, row by row in rowid order."""
+    conn = sqlite3.connect(path)
+    tables = [
+        name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+            " AND name GLOB 'round_[0-9]*' ORDER BY name"
+        )
+    ]
+    dump = {
+        table: conn.execute(
+            f"SELECT * FROM {table} ORDER BY rowid").fetchall()
+        for table in [*tables, "bodies", "round_shards", "quarantine"]
+    }
+    conn.close()
+    return dump
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +382,23 @@ class TestMultiprocessRounds:
         assert main(["stats", path]) == 0
         store.close()
 
+    def test_late_partition_merges_in_partition_order(
+        self, tmp_path, serial_reference
+    ):
+        """Partition 0 freezes for a second before its first shard
+        (well inside the heartbeat deadline), so partition 1 exits
+        first; its journal waits for partition 0's, and the store holds
+        the in-process store's rows, bodies, shard journal and
+        quarantine in the same rowid order."""
+        reference, _ = serial_reference
+        path = str(tmp_path / "ordered.sqlite")
+        chaos = proc_chaos_plan(
+            31, kinds=(ProcFaultKind.FREEZE,), rounds={1},
+            partitions={0}, shard_ordinal=0, freeze_seconds=1.0,
+        )
+        run_mp_campaign(path, chaos=chaos)
+        assert stored_order(path) == stored_order(reference)
+
     def test_worker_telemetry_is_persisted(self, tmp_path):
         path = str(tmp_path / "mp.sqlite")
         run_mp_campaign(path)
@@ -617,7 +663,7 @@ class TestVerifyCli:
 @pytest.mark.chaos
 class TestWorkersChaosTier:
     def test_frozen_worker_is_killed_and_reassigned(
-        self, tmp_path, serial_reference
+        self, tmp_path, serial_reference, fast_workers
     ):
         """A worker that blocks its event loop stops heartbeating; the
         supervisor SIGKILLs it past the deadline and the retry wins."""
@@ -628,9 +674,8 @@ class TestWorkersChaosTier:
             rounds={1}, partitions={1}, attempts={0},
             freeze_seconds=60.0,
         )
-        run_mp_campaign(
-            path, config=mp_config(heartbeat_timeout=1.0), chaos=chaos
-        )
+        fast_workers(HEARTBEAT_TIMEOUT=1.0)
+        run_mp_campaign(path, chaos=chaos)
         assert db_snapshot(path) == reference
         import json
         from repro.core.records import PIPELINE_STATS_META_PREFIX
@@ -659,7 +704,7 @@ class TestWorkersChaosTier:
         assert main(["verify", path]) == 0
 
     def test_retry_exhaustion_falls_back_inline_and_degrades(
-        self, tmp_path, serial_reference
+        self, tmp_path, serial_reference, fast_workers
     ):
         """Chaos on every attempt exhausts the retry budget; the
         coordinator runs the partition inline (no chaos) and marks the
@@ -671,9 +716,8 @@ class TestWorkersChaosTier:
             29, kinds=(ProcFaultKind.KILL_MID_SHARD,),
             rounds={1}, partitions={0}, attempts=attempts,
         )
-        run_mp_campaign(
-            path, config=mp_config(max_partition_retries=1), chaos=chaos
-        )
+        fast_workers(MAX_PARTITION_RETRIES=1)
+        run_mp_campaign(path, chaos=chaos)
         rounds, rows = db_snapshot(path)
         assert rows == reference[1]            # records identical
         store = MeasurementStore(path)
