@@ -1,6 +1,6 @@
 """Figure-data export: CSV series behind the paper's plots.
 
-Downstream users typically want to replot Figures 8–19 with their own
+Downstream users typically want to replot Figures 8–12 with their own
 tooling; this module writes the underlying series to plain CSV files,
 one per figure, using only data already computed by the analyzers.
 """
@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Callable
 
-from .cartography import CartographyMap, VpcUsageAnalyzer
 from .clustering import ClusteringResult
 from .dataset import Dataset
 from .dynamics import DynamicsAnalyzer
@@ -23,38 +21,21 @@ __all__ = ["FigureExporter"]
 class FigureExporter:
     """Writes the per-figure series of one campaign to CSV files."""
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        clustering: ClusteringResult,
-        *,
-        cartography: CartographyMap | None = None,
-        kind_of: Callable[[int], str] | None = None,
-    ):
+    def __init__(self, dataset: Dataset, clustering: ClusteringResult):
         self.dataset = dataset
         self.clustering = clustering
-        self.cartography = cartography
-        self._kind_of = kind_of
         self.dynamics = DynamicsAnalyzer(dataset, clustering)
 
     def export_all(self, directory: str | Path) -> list[Path]:
         """Write every exportable figure; returns the files written."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        written = [
+        return [
             self.export_fig08(directory / "fig08_timeseries.csv"),
             self.export_fig09(directory / "fig09_churn.csv"),
             self.export_fig10(directory / "fig10_cluster_change.csv"),
             self.export_fig12(directory / "fig12_ip_uptime_cdf.csv"),
         ]
-        if self.cartography is not None:
-            written.append(
-                self.export_fig13(directory / "fig13_vpc_timeseries.csv")
-            )
-            written.append(
-                self.export_fig14(directory / "fig14_vpc_clusters.csv")
-            )
-        return written
 
     # ------------------------------------------------------------------
 
@@ -108,41 +89,6 @@ class FigureExporter:
             [
                 [value, (index + 1) / total]
                 for index, value in enumerate(values)
-            ],
-        )
-
-    def export_fig13(self, path: str | Path) -> Path:
-        assert self.cartography is not None
-        analyzer = VpcUsageAnalyzer(
-            self.dataset, self.clustering, self.cartography
-        )
-        series = analyzer.ip_series()
-        return _write(
-            path,
-            ["round", "classic_responsive", "classic_available",
-             "vpc_responsive", "vpc_available"],
-            [
-                [index] + [series[key][index] for key in (
-                    "classic_responsive", "classic_available",
-                    "vpc_responsive", "vpc_available",
-                )]
-                for index in range(len(self.dataset.round_ids))
-            ],
-        )
-
-    def export_fig14(self, path: str | Path) -> Path:
-        assert self.cartography is not None
-        analyzer = VpcUsageAnalyzer(
-            self.dataset, self.clustering, self.cartography
-        )
-        series = analyzer.cluster_kind_series()
-        return _write(
-            path,
-            ["round", "classic_only", "vpc_only", "mixed"],
-            [
-                [index, series["classic-only"][index],
-                 series["vpc-only"][index], series["mixed"][index]]
-                for index in range(len(self.dataset.round_ids))
             ],
         )
 

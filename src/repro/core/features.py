@@ -206,9 +206,6 @@ class RoundMemo:
         self._previous = self._current
         self._current = {}
 
-    def __len__(self) -> int:
-        return len(self._current) + len(self._previous)
-
 
 #: The body half of a page with no body.
 _NO_BODY = (UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN, UNKNOWN, 0)

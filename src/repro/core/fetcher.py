@@ -18,7 +18,6 @@ quarantine records.
 
 from __future__ import annotations
 
-import asyncio
 import re
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .guard import (
     StageDeadlineExceeded,
     Supervisor,
 )
-from .records import FetchResult, FetchStatus, ProbeOutcome
+from .records import FetchResult, FetchStatus, ProbeOutcome, QuarantineRecord
 from .transport import (
     HttpResponse,
     Transport,
@@ -133,7 +132,7 @@ class Fetcher:
     ``BatchGet`` transport gets the shard in batch calls, with the same
     trap, quarantine and AIMD accounting per IP.  A standalone fetcher
     builds its own supervisor; the platform injects a shared one so
-    fetch and extract feed the same quarantine.
+    fetch and extract share its counters and telemetry.
     """
 
     def __init__(
@@ -168,16 +167,14 @@ class Fetcher:
         self,
         outcomes: Sequence[ProbeOutcome],
         *,
-        quarantine: list | None = None,
+        quarantine: list[QuarantineRecord],
     ) -> list[FetchResult]:
         """Fetch many IPs; preserves order.
 
         An exception that escapes one IP's fetch becomes an ERROR result
         plus a quarantine record instead of a crashed round, and on the
         pooled path so does a blown :data:`~repro.core.guard.FETCH_DEADLINE`.
-        With *quarantine*, dead letters land in that per-shard sink
-        (pipeline shard attribution) instead of the supervisor-wide
-        buffer.
+        Dead letters land in *quarantine*, the shard's own sink.
         """
 
         def fallback(outcome: ProbeOutcome, exc: BaseException) -> FetchResult:
@@ -268,9 +265,6 @@ class Fetcher:
                 except Exception as exc:  # poison-proof by design
                     trap(index, exc)
         return results
-
-    def fetch_sync(self, outcomes: Sequence[ProbeOutcome]) -> list[FetchResult]:
-        return asyncio.run(self.fetch(outcomes))
 
     def stats_snapshot(self) -> dict[str, int]:
         """Lifetime counters, snapshotted — the platform diffs two

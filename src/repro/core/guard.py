@@ -219,10 +219,6 @@ class AimdController:
             self.record(ok)
             cond.notify_all()
 
-    @property
-    def in_flight(self) -> int:
-        return self._active
-
     def record(self, ok: bool) -> None:
         """Feed one outcome to the AIMD window (``release`` does this
         for admitted work; the batch path calls it directly)."""
@@ -253,11 +249,11 @@ class Supervisor:
 
     One instance supervises a platform for its lifetime: the fetcher
     routes its pool through :meth:`map`, the platform routes feature
-    extraction through :meth:`extract_features`, and both sides feed
-    the same dead-letter buffer the store journals per shard.
+    extraction through :meth:`extract_features`, and both sides append
+    dead letters to the per-shard sink the store journals.
     """
 
-    #: Stage labels used in quarantine records and stats.
+    #: Stage labels used in quarantine records and telemetry.
     FETCH = "fetch"
     EXTRACT = "extract"
     BANNER = "banner"
@@ -268,7 +264,6 @@ class Supervisor:
         )
         self.round_id = 0
         self.timestamp = 0
-        self._quarantine: list[QuarantineRecord] = []
         #: Body verdicts by :attr:`FetchResult.body_digest`.
         self._verdicts = RoundMemo()
         #: Units of work run through :meth:`map` or accounted by
@@ -473,7 +468,7 @@ class Supervisor:
         extractor: FeatureExtractor,
         fetch: FetchResult,
         *,
-        sink: list[QuarantineRecord] | None = None,
+        sink: list[QuarantineRecord],
     ) -> PageFeatures:
         """Run ``extractor.extract(fetch)`` under the guard.
 
@@ -481,9 +476,7 @@ class Supervisor:
         (everything unknown, length preserved) plus a quarantine record;
         hostile content yields best-effort features *and* a quarantine
         record, so the page can be replayed after an extractor fix.
-        With *sink*, quarantine records go to that per-shard buffer
-        instead of the supervisor-wide one (the streaming pipeline's
-        shard-attribution path).
+        Quarantine records go to *sink*, the shard's own buffer.
         """
         body = fetch.body or ""
         verdict = self.inspect(fetch)
@@ -518,15 +511,11 @@ class Supervisor:
         verdict: GuardVerdict,
         exc: BaseException | None = None,
         payload: str = "",
-        sink: list[QuarantineRecord] | None = None,
+        sink: list[QuarantineRecord],
     ) -> QuarantineRecord:
-        """Buffer one dead-letter record for the current round.
-
-        With *sink*, the record lands in that caller-owned buffer
-        (pipeline mode journals quarantine per shard); otherwise it
-        joins the supervisor-wide buffer behind
-        :meth:`drain_quarantine`.
-        """
+        """Append one dead-letter record for the current round to
+        *sink*, the caller's per-shard buffer (the store journals
+        quarantine with the shard that produced it)."""
         record = QuarantineRecord(
             ip=ip,
             round_id=self.round_id,
@@ -537,32 +526,7 @@ class Supervisor:
             error=_truncate(str(exc), 200) if exc is not None else None,
             payload=_truncate(payload, QUARANTINE_PAYLOAD_BYTES),
         )
-        (self._quarantine if sink is None else sink).append(record)
+        sink.append(record)
         self.quarantined_total += 1
         self._m_quarantine.labels(stage=stage).inc()
         return record
-
-    def drain_quarantine(self) -> list[QuarantineRecord]:
-        """Hand the buffered dead letters to the caller (the platform
-        journals them with the shard that produced them)."""
-        drained, self._quarantine = self._quarantine, []
-        return drained
-
-    # ------------------------------------------------------------------
-
-    def stats(self) -> dict[str, int]:
-        """Supervision telemetry — what the chaos suite asserts on."""
-        return {
-            "tasks_run": self.tasks_run,
-            "deadline_kills_fetch": self.deadline_kills[self.FETCH],
-            "deadline_kills_banner": self.deadline_kills[self.BANNER],
-            "trapped_fetch": self.trapped[self.FETCH],
-            "trapped_extract": self.trapped[self.EXTRACT],
-            "trapped_banner": self.trapped[self.BANNER],
-            "quarantined": self.quarantined_total,
-            "concurrency_limit": self.controller.limit,
-            "concurrency_min_observed": self.controller.min_observed,
-            "concurrency_peak_in_flight": self.controller.peak_in_flight,
-            "aimd_decreases": self.controller.decreases,
-            "aimd_increases": self.controller.increases,
-        }

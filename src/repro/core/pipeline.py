@@ -110,9 +110,6 @@ class BoundedShardQueue:
         scaled = self._depth * self._limiter.limit / self._limiter.max_limit
         return max(1, math.ceil(scaled))
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     async def put(self, item) -> None:
         async with self._cond:
             # _DONE is flow control, not work: it must never deadlock

@@ -111,11 +111,6 @@ class RoundSummary:
         """True when this round blew the platform's error budget."""
         return self.info.degraded
 
-    @property
-    def duration_seconds(self) -> float:
-        """Wall-clock seconds the producing run spent on the round."""
-        return self.info.duration_seconds
-
 
 @dataclass(frozen=True)
 class _OpenRound:
@@ -537,12 +532,6 @@ class WhoWas:
             self._loop.close()
         self._loop = None
 
-    def __enter__(self) -> "WhoWas":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __del__(self) -> None:  # best-effort; close() is the real API
         try:
             self.close()
@@ -553,7 +542,7 @@ class WhoWas:
         self,
         outcomes: Sequence[ProbeOutcome],
         *,
-        quarantine: list[QuarantineRecord] | None = None,
+        quarantine: list[QuarantineRecord],
     ) -> dict[int, str]:
         """Read SSH banners from responsive IPs with port 22 open.
 

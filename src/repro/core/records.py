@@ -119,10 +119,6 @@ class ProbeOutcome:
             return "https"
         return None
 
-    def port_profile(self) -> str:
-        """Port combination label used in Table 3."""
-        return port_profile_of(self.open_ports)
-
 
 class FetchStatus(enum.Enum):
     """Result of the HTTP fetch stage."""
@@ -179,11 +175,6 @@ class FetchResult:
     #: ``status`` is :attr:`FetchStatus.ERROR`.
     error_class: str | None = None
 
-    @property
-    def available(self) -> bool:
-        """Whether any HTTP response came back (:func:`is_available`)."""
-        return is_available(self.status.value, self.status_code)
-
     @cached_property
     def body_digest(self) -> bytes:
         """blake2b-16 of the decoded body: the one key everything
@@ -200,10 +191,6 @@ class FetchResult:
                 value = header_value
                 break
         return value.split(";")[0].strip().lower()
-
-    def status_class(self) -> str:
-        """Status-code class label used in Table 4."""
-        return status_class_of(self.status_code)
 
 
 @dataclass(frozen=True)
@@ -469,14 +456,6 @@ class RoundRecord:
     features: PageFeatures | None = None
     #: SSH banner read from port 22, when banner grabbing is enabled.
     ssh_banner: str | None = None
-
-    @property
-    def responsive(self) -> bool:
-        return self.probe.responsive
-
-    @property
-    def available(self) -> bool:
-        return self.fetch.available
 
     def _flat(self, body) -> tuple:
         """The record's columns in :data:`ROW_FIELDS` order, *body* in

@@ -154,10 +154,6 @@ class Scanner:
         finally:
             self.scan_busy_seconds += time.perf_counter() - started
 
-    def scan_sync(self, ips: Sequence[int]) -> list[ProbeOutcome]:
-        """Convenience wrapper running :meth:`scan` on a fresh event loop."""
-        return asyncio.run(self.scan(ips))
-
     def stats_snapshot(self) -> dict[str, int]:
         """Lifetime counters, snapshotted — the platform diffs two
         snapshots to attribute errors/operations to one shard."""

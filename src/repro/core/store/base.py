@@ -242,10 +242,6 @@ class RoundInfo:
     def table_name(self) -> str:
         return f"round_{self.timestamp:05d}"
 
-    @property
-    def in_progress(self) -> bool:
-        return self.status == ROUND_IN_PROGRESS
-
 
 @dataclass(frozen=True)
 class ShardPayload:

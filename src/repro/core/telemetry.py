@@ -8,14 +8,14 @@ long-lived measurement service:
 
 * :class:`MetricsRegistry` — a process-wide, thread-safe registry of
   monotonic :class:`Counter`\\ s, :class:`Gauge`\\ s and fixed-bucket
-  :class:`Histogram`\\ s (p50/p95/p99 from bucket interpolation), all
-  with label support, rendered in Prometheus text exposition format
-  (``render_prometheus``) by a stdlib ``http.server`` endpoint
-  (:func:`start_metrics_server`) — no new dependencies.
+  :class:`Histogram`\\ s, all with label support, rendered in
+  Prometheus text exposition format (``render_prometheus``) by a
+  stdlib ``http.server`` endpoint (:func:`start_metrics_server`) — no
+  new dependencies.
 * **Trace spans** — :meth:`Telemetry.span` is a context manager
   recording start/duration/outcome/error-kind per unit of work (stage,
-  round, shard, worker) into a bounded ring buffer plus an optional
-  append-only JSONL sink, inspected offline by ``repro trace``.
+  round, shard, worker) into an optional append-only JSONL sink,
+  inspected offline by ``repro trace``.
 * **Zero overhead by default** — telemetry is *disabled* unless
   configured.  Instrumented code asks the active :class:`Telemetry`
   for metric handles once (at construction) and receives shared no-op
@@ -44,8 +44,7 @@ import json
 import os
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .config import TelemetryConfig
@@ -61,7 +60,6 @@ __all__ = [
     "Telemetry",
     "configure",
     "get",
-    "reset",
     "activate_from",
     "start_metrics_server",
     "parse_prometheus",
@@ -140,23 +138,14 @@ class Gauge:
         with self._lock:
             self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
 
 class Histogram:
-    """Fixed-bucket histogram with quantile estimation.
+    """Fixed-bucket histogram: per-bucket counts, a count and a sum.
 
     ``bounds`` are *upper* bucket bounds, ascending; an implicit +Inf
-    bucket catches the tail.  ``quantile`` interpolates linearly inside
-    the winning bucket (the standard Prometheus ``histogram_quantile``
-    estimate), so p50/p95/p99 are approximations whose error is bounded
-    by bucket width — the right trade for a fixed-memory hot path.
+    bucket catches the tail.  Quantiles are the scraper's business:
+    the exposition carries the cumulative buckets that Prometheus's
+    ``histogram_quantile`` reads.
     """
 
     __slots__ = ("_lock", "bounds", "bucket_counts", "count", "sum")
@@ -182,44 +171,6 @@ class Histogram:
             self.count += 1
             self.sum += value
 
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile (0 < q <= 1) from the bucket counts."""
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q must be in (0, 1]")
-        with self._lock:
-            total = self.count
-            counts = list(self.bucket_counts)
-        if total == 0:
-            return 0.0
-        rank = q * total
-        seen = 0.0
-        for index, bucket_count in enumerate(counts):
-            seen += bucket_count
-            if seen >= rank:
-                upper = (
-                    self.bounds[index]
-                    if index < len(self.bounds)
-                    else self.bounds[-1]
-                )
-                lower = self.bounds[index - 1] if index > 0 else 0.0
-                if bucket_count == 0:
-                    return upper
-                fraction = (rank - (seen - bucket_count)) / bucket_count
-                return lower + (upper - lower) * fraction
-        return self.bounds[-1]
-
-    @property
-    def p50(self) -> float:
-        return self.quantile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
 
 _CHILD_TYPES = {
     MetricKind.COUNTER: Counter,
@@ -234,7 +185,7 @@ class MetricFamily:
     ``family.labels(stage="fetch")`` returns (creating on first use)
     the child for that label combination; a family declared with no
     label names has a single anonymous child and proxies
-    ``inc``/``set``/``dec``/``observe`` straight to it.
+    ``inc``/``set``/``observe`` straight to it.
     """
 
     def __init__(
@@ -292,18 +243,11 @@ class MetricFamily:
     def inc(self, amount: float = 1.0) -> None:
         self._anonymous().inc(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._anonymous().dec(amount)
-
     def set(self, value: float) -> None:
         self._anonymous().set(value)
 
     def observe(self, value: float) -> None:
         self._anonymous().observe(value)
-
-    @property
-    def value(self) -> float:
-        return self._anonymous().value
 
 
 class _NoopMetric:
@@ -319,18 +263,11 @@ class _NoopMetric:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
     def observe(self, value: float) -> None:
         pass
-
-    @property
-    def value(self) -> float:
-        return 0.0
 
 
 NOOP_METRIC = _NoopMetric()
@@ -436,33 +373,6 @@ class MetricsRegistry:
                     )
         return "\n".join(lines) + "\n"
 
-    def snapshot(self) -> dict:
-        """JSON-friendly view (the watch dashboard's /snapshot path and
-        tests read this instead of parsing exposition text)."""
-        out: dict = {}
-        for family in self.families():
-            samples = []
-            for key, child in family.children():
-                labels = dict(zip(family.label_names, key))
-                if family.kind is MetricKind.HISTOGRAM:
-                    assert isinstance(child, Histogram)
-                    samples.append({
-                        "labels": labels,
-                        "count": child.count,
-                        "sum": child.sum,
-                        "p50": child.p50,
-                        "p95": child.p95,
-                        "p99": child.p99,
-                    })
-                else:
-                    samples.append({"labels": labels, "value": child.value})
-            out[family.name] = {
-                "kind": family.kind.value,
-                "help": family.help,
-                "samples": samples,
-            }
-        return out
-
 
 # ----------------------------------------------------------------------
 # trace spans
@@ -509,45 +419,37 @@ class SpanRecord:
 
 
 class TraceSink:
-    """Bounded in-memory ring of recent spans plus an optional
-    append-only JSONL file.
+    """Append-only JSONL file of completed spans; with no *path* it
+    keeps nothing.
 
     Each span is one ``write()`` of one newline-terminated line, so
     concurrent appenders (partition workers sharing the sink path)
     interleave whole records, never bytes.
     """
 
-    def __init__(self, ring_size: int = 4096, path: str | None = None):
+    def __init__(self, path: str | None = None):
         self._lock = threading.Lock()
-        self.ring: deque[SpanRecord] = deque(maxlen=max(1, ring_size))
         self.path = path
         self._handle = None
         self.dropped_writes = 0
 
     def record(self, span: SpanRecord) -> None:
-        line = None
-        if self.path is not None:
-            line = json.dumps(
-                span.to_dict(), sort_keys=True, separators=(",", ":")
-            ) + "\n"
+        if self.path is None:
+            return
+        line = json.dumps(
+            span.to_dict(), sort_keys=True, separators=(",", ":")
+        ) + "\n"
         with self._lock:
-            self.ring.append(span)
-            if line is not None:
-                try:
-                    if self._handle is None:
-                        self._handle = open(
-                            self.path, "a", encoding="utf-8", buffering=1
-                        )
-                    self._handle.write(line)
-                except OSError:
-                    # Tracing must never take the pipeline down; a sink
-                    # on a full/readonly disk just stops journaling.
-                    self.dropped_writes += 1
-
-    def recent(self, limit: int | None = None) -> list[SpanRecord]:
-        with self._lock:
-            spans = list(self.ring)
-        return spans if limit is None else spans[-limit:]
+            try:
+                if self._handle is None:
+                    self._handle = open(
+                        self.path, "a", encoding="utf-8", buffering=1
+                    )
+                self._handle.write(line)
+            except OSError:
+                # Tracing must never take the pipeline down; a sink on
+                # a full/readonly disk just stops journaling.
+                self.dropped_writes += 1
 
     def close(self) -> None:
         with self._lock:
@@ -714,11 +616,6 @@ def activate_from(config: TelemetryConfig) -> Telemetry:
     return _ACTIVE
 
 
-def reset() -> Telemetry:
-    """Back to the disabled default (test isolation helper)."""
-    return configure(TelemetryConfig())
-
-
 # ----------------------------------------------------------------------
 # Prometheus exposition endpoint (stdlib only)
 
@@ -727,8 +624,8 @@ def start_metrics_server(
     telemetry: Telemetry, port: int, host: str = "127.0.0.1",
     *, request_timeout: float = 5.0,
 ):
-    """Serve ``/metrics`` (text exposition), ``/snapshot`` (JSON), and
-    ``/healthz`` from a daemon thread.  Returns the ``HTTPServer`` —
+    """Serve ``/metrics`` (text exposition) and ``/healthz`` from a
+    daemon thread.  Returns the ``HTTPServer`` —
     ``server.server_address[1]`` is the bound port (pass ``port=0`` for
     an ephemeral one); call ``server.shutdown()`` to stop.
 
@@ -755,11 +652,6 @@ def start_metrics_server(
             if path in ("/metrics", "/"):
                 body = telemetry.registry.render_prometheus().encode("utf-8")
                 content_type = "text/plain; version=0.0.4; charset=utf-8"
-            elif path == "/snapshot":
-                body = json.dumps(
-                    telemetry.registry.snapshot(), sort_keys=True
-                ).encode("utf-8")
-                content_type = "application/json"
             elif path == "/healthz":
                 body = b"ok\n"
                 content_type = "text/plain"

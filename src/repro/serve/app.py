@@ -187,10 +187,6 @@ class ServeApp:
         self.port = self._server.sockets[0].getsockname()[1]
 
     @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
     def in_flight(self) -> int:
         return len(self._in_flight)
 
@@ -219,20 +215,6 @@ class ServeApp:
             self._close_writer(writer)
         self.pool.close()
         return clean
-
-    async def close(self) -> None:
-        """Immediate teardown (tests): no drain courtesy."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._in_flight):
-            task.cancel()
-        if self._in_flight:
-            await asyncio.gather(*self._in_flight, return_exceptions=True)
-        for writer in list(self._writers):
-            self._close_writer(writer)
-        self.pool.close()
 
     def _close_writer(self, writer: asyncio.StreamWriter) -> None:
         self._writers.discard(writer)

@@ -291,10 +291,6 @@ class ReadPool:
         else:  # pool torn down mid-release
             self._idle.put_nowait(store)
 
-    @property
-    def idle(self) -> int:
-        return self._idle.qsize()
-
     def close(self) -> None:
         self._closed = True
         for store in self._stores:

@@ -39,6 +39,13 @@ def python_calls(fn):
     return calls, result
 
 
+def fetch_all(fetcher, outcomes, quarantine=None) -> list[FetchResult]:
+    """``fetcher.fetch`` on a fresh event loop, dead letters appended to
+    *quarantine* (a throwaway list when not given)."""
+    return asyncio.run(fetcher.fetch(
+        outcomes, quarantine=[] if quarantine is None else quarantine))
+
+
 async def run_shards_serially(platform, work_items, round_id, abort_event):
     """Oracle for ``WhoWas._run_shards``: the strictly sequential loop
     the streaming pipeline must stay byte-equivalent to — one shard at

@@ -2,12 +2,12 @@
 
 Until the projection read (``StoreBackend.columns``) the dataset was
 loaded by decoding every row into a ``RoundRecord`` and deriving each
-observation field through the record's own methods, parsing every
-stored body for links and domains on the way.  That loader survives
-here as :func:`reference_observe`, the oracle: whatever campaign, engine
-or round-execution mode wrote the store, the one-scan loader must yield
-the same observations in the same order, and the lazily computed
-``page_text`` the same links and domains.
+observation field through the rule functions one record at a time,
+parsing every stored body for links and domains on the way.  That
+loader survives here as :func:`reference_observe`, the oracle:
+whatever campaign, engine or round-execution mode wrote the store, the
+one-scan loader must yield the same observations in the same order,
+and the lazily computed ``page_text`` the same links and domains.
 """
 
 from __future__ import annotations
@@ -22,7 +22,14 @@ from repro.analysis.dataset import Observation, PageText
 from repro.analysis.trackers import TrackerAnalyzer
 from repro.cli import main
 from repro.core.features import extract_domains, extract_links
-from repro.core.records import PageFeatures, RoundRecord, digest_of
+from repro.core.records import (
+    PageFeatures,
+    RoundRecord,
+    digest_of,
+    is_available,
+    port_profile_of,
+    status_class_of,
+)
 from repro.core.store import MeasurementStore, open_store
 from _fakes import write_round
 from _obs import obs
@@ -40,8 +47,8 @@ from test_workers import mp_config
 
 def reference_observe(record: RoundRecord) -> tuple[Observation, PageText]:
     """One observation and its page text the way the record-at-a-time
-    loader made them: through ``RoundRecord.from_row`` and the record
-    types' own ``port_profile()`` / ``status_class()`` / ``available``."""
+    loader made them: through ``RoundRecord.from_row`` and the rule
+    functions applied to one record at a time."""
     links: tuple[str, ...] = ()
     domains: tuple[str, ...] = ()
     if record.fetch.body:
@@ -51,10 +58,12 @@ def reference_observe(record: RoundRecord) -> tuple[Observation, PageText]:
         ip=record.ip,
         round_id=record.round_id,
         timestamp=record.timestamp,
-        port_profile=record.probe.port_profile(),
-        available=record.available,
+        port_profile=port_profile_of(record.probe.open_ports),
+        available=is_available(
+            record.fetch.status.value, record.fetch.status_code
+        ),
         status_code=record.fetch.status_code,
-        status_class=record.fetch.status_class(),
+        status_class=status_class_of(record.fetch.status_code),
         content_type=record.fetch.content_type,
         fetch_status=record.fetch.status.value,
         features=record.features,

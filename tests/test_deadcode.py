@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 from repro.core.store import base
@@ -30,6 +31,15 @@ def test_every_allowlisted_function_exists_with_a_reason():
     allowed = deadcode.allowlist()
     assert [entry for entry in allowed if entry not in functions] == []
     assert [entry for entry, reason in allowed.items() if not reason] == []
+
+
+def test_no_reason_rests_on_a_library_user():
+    """A shipped caller keeps a function, and a test does not: "library
+    users" or a "library API" is no reader of its own."""
+    allowed = load_deadcode().allowlist()
+    assert [entry for entry, reason in allowed.items()
+            if re.search(r"library (users?|API)", reason, re.IGNORECASE)
+            ] == []
 
 
 def test_index_lines_are_code_object_lines():

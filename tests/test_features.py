@@ -106,7 +106,7 @@ class TestFeatureExtraction:
         first = extractor.extract(fetch())
         second = extractor.extract(fetch())
         assert first == second
-        assert len(extractor._memo) == 1
+        assert memo_size(extractor) == 1
 
     def test_surrogates_do_not_break_memoization(self):
         extractor = FeatureExtractor()
@@ -171,6 +171,12 @@ def counting_fingerprints(monkeypatch) -> list[int]:
     return computed
 
 
+def memo_size(extractor: FeatureExtractor) -> int:
+    """Bodies the extractor's memo holds, over both generations."""
+    memo = extractor._memo
+    return len(memo._current) + len(memo._previous)
+
+
 class TestMemoGenerations:
     def test_memo_is_sized_by_the_round(self, monkeypatch):
         """More distinct bodies than the old 4 096-entry LRU held, fed
@@ -187,7 +193,7 @@ class TestMemoGenerations:
             for body in bodies:
                 extractor.extract(fetch(body=body))
         assert computed == []
-        assert len(extractor._memo) == len(bodies)
+        assert memo_size(extractor) == len(bodies)
 
     def test_a_body_not_seen_for_a_round_is_dropped(self, monkeypatch):
         computed = counting_fingerprints(monkeypatch)
@@ -196,7 +202,7 @@ class TestMemoGenerations:
         extractor.new_round()
         extractor.extract(fetch(body="<html>new</html>"))
         extractor.new_round()           # "old" was not seen last round
-        assert len(extractor._memo) == 1
+        assert memo_size(extractor) == 1
         extractor.extract(fetch(body="<html>old</html>"))
         extractor.extract(fetch(body="<html>new</html>"))
         assert len(computed) == 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from repro.core.config import FetchConfig
 from repro.core.fetcher import MAX_BODY_BYTES, Fetcher, parse_robots
 from repro.core.records import FetchStatus, ProbeOutcome, ProbeStatus
 
-from _fakes import FakeTransport, python_calls, reference_fetch
+from _fakes import FakeTransport, fetch_all, python_calls, reference_fetch
 
 
 def outcome(ip: int, ports) -> ProbeOutcome:
@@ -249,7 +250,7 @@ class TestFetchIp:
         transport.add_host(1, {80}, body="one")
         transport.add_host(2, {80}, body="two")
         fetcher = Fetcher(transport)
-        results = fetcher.fetch_sync([outcome(2, {80}), outcome(1, {80})])
+        results = fetch_all(fetcher, [outcome(2, {80}), outcome(1, {80})])
         assert [r.ip for r in results] == [2, 1]
         assert results[0].body == "two"
 
@@ -423,7 +424,7 @@ class TestBodyDecoding:
             b"<html><title>\\ud83d</title></html>",
         )
         path = str(tmp_path / "escape.sqlite")
-        with WhoWas(transport, MeasurementStore(path)) as platform:
+        with closing(WhoWas(transport, MeasurementStore(path))) as platform:
             platform.run_round([1, 2], 0)
         with MeasurementStore.open_readonly(path) as store:
             (info,) = store.rounds()
@@ -594,7 +595,7 @@ class TestBatchDrainEqualsOracle:
             transport.add_host(ip, {80})
         transport.open_ports[2] = {80}       # no page: the GET fails
         fetcher = Fetcher(transport)
-        results = fetcher.fetch_sync([outcome(ip, {80}) for ip in (1, 2, 3)])
+        results = fetch_all(fetcher, [outcome(ip, {80}) for ip in (1, 2, 3)])
         assert [r.status for r in results] == [
             FetchStatus.OK, FetchStatus.ERROR, FetchStatus.OK]
         assert list(fetcher.guard.controller._window) == [True, False, True]
@@ -608,10 +609,12 @@ class TestBatchDrainEqualsOracle:
 
         transport.get_many = broken
         fetcher = Fetcher(transport)
-        results = fetcher.fetch_sync([outcome(ip, {80}) for ip in (1, 2)])
+        quarantine = []
+        results = fetch_all(
+            fetcher, [outcome(ip, {80}) for ip in (1, 2)], quarantine)
         assert [r.error for r in results] == ["batch exploded"] * 2
         assert fetcher.guard.trapped["fetch"] == 2
-        assert len(fetcher.guard.drain_quarantine()) == 2
+        assert len(quarantine) == 2
 
 
 # ----------------------------------------------------------------------
@@ -642,7 +645,8 @@ class WarmShard:
         self.loop = asyncio.new_event_loop()
         for day in scenario.scan_days[1:3]:
             scenario.simulation.advance_to(day)
-            outcomes = scanner.scan_sync(scenario.targets[:1024])
+            outcomes = self.loop.run_until_complete(
+                scanner.scan(scenario.targets[:1024]))
             self.to_fetch = [
                 o for o in outcomes if o.responsive and o.wants_fetch]
             if day == scenario.scan_days[1]:
@@ -651,7 +655,8 @@ class WarmShard:
         self.extract(self.fetches)
 
     def fetch(self):
-        return self.loop.run_until_complete(self.fetcher.fetch(self.to_fetch))
+        return self.loop.run_until_complete(
+            self.fetcher.fetch(self.to_fetch, quarantine=[]))
 
     def extract(self, fetches):
         return [self.guard.extract_features(self.extractor, fetch, sink=[])

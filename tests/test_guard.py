@@ -29,7 +29,7 @@ from repro.core.records import (
     UNKNOWN,
 )
 
-from _fakes import FakeTransport
+from _fakes import FakeTransport, fetch_all
 
 
 def run(coro):
@@ -248,20 +248,24 @@ class _PoisonExtractor(FeatureExtractor):
 class TestGuardedExtraction:
     def test_clean_page_untouched(self):
         guard = Supervisor()
+        sink = []
         features = guard.extract_features(
-            FeatureExtractor(), page("<html><title>hi</title></html>")
+            FeatureExtractor(), page("<html><title>hi</title></html>"),
+            sink=sink,
         )
         assert features.title == "hi"
-        assert guard.drain_quarantine() == []
+        assert sink == []
 
     def test_poison_extractor_yields_sentinel_and_quarantine(self):
         guard = Supervisor()
         guard.start_round(4, 12)
         body = "<html>poison</html>"
-        features = guard.extract_features(_PoisonExtractor(), page(body))
+        sink = []
+        features = guard.extract_features(
+            _PoisonExtractor(), page(body), sink=sink)
         assert features.title == UNKNOWN
         assert features.html_length == len(body)
-        (entry,) = guard.drain_quarantine()
+        (entry,) = sink
         assert entry.stage == "extract"
         assert entry.verdict == GuardVerdict.TASK_ERROR.value
         assert entry.error_class == "RecursionError"
@@ -271,33 +275,35 @@ class TestGuardedExtraction:
     def test_hostile_verdict_keeps_features_but_quarantines(self):
         guard = Supervisor()
         body = "<title>" + "A" * 200_000
-        features = guard.extract_features(FeatureExtractor(), page(body))
+        sink = []
+        features = guard.extract_features(
+            FeatureExtractor(), page(body), sink=sink)
         # Extraction itself succeeded, so the real features survive...
         assert features.html_length == len(body)
         # ...but the page is flagged for replay.
-        (entry,) = guard.drain_quarantine()
+        (entry,) = sink
         assert entry.verdict == GuardVerdict.TITLE_BOMB.value
         assert entry.payload == body[:QUARANTINE_PAYLOAD_BYTES]
 
     def test_quarantine_payload_truncated(self):
         guard = Supervisor()
+        sink = []
         guard.quarantine(
             ip=1, stage=Supervisor.EXTRACT,
             verdict=GuardVerdict.MARKUP_BOMB, payload="x" * 10_000,
+            sink=sink,
         )
-        (entry,) = guard.drain_quarantine()
+        (entry,) = sink
         assert len(entry.payload) == QUARANTINE_PAYLOAD_BYTES
+        assert guard.quarantined_total == 1
 
-    def test_stats_shape(self):
+    def test_counters_start_at_zero(self):
         guard = Supervisor(concurrency=16)
-        stats = guard.stats()
-        assert stats["concurrency_limit"] == 16
-        assert stats["quarantined"] == 0
-        assert set(stats) >= {
-            "tasks_run", "deadline_kills_fetch",
-            "trapped_fetch", "trapped_extract", "aimd_decreases",
-            "aimd_increases",
-        }
+        assert guard.controller.limit == 16
+        assert guard.quarantined_total == 0
+        assert guard.tasks_run == 0
+        assert not guard.deadline_kills and not guard.trapped
+        assert guard.controller.decreases == guard.controller.increases == 0
 
 
 class _ThreadNotingExtractor(FeatureExtractor):
@@ -334,10 +340,10 @@ class TestBodyMemo:
         guard._inspect_body = lambda body: inspected.append(1) or real(body)
         extractor = FeatureExtractor()
         guard.start_round(2, 5)
+        entries = []
         for ip in (7, 8, 9):
             guard.extract_features(
-                extractor, _at(ip, page(self.TITLE_BOMB)))
-        entries = guard.drain_quarantine()
+                extractor, _at(ip, page(self.TITLE_BOMB)), sink=entries)
         assert [e.ip for e in entries] == [7, 8, 9]
         assert {e.verdict for e in entries} == {GuardVerdict.TITLE_BOMB.value}
         assert all(e.round_id == 2 for e in entries)
@@ -358,8 +364,10 @@ class TestBodyMemo:
 
         guard = Supervisor()
         extractor = _ThreadNotingExtractor()
-        first = guard.extract_features(extractor, page(self.TITLE_BOMB))
-        second = guard.extract_features(extractor, page(self.TITLE_BOMB))
+        first = guard.extract_features(
+            extractor, page(self.TITLE_BOMB), sink=[])
+        second = guard.extract_features(
+            extractor, page(self.TITLE_BOMB), sink=[])
         assert first == second
         main = threading.current_thread().name
         assert extractor.threads == [main, main]
@@ -380,12 +388,13 @@ class TestBodyMemo:
         guard = Supervisor()
         extractor = FeatureExtractor()
         body = "<html><title>flaky</title></html>"
-        sentinel = guard.extract_features(extractor, page(body))
+        sentinel = guard.extract_features(extractor, page(body), sink=[])
         assert sentinel.title == UNKNOWN
-        features = guard.extract_features(extractor, page(body))
+        features = guard.extract_features(extractor, page(body), sink=[])
         assert features.title == "flaky"
         assert len(calls) == 2          # the failure stored nothing
-        assert guard.extract_features(extractor, page(body)) == features
+        assert guard.extract_features(
+            extractor, page(body), sink=[]) == features
         assert len(calls) == 2          # the success was stored
         assert guard.trapped[Supervisor.EXTRACT] == 1
 
@@ -423,30 +432,30 @@ class TestAimdUnderStorm:
         # Acceptance: under a >50% connect-timeout storm the supervisor
         # demonstrably sheds concurrency, then recovers on clean air.
         fetcher = _storm_fetcher(0.55)
-        results = fetcher.fetch_sync(_outcomes(512))
+        controller = fetcher.guard.controller
+        results = fetch_all(fetcher, _outcomes(512))
         assert len(results) == 512
-        stats = fetcher.guard.stats()
-        assert stats["aimd_decreases"] >= 1
-        assert stats["concurrency_min_observed"] < 32
-        storm_floor = stats["concurrency_limit"]
+        assert controller.decreases >= 1
+        assert controller.min_observed < 32
+        storm_floor = controller.limit
 
         # Clean air: additive recovery raises the limit back up.
         fetcher.faulty.plan = FaultPlan()
-        results = fetcher.fetch_sync(_outcomes(512))
+        results = fetch_all(fetcher, _outcomes(512))
         assert all(r.status is FetchStatus.OK for r in results)
-        stats = fetcher.guard.stats()
-        assert stats["aimd_increases"] >= 1
-        assert stats["concurrency_limit"] > storm_floor
+        assert controller.increases >= 1
+        assert controller.limit > storm_floor
 
     def test_errors_recorded_and_quarantined(self):
         fetcher = _storm_fetcher(0.55)
-        results = fetcher.fetch_sync(_outcomes(256))
+        quarantine = []
+        results = fetch_all(fetcher, _outcomes(256), quarantine)
         errors = [r for r in results if r.status is FetchStatus.ERROR]
         assert errors, "storm injected no failures?"
         assert all(r.error_class == "connect-timeout" for r in errors)
         # Transport errors surface through fetch_ip's own handler, not
         # the guard fallback, so they are NOT quarantine entries...
-        assert fetcher.guard.drain_quarantine() == []
+        assert quarantine == []
         # ...but they do feed the AIMD window.
         assert fetcher.fetch_errors == len(errors)
 
@@ -459,10 +468,11 @@ class TestFetcherGuardFallback:
 
         fetcher = CrashingFetcher(FakeTransport())
         fetcher.guard.start_round(7, 3)
-        (result,) = fetcher.fetch_sync(_outcomes(1))
+        quarantine = []
+        (result,) = fetch_all(fetcher, _outcomes(1), quarantine)
         assert result.status is FetchStatus.ERROR
         assert result.error == "exploded mid-fetch"
-        (entry,) = fetcher.guard.drain_quarantine()
+        (entry,) = quarantine
         assert entry.stage == "fetch"
         assert entry.verdict == GuardVerdict.TASK_ERROR.value
         assert entry.error_class == "ValueError"
@@ -476,9 +486,10 @@ class TestFetcherGuardFallback:
         monkeypatch.setattr(fetcher_module, "FETCH_DEADLINE", 0.1)
         guard = Supervisor(concurrency=4)
         fetcher = Fetcher(HangingTransport(), guard=guard)
-        (result,) = fetcher.fetch_sync(_outcomes(1))
+        quarantine = []
+        (result,) = fetch_all(fetcher, _outcomes(1), quarantine)
         assert result.status is FetchStatus.ERROR
         assert result.error_class == "stage-deadline"
-        (entry,) = guard.drain_quarantine()
+        (entry,) = quarantine
         assert entry.verdict == GuardVerdict.STAGE_DEADLINE.value
         assert guard.deadline_kills[Supervisor.FETCH] == 1

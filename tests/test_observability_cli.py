@@ -32,14 +32,14 @@ def traced_db(tmp_path_factory) -> str:
         "--trace-out", f"{path}.trace.jsonl",
     ])
     assert code == 0
-    telemetry.reset()
+    telemetry.configure(TelemetryConfig())
     return path
 
 
 @pytest.fixture(autouse=True)
 def _reset_telemetry_after():
     yield
-    telemetry.reset()
+    telemetry.configure(TelemetryConfig())
 
 
 class TestRoundsJson:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -392,13 +393,13 @@ class TestTelemetry:
 
     def test_duration_seconds_persisted_on_round_info(self, tmp_path):
         path, store, platform, summary = self._one_round(tmp_path)
-        assert summary.duration_seconds > 0
+        assert summary.info.duration_seconds > 0
         store.close()
         platform.close()
         reopened = MeasurementStore(path)
         info = reopened.round_info(summary.round_id)
         assert info.duration_seconds == pytest.approx(
-            summary.duration_seconds
+            summary.info.duration_seconds
         )
         reopened.close()
 
@@ -464,7 +465,7 @@ def lifecycle_reading(summary, store) -> dict:
     ))
     assert persisted == summary.pipeline.to_dict()
     info = store.round_info(summary.round_id)
-    assert summary.duration_seconds == info.duration_seconds > 0
+    assert summary.info.duration_seconds == info.duration_seconds > 0
     return {
         "summary": (
             summary.responsive, summary.available, summary.fetched,
@@ -505,10 +506,10 @@ class TestRoundLifecycle:
             FaultKind.CONNECT_TIMEOUT, ips={scenario.targets[140]},
         ),))
         store = MeasurementStore(path)
-        with WhoWas(
+        with closing(WhoWas(
             CrashOnFault(scenario.transport, crash), store,
             small_config(),
-        ) as platform:
+        )) as platform:
             with pytest.raises(RuntimeError, match="simulated crash"):
                 platform.run_round(list(scenario.targets), timestamp=0)
         assert store.completed_shards(1) == {0, 1}
@@ -516,9 +517,9 @@ class TestRoundLifecycle:
 
         scenario = self.stormy_scenario()
         store = MeasurementStore(path)
-        with WhoWas(
+        with closing(WhoWas(
             scenario.transport, store, small_config()
-        ) as platform:
+        )) as platform:
             summary = platform.run_round(
                 list(scenario.targets), timestamp=0, resume_round_id=1
             )
@@ -537,13 +538,13 @@ class TestRoundLifecycle:
 
         scenario = ec2_scenario(**SCENARIO_PARAMS)
         store = MeasurementStore(str(tmp_path / "workers.sqlite"))
-        with WhoWas(
+        with closing(WhoWas(
             scenario.transport, store,
             small_config(workers=WorkerConfig(count=2)),
             transport_factory=SimTransportFactory(
                 dict(SIM_PARAMS, chaos_rate=0.2, chaos_seed=7)
             ),
-        ) as platform:
+        )) as platform:
             summary = platform.run_round(scenario.targets, timestamp=0)
         assert lifecycle_reading(summary, store) == {
             "summary": (42, 11, 30, 371, 0, True),

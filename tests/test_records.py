@@ -10,6 +10,9 @@ from repro.core.records import (
     ProbeOutcome,
     ProbeStatus,
     RoundRecord,
+    is_available,
+    port_profile_of,
+    status_class_of,
 )
 
 
@@ -20,12 +23,15 @@ def outcome(ports) -> ProbeOutcome:
 
 class TestProbeOutcome:
     def test_port_profiles(self):
-        assert outcome({80}).port_profile() == "80-only"
-        assert outcome({443}).port_profile() == "443-only"
-        assert outcome({80, 443}).port_profile() == "80&443"
-        assert outcome({22}).port_profile() == "22-only"
-        assert outcome({80, 22}).port_profile() == "80-only"
-        assert outcome(set()).port_profile() == "none"
+        def profile(ports):
+            return port_profile_of(outcome(ports).open_ports)
+
+        assert profile({80}) == "80-only"
+        assert profile({443}) == "443-only"
+        assert profile({80, 443}) == "80&443"
+        assert profile({22}) == "22-only"
+        assert profile({80, 22}) == "80-only"
+        assert profile(set()) == "none"
 
     def test_scheme_prefers_http(self):
         """§4: http:// when port 80 was open (even alongside 443)."""
@@ -44,24 +50,29 @@ class TestProbeOutcome:
         assert not skipped.responsive
 
 
+def available(result: FetchResult) -> bool:
+    return is_available(result.status.value, result.status_code)
+
+
 class TestFetchResult:
     def test_available_requires_response(self):
         ok = FetchResult(ip=1, status=FetchStatus.OK, status_code=404)
-        assert ok.available
+        assert available(ok)
         error = FetchResult(ip=1, status=FetchStatus.ERROR, error="timeout")
-        assert not error.available
+        assert not available(error)
         robots = FetchResult(ip=1, status=FetchStatus.ROBOTS_DISALLOWED)
-        assert not robots.available
+        assert not available(robots)
 
     def test_status_classes(self):
         def result(code):
             return FetchResult(ip=1, status=FetchStatus.OK, status_code=code)
 
-        assert result(200).status_class() == "200"
-        assert result(404).status_class() == "4xx"
-        assert result(503).status_class() == "5xx"
-        assert result(301).status_class() == "other"
-        assert FetchResult(ip=1, status=FetchStatus.ERROR).status_class() == "other"
+        assert status_class_of(result(200).status_code) == "200"
+        assert status_class_of(result(404).status_code) == "4xx"
+        assert status_class_of(result(503).status_code) == "5xx"
+        assert status_class_of(result(301).status_code) == "other"
+        error = FetchResult(ip=1, status=FetchStatus.ERROR)
+        assert status_class_of(error.status_code) == "other"
 
     def test_content_type_normalised(self):
         result = FetchResult(

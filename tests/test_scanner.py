@@ -32,7 +32,7 @@ class TestScanIp:
         transport = FakeTransport()
         transport.add_host(1, {80})
         scanner = Scanner(transport, fast_config())
-        outcome = scanner.scan_sync([1])[0]
+        outcome = asyncio.run(scanner.scan([1]))[0]
         assert outcome.status is ProbeStatus.RESPONSIVE
         assert outcome.open_ports == {80}
 
@@ -41,7 +41,7 @@ class TestScanIp:
         transport = FakeTransport()
         transport.add_host(1, {22})
         scanner = Scanner(transport, fast_config())
-        outcome = scanner.scan_sync([1])[0]
+        outcome = asyncio.run(scanner.scan([1]))[0]
         assert outcome.open_ports == {22}
         assert [port for _, port in transport.probe_calls] == [80, 443, 22]
 
@@ -49,13 +49,13 @@ class TestScanIp:
         transport = FakeTransport()
         transport.add_host(1, {80, 443})
         scanner = Scanner(transport, fast_config())
-        scanner.scan_sync([1])
+        asyncio.run(scanner.scan([1]))
         assert [port for _, port in transport.probe_calls] == [80, 443]
 
     def test_unresponsive(self):
         transport = FakeTransport()
         scanner = Scanner(transport, fast_config())
-        outcome = scanner.scan_sync([5])[0]
+        outcome = asyncio.run(scanner.scan([5]))[0]
         assert outcome.status is ProbeStatus.UNRESPONSIVE
         assert not outcome.open_ports
 
@@ -63,14 +63,14 @@ class TestScanIp:
         """Ethics invariant (§7): at most 3 probes per IP per round."""
         transport = FakeTransport()
         scanner = Scanner(transport, fast_config())
-        scanner.scan_sync([9])
+        asyncio.run(scanner.scan([9]))
         assert len(transport.probe_calls) == 3
 
     def test_blacklisted_ip_never_probed(self):
         transport = FakeTransport()
         transport.add_host(7, {80})
         scanner = Scanner(transport, fast_config(), blacklist=[7])
-        outcome = scanner.scan_sync([7])[0]
+        outcome = asyncio.run(scanner.scan([7]))[0]
         assert outcome.status is ProbeStatus.SKIPPED
         assert transport.probe_calls == []
 
@@ -82,7 +82,7 @@ class TestScanIp:
         transport.fail_first[(3, 443)] = 1
         transport.fail_first[(3, 22)] = 1
         scanner = Scanner(transport, fast_config())
-        outcome = scanner.scan_sync([3])[0]
+        outcome = asyncio.run(scanner.scan([3]))[0]
         assert outcome.status is ProbeStatus.UNRESPONSIVE
         assert len(transport.probe_calls) == 3
 
@@ -96,7 +96,7 @@ class TestScanIp:
                 transport.probe_raises[(ip, port)] = ConnectionRefused("x")
         scanner = Scanner(transport, fast_config(concurrency=1))
         for _ in range(2):
-            outcomes = scanner.scan_sync(subnet)
+            outcomes = asyncio.run(scanner.scan(subnet))
             assert [o.error_class for o in outcomes] == [
                 "connection-refused"] * 6
         assert Counter(transport.probe_calls) == {
@@ -107,7 +107,7 @@ class TestScanIp:
         transport.add_host(3, {80})
         transport.fail_first[(3, 80)] = 1
         scanner = Scanner(transport, fast_config(retries=1))
-        outcome = scanner.scan_sync([3])[0]
+        outcome = asyncio.run(scanner.scan([3]))[0]
         assert outcome.status is ProbeStatus.RESPONSIVE
 
 
@@ -118,7 +118,7 @@ class TestProbeErrorClass:
         transport.probe_raises[(4, 443)] = ConnectTimeout("injected")
         transport.probe_raises[(4, 22)] = ConnectionRefused("injected")
         scanner = Scanner(transport, fast_config())
-        outcome = scanner.scan_sync([4])[0]
+        outcome = asyncio.run(scanner.scan([4]))[0]
         assert outcome.status is ProbeStatus.UNRESPONSIVE
         # The last classified error wins (the SSH fallback's refusal).
         assert outcome.error_class == "connection-refused"
@@ -131,7 +131,7 @@ class TestProbeErrorClass:
         transport.probe_raises[(4, 80)] = ConnectTimeout("injected")
         transport.add_host(4, {443})
         scanner = Scanner(transport, fast_config())
-        outcome = scanner.scan_sync([4])[0]
+        outcome = asyncio.run(scanner.scan([4]))[0]
         assert outcome.status is ProbeStatus.RESPONSIVE
         assert outcome.open_ports == {443}
         # Responsive IPs don't carry a probe error class.
@@ -141,7 +141,7 @@ class TestProbeErrorClass:
     def test_silent_failures_have_no_error_class(self):
         transport = FakeTransport()
         scanner = Scanner(transport, fast_config())
-        outcome = scanner.scan_sync([9])[0]
+        outcome = asyncio.run(scanner.scan([9]))[0]
         assert outcome.status is ProbeStatus.UNRESPONSIVE
         assert outcome.error_class is None
         assert scanner.probe_errors == 0
@@ -153,7 +153,7 @@ class TestScanMany:
         transport.add_host(2, {80})
         transport.add_host(4, {22})
         scanner = Scanner(transport, fast_config())
-        outcomes = scanner.scan_sync([4, 2, 6])
+        outcomes = asyncio.run(scanner.scan([4, 2, 6]))
         assert [o.ip for o in outcomes] == [4, 2, 6]
         assert outcomes[0].open_ports == {22}
         assert outcomes[1].open_ports == {80}
@@ -163,7 +163,7 @@ class TestScanMany:
         transport = FakeTransport()
         transport.add_host(1, {80})
         scanner = Scanner(transport, fast_config())
-        scanner.scan_sync([1, 2])
+        asyncio.run(scanner.scan([1, 2]))
         # ip 1: 80 (open) + 443 (closed) = 2; ip 2: 3 probes.
         assert scanner.probes_sent == 5
 
@@ -179,7 +179,7 @@ class TestScanMany:
         transport = Crashing()
         scanner = Scanner(transport, fast_config(concurrency=4))
         with pytest.raises(RuntimeError, match="crash"):
-            scanner.scan_sync([1, 2, 3, 4])
+            asyncio.run(scanner.scan([1, 2, 3, 4]))
         assert transport.probe_calls == [(1, 80), (1, 443)]
 
 
@@ -257,7 +257,8 @@ class TestJobQueueEqualsOracle:
         transport = scripted_fake(case, case["flavour"])
         scanner = Scanner(transport, config, blacklist=blacklist)
         cut = case["split"]         # two shards of one round
-        outcomes = scanner.scan_sync(ips[:cut]) + scanner.scan_sync(ips[cut:])
+        outcomes = (asyncio.run(scanner.scan(ips[:cut]))
+                    + asyncio.run(scanner.scan(ips[cut:])))
 
         assert outcomes == expected.outcomes
         assert scanner.probes_sent == expected.probes_sent
@@ -277,7 +278,8 @@ class TestJobQueueEqualsOracle:
         transport.probe_many = spy
         transport.add_host(1, {80})
         transport.add_host(2, {22})
-        outcomes = Scanner(transport, fast_config()).scan_sync([1, 2, 3])
+        scanner = Scanner(transport, fast_config())
+        outcomes = asyncio.run(scanner.scan([1, 2, 3]))
         assert [o.open_ports for o in outcomes] == [{80}, {22}, set()]
         # Pass 1: every web job; pass 2: the fallbacks of 2 and 3.
         assert batches == [
@@ -568,7 +570,7 @@ class TestPoolPoliteness:
                 transport.add_host(ip, {22})
         scanner = Scanner(transport, ScanConfig(
             probes_per_second=rate, concurrency=concurrency))
-        outcomes = scanner.scan_sync(targets)
+        outcomes = asyncio.run(scanner.scan(targets))
 
         # 8 web hosts x 2 probes + 16 others x 3 probes.
         assert scanner.probes_sent == len(transport.sent) == 64
@@ -608,10 +610,11 @@ class TestPythonCallsPerProbe:
         scanner = Scanner(scenario.transport, simulation_config().scan)
         shard = scenario.targets[:1024]
         scenario.simulation.advance_to(scenario.scan_days[1])
-        scanner.scan_sync(shard)                     # an earlier scan day
+        asyncio.run(scanner.scan(shard))            # an earlier scan day
         scenario.simulation.advance_to(scenario.scan_days[2])
         before = scanner.probes_sent
-        calls, outcomes = python_calls(lambda: scanner.scan_sync(shard))
+        calls, outcomes = python_calls(
+            lambda: asyncio.run(scanner.scan(shard)))
         probes = scanner.probes_sent - before
         assert len(outcomes) == len(shard)
         assert probes > 2 * len(shard)

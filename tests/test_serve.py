@@ -92,7 +92,9 @@ class AppHarness:
     """Starts a ServeApp on an ephemeral port inside the test's loop."""
 
     def __init__(self, db, **overrides):
-        defaults = dict(port=0, readers=2)
+        # A zero drain deadline: teardown cancels whatever is still in
+        # flight, unless a test sets its own deadline.
+        defaults = dict(port=0, readers=2, drain_deadline=0.0)
         defaults.update(overrides)
         fault = defaults.pop("fault", None)
         self.app = ServeApp(db, ServeConfig(**defaults), fault=fault)
@@ -102,7 +104,7 @@ class AppHarness:
         return self.app
 
     async def __aexit__(self, *exc):
-        await self.app.close()
+        await self.app.drain()
 
 
 class TestEndpoints:

@@ -30,19 +30,19 @@ from repro.core.telemetry import (
     Telemetry,
     TraceSink,
     parse_prometheus,
-    read_trace,
     start_metrics_server,
 )
 
 from _fakes import python_calls
+from _telemetry import metric, spans
 
 
 @pytest.fixture(autouse=True)
 def _isolated_global_telemetry():
     """Every test starts and ends with the disabled default."""
-    telemetry.reset()
+    telemetry.configure(TelemetryConfig())
     yield
-    telemetry.reset()
+    telemetry.configure(TelemetryConfig())
 
 
 # ----------------------------------------------------------------------
@@ -64,16 +64,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge()
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value == 12.0
-
     def test_can_go_negative(self):
         gauge = Gauge()
-        gauge.dec(2)
+        gauge.set(10)
+        gauge.set(-2)
         assert gauge.value == -2.0
 
 
@@ -116,25 +110,6 @@ class TestHistogramBuckets:
         with pytest.raises(ValueError):
             Histogram(bounds=())
 
-    def test_quantile_interpolates(self):
-        histogram = Histogram(bounds=(1.0, 2.0))
-        for _ in range(100):
-            histogram.observe(1.5)
-        # All mass sits in the (1, 2] bucket: the median estimate is
-        # the linear midpoint of that bucket.
-        assert histogram.quantile(0.5) == pytest.approx(1.5)
-        assert histogram.p99 == pytest.approx(1.99)
-
-    def test_quantile_empty_is_zero(self):
-        assert Histogram(bounds=(1.0,)).quantile(0.5) == 0.0
-
-    def test_quantile_out_of_range(self):
-        histogram = Histogram(bounds=(1.0,))
-        with pytest.raises(ValueError):
-            histogram.quantile(0.0)
-        with pytest.raises(ValueError):
-            histogram.quantile(1.5)
-
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(min_value=0, max_value=100), max_size=50))
     def test_bucket_counts_always_sum_to_count(self, values):
@@ -142,21 +117,6 @@ class TestHistogramBuckets:
         for value in values:
             histogram.observe(value)
         assert sum(histogram.bucket_counts) == histogram.count == len(values)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=0, max_value=5), min_size=1,
-                 max_size=50),
-        st.floats(min_value=0.01, max_value=1.0),
-    )
-    def test_quantile_bounded_by_bucket_width(self, values, q):
-        # The estimate can never leave the histogram's value range
-        # [0, last_bound]: interpolation stays inside the winning bucket.
-        histogram = Histogram(bounds=(1.0, 2.0, 5.0))
-        for value in values:
-            histogram.observe(value)
-        estimate = histogram.quantile(q)
-        assert 0.0 <= estimate <= 5.0
 
 
 # ----------------------------------------------------------------------
@@ -170,8 +130,8 @@ class TestLabels:
         family.labels(stage="scan").inc()
         family.labels(stage="scan").inc()
         family.labels(stage="fetch").inc(3)
-        assert family.labels(stage="scan").value == 2.0
-        assert family.labels(stage="fetch").value == 3.0
+        assert metric(registry, "x_total", stage="scan") == 2.0
+        assert metric(registry, "x_total", stage="fetch") == 3.0
 
     def test_wrong_label_names_raise(self):
         registry = MetricsRegistry()
@@ -193,13 +153,14 @@ class TestLabels:
         registry = MetricsRegistry()
         family = registry.counter("y_total", "y")
         family.inc(2)
-        assert family.value == 2.0
+        assert metric(registry, "y_total") == 2.0
 
     def test_label_values_coerced_to_str(self):
         registry = MetricsRegistry()
         family = registry.gauge("z", "z", labels=("worker",))
         family.labels(worker=3).set(1)
-        assert family.labels(worker="3").value == 1.0
+        assert family.labels(worker="3") is family.labels(worker=3)
+        assert metric(registry, "z", worker="3") == 1.0
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=40))
@@ -208,8 +169,7 @@ class TestLabels:
         family = registry.counter("e_total", "e", labels=("kind",))
         for kind in events:
             family.labels(kind=kind).inc()
-        total = sum(child.value for _, child in family.children())
-        assert total == len(events)
+        assert metric(registry, "e_total") == len(events)
 
     def test_registration_idempotent(self):
         registry = MetricsRegistry()
@@ -272,82 +232,69 @@ class TestExposition:
         samples = parse_prometheus(registry.render_prometheus())
         assert samples[("odd_total", (("name", 'a"b\\c,d'),))] == 1.0
 
-    def test_snapshot_shape(self):
-        snapshot = self._registry().snapshot()
-        assert snapshot["req_total"]["kind"] == "counter"
-        assert snapshot["depth"]["samples"][0]["value"] == 3.0
-
 
 # ----------------------------------------------------------------------
 # spans and the trace sink
 
 
 class TestSpans:
-    def _enabled(self, tmp_path=None):
-        path = str(tmp_path / "trace.jsonl") if tmp_path else None
+    def _enabled(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
         return Telemetry(TelemetryConfig(enabled=True, trace_path=path))
 
-    def test_span_records_duration_and_context(self):
-        tel = self._enabled()
+    def _journaled(self, tel, tmp_path):
+        tel.close()
+        return spans(tmp_path / "trace.jsonl")
+
+    def test_span_records_duration_and_context(self, tmp_path):
+        tel = self._enabled(tmp_path)
         with tel.span("fetch", round_id=3, shard=1, worker=0):
             pass
-        [span] = tel.trace.recent()
+        [span] = self._journaled(tel, tmp_path)
         assert span.stage == "fetch"
         assert span.outcome == "ok"
         assert (span.round_id, span.shard, span.worker) == (3, 1, 0)
         assert span.duration >= 0.0
 
-    def test_span_exception_path(self):
-        tel = self._enabled()
+    def test_span_exception_path(self, tmp_path):
+        tel = self._enabled(tmp_path)
         with pytest.raises(KeyError):
             with tel.span("extract"):
                 raise KeyError("boom")
-        [span] = tel.trace.recent()
+        [span] = self._journaled(tel, tmp_path)
         assert span.outcome == "error"
         assert span.error_kind == "KeyError"
 
-    def test_spans_nest(self):
-        tel = self._enabled()
+    def test_spans_nest(self, tmp_path):
+        tel = self._enabled(tmp_path)
         with tel.span("outer"):
             with tel.span("inner"):
                 pass
-        stages = [span.stage for span in tel.trace.recent()]
+        stages = [span.stage for span in self._journaled(tel, tmp_path)]
         # The inner span finishes (and is journaled) first.
         assert stages == ["inner", "outer"]
 
-    def test_nested_exception_marks_both(self):
-        tel = self._enabled()
+    def test_nested_exception_marks_both(self, tmp_path):
+        tel = self._enabled(tmp_path)
         with pytest.raises(RuntimeError):
             with tel.span("outer"):
                 with tel.span("inner"):
                     raise RuntimeError
-        inner, outer = tel.trace.recent()
+        inner, outer = self._journaled(tel, tmp_path)
         assert inner.outcome == outer.outcome == "error"
 
-    def test_span_metrics(self):
-        tel = self._enabled()
+    def test_span_metrics(self, tmp_path):
+        tel = self._enabled(tmp_path)
         with tel.span("scan"):
             pass
         with pytest.raises(ValueError):
             with tel.span("scan"):
                 raise ValueError
-        samples = parse_prometheus(tel.registry.render_prometheus())
-        key_ok = ("repro_spans_total",
-                  (("outcome", "ok"), ("stage", "scan")))
-        key_err = ("repro_spans_total",
-                   (("outcome", "error"), ("stage", "scan")))
-        assert samples[key_ok] == 1.0
-        assert samples[key_err] == 1.0
-
-    def test_ring_is_bounded(self):
-        tel = self._enabled()
-        tel.trace = TraceSink(ring_size=4)
-        for index in range(10):
-            with tel.span(f"s{index}"):
-                pass
-        recent = tel.trace.recent()
-        assert len(recent) == 4
-        assert recent[-1].stage == "s9"
+        registry = tel.registry
+        assert metric(registry, "repro_spans_total",
+                      outcome="ok", stage="scan") == 1.0
+        assert metric(registry, "repro_spans_total",
+                      outcome="error", stage="scan") == 1.0
 
     def test_jsonl_round_trip(self, tmp_path):
         tel = self._enabled(tmp_path)
@@ -356,17 +303,15 @@ class TestSpans:
         with pytest.raises(ValueError):
             with tel.span("extract", shard=2):
                 raise ValueError
-        tel.close()
-        spans = list(read_trace(str(tmp_path / "trace.jsonl")))
-        assert [span.stage for span in spans] == ["fetch", "extract"]
-        assert spans[1].error_kind == "ValueError"
+        journaled = self._journaled(tel, tmp_path)
+        assert [span.stage for span in journaled] == ["fetch", "extract"]
+        assert journaled[1].error_kind == "ValueError"
 
     def test_read_trace_skips_torn_lines(self, tmp_path):
         path = tmp_path / "torn.jsonl"
         good = json.dumps(SpanRecord("scan", 0.0, 0.1, "ok").to_dict())
         path.write_text(f'{good}\n{{"stage": "fe\n{good}\n')
-        spans = list(read_trace(str(path)))
-        assert len(spans) == 2
+        assert len(spans(path)) == 2
 
     def test_concurrent_spans_all_journaled(self, tmp_path):
         tel = self._enabled(tmp_path)
@@ -381,19 +326,18 @@ class TestSpans:
             thread.start()
         for thread in threads:
             thread.join()
-        tel.close()
-        spans = list(read_trace(str(tmp_path / "trace.jsonl")))
-        assert len(spans) == 200
+        assert len(self._journaled(tel, tmp_path)) == 200
 
     def test_sink_survives_unwritable_path(self):
         sink = TraceSink(path="/nonexistent-dir/trace.jsonl")
         sink.record(SpanRecord("scan", 0.0, 0.1, "ok"))
         assert sink.dropped_writes == 1
-        assert len(sink.recent()) == 1
+        sink.record(SpanRecord("scan", 0.0, 0.1, "ok"))
+        assert sink.dropped_writes == 2
 
 
 # ----------------------------------------------------------------------
-# lifecycle: no-op default, configure/activate/reset
+# lifecycle: no-op default, configure/activate
 
 
 class TestLifecycle:
@@ -406,11 +350,12 @@ class TestLifecycle:
         assert NOOP_METRIC.labels(stage="x") is NOOP_METRIC
 
     def test_noop_accepts_all_operations(self):
-        NOOP_METRIC.inc()
-        NOOP_METRIC.dec(2)
-        NOOP_METRIC.set(5)
-        NOOP_METRIC.observe(0.1)
-        assert NOOP_METRIC.value == 0.0
+        tel = Telemetry()
+        handle = tel.counter("a_total")
+        handle.inc()
+        handle.set(5)
+        handle.observe(0.1)
+        assert metric(tel.registry, "a_total") == 0.0
         with NOOP_SPAN:
             pass
 
@@ -438,8 +383,9 @@ class TestLifecycle:
         assert telemetry.get() is before
 
     def test_reset_disables(self):
+        """Configuring the default config resets telemetry to off."""
         telemetry.configure(TelemetryConfig(enabled=True))
-        telemetry.reset()
+        telemetry.configure(TelemetryConfig())
         assert not telemetry.get().enabled
 
 
@@ -454,7 +400,7 @@ class TestMetricsServer:
         ) as response:
             return response.status, response.read().decode("utf-8")
 
-    def test_serves_metrics_snapshot_and_health(self):
+    def test_serves_metrics_and_health(self):
         tel = Telemetry(TelemetryConfig(enabled=True))
         tel.counter("up_total", "up").inc(4)
         server = start_metrics_server(tel, 0)
@@ -463,8 +409,6 @@ class TestMetricsServer:
             status, body = self._fetch(port, "/metrics")
             assert status == 200
             assert parse_prometheus(body)[("up_total", ())] == 4.0
-            status, body = self._fetch(port, "/snapshot")
-            assert json.loads(body)["up_total"]["kind"] == "counter"
             status, body = self._fetch(port, "/healthz")
             assert body == "ok\n"
             with pytest.raises(urllib.error.HTTPError):
@@ -520,7 +464,7 @@ class TestStoreOutputUnchanged:
         plain = self._campaign_checksums(
             str(tmp_path / "plain.sqlite"), telemetry_on=False
         )
-        telemetry.reset()
+        telemetry.configure(TelemetryConfig())
         traced = self._campaign_checksums(
             str(tmp_path / "traced.sqlite"), telemetry_on=True
         )
@@ -531,10 +475,10 @@ class TestStoreOutputUnchanged:
         path = str(tmp_path / "spanned.sqlite")
         self._campaign_checksums(path, telemetry_on=True)
         telemetry.get().close()
-        spans = list(read_trace(f"{path}.trace.jsonl"))
-        stages = {span.stage for span in spans}
+        journaled = spans(f"{path}.trace.jsonl")
+        stages = {span.stage for span in journaled}
         assert {"scan", "fetch", "extract"} <= stages
-        assert all(span.outcome in ("ok", "error") for span in spans)
+        assert all(span.outcome in ("ok", "error") for span in journaled)
 
 
 class TestMetricsServerSlowLoris:
@@ -623,7 +567,7 @@ class TestEnabledCostInPythonCalls:
         tmp = tmp_path_factory.mktemp("telemetry_calls")
         out = {}
         for enabled in (False, True):
-            telemetry.reset()
+            telemetry.configure(TelemetryConfig())
             scenario = build_sim_scenario(
                 {"cloud": "ec2", "ips": 4096, "seed": 7})
             db = str(tmp / f"enabled_{enabled}.sqlite")
@@ -638,7 +582,7 @@ class TestEnabledCostInPythonCalls:
             platform.close()
             store.close()
             out[enabled] = (calls, summary.pipeline.records_written, rows, db)
-        telemetry.reset()
+        telemetry.configure(TelemetryConfig())
         return out
 
     def test_ingest_adds_at_most_8_calls_per_record(self, rounds):
@@ -675,7 +619,7 @@ class TestEnabledCostInPythonCalls:
             try:
                 return [await status_of(app.port, t) for t in targets]
             finally:
-                await app.close()
+                await app.drain()
 
         calls = {}
         for enabled in (False, True):

@@ -174,7 +174,7 @@ class TestScannerOverSockets:
         transport = RecordingSockets(port_map)
         scanner = Scanner(transport, ScanConfig(
             probes_per_second=1e6, probe_timeout=1.0))
-        (outcome,) = scanner.scan_sync([LOCALHOST])
+        (outcome,) = asyncio.run(scanner.scan([LOCALHOST]))
         return outcome, scanner, transport
 
     def test_open_web_port_skips_the_fallback(self, http_server):
